@@ -122,7 +122,7 @@ def cmd_state(args) -> int:
     report = BenchmarkReport(
         gate=label,
         backend=f"shots={args.shots},seed={args.seed}",
-        noise_fingerprint=cal.fingerprint() if cal else "noiseless",
+        noise_fingerprint=noise.fingerprint if noise else "noiseless",
         process_fidelity=float("nan"),
         success_probability=p_succ,
     )

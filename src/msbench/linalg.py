@@ -1,6 +1,7 @@
 """Small dense complex linear algebra used throughout the toolkit.
 
-Matrices are plain 2-D complex numpy arrays, row-major, at most 16x16.
+Matrices are plain 2-D complex numpy arrays, row-major, at most 16x16;
+``dagger`` also maps over a leading stack axis.
 Everything here is a pure function; inputs are never mutated.
 """
 
@@ -29,7 +30,8 @@ def as_matrix(m) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(np.asarray(m).conj(), -1, -2)
 
 
 def frobenius(m: np.ndarray) -> float:

@@ -12,12 +12,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .channels import QuantumChannel, identity_channel, pauli_basis
-from .circuits import Circuit
+from .circuits import GATE_KINDS, Circuit
 from .linalg import I2, kron
 
 DEFAULT_DURATIONS_NS = {"rz": 0.0, "sx": 35.0, "cnot": 300.0}
@@ -59,19 +61,27 @@ class QubitCalibration:
 
 @dataclass(frozen=True)
 class DeviceCalibration:
+    """Calibration snapshot. ``durations_ns`` is stored read-only, filled in
+    from ``DEFAULT_DURATIONS_NS`` (and ``x`` from ``sx``) where not given."""
+
     qubits: tuple[QubitCalibration, ...]
-    durations_ns: dict = field(default_factory=lambda: dict(DEFAULT_DURATIONS_NS))
+    durations_ns: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_DURATIONS_NS))
     p_dep: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.p_dep <= 1.0:
             raise ValueError(f"p_dep = {self.p_dep} outside [0, 1]")
-        durations = dict(DEFAULT_DURATIONS_NS)
-        durations.update(self.durations_ns or {})
+        given = dict(self.durations_ns or {})
+        unknown = [key for key in given if key not in GATE_KINDS]
+        if unknown:
+            raise ValueError(f"durations_ns: unknown gate {', '.join(map(repr, unknown))}; "
+                             f"expected one of {', '.join(GATE_KINDS)}")
+        durations = {**DEFAULT_DURATIONS_NS, **given}
         durations.setdefault("x", durations["sx"])  # X is a single pulse, like SX
-        if any(v < 0 for v in durations.values()):
-            raise ValueError("gate durations must be non-negative")
-        object.__setattr__(self, "durations_ns", durations)
+        for key, value in durations.items():
+            if value < 0:
+                raise ValueError(f"durations_ns[{key!r}] = {value} is negative")
+        object.__setattr__(self, "durations_ns", MappingProxyType(durations))
         object.__setattr__(self, "qubits", tuple(self.qubits))
 
     def qubit(self, index: int) -> QubitCalibration:
@@ -185,7 +195,10 @@ def confusion_matrix(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) -
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Concrete error channels for each circuit layer, plus readout confusion."""
+    """Concrete error channels for each circuit layer, plus readout confusion.
+
+    ``fingerprint`` covers the calibration and the device qubit pair.
+    """
 
     single_qubit: dict  # (kind, qubit) -> QuantumChannel, 2-qubit, or None if identity
     cnot_channel: QuantumChannel | None
@@ -234,7 +247,10 @@ def build_noise_model(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) 
     confusion = confusion_matrix(cal, qubits)
     if np.allclose(confusion, np.eye(4), atol=1e-15):
         confusion = None
-    return NoiseModel(single, cnot_ch, confusion, cal.fingerprint())
+    # The pair selects which qubits' T1/T2 and readout enter, so it is provenance.
+    provenance = json.dumps({"calibration": cal.to_dict(), "qubits": list(qubits)}, sort_keys=True)
+    fingerprint = hashlib.sha256(provenance.encode()).hexdigest()[:16]
+    return NoiseModel(single, cnot_ch, confusion, fingerprint)
 
 
 def fit_depolarizing(

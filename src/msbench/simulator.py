@@ -4,6 +4,17 @@ The simulator is exact: gates act as unitaries, noise acts through Kraus
 sets, and measurement probabilities are computed in closed form. Shot noise
 is the only stochastic element, drawn multinomially from a seeded generator.
 
+Batches: ``evolve``, ``outcome_distribution`` and ``expectation`` take a
+leading stack axis (many states, or many frequency vectors); a single state
+is the one-element case of the same code. Each state in a stack goes
+through exactly the floating-point operations it would go through alone:
+stacked ``u @ rho @ u^dag`` products, Kraus terms summed in the same order,
+per-state normalization and an ``einsum`` for the readout confusion.
+Sampled counts depend on this. Many outcome distributions sit on ties such
+as p = 0.5 between two outcomes, where a one-ulp change flips the binomial
+draw and swaps two counts; folding the gates into one superoperator, or the
+confusion into one flattened matrix product, changes such ulps.
+
 RNG: numpy PCG64 (algorithm id ``numpy-PCG64-multinomial``), one owned
 generator per sampling call; identical seeds reproduce identical counts.
 """
@@ -29,6 +40,10 @@ _BASIS_ROTATION = {
     "X": _HAD,
     "Y": _HAD @ np.diag([1, -1j]).astype(complex),
     "Z": I2,
+}
+_SETTING_ROTATION = {
+    a + b: kron(_BASIS_ROTATION[a], _BASIS_ROTATION[b])
+    for a in MEASUREMENT_BASES for b in MEASUREMENT_BASES
 }
 
 
@@ -99,10 +114,21 @@ def basis_state(bitstring: str) -> np.ndarray:
     return rho
 
 
-def evolve(circuit: Circuit, rho, noise=None) -> np.ndarray:
-    """Run the circuit on a density matrix: each gate's unitary, then its
-    noise channel (if a model is given)."""
-    rho = check_density_matrix(np.asarray(rho, dtype=complex))
+def _checked(rho) -> np.ndarray:
+    """``rho`` as a complex array, after validating each density matrix in it once."""
+    rho = np.asarray(rho, dtype=complex)
+    for state in rho if rho.ndim == 3 else (rho,):
+        check_density_matrix(state)
+    return rho
+
+
+def apply_gates(circuit: Circuit, rho, noise=None) -> np.ndarray:
+    """Each gate's unitary, then its noise channel (if a model is given), on
+    a density matrix or a stack of them; no validation, no re-symmetrizing.
+
+    Running a circuit's prefix here and the rest through ``evolve`` gives the
+    same bits as evolving the whole circuit at once.
+    """
     for gate in circuit.gates:
         u = gate.matrix()
         rho = u @ rho @ dagger(u)
@@ -113,21 +139,33 @@ def evolve(circuit: Circuit, rho, noise=None) -> np.ndarray:
                 for k in channel.kraus_operators():
                     out += k @ rho @ dagger(k)
                 rho = out
+    return rho
+
+
+def evolve(circuit: Circuit, rho, noise=None) -> np.ndarray:
+    """Run the circuit on a density matrix, or on each of a stack of them:
+    each gate's unitary, then its noise channel (if a model is given)."""
+    rho = apply_gates(circuit, _checked(rho), noise)
     return 0.5 * (rho + dagger(rho))
 
 
-def outcome_distribution(rho, setting: str, confusion=None) -> np.ndarray:
+def outcome_distribution(rho, setting, confusion=None) -> np.ndarray:
     """Outcome probabilities for measuring both qubits in the given bases,
-    optionally pushed through a row-stochastic [true, read] confusion matrix."""
-    validate_setting(setting)
-    rho = check_density_matrix(np.asarray(rho, dtype=complex))
-    r = kron(_BASIS_ROTATION[setting[0]], _BASIS_ROTATION[setting[1]])
-    probs = np.real(np.diag(r @ rho @ dagger(r))).copy()
+    optionally pushed through a row-stochastic [true, read] confusion matrix.
+
+    ``rho`` is one density matrix or a stack of them; ``setting`` is one
+    setting or a sequence of them. The result has the stack shape, then one
+    axis over the settings if a sequence was given, then the 4 outcomes.
+    """
+    settings = [setting] if isinstance(setting, str) else list(setting)
+    r = np.array([_SETTING_ROTATION[validate_setting(s)] for s in settings])
+    rho = _checked(rho)
+    probs = np.real(np.diagonal(r @ rho[..., None, :, :] @ dagger(r), axis1=-2, axis2=-1))
     probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
+    probs /= probs.sum(axis=-1, keepdims=True)
     if confusion is not None:
-        probs = probs @ np.asarray(confusion)
-    return probs
+        probs = np.einsum("...i,ij->...j", probs, np.asarray(confusion))
+    return probs[..., 0, :] if isinstance(setting, str) else probs
 
 
 def sample_counts(dist, shots: int, seed: int, setting: str = "ZZ") -> CountsRecord:
@@ -148,26 +186,29 @@ def sample_counts(dist, shots: int, seed: int, setting: str = "ZZ") -> CountsRec
     return CountsRecord(setting, shots, {b: int(n) for b, n in zip(BITSTRINGS, draw)})
 
 
-def expectation(record: CountsRecord, observable: str) -> float:
-    """Empirical Pauli expectation from a counts record.
+def compatible(observable: str, setting: str) -> bool:
+    """Whether the setting measures every non-identity factor of the observable."""
+    return all(factor in ("I", basis) for factor, basis in zip(observable, setting))
 
-    The observable is two of I/X/Y/Z; every non-identity factor must match
-    the record's measurement setting at that position. Identity factors
-    marginalize the corresponding bit.
+
+def expectation(data, observable: str):
+    """Empirical Pauli expectation from a counts record, or from frequency
+    4-vectors (an array whose last axis holds the outcomes ``BITSTRINGS``).
+
+    The observable is two of I/X/Y/Z. For a record, every non-identity factor
+    must match the record's measurement setting at that position; frequencies
+    must come from such a setting. Identity factors marginalize the
+    corresponding bit.
     """
     if len(observable) != 2 or any(c not in "IXYZ" for c in observable):
         raise ValueError(f"observable must be two of I/X/Y/Z, got {observable!r}")
-    for pos, factor in enumerate(observable):
-        if factor != "I" and factor != record.setting[pos]:
-            raise ValueError(
-                f"observable {observable} incompatible with setting {record.setting}"
-            )
-    freqs = record.frequencies()
-    value = 0.0
-    for idx, bits in enumerate(BITSTRINGS):
-        sign = 1.0
-        for pos, factor in enumerate(observable):
-            if factor != "I" and bits[pos] == "1":
-                sign = -sign
-        value += sign * freqs[idx]
-    return float(value)
+    if isinstance(data, CountsRecord):
+        if not compatible(observable, data.setting):
+            raise ValueError(f"observable {observable} incompatible with setting {data.setting}")
+        return float(expectation(data.frequencies(), observable))
+    # An outcome's sign is the parity of its bits under non-identity factors.
+    signs = np.array([
+        (-1.0) ** sum(bit == "1" for bit, factor in zip(bits, observable) if factor != "I")
+        for bits in BITSTRINGS
+    ])
+    return np.asarray(data, dtype=float) @ signs

@@ -6,9 +6,16 @@ Pauli expectations are obtained from marginals of the measured settings
 (averaged over the compatible ones), so the full 16-observable set per
 input is available from 9 physical settings.
 
-Reconstruction: linear least-squares inversion of the expectation data to a
-Choi matrix over the fixed preparation/observable frame, followed by
-projection onto the CPTP set.
+Reconstruction: the 16 inputs span all 4x4 operators, so the expectation
+table fixes the channel exactly; the product frame's closed-form dual
+(see ``linear_inversion``) gives the Choi estimate, which is then projected
+onto the CPTP set.
+
+Simulation: the 16 preparation prefixes run one by one, then the stacked
+prepared states go through the process in one ``evolve`` call, and all 144
+outcome distributions come from one ``outcome_distribution`` call. The
+arithmetic per state is that of evolving each full circuit on its own, so
+sampled counts are unchanged.
 """
 
 from __future__ import annotations
@@ -25,7 +32,9 @@ from .linalg import dagger, kron
 from .simulator import (
     RNG_ALGORITHM,
     CountsRecord,
+    apply_gates,
     basis_state,
+    compatible,
     evolve,
     expectation,
     outcome_distribution,
@@ -154,15 +163,18 @@ def run_qpt(process, noise=None, shots: int | None = None, seed: int = DEFAULT_S
         raise ValueError("noise models apply to circuits, not to raw channels")
     confusion = noise.confusion if noise is not None else None
 
+    if circuit_mode:
+        preps = [apply_gates(prep_circuit(label), basis_state("00"), noise)
+                 for label in PREP_LABELS]
+        states = evolve(process, np.array(preps), noise)
+    else:
+        states = np.array([process.apply(prep_state(label)) for label in PREP_LABELS])
+    dists = outcome_distribution(states, SETTINGS, confusion)
+
     records = {}
     for p_idx, label in enumerate(PREP_LABELS):
-        if circuit_mode:
-            full = prep_circuit(label).concat(process)
-            rho = evolve(full, basis_state("00"), noise)
-        else:
-            rho = process.apply(prep_state(label))
         for s_idx, setting in enumerate(SETTINGS):
-            dist = outcome_distribution(rho, setting, confusion)
+            dist = dists[p_idx, s_idx]
             if shots is None:
                 rec = CountsRecord(setting, None, None, tuple(dist))
             else:
@@ -178,50 +190,42 @@ def run_qpt(process, noise=None, shots: int | None = None, seed: int = DEFAULT_S
     )
 
 
-def _pauli_expectations(ds: TomographyDataset, label: str) -> np.ndarray:
-    """All 16 Pauli expectations for one input, identity terms from marginals."""
-    values = np.zeros(16)
-    for k, obs in enumerate(PAULI_LABELS):
-        a, b = obs[0], obs[1]
-        if a == "I" and b == "I":
-            values[k] = 1.0
-        elif a == "I":
-            compat = [c + b for c in "XYZ"]
-            values[k] = np.mean([expectation(ds.records[(label, s)], obs) for s in compat])
-        elif b == "I":
-            compat = [a + c for c in "XYZ"]
-            values[k] = np.mean([expectation(ds.records[(label, s)], obs) for s in compat])
-        else:
-            values[k] = expectation(ds.records[(label, obs)], obs)
-    return values
+_COMPATIBLE = {
+    obs: [i for i, s in enumerate(SETTINGS) if compatible(obs, s)] for obs in PAULI_LABELS
+}
+# Rows vec(rho_j) of the 16 ideal inputs, and the Pauli products P_k.
+_PREP_FRAME = np.array([prep_state(label).reshape(-1) for label in PREP_LABELS])
+_PAULIS = np.array(pauli_basis(2))
 
 
-_DESIGN_MATRIX: np.ndarray | None = None
+def _pauli_table(ds: TomographyDataset) -> np.ndarray:
+    """(prep x Pauli) table of the 16 Pauli expectations for each input.
+
+    An identity-containing observable averages its compatible settings; the
+    all-identity column is 1.
+    """
+    freqs = np.array([[ds.records[(p, s)].frequencies() for s in SETTINGS] for p in PREP_LABELS])
+    table = np.ones((len(PREP_LABELS), len(PAULI_LABELS)))
+    for k, obs in enumerate(PAULI_LABELS[1:], start=1):
+        table[:, k] = expectation(freqs[:, _COMPATIBLE[obs]], obs).mean(axis=1)
+    return table
 
 
-def _design_matrix() -> np.ndarray:
-    """Rows map vec(J) to d * Tr(J (P_k (x) rho_j^T)), the model expectations."""
-    global _DESIGN_MATRIX
-    if _DESIGN_MATRIX is None:
-        paulis = pauli_basis(2)
-        rows = []
-        for label in PREP_LABELS:
-            rho_t = prep_state(label).T
-            for pk in paulis:
-                s = kron(pk, rho_t)
-                rows.append(4.0 * s.T.reshape(-1))
-        _DESIGN_MATRIX = np.array(rows)
-    return _DESIGN_MATRIX
+def linear_inversion(ds: TomographyDataset) -> np.ndarray:
+    """Unconstrained Choi estimate that reproduces the expectation table exactly.
+
+    With m_jk = Tr(P_k E(rho_j)) and the inputs a basis of operators, the
+    dual frame gives Y_k = E^dag(P_k)^T / 4 from vec(Y_k) = (R^-1 m)[:, k] / 4,
+    R having rows vec(rho_j), and then J = (1/4) sum_k P_k (x) Y_k.
+    """
+    y = np.linalg.solve(_PREP_FRAME, _pauli_table(ds)).T.reshape(16, 4, 4) / 4.0
+    j = np.einsum("kab,kcd->acbd", _PAULIS, y).reshape(16, 16) / 4.0
+    return 0.5 * (j + dagger(j))
 
 
 def reconstruct_channel(ds: TomographyDataset) -> QuantumChannel:
-    """Least-squares Choi estimate from the dataset, projected onto CPTP."""
-    measured = np.concatenate([_pauli_expectations(ds, label) for label in PREP_LABELS])
-    a = _design_matrix()
-    x, *_ = np.linalg.lstsq(a, measured.astype(complex), rcond=None)
-    j = x.reshape(16, 16)
-    j = 0.5 * (j + dagger(j))
-    return project_cptp(j)
+    """Linear-inversion Choi estimate from the dataset, projected onto CPTP."""
+    return project_cptp(linear_inversion(ds))
 
 
 def process_fidelity(a: QuantumChannel, b: QuantumChannel) -> float:

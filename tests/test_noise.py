@@ -206,3 +206,28 @@ def test_fidelity_monotone_in_depolarizing_strength():
         for p in (0.0, 0.02, 0.08, 0.2, 0.5)
     ]
     assert all(a >= b - 1e-9 for a, b in zip(fids, fids[1:]))
+
+
+def test_noise_fingerprint_covers_the_qubit_pair():
+    qubits = tuple(QubitCalibration(i, 100.0, 80.0, 0.01 * (i + 1)) for i in range(3))
+    cal = DeviceCalibration(qubits)
+    a, b = build_noise_model(cal, (0, 1)), build_noise_model(cal, (1, 2))
+    assert not np.array_equal(a.confusion, b.confusion)
+    assert a.fingerprint != b.fingerprint
+    assert build_noise_model(cal, (0, 1)).fingerprint == a.fingerprint
+
+
+def test_durations_reject_unknown_gate_names():
+    with pytest.raises(ValueError, match="'cx'"):
+        make_cal(durations={"cx": 600})
+    with pytest.raises(ValueError, match="'cnot'"):
+        make_cal(durations={"cnot": -1})
+
+
+def test_durations_are_read_only():
+    cal = make_cal(durations={"cnot": 600})
+    before = cal.fingerprint()
+    with pytest.raises(TypeError):
+        cal.durations_ns["cnot"] = 300
+    assert cal.durations_ns["cnot"] == 600
+    assert cal.fingerprint() == before

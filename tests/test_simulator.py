@@ -117,6 +117,27 @@ def test_outcome_distribution_marginal_setting_independence(rng):
             assert np.allclose(m, marginals[0], atol=1e-10)
 
 
+def test_stacked_states_match_single_state_calls(rng):
+    cal = DeviceCalibration(
+        (QubitCalibration(0, 120.0, 100.0, 0.02), QubitCalibration(1, 90.0, 70.0, 0.03)),
+        {}, 0.05,
+    )
+    noise = build_noise_model(cal)
+    circuit = synthesize_ms_circuit()
+    states = np.array([random_density_matrix(rng) for _ in range(3)])
+    evolved = evolve(circuit, states, noise)
+    dists = outcome_distribution(evolved, ["XY", "ZZ"], noise.confusion)
+    assert dists.shape == (3, 2, 4)
+    assert outcome_distribution(evolved, "XY").shape == (3, 4)
+    for rho, out, dist in zip(states, evolved, dists):
+        assert np.array_equal(evolve(circuit, rho, noise), out)
+        for setting, row in zip(["XY", "ZZ"], dist):
+            assert np.array_equal(outcome_distribution(out, setting, noise.confusion), row)
+    freqs = dists[:, 1]
+    zz = [expectation(CountsRecord("ZZ", None, None, tuple(f)), "ZZ") for f in freqs]
+    assert np.allclose(expectation(freqs, "ZZ"), zz, atol=1e-15)
+
+
 def test_outcome_distribution_rejects_bad_setting():
     with pytest.raises(ValueError):
         outcome_distribution(basis_state("00"), "ZQ")

@@ -1,26 +1,48 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msbench.channels import QuantumChannel, channel_from_unitary, identity_channel, pauli_basis
-from msbench.circuits import Circuit, circuit_unitary, cx_unitary, ms_unitary, synthesize_ms_circuit
+from msbench.circuits import (
+    Circuit,
+    circuit_unitary,
+    cx_circuit,
+    cx_unitary,
+    ms_unitary,
+    synthesize_ms_circuit,
+)
 from msbench.linalg import kron
 from msbench.noise import DeviceCalibration, QubitCalibration, build_noise_model
 from msbench.tomography import (
+    PAULI_LABELS,
     PREP_LABELS,
     SETTINGS,
     TomographyDataset,
     average_gate_fidelity,
     design_experiments,
     exact_process_fidelity,
+    linear_inversion,
     prep_circuit,
     prep_state,
     process_fidelity,
     reconstruct_channel,
     run_qpt,
 )
-from msbench.simulator import basis_state, evolve
+from msbench.simulator import BITSTRINGS, basis_state, evolve, expectation, outcome_distribution
 
 from conftest import random_cptp_kraus
+
+
+EXAMPLE_CALIBRATION = Path(__file__).resolve().parent.parent / "data" / "example_calibration.json"
+
+
+def example_noise():
+    return build_noise_model(DeviceCalibration.load(EXAMPLE_CALIBRATION).with_p_dep(0.0165))
 
 
 def dep_noise(p):
@@ -182,3 +204,61 @@ def test_run_qpt_rejects_noise_on_raw_channels(rng):
     ch = random_cptp_kraus(rng)
     with pytest.raises(ValueError):
         run_qpt(ch, noise=dep_noise(0.1), shots=None)
+
+
+@pytest.mark.parametrize("circuit", [synthesize_ms_circuit(), cx_circuit()], ids=["ms", "cx"])
+def test_batched_qpt_probabilities_equal_the_per_state_path(circuit):
+    # Sampled counts sit on p = 0.5 ties, so a 1-ulp change can swap them.
+    noise = example_noise()
+    ds = run_qpt(circuit, noise=noise, shots=None)
+    for label in PREP_LABELS:
+        rho = evolve(prep_circuit(label).concat(circuit), basis_state("00"), noise)
+        for setting in SETTINGS:
+            expected = outcome_distribution(rho, setting, noise.confusion)
+            assert ds.records[(label, setting)].probs == tuple(expected), (label, setting)
+
+
+def test_sampled_qpt_counts_are_pinned():
+    ds = run_qpt(synthesize_ms_circuit(), noise=example_noise(), shots=4000, seed=1)
+    grid = {f"{p}|{s}": [rec.counts[b] for b in BITSTRINGS] for (p, s), rec in ds.records.items()}
+    text = json.dumps(grid, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7465a389586044392a009ce98b8f1d3705ceb62b3a6c7b2ad39e8f6b157ea1ba")
+
+
+@pytest.fixture(scope="module")
+def design_matrix():
+    """The 256x256 map from vec(J) to the 16 x 16 model expectations
+    d * Tr(J (P_k (x) rho_j^T)), rows ordered (prep, Pauli)."""
+    rows = []
+    for label in PREP_LABELS:
+        rho_t = prep_state(label).T
+        for pk in pauli_basis(2):
+            rows.append(4.0 * np.kron(pk, rho_t).T.reshape(-1))
+    return np.array(rows)
+
+
+def lstsq_choi(ds, design):
+    """Least-squares Choi estimate from per-record expectations, identity
+    terms averaged over the compatible settings."""
+    measured = []
+    for label in PREP_LABELS:
+        for obs in PAULI_LABELS:
+            compat = [s for s in SETTINGS if all(f in ("I", c) for f, c in zip(obs, s))]
+            measured.append(np.mean([expectation(ds.records[(label, s)], obs) for s in compat]))
+    x, *_ = np.linalg.lstsq(design, np.array(measured, dtype=complex), rcond=None)
+    j = x.reshape(16, 16)
+    return 0.5 * (j + j.conj().T)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_kraus=st.integers(1, 4))
+def test_dual_frame_matches_least_squares_on_random_channels(design_matrix, seed, n_kraus):
+    ch = random_cptp_kraus(np.random.default_rng(seed), n_kraus=n_kraus)
+    ds = run_qpt(ch, shots=None)
+    assert np.abs(linear_inversion(ds) - lstsq_choi(ds, design_matrix)).max() <= 1e-12
+
+
+def test_dual_frame_matches_least_squares_on_sampled_data(design_matrix):
+    ds = run_qpt(synthesize_ms_circuit(), noise=example_noise(), shots=4000, seed=7)
+    assert np.abs(linear_inversion(ds) - lstsq_choi(ds, design_matrix)).max() <= 1e-12

@@ -85,16 +85,29 @@ class QuantumChannel:
 
     @staticmethod
     def from_kraus(operators) -> "QuantumChannel":
-        ops = tuple(as_matrix(k) for k in operators)
+        """Validate the operators as one (count, d, d) stack; the stored
+        operators are its rows, equal in value and order to the input."""
+        ops = list(operators)
         if not ops:
             raise ValueError("empty Kraus set")
-        dim = ops[0].shape[0]
-        if dim not in (2, 4) or any(k.shape != (dim, dim) for k in ops):
-            raise ValueError("Kraus operators must share a square 2x2 or 4x4 shape")
-        comp = sum(dagger(k) @ k for k in ops)
+        shape_error = ValueError("Kraus operators must share a square 2x2 or 4x4 shape")
+        try:
+            stack = np.array(ops, dtype=complex)
+        except ValueError:
+            if len({np.shape(k) for k in ops}) > 1:  # operators of different shapes
+                raise shape_error from None
+            raise
+        if stack.ndim != 3:
+            raise ValueError(f"expected a 2-D matrix, got ndim={stack.ndim - 1}")
+        if not np.isfinite(stack).all():
+            raise ValueError("matrix has non-finite entries")
+        _, dim, cols = stack.shape
+        if dim not in (2, 4) or cols != dim:
+            raise shape_error
+        comp = np.einsum("kji,kjl->il", stack.conj(), stack)
         if frobenius(comp - np.eye(dim)) > 1e-8:
             raise ValueError("Kraus set is not trace-preserving (completeness fails)")
-        return QuantumChannel("kraus", ops, dim)
+        return QuantumChannel("kraus", tuple(stack), dim)
 
     @staticmethod
     def from_choi(matrix, atol_psd: float = 1e-8, atol_tp: float = 1e-6) -> "QuantumChannel":

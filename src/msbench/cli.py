@@ -9,14 +9,17 @@ Commands map onto the two benchmark experiments plus utilities:
 * ``stability``  -- drift analytics between two calibration snapshots
 
 Every command writes machine-readable JSON to ``--out``, a run manifest to
-``<out>.manifest.json``, and a human summary to stdout. Seeds default to a
-fixed constant (42) so runs are reproducible by default. If MSBENCH_OUTPUT_DIR
-is set, relative output paths are resolved under it.
+``<out>.manifest.json``, and a human summary to stdout. The wall-clock
+timestamp lives only in the manifest, so result files are byte-identical
+across reruns with the same inputs. Seeds default to a fixed constant (42)
+so runs are reproducible by default. If MSBENCH_OUTPUT_DIR is set, relative
+output paths are resolved under it.
 """
 
 from __future__ import annotations
 
 import argparse
+import datetime
 import json
 import os
 import sys
@@ -73,6 +76,7 @@ def _write_manifest(out: Path, command: str, flags: dict, seed, cal_fingerprint:
         "calibration_fingerprint": cal_fingerprint,
         "version": __version__,
         "outputs": [str(p) for p in outputs],
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     _write_json(out.with_name(out.name + ".manifest.json"), manifest)
 

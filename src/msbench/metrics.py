@@ -3,8 +3,7 @@ scaling, gate comparison tables, and calibration stability analytics."""
 
 from __future__ import annotations
 
-import datetime
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +36,6 @@ class BenchmarkReport:
     process_fidelity: float
     success_probability: float | None = None
     scaling_depth: int = 12
-    timestamp: str = field(
-        default_factory=lambda: datetime.datetime.now(datetime.timezone.utc).isoformat()
-    )
 
     @property
     def epsilon(self) -> float | None:
@@ -61,7 +57,6 @@ class BenchmarkReport:
             "success_probability": self.success_probability,
             "epsilon": self.epsilon,
             "scaling": self.scaling(),
-            "timestamp": self.timestamp,
         }
 
 

@@ -23,6 +23,9 @@ from .circuits import GATE_KINDS, Circuit
 from .linalg import I2, kron
 
 DEFAULT_DURATIONS_NS = {"rz": 0.0, "sx": 35.0, "cnot": 300.0}
+CALIBRATION_KEYS = ("qubits", "durations_ns", "p_dep")
+QUBIT_KEYS = ("id", "t1_us", "t2_us", "readout_error", "frequency_ghz", "anharmonicity_ghz",
+              "readout_error_01", "readout_error_10")
 
 
 class UnachievableTargetError(ValueError):
@@ -71,18 +74,19 @@ class DeviceCalibration:
     def __post_init__(self):
         if not 0.0 <= self.p_dep <= 1.0:
             raise ValueError(f"p_dep = {self.p_dep} outside [0, 1]")
+        object.__setattr__(self, "qubits", tuple(self.qubits))
+        ids = [q.qubit for q in self.qubits]
+        duplicates = sorted({i for i in ids if ids.count(i) > 1})
+        if duplicates:
+            raise ValueError(f"duplicate qubit id {', '.join(map(str, duplicates))}")
         given = dict(self.durations_ns or {})
-        unknown = [key for key in given if key not in GATE_KINDS]
-        if unknown:
-            raise ValueError(f"durations_ns: unknown gate {', '.join(map(repr, unknown))}; "
-                             f"expected one of {', '.join(GATE_KINDS)}")
+        _reject_unknown_keys(given, GATE_KINDS, "durations_ns")
         durations = {**DEFAULT_DURATIONS_NS, **given}
         durations.setdefault("x", durations["sx"])  # X is a single pulse, like SX
         for key, value in durations.items():
             if value < 0:
                 raise ValueError(f"durations_ns[{key!r}] = {value} is negative")
         object.__setattr__(self, "durations_ns", MappingProxyType(durations))
-        object.__setattr__(self, "qubits", tuple(self.qubits))
 
     def qubit(self, index: int) -> QubitCalibration:
         for q in self.qubits:
@@ -115,6 +119,9 @@ class DeviceCalibration:
 
     @staticmethod
     def from_dict(d: dict) -> "DeviceCalibration":
+        _reject_unknown_keys(d, CALIBRATION_KEYS, "calibration")
+        for i, rec in enumerate(d["qubits"]):
+            _reject_unknown_keys(rec, QUBIT_KEYS, f"qubits[{i}]")
         qubits = tuple(
             QubitCalibration(
                 qubit=rec["id"],
@@ -144,6 +151,13 @@ class DeviceCalibration:
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
+
+
+def _reject_unknown_keys(record: Mapping, known, where: str) -> None:
+    unknown = [key for key in record if key not in known]
+    if unknown:
+        raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}; "
+                         f"expected one of {', '.join(known)}")
 
 
 def damping_channel(t1_us: float, t2_us: float, duration_ns: float) -> QuantumChannel:
@@ -260,9 +274,17 @@ def fit_depolarizing(
     tol: float = 1e-3,
     max_iterations: int = 80,
 ) -> float:
-    """Bisect the two-qubit depolarizing probability until the exact-probability
+    """Find the two-qubit depolarizing probability at which the exact-probability
     tomographic fidelity of ``circuit`` under the calibration matches
-    ``target_fidelity`` within ``tol``."""
+    ``target_fidelity`` within ``tol``.
+
+    Regula falsi on [0, 1] with the Illinois step (Dowell & Jarratt, BIT 11,
+    168, 1971): each secant through the bracket ends is evaluated, replaces the
+    end on its side, and an end kept twice in a row has its residual halved so
+    the bracket keeps shrinking. For the one-CNOT circuits F(p) is affine, so
+    the first secant lands on the target and a fit costs F(0), F(1) and one
+    verifying evaluation. Circuits with more CNOTs converge in a few more.
+    """
     if not 0.0 < target_fidelity <= 1.0:
         raise ValueError("target fidelity must be in (0, 1]")
 
@@ -278,21 +300,33 @@ def fit_depolarizing(
         )
     if abs(f_zero - target_fidelity) <= tol:
         return 0.0
-    lo, hi = 0.0, 1.0
-    f_hi = fidelity_at(hi)
+    f_hi = fidelity_at(1.0)
     if f_hi > target_fidelity + tol:
         raise UnachievableTargetError(
             f"target fidelity {target_fidelity} below the p=1 fidelity {f_hi:.6f}"
         )
+    if abs(f_hi - target_fidelity) <= tol:
+        return 1.0
+    # Residuals F - target: positive at the low end, negative at the high end.
+    lo, r_lo = 0.0, f_zero - target_fidelity
+    hi, r_hi = 1.0, f_hi - target_fidelity
+    kept = None  # the end that the previous step left in place
     for _ in range(max_iterations):
-        mid = 0.5 * (lo + hi)
-        f_mid = fidelity_at(mid)
-        if abs(f_mid - target_fidelity) <= tol:
-            return mid
-        if f_mid > target_fidelity:
-            lo = mid
+        p = (lo * r_hi - hi * r_lo) / (r_hi - r_lo)
+        r = fidelity_at(p) - target_fidelity
+        if abs(r) <= tol:
+            return p
+        if r > 0:
+            lo, r_lo = p, r
+            if kept == "hi":
+                r_hi *= 0.5
+            kept = "hi"
         else:
-            hi = mid
+            hi, r_hi = p, r
+            if kept == "lo":
+                r_lo *= 0.5
+            kept = "lo"
     raise UnachievableTargetError(
-        f"bisection failed to bracket fidelity {target_fidelity} within {tol}"
+        f"false position failed to reach fidelity {target_fidelity} within {tol} "
+        f"after {max_iterations} iterations"
     )

@@ -116,6 +116,29 @@ def test_kraus_completeness_enforced():
         QuantumChannel.from_kraus([0.5 * np.eye(4)])
 
 
+def test_from_kraus_keeps_operators_in_value_and_order(rng):
+    ops = list(random_cptp_kraus(rng, n_kraus=5).data)
+    ch = QuantumChannel.from_kraus(k for k in ops)  # a generator is accepted
+    assert len(ch.data) == len(ops)
+    assert all(np.array_equal(a, b) for a, b in zip(ch.data, ops))
+    real = QuantumChannel.from_kraus([np.eye(2)])
+    assert real.data[0].dtype == complex
+
+
+@pytest.mark.parametrize("ops, message", [
+    ([], "empty Kraus set"),
+    ([np.full((2, 2), np.nan)], "non-finite"),
+    ([np.eye(2), np.diag([np.inf, 1.0])], "non-finite"),
+    ([np.eye(2), np.eye(4)], "share a square"),
+    ([np.eye(3)], "share a square"),
+    ([np.ones((2, 4))], "share a square"),
+    ([np.ones(4)], "2-D matrix"),
+])
+def test_from_kraus_rejects_malformed_sets(ops, message):
+    with pytest.raises(ValueError, match=message):
+        QuantumChannel.from_kraus(ops)
+
+
 def test_choi_validation():
     with pytest.raises(ValueError):
         QuantumChannel.from_choi(np.eye(16))  # trace-16, not TP under the convention

@@ -151,7 +151,19 @@ def test_manifest_replay_reproduces_bytes(tmp_path):
     replay = ["qpt", "--circuit", flags["circuit"], "--shots", str(flags["shots"]),
               "--seed", str(flags["seed"]), "--out", str(out_b)]
     assert main(replay) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
+    for suffix in (".json", ".report.json", ".channel.json"):
+        assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+    assert "timestamp" in json.loads((tmp_path / "b.json.manifest.json").read_text())
+
+
+def test_fit_noise_replay_reproduces_bytes(tmp_path):
+    calib = tmp_path / "cal.json"
+    write_cal(calib)
+    outs = [tmp_path / "fit_a.json", tmp_path / "fit_b.json"]
+    for out in outs:
+        assert main(["fit-noise", "--target-fidelity", "0.9247", "--circuit", "ms",
+                     "--calib", str(calib), "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_manifest_contents(tmp_path):

@@ -1,10 +1,15 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import msbench.tomography
 from msbench.channels import channel_from_unitary
-from msbench.circuits import synthesize_ms_circuit
+from msbench.circuits import cx_circuit, synthesize_ms_circuit
 from msbench.noise import (
     DEFAULT_DURATIONS_NS,
     DeviceCalibration,
@@ -20,6 +25,8 @@ from msbench.tomography import exact_process_fidelity, process_fidelity
 
 from conftest import random_density_matrix
 
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+EXAMPLE_CALIBRATIONS = ("example_calibration.json", "example_calibration_b.json")
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
 GROUND = np.diag([1.0, 0.0]).astype(complex)
 
@@ -231,3 +238,112 @@ def test_durations_are_read_only():
         cal.durations_ns["cnot"] = 300
     assert cal.durations_ns["cnot"] == 600
     assert cal.fingerprint() == before
+
+
+def test_from_dict_rejects_unknown_top_level_key():
+    d = make_cal().to_dict()
+    d["p_dpe"] = 0.3
+    with pytest.raises(ValueError, match="'p_dpe'"):
+        DeviceCalibration.from_dict(d)
+
+
+def test_from_dict_rejects_unknown_qubit_key():
+    d = make_cal().to_dict()
+    d["qubits"][1]["readout_eror"] = 0.05
+    with pytest.raises(ValueError, match=r"qubits\[1\].*'readout_eror'"):
+        DeviceCalibration.from_dict(d)
+
+
+def test_duplicate_qubit_ids_rejected():
+    qubits = (QubitCalibration(0, 100.0, 80.0, 0.01), QubitCalibration(0, 90.0, 70.0, 0.02))
+    with pytest.raises(ValueError, match="duplicate qubit id 0"):
+        DeviceCalibration(qubits)
+
+
+def count_fidelity_evaluations(monkeypatch):
+    """Count exact_process_fidelity calls made through msbench.tomography."""
+    calls = []
+    original = msbench.tomography.exact_process_fidelity
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(msbench.tomography, "exact_process_fidelity", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", EXAMPLE_CALIBRATIONS)
+@pytest.mark.parametrize("make_circuit", [synthesize_ms_circuit, cx_circuit])
+def test_fit_depolarizing_affine_fidelity_takes_three_evaluations(monkeypatch, name, make_circuit):
+    cal = DeviceCalibration.load(DATA_DIR / name)
+    circuit = make_circuit()
+
+    def fidelity(p):
+        return exact_process_fidelity(circuit, build_noise_model(cal.with_p_dep(p)))
+
+    f_zero, f_one = fidelity(0.0), fidelity(1.0)
+    calls = count_fidelity_evaluations(monkeypatch)
+    for frac in (0.002, 0.05, 0.4, 0.9):
+        target = f_zero - frac * (f_zero - f_one)
+        calls.clear()
+        p = fit_depolarizing(target, circuit, cal)
+        assert len(calls) == 3
+        assert abs(fidelity(p) - target) <= 1e-12
+
+
+def test_fit_depolarizing_target_within_tol_of_full_depolarization():
+    cal = make_cal(durations={"rz": 0, "sx": 0, "cnot": 0, "x": 0})
+    circuit = synthesize_ms_circuit()
+    f_one = exact_process_fidelity(circuit, build_noise_model(cal.with_p_dep(1.0)))
+    assert fit_depolarizing(f_one - 5e-4, circuit, cal) == 1.0
+
+
+def test_fit_depolarizing_two_cnot_circuit_lands_within_tol(monkeypatch):
+    cal = DeviceCalibration.load(DATA_DIR / EXAMPLE_CALIBRATIONS[0])
+    circuit = synthesize_ms_circuit().concat(synthesize_ms_circuit())
+    assert circuit.cnot_count() == 2
+    calls = count_fidelity_evaluations(monkeypatch)
+    for target in (0.9, 0.5, 0.1):
+        for tol in (1e-3, 1e-6):
+            calls.clear()
+            p = fit_depolarizing(target, circuit, cal, tol=tol)
+            # F is not affine here; the Illinois step keeps this to about 10
+            # (plain false position needs up to 31).
+            assert len(calls) <= 12
+            achieved = exact_process_fidelity(circuit, build_noise_model(cal.with_p_dep(p)))
+            assert abs(achieved - target) <= tol
+
+
+@settings(max_examples=10, deadline=None)
+@given(target=st.floats(0.1, 0.93), tol=st.sampled_from([1e-3, 1e-6]),
+       cnots=st.integers(1, 2))
+def test_fit_then_evaluate_is_within_tol(target, tol, cnots):
+    cal = make_cal(t1=(120.0, 90.0), t2=(100.0, 70.0))
+    circuit = synthesize_ms_circuit()
+    if cnots == 2:
+        circuit = circuit.concat(circuit)
+    p = fit_depolarizing(target, circuit, cal, tol=tol)
+    assert 0.0 <= p <= 1.0
+    achieved = exact_process_fidelity(circuit, build_noise_model(cal.with_p_dep(p)))
+    assert abs(achieved - target) <= tol
+
+
+def test_noise_model_kraus_operators_match_recorded_digest():
+    """The Kraus operators of both example calibrations' noise models, in value
+    and order, hashed; they feed the simulator and hence every sampled count."""
+    digest = hashlib.sha256()
+    for name in EXAMPLE_CALIBRATIONS:
+        cal = DeviceCalibration.load(DATA_DIR / name)
+        for p_dep in (0.0, 0.0165, 0.3, 1.0):
+            model = build_noise_model(cal.with_p_dep(p_dep))
+            channels = [model.single_qubit[key] for key in sorted(model.single_qubit)]
+            for ch in channels + [model.cnot_channel]:
+                digest.update(b"|")
+                if ch is not None:
+                    for k in ch.data:
+                        digest.update(np.ascontiguousarray(k, dtype=complex).tobytes())
+                        digest.update(b",")
+    assert digest.hexdigest() == (
+        "c571e5602366bc3a682459e1c3533969c494692c5641d0aaf863057820f86018"
+    )

@@ -294,9 +294,9 @@ def project_cptp(
     eye_out = np.eye(dim, dtype=complex)
     target_in = np.eye(dim, dtype=complex) / dim
 
-    def project_tp(m):
-        gap = partial_trace(m, [1], [dim, dim]) - target_in
-        return m - kron(eye_out, gap) / dim
+    def project_tp(m):  # m is validated above; Tr_out by reshape, as in partial_trace
+        gap = np.trace(m.reshape(dim, dim, dim, dim), axis1=0, axis2=2) - target_in
+        return m - np.kron(eye_out, gap) / dim
 
     def project_psd(m):
         vals, vecs = np.linalg.eigh(0.5 * (m + dagger(m)))

@@ -1,7 +1,7 @@
 """Small dense complex linear algebra used throughout the toolkit.
 
 Matrices are plain 2-D complex numpy arrays, row-major, at most 16x16;
-``dagger`` also maps over a leading stack axis.
+``dagger`` and ``check_density_matrix`` also map over a leading stack axis.
 Everything here is a pure function; inputs are never mutated.
 """
 
@@ -101,14 +101,29 @@ def is_unitary(m, atol: float = 1e-10) -> bool:
 
 
 def check_density_matrix(rho, dim: int = 4, atol: float = 1e-8) -> np.ndarray:
-    """Validate a density matrix: Hermitian, unit trace, PSD within -1e-8."""
-    rho = as_matrix(rho)
-    if rho.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} density matrix, got {rho.shape}")
-    if frobenius(rho - dagger(rho)) > atol:
+    """Validate a density matrix, or each of a stack of them: Hermitian, unit
+    trace, PSD within -1e-8. Returns the complex array. A stack is checked
+    with one batched ``eigvalsh``; a defective state in it fails with the
+    message it fails with alone."""
+    try:
+        rho = np.asarray(rho, dtype=complex)
+    except ValueError:  # states of different shapes: fail on the first bad one
+        for state in rho:
+            check_density_matrix(state, dim, atol)
+        raise
+    if rho.ndim not in (2, 3):
+        raise ValueError(f"expected a 2-D matrix, got ndim={rho.ndim}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("matrix has non-finite entries")
+    if rho.shape[-2:] != (dim, dim):
+        raise ValueError(f"expected a {dim}x{dim} density matrix, got {rho.shape[-2:]}")
+    states = rho.reshape(-1, dim, dim)
+    if (np.linalg.norm(states - dagger(states), axis=(1, 2)) > atol).any():
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > atol:
-        raise ValueError(f"density matrix trace {np.trace(rho):.3g} != 1")
-    if np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min() < -atol:
+    traces = np.trace(states, axis1=1, axis2=2)
+    off = np.abs(traces.real - 1.0) > atol
+    if off.any():
+        raise ValueError(f"density matrix trace {traces[off][0]:.3g} != 1")
+    if np.linalg.eigvalsh(0.5 * (states + dagger(states))).min() < -atol:
         raise ValueError("density matrix is not positive semidefinite")
     return rho

@@ -238,6 +238,7 @@ def build_noise_model(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) 
     each CNOT when p_dep > 0.
     """
     single: dict = {}
+    lifted: dict = {}  # (position, duration) -> channel; x defaults to sx's duration
     for kind in ("rz", "sx", "x"):
         dur = cal.durations_ns.get(kind, 0.0)
         for pos, device_q in enumerate(qubits):
@@ -245,7 +246,9 @@ def build_noise_model(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) 
             if dur <= 0:
                 single[(kind, pos)] = None
                 continue
-            single[(kind, pos)] = _lift(damping_channel(q.t1_us, q.t2_us, dur), pos)
+            if (pos, dur) not in lifted:
+                lifted[(pos, dur)] = _lift(damping_channel(q.t1_us, q.t2_us, dur), pos)
+            single[(kind, pos)] = lifted[(pos, dur)]
 
     dur_cnot = cal.durations_ns.get("cnot", 0.0)
     q0, q1 = (cal.qubit(qubits[0]), cal.qubit(qubits[1]))

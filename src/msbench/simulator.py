@@ -4,19 +4,24 @@ The simulator is exact: gates act as unitaries, noise acts through Kraus
 sets, and measurement probabilities are computed in closed form. Shot noise
 is the only stochastic element, drawn multinomially from a seeded generator.
 
-Batches: ``evolve``, ``outcome_distribution`` and ``expectation`` take a
-leading stack axis (many states, or many frequency vectors); a single state
-is the one-element case of the same code. Each state in a stack goes
-through exactly the floating-point operations it would go through alone:
-stacked ``u @ rho @ u^dag`` products, Kraus terms summed in the same order,
-per-state normalization and an ``einsum`` for the readout confusion.
-Sampled counts depend on this. Many outcome distributions sit on ties such
-as p = 0.5 between two outcomes, where a one-ulp change flips the binomial
-draw and swaps two counts; folding the gates into one superoperator, or the
-confusion into one flattened matrix product, changes such ulps.
+Batches: ``evolve``, ``outcome_distribution``, ``sample_counts`` and
+``expectation`` take a leading stack axis (many states, distributions or
+frequency vectors); a single one is the one-element case of the same code.
+Input checks (``check_density_matrix``, the distribution checks) run once
+over the whole stack, and a defective entry fails with the message it fails
+with alone. Each entry in a stack goes through exactly the floating-point
+operations it would go through alone: stacked ``u @ rho @ u^dag`` products,
+Kraus terms summed in the same order, per-state normalization, an
+``einsum`` for the readout confusion, and a per-row clip, renormalization
+and draw from the row's own generator. Sampled counts depend on this. Many
+outcome distributions sit on ties such as p = 0.5 between two outcomes,
+where a one-ulp change flips the binomial draw and swaps two counts;
+folding the gates into one superoperator, or the confusion into one
+flattened matrix product, changes such ulps.
 
 RNG: numpy PCG64 (algorithm id ``numpy-PCG64-multinomial``), one owned
-generator per sampling call; identical seeds reproduce identical counts.
+generator per sampled distribution; identical seeds reproduce identical
+counts.
 """
 
 from __future__ import annotations
@@ -114,14 +119,6 @@ def basis_state(bitstring: str) -> np.ndarray:
     return rho
 
 
-def _checked(rho) -> np.ndarray:
-    """``rho`` as a complex array, after validating each density matrix in it once."""
-    rho = np.asarray(rho, dtype=complex)
-    for state in rho if rho.ndim == 3 else (rho,):
-        check_density_matrix(state)
-    return rho
-
-
 def apply_gates(circuit: Circuit, rho, noise=None) -> np.ndarray:
     """Each gate's unitary, then its noise channel (if a model is given), on
     a density matrix or a stack of them; no validation, no re-symmetrizing.
@@ -145,7 +142,7 @@ def apply_gates(circuit: Circuit, rho, noise=None) -> np.ndarray:
 def evolve(circuit: Circuit, rho, noise=None) -> np.ndarray:
     """Run the circuit on a density matrix, or on each of a stack of them:
     each gate's unitary, then its noise channel (if a model is given)."""
-    rho = apply_gates(circuit, _checked(rho), noise)
+    rho = apply_gates(circuit, check_density_matrix(rho), noise)
     return 0.5 * (rho + dagger(rho))
 
 
@@ -159,7 +156,7 @@ def outcome_distribution(rho, setting, confusion=None) -> np.ndarray:
     """
     settings = [setting] if isinstance(setting, str) else list(setting)
     r = np.array([_SETTING_ROTATION[validate_setting(s)] for s in settings])
-    rho = _checked(rho)
+    rho = check_density_matrix(rho)
     probs = np.real(np.diagonal(r @ rho[..., None, :, :] @ dagger(r), axis1=-2, axis2=-1))
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum(axis=-1, keepdims=True)
@@ -168,19 +165,35 @@ def outcome_distribution(rho, setting, confusion=None) -> np.ndarray:
     return probs[..., 0, :] if isinstance(setting, str) else probs
 
 
-def sample_counts(dist, shots: int, seed: int, setting: str = "ZZ") -> CountsRecord:
-    """Deterministic multinomial draw from a probability 4-vector."""
+def sample_counts(dist, shots: int, seed, setting="ZZ") -> CountsRecord | list[CountsRecord]:
+    """Deterministic multinomial draw from a probability 4-vector.
+
+    Given an (n, 4) stack instead, ``seed`` and ``setting`` hold one entry per
+    row, and the result is the list of the n records the single-row calls
+    would return.
+    """
     dist = np.asarray(dist, dtype=float)
-    if dist.shape != (4,):
+    if dist.ndim not in (1, 2) or dist.shape[-1] != 4:
         raise ValueError("distribution must be a 4-vector")
     if dist.min() < -1e-9:
         raise ValueError(f"negative probability {dist.min():.3e}")
-    if abs(dist.sum() - 1.0) > 1e-9:
-        raise ValueError(f"distribution sums to {dist.sum():.12f}, not 1")
+    sums = dist.sum(axis=-1)
+    off = np.abs(sums - 1.0) > 1e-9
+    if off.any():
+        raise ValueError(f"distribution sums to {sums[off][0]:.12f}, not 1")
     if shots <= 0:
         raise ValueError("shots must be positive")
     dist = np.clip(dist, 0.0, None)
-    dist /= dist.sum()
+    dist /= dist.sum(axis=-1, keepdims=True)
+    if dist.ndim == 1:
+        return _draw(dist, shots, seed, setting)
+    seeds, settings = list(seed), list(setting)
+    if not len(seeds) == len(settings) == len(dist):
+        raise ValueError("a stack of distributions needs one seed and one setting per row")
+    return [_draw(row, shots, s, st) for row, s, st in zip(dist, seeds, settings)]
+
+
+def _draw(dist: np.ndarray, shots: int, seed: int, setting: str) -> CountsRecord:
     rng = np.random.Generator(np.random.PCG64(seed))
     draw = rng.multinomial(shots, dist)
     return CountsRecord(setting, shots, {b: int(n) for b, n in zip(BITSTRINGS, draw)})

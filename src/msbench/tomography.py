@@ -11,9 +11,12 @@ table fixes the channel exactly; the product frame's closed-form dual
 (see ``linear_inversion``) gives the Choi estimate, which is then projected
 onto the CPTP set.
 
-Simulation: the 16 preparation prefixes run one by one, then the stacked
-prepared states go through the process in one ``evolve`` call, and all 144
-outcome distributions come from one ``outcome_distribution`` call. The
+Simulation: the 16 preparation prefixes run as a 4+4 tree. Qubit 0's
+prefix for each of the 4 tokens runs on |00>, then each of qubit 1's 4
+prefixes runs on that stack of 4 states at once: 10 gate applications, not
+40. The 16 prepared states go through the process in one ``evolve`` call,
+all 144 outcome distributions come from one ``outcome_distribution`` call,
+and one ``sample_counts`` call draws every cell from its own seed. The
 arithmetic per state is that of evolving each full circuit on its own, so
 sampled counts are unchanged.
 """
@@ -30,6 +33,7 @@ from .channels import QuantumChannel, channel_from_unitary, pauli_basis, project
 from .circuits import Circuit, Gate, circuit_unitary
 from .linalg import dagger, kron
 from .simulator import (
+    BITSTRINGS,
     RNG_ALGORITHM,
     CountsRecord,
     apply_gates,
@@ -63,6 +67,8 @@ _PREP_GATES = {
 }
 
 PREP_LABELS = tuple(f"{a}:{b}" for a, b in itertools.product(PREP_TOKENS, PREP_TOKENS))
+# The 144 (prep, setting) grid cells, prep-major: the row order of stacked outcomes.
+_CELLS = tuple(itertools.product(PREP_LABELS, SETTINGS))
 
 
 def prep_state(label: str) -> np.ndarray:
@@ -72,18 +78,32 @@ def prep_state(label: str) -> np.ndarray:
     return ket @ dagger(ket)
 
 
+def _token_circuit(qubit: int, token: str) -> Circuit:
+    """Native gates preparing one qubit's token from |0>."""
+    gates = []
+    for step in _PREP_GATES[token]:
+        if step == "x":
+            gates.append(Gate.x(qubit))
+        elif step == "sx":
+            gates.append(Gate.sx(qubit))
+        else:
+            gates.append(Gate.rz(qubit, step[1]))
+    return Circuit(tuple(gates))
+
+
 def prep_circuit(label: str) -> Circuit:
     t0, t1 = label.split(":")
-    gates = []
-    for qubit, token in ((0, t0), (1, t1)):
-        for step in _PREP_GATES[token]:
-            if step == "x":
-                gates.append(Gate.x(qubit))
-            elif step == "sx":
-                gates.append(Gate.sx(qubit))
-            else:
-                gates.append(Gate.rz(qubit, step[1]))
-    return Circuit(tuple(gates))
+    return _token_circuit(0, t0).concat(_token_circuit(1, t1))
+
+
+def _prepared_states(noise) -> np.ndarray:
+    """The 16 prepared states in ``PREP_LABELS`` order, as a 4+4 tree: qubit
+    0's prefix for each token on |00>, then each qubit-1 prefix on that stack
+    of 4. Every state gets the gates of its ``prep_circuit``, in order."""
+    first = np.array([apply_gates(_token_circuit(0, t), basis_state("00"), noise)
+                      for t in PREP_TOKENS])
+    second = [apply_gates(_token_circuit(1, t), first, noise) for t in PREP_TOKENS]
+    return np.stack(second, axis=1).reshape(-1, 4, 4)  # (t0, t1) -> label index
 
 
 def design_experiments(circuit: Circuit) -> list[tuple[str, str, Circuit]]:
@@ -164,22 +184,19 @@ def run_qpt(process, noise=None, shots: int | None = None, seed: int = DEFAULT_S
     confusion = noise.confusion if noise is not None else None
 
     if circuit_mode:
-        preps = [apply_gates(prep_circuit(label), basis_state("00"), noise)
-                 for label in PREP_LABELS]
-        states = evolve(process, np.array(preps), noise)
+        states = evolve(process, _prepared_states(noise), noise)
     else:
         states = np.array([process.apply(prep_state(label)) for label in PREP_LABELS])
-    dists = outcome_distribution(states, SETTINGS, confusion)
+    dists = outcome_distribution(states, SETTINGS, confusion).reshape(-1, 4)
 
-    records = {}
-    for p_idx, label in enumerate(PREP_LABELS):
-        for s_idx, setting in enumerate(SETTINGS):
-            dist = dists[p_idx, s_idx]
-            if shots is None:
-                rec = CountsRecord(setting, None, None, tuple(dist))
-            else:
-                rec = sample_counts(dist, shots, _experiment_seed(seed, p_idx, s_idx), setting)
-            records[(label, setting)] = rec
+    if shots is None:
+        recs = [CountsRecord(setting, None, None, tuple(dist))
+                for (_, setting), dist in zip(_CELLS, dists)]
+    else:
+        seeds = [_experiment_seed(seed, p_idx, s_idx) for p_idx, s_idx in itertools.product(
+            range(len(PREP_LABELS)), range(len(SETTINGS)))]
+        recs = sample_counts(dists, shots, seeds, [setting for _, setting in _CELLS])
+    records = dict(zip(_CELLS, recs))
 
     return TomographyDataset(
         records=records,
@@ -204,7 +221,12 @@ def _pauli_table(ds: TomographyDataset) -> np.ndarray:
     An identity-containing observable averages its compatible settings; the
     all-identity column is 1.
     """
-    freqs = np.array([[ds.records[(p, s)].frequencies() for s in SETTINGS] for p in PREP_LABELS])
+    recs = [ds.records[cell] for cell in _CELLS]
+    if ds.shots is None:
+        freqs = np.array([rec.probs for rec in recs])
+    else:
+        freqs = np.array([[rec.counts[b] for b in BITSTRINGS] for rec in recs]) / ds.shots
+    freqs = freqs.reshape(len(PREP_LABELS), len(SETTINGS), 4)
     table = np.ones((len(PREP_LABELS), len(PAULI_LABELS)))
     for k, obs in enumerate(PAULI_LABELS[1:], start=1):
         table[:, k] = expectation(freqs[:, _COMPATIBLE[obs]], obs).mean(axis=1)

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from msbench.cli import main
 from msbench.noise import DeviceCalibration, QubitCalibration
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 def write_cal(path, t1=(120.0, 90.0), t2=(100.0, 70.0), readout=(0.0, 0.0),
@@ -164,6 +167,40 @@ def test_fit_noise_replay_reproduces_bytes(tmp_path):
         assert main(["fit-noise", "--target-fidelity", "0.9247", "--circuit", "ms",
                      "--calib", str(calib), "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def _replay_argv(manifest_path, out) -> list[str]:
+    """The command line that reruns a manifest's command, writing to ``out``."""
+    manifest = json.loads(manifest_path.read_text())
+    argv = [manifest["command"]]
+    for key, value in manifest["flags"].items():
+        if key in ("command", "out") or value is None or value is False:
+            continue
+        argv.append("--" + key.replace("_", "-"))
+        if value is not True:
+            argv.append(str(value))
+    return argv + ["--out", str(out)]
+
+
+EXAMPLE_CALIBRATIONS = [str(DATA_DIR / "example_calibration.json"),
+                        str(DATA_DIR / "example_calibration_b.json")]
+
+
+@pytest.mark.parametrize("argv, suffixes", [
+    (["decompose", "--target", "ms"], [".json"]),
+    (["state", "--circuit", "ms", "--input", "01", "--shots", "3000", "--seed", "11"],
+     [".json", ".csv"]),
+    (["state", "--circuit", "cx", "--input", "10", "--seed", "12",
+      "--noise", EXAMPLE_CALIBRATIONS[0]], [".json", ".csv"]),
+    (["stability", "--calib-a", EXAMPLE_CALIBRATIONS[0], "--calib-b", EXAMPLE_CALIBRATIONS[1]],
+     [".json", ".csv"]),
+], ids=["decompose", "state", "state-noise", "stability"])
+def test_manifest_replay_reproduces_every_output(tmp_path, argv, suffixes):
+    assert main(argv + ["--out", str(tmp_path / "a.json")]) == 0
+    replay = _replay_argv(tmp_path / "a.json.manifest.json", tmp_path / "b.json")
+    assert main(replay) == 0
+    for suffix in suffixes:
+        assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
 
 
 def test_manifest_contents(tmp_path):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import random_density_matrix
+
 from msbench.linalg import (
     I2,
     PAULI_X,
     PAULI_Z,
+    check_density_matrix,
     hermitian_eig,
     kron,
     matmul,
@@ -131,3 +134,53 @@ def test_kron_matmul_mixed_product(rng):
         lhs = kron(matmul(a, b), matmul(c, d))
         rhs = matmul(kron(a, c), kron(b, d))
         assert np.linalg.norm(lhs - rhs) <= 1e-10
+
+
+def _with_nan(rho):
+    rho = rho.copy()
+    rho[1, 2] = np.nan
+    return rho
+
+
+def _non_hermitian(rho):
+    rho = rho.copy()
+    rho[0, 3] += 1e-3
+    return rho
+
+
+# Each defect, applied to one state of a stack of valid ones.
+DEFECTS = {
+    "non-finite": _with_nan,
+    "wrong shape": lambda rho: rho[:3, :3],
+    "not 2-D": lambda rho: np.diag(rho),
+    "non-Hermitian": _non_hermitian,
+    "trace": lambda rho: 2.0 * rho,
+    "negative eigenvalue": lambda rho: np.diag([1.2, -0.2, 0, 0]).astype(complex),
+}
+
+
+@pytest.mark.parametrize("position", [0, 2])
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_stacked_density_check_fails_like_the_defective_state(rng, defect, position):
+    states = [random_density_matrix(rng) for _ in range(3)]
+    states[position] = DEFECTS[defect](states[position])
+    with pytest.raises(ValueError) as single:
+        check_density_matrix(states[position])
+    with pytest.raises(ValueError) as stacked:
+        check_density_matrix(states)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_stacked_density_check_of_a_uniform_wrong_shape():
+    with pytest.raises(ValueError) as single:
+        check_density_matrix(np.eye(3) / 3)
+    with pytest.raises(ValueError) as stacked:
+        check_density_matrix(np.array([np.eye(3) / 3] * 2))
+    assert str(stacked.value) == str(single.value) == (
+        "expected a 4x4 density matrix, got (3, 3)")
+
+
+def test_stacked_density_check_returns_the_stack(rng):
+    states = np.array([random_density_matrix(rng) for _ in range(5)])
+    out = check_density_matrix(states)
+    assert out.dtype == complex and np.array_equal(out, states)

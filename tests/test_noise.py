@@ -347,3 +347,22 @@ def test_noise_model_kraus_operators_match_recorded_digest():
     assert digest.hexdigest() == (
         "c571e5602366bc3a682459e1c3533969c494692c5641d0aaf863057820f86018"
     )
+
+
+def test_noise_model_builds_each_relaxation_channel_once(monkeypatch):
+    """x defaults to sx's duration, so both share one lifted channel per qubit:
+    2 single-qubit builds plus the CNOT's 2, for the example calibration."""
+    import msbench.noise
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return damping_channel(*args)
+
+    monkeypatch.setattr(msbench.noise, "damping_channel", counting)
+    model = build_noise_model(DeviceCalibration.load(DATA_DIR / EXAMPLE_CALIBRATIONS[0]))
+    assert len(calls) == len(set(calls)) == 4
+    for pos in (0, 1):
+        assert model.single_qubit[("x", pos)] is model.single_qubit[("sx", pos)]
+        assert model.single_qubit[("rz", pos)] is None

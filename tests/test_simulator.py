@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msbench.circuits import Circuit, Gate, circuit_unitary, synthesize_ms_circuit
 from msbench.noise import DeviceCalibration, QubitCalibration, build_noise_model
 from msbench.simulator import (
+    MEASUREMENT_BASES,
     CountsRecord,
     basis_state,
     evolve,
@@ -216,3 +219,44 @@ def test_counts_record_validation():
 def test_basis_state_rejects_garbage():
     with pytest.raises(ValueError):
         basis_state("02")
+
+
+_SETTINGS = [a + b for a in MEASUREMENT_BASES for b in MEASUREMENT_BASES]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0),
+            st.integers(0, 2**64 - 1),
+            st.sampled_from(_SETTINGS),
+        ),
+        min_size=1, max_size=8,
+    ),
+    shots=st.integers(1, 5000),
+)
+def test_stacked_sample_counts_equal_single_calls(rows, shots):
+    dists = np.array([np.array(w) / sum(w) for w, _, _ in rows])
+    seeds = [seed for _, seed, _ in rows]
+    settings_ = [setting for _, _, setting in rows]
+    stacked = sample_counts(dists, shots, seeds, settings_)
+    assert stacked == [sample_counts(d, shots, seed, setting)
+                       for d, seed, setting in zip(dists, seeds, settings_)]
+
+
+@pytest.mark.parametrize("bad", [[0.5, 0.5, 0.1, -0.1], [0.5, 0.2, 0.1, 0.1]],
+                         ids=["negative", "sum"])
+def test_stacked_sample_counts_fail_like_the_bad_row(bad):
+    with pytest.raises(ValueError) as single:
+        sample_counts(bad, 100, seed=0)
+    with pytest.raises(ValueError) as stacked:
+        sample_counts([[1, 0, 0, 0], bad, [0, 0, 0, 1]], 100, [0, 1, 2], ["ZZ"] * 3)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_stacked_sample_counts_need_a_seed_and_a_setting_per_row():
+    with pytest.raises(ValueError, match="one seed and one setting per row"):
+        sample_counts([[1, 0, 0, 0]] * 2, 10, [1], ["ZZ", "XX"])
+    with pytest.raises(ValueError, match="4-vector"):
+        sample_counts(np.ones((2, 2, 4)) / 4, 10, [1, 2], ["ZZ", "XX"])

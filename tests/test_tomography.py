@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from msbench.tomography import (
     PREP_LABELS,
     SETTINGS,
     TomographyDataset,
+    _prepared_states,
     average_gate_fidelity,
     design_experiments,
     exact_process_fidelity,
@@ -33,12 +35,20 @@ from msbench.tomography import (
     reconstruct_channel,
     run_qpt,
 )
-from msbench.simulator import BITSTRINGS, basis_state, evolve, expectation, outcome_distribution
+from msbench.simulator import (
+    BITSTRINGS,
+    apply_gates,
+    basis_state,
+    evolve,
+    expectation,
+    outcome_distribution,
+)
 
 from conftest import random_cptp_kraus
 
 
-EXAMPLE_CALIBRATION = Path(__file__).resolve().parent.parent / "data" / "example_calibration.json"
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+EXAMPLE_CALIBRATION = DATA_DIR / "example_calibration.json"
 
 
 def example_noise():
@@ -262,3 +272,26 @@ def test_dual_frame_matches_least_squares_on_random_channels(design_matrix, seed
 def test_dual_frame_matches_least_squares_on_sampled_data(design_matrix):
     ds = run_qpt(synthesize_ms_circuit(), noise=example_noise(), shots=4000, seed=7)
     assert np.abs(linear_inversion(ds) - lstsq_choi(ds, design_matrix)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("p_dep", [0.0, 0.0165, 0.3])
+@pytest.mark.parametrize("calibration", ["example_calibration.json", "example_calibration_b.json"])
+@pytest.mark.parametrize("circuit", [synthesize_ms_circuit(), cx_circuit()], ids=["ms", "cx"])
+def test_prep_tree_equals_the_per_label_prefixes(circuit, calibration, p_dep):
+    noise = build_noise_model(DeviceCalibration.load(DATA_DIR / calibration).with_p_dep(p_dep))
+    per_label = np.array([apply_gates(prep_circuit(label), basis_state("00"), noise)
+                          for label in PREP_LABELS])
+    tree = _prepared_states(noise)
+    assert tree.shape == (16, 4, 4) and np.array_equal(tree, per_label)
+    # What run_qpt records is the per-label path's exact probabilities.
+    expected = outcome_distribution(evolve(circuit, per_label, noise), SETTINGS, noise.confusion)
+    ds = run_qpt(circuit, noise=noise, shots=None)
+    for (p, label), (s, setting) in itertools.product(enumerate(PREP_LABELS), enumerate(SETTINGS)):
+        assert ds.records[(label, setting)].probs == tuple(expected[p, s]), (label, setting)
+
+
+def test_sampled_qpt_fidelity_is_pinned():
+    """Recorded before the prep tree and the stacked sampling; they must not move it."""
+    ds = run_qpt(synthesize_ms_circuit(), noise=example_noise(), shots=4000, seed=1)
+    f = process_fidelity(reconstruct_channel(ds), channel_from_unitary(ms_unitary().matrix))
+    assert abs(f - 0.9221541989274173) <= 1e-12

@@ -11,6 +11,9 @@ Conventions, fixed across the toolkit:
   Choi state rewritten in the (orthonormalized) Pauli basis, so the two share
   eigenvalues.
 * Kraus operators act as E(rho) = sum_k K rho K^dag with sum K^dag K = I.
+
+Every representation applies to states through its Kraus operators
+(``linalg.kraus_sum``); a Choi or chi channel is converted first.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .linalg import (
     check_density_matrix,
     dagger,
     frobenius,
-    hermitian_eig,
     is_unitary,
+    kraus_sum,
     kron,
     partial_trace,
 )
@@ -204,24 +207,9 @@ class QuantumChannel:
         return ch if to == "choi" else ch.convert("kraus")
 
     def apply(self, rho) -> np.ndarray:
-        """Apply the channel to a density matrix."""
-        rho = check_density_matrix(rho, dim=self.dim)
-        if self.representation == "kraus":
-            out = np.zeros_like(rho)
-            for k in self.data:
-                out += k @ rho @ dagger(k)
-            return out
-        if self.representation == "choi":
-            j, d = self.data, self.dim
-            return d * partial_trace(j @ kron(np.eye(d), rho.T), [0], [d, d])
-        # chi: direct double sum over the Pauli expansion
-        paulis = pauli_basis(self.dim.bit_length() - 1)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for m, pm in enumerate(paulis):
-            for n, pn in enumerate(paulis):
-                if self.data[m, n] != 0:
-                    out += self.data[m, n] * (pm @ rho @ dagger(pn))
-        return out
+        """Apply the channel to a density matrix, or to each of a stack of
+        them, through its Kraus operators."""
+        return kraus_sum(self.kraus_operators(), check_density_matrix(rho, dim=self.dim))
 
     def tensor(self, other: "QuantumChannel") -> "QuantumChannel":
         """Parallel composition: self on the first factor, other on the second."""
@@ -248,7 +236,7 @@ def _kraus_to_choi(ops, dim: int) -> np.ndarray:
 
 
 def _choi_to_kraus(j, dim: int) -> tuple[np.ndarray, ...]:
-    vals, vecs = hermitian_eig(j)
+    vals, vecs = np.linalg.eigh(0.5 * (j + dagger(j)))
     ops = []
     for lam, v in zip(vals, vecs.T):
         if lam > _EIG_CLIP:

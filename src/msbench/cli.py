@@ -37,13 +37,7 @@ from .circuits import (
 from .metrics import BenchmarkReport, stability_analysis, success_probability
 from .noise import DeviceCalibration, UnachievableTargetError, build_noise_model, fit_depolarizing
 from .simulator import BITSTRINGS, RNG_ALGORITHM, basis_state, evolve, outcome_distribution, sample_counts
-from .tomography import (
-    DEFAULT_SEED,
-    exact_process_fidelity,
-    process_fidelity,
-    reconstruct_channel,
-    run_qpt,
-)
+from .tomography import DEFAULT_SEED, process_fidelity, reconstruct_channel, run_qpt
 
 DECOMPOSITION_TOLERANCE = 1e-9
 
@@ -192,12 +186,11 @@ def cmd_fit_noise(args) -> int:
     circuit, label = _load_circuit(args.circuit)
     cal = DeviceCalibration.load(args.calib)
     try:
-        p_dep = fit_depolarizing(args.target_fidelity, circuit, cal)
+        p_dep, achieved = fit_depolarizing(args.target_fidelity, circuit, cal)
     except UnachievableTargetError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     fitted = cal.with_p_dep(p_dep)
-    achieved = exact_process_fidelity(circuit, build_noise_model(fitted))
     out.write_text(fitted.to_json() + "\n")
     _write_manifest(out, "fit-noise", {k: v for k, v in vars(args).items() if k != "func"},
                     None, fitted.fingerprint(), [out])

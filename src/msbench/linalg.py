@@ -1,8 +1,9 @@
 """Small dense complex linear algebra used throughout the toolkit.
 
 Matrices are plain 2-D complex numpy arrays, row-major, at most 16x16;
-``dagger`` and ``check_density_matrix`` also map over a leading stack axis.
-Everything here is a pure function; inputs are never mutated.
+``dagger``, ``kraus_sum`` and ``check_density_matrix`` also map over a
+leading stack axis. ``kraus_sum`` is the one place a channel acts on a
+state. Everything here is a pure function; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 PAULIS_1Q = {"I": I2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-
-HERMITICITY_ATOL = 1e-8
 
 
 def as_matrix(m) -> np.ndarray:
@@ -38,31 +37,17 @@ def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
 
-def matmul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvectors as columns). The input is
-    symmetrized before the solve; a Hermiticity deviation above 1e-8 in
-    Frobenius norm is rejected.
-    """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix is not square: {m.shape}")
-    if frobenius(m - dagger(m)) > HERMITICITY_ATOL:
-        raise ValueError("matrix is not Hermitian within 1e-8")
-    vals, vecs = np.linalg.eigh(0.5 * (m + dagger(m)))
-    return vals.real, vecs
+def kraus_sum(ops, rho) -> np.ndarray:
+    """sum_k K rho K^dag, term by term in the order of ``ops``, on a density
+    matrix or a stack of them; no validation."""
+    out = np.zeros_like(rho, dtype=complex)
+    for k in ops:
+        out += k @ rho @ dagger(k)
+    return out
 
 
 def partial_trace(m, keep, dims) -> np.ndarray:

@@ -44,6 +44,9 @@ class QubitCalibration:
     readout_error_10: float | None = None  # P(read 0 | prepared 1) override
 
     def __post_init__(self):
+        for name in ("t1_us", "t2_us"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"qubit {self.qubit}: {name} = nan is not a number")
         if self.t1_us <= 0 or self.t2_us <= 0:
             raise ValueError(f"qubit {self.qubit}: T1 and T2 must be positive")
         if self.t2_us > 2 * self.t1_us + 1e-12:
@@ -84,6 +87,8 @@ class DeviceCalibration:
         durations = {**DEFAULT_DURATIONS_NS, **given}
         durations.setdefault("x", durations["sx"])  # X is a single pulse, like SX
         for key, value in durations.items():
+            if not math.isfinite(value):
+                raise ValueError(f"durations_ns[{key!r}] = {value} is not finite")
             if value < 0:
                 raise ValueError(f"durations_ns[{key!r}] = {value} is negative")
         object.__setattr__(self, "durations_ns", MappingProxyType(durations))
@@ -276,10 +281,14 @@ def fit_depolarizing(
     cal: DeviceCalibration,
     tol: float = 1e-3,
     max_iterations: int = 80,
-) -> float:
+) -> tuple[float, float]:
     """Find the two-qubit depolarizing probability at which the exact-probability
     tomographic fidelity of ``circuit`` under the calibration matches
     ``target_fidelity`` within ``tol``.
+
+    Returns ``(p_dep, fidelity)``: the fitted probability and the fidelity
+    the fit evaluated there, equal to ``exact_process_fidelity(circuit,
+    build_noise_model(cal.with_p_dep(p_dep)))``.
 
     Regula falsi on [0, 1] with the Illinois step (Dowell & Jarratt, BIT 11,
     168, 1971): each secant through the bracket ends is evaluated, replaces the
@@ -302,23 +311,24 @@ def fit_depolarizing(
             f"target fidelity {target_fidelity} above the p=0 fidelity {f_zero:.6f}"
         )
     if abs(f_zero - target_fidelity) <= tol:
-        return 0.0
+        return 0.0, f_zero
     f_hi = fidelity_at(1.0)
     if f_hi > target_fidelity + tol:
         raise UnachievableTargetError(
             f"target fidelity {target_fidelity} below the p=1 fidelity {f_hi:.6f}"
         )
     if abs(f_hi - target_fidelity) <= tol:
-        return 1.0
+        return 1.0, f_hi
     # Residuals F - target: positive at the low end, negative at the high end.
     lo, r_lo = 0.0, f_zero - target_fidelity
     hi, r_hi = 1.0, f_hi - target_fidelity
     kept = None  # the end that the previous step left in place
     for _ in range(max_iterations):
         p = (lo * r_hi - hi * r_lo) / (r_hi - r_lo)
-        r = fidelity_at(p) - target_fidelity
+        f = fidelity_at(p)
+        r = f - target_fidelity
         if abs(r) <= tol:
-            return p
+            return p, f
         if r > 0:
             lo, r_lo = p, r
             if kept == "hi":

@@ -11,13 +11,13 @@ Input checks (``check_density_matrix``, the distribution checks) run once
 over the whole stack, and a defective entry fails with the message it fails
 with alone. Each entry in a stack goes through exactly the floating-point
 operations it would go through alone: stacked ``u @ rho @ u^dag`` products,
-Kraus terms summed in the same order, per-state normalization, an
-``einsum`` for the readout confusion, and a per-row clip, renormalization
-and draw from the row's own generator. Sampled counts depend on this. Many
-outcome distributions sit on ties such as p = 0.5 between two outcomes,
-where a one-ulp change flips the binomial draw and swaps two counts;
-folding the gates into one superoperator, or the confusion into one
-flattened matrix product, changes such ulps.
+Kraus terms summed by ``linalg.kraus_sum`` in the order the channel lists
+them, per-state normalization, an ``einsum`` for the readout confusion, and
+a per-row clip, renormalization and draw from the row's own generator.
+Sampled counts depend on this. Many outcome distributions sit on ties such
+as p = 0.5 between two outcomes, where a one-ulp change flips the binomial
+draw and swaps two counts; folding the gates into one superoperator, or the
+confusion into one flattened matrix product, changes such ulps.
 
 RNG: numpy PCG64 (algorithm id ``numpy-PCG64-multinomial``), one owned
 generator per sampled distribution; identical seeds reproduce identical
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit
-from .linalg import I2, check_density_matrix, dagger, kron
+from .linalg import I2, check_density_matrix, dagger, kraus_sum, kron
 
 RNG_ALGORITHM = "numpy-PCG64-multinomial"
 
@@ -132,10 +132,7 @@ def apply_gates(circuit: Circuit, rho, noise=None) -> np.ndarray:
         if noise is not None:
             channel = noise.channel_for(gate)
             if channel is not None:
-                out = np.zeros_like(rho)
-                for k in channel.kraus_operators():
-                    out += k @ rho @ dagger(k)
-                rho = out
+                rho = kraus_sum(channel.kraus_operators(), rho)
     return rho
 
 

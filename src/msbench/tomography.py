@@ -78,6 +78,10 @@ def prep_state(label: str) -> np.ndarray:
     return ket @ dagger(ket)
 
 
+# The 16 ideal inputs, stacked in PREP_LABELS order.
+_PREP_STATES = np.array([prep_state(label) for label in PREP_LABELS])
+
+
 def _token_circuit(qubit: int, token: str) -> Circuit:
     """Native gates preparing one qubit's token from |0>."""
     gates = []
@@ -186,7 +190,7 @@ def run_qpt(process, noise=None, shots: int | None = None, seed: int = DEFAULT_S
     if circuit_mode:
         states = evolve(process, _prepared_states(noise), noise)
     else:
-        states = np.array([process.apply(prep_state(label)) for label in PREP_LABELS])
+        states = process.apply(_PREP_STATES)
     dists = outcome_distribution(states, SETTINGS, confusion).reshape(-1, 4)
 
     if shots is None:
@@ -211,7 +215,7 @@ _COMPATIBLE = {
     obs: [i for i, s in enumerate(SETTINGS) if compatible(obs, s)] for obs in PAULI_LABELS
 }
 # Rows vec(rho_j) of the 16 ideal inputs, and the Pauli products P_k.
-_PREP_FRAME = np.array([prep_state(label).reshape(-1) for label in PREP_LABELS])
+_PREP_FRAME = _PREP_STATES.reshape(len(PREP_LABELS), -1)
 _PAULIS = np.array(pauli_basis(2))
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from msbench.channels import QuantumChannel
+from msbench.circuits import Circuit, Gate
 
 
 def random_unitary(rng, dim: int) -> np.ndarray:
@@ -22,6 +24,15 @@ def random_cptp_kraus(rng, dim: int = 4, n_kraus: int = 3) -> QuantumChannel:
     v, _ = np.linalg.qr(g)  # v^dag v = I on the dim-dimensional input
     ops = [v[i * dim:(i + 1) * dim, :] for i in range(n_kraus)]
     return QuantumChannel.from_kraus(ops)
+
+
+_GATES = st.one_of(
+    st.builds(Gate.rz, st.integers(0, 1), st.floats(allow_nan=False, allow_infinity=False)),
+    st.builds(Gate.sx, st.integers(0, 1)),
+    st.builds(Gate.x, st.integers(0, 1)),
+    st.sampled_from([Gate.cnot(0, 1), Gate.cnot(1, 0)]),
+)
+circuits = st.lists(_GATES, max_size=12).map(lambda gates: Circuit(tuple(gates)))
 
 
 @pytest.fixture

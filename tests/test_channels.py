@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msbench.channels import (
+    REPRESENTATIONS,
     ProjectionError,
     QuantumChannel,
     channel_from_unitary,
@@ -86,6 +89,32 @@ def test_apply_agrees_across_representations(rng):
         assert np.linalg.norm(via_kraus - via_choi) <= 1e-9
         assert np.linalg.norm(via_kraus - via_chi) <= 1e-9
         assert np.trace(via_kraus) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("representation", REPRESENTATIONS)
+def test_stacked_apply_equals_per_state_apply(rng, representation):
+    for n_kraus in (1, 3, 5):
+        ch = random_cptp_kraus(rng, n_kraus=n_kraus).convert(representation)
+        states = np.array([random_density_matrix(rng) for _ in range(6)])
+        stacked = ch.apply(states)
+        assert stacked.shape == states.shape
+        for rho, out in zip(states, stacked):
+            assert np.array_equal(out, ch.apply(rho))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_kraus=st.integers(1, 5), dim=st.sampled_from([2, 4]))
+def test_representations_describe_one_cptp_map(seed, n_kraus, dim):
+    rng = np.random.default_rng(seed)
+    ch = random_cptp_kraus(rng, dim=dim, n_kraus=n_kraus)
+    rho = random_density_matrix(rng, dim)
+    via = [ch.convert(rep).apply(rho) for rep in REPRESENTATIONS]
+    assert max(np.abs(out - via[0]).max() for out in via) <= 1e-10
+    j = ch.choi_matrix()
+    back = ch.convert("choi").convert("chi").convert("choi").data
+    assert np.linalg.norm(back - j) <= 1e-12
+    assert np.linalg.norm(partial_trace(j, [1], [dim, dim]) - np.eye(dim) / dim) <= 1e-12
+    assert np.linalg.eigvalsh(j).min() >= -1e-12
 
 
 def test_apply_identity_and_depolarizing(rng):

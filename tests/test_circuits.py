@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given
 
 from msbench.circuits import (
     Circuit,
@@ -15,7 +16,7 @@ from msbench.circuits import (
 )
 from msbench.linalg import I2, PAULI_X, kron
 
-from conftest import random_unitary
+from conftest import circuits, random_unitary
 
 
 def test_ms_unitary_entries():
@@ -165,3 +166,10 @@ def test_circuit_json_roundtrip():
     again = Circuit.from_json(c.to_json())
     assert again == c
     assert np.allclose(circuit_unitary(again), circuit_unitary(c))
+
+
+@given(circuit=circuits)
+def test_circuit_json_roundtrip_keeps_the_gates(circuit):
+    again = Circuit.from_json(circuit.to_json())
+    assert again.gates == circuit.gates
+    assert again.to_json() == circuit.to_json()

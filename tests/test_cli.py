@@ -1,11 +1,13 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from msbench.cli import main
-from msbench.noise import DeviceCalibration, QubitCalibration
+from msbench.noise import DeviceCalibration, QubitCalibration, build_noise_model
+from msbench.tomography import exact_process_fidelity
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -106,6 +108,33 @@ def test_fit_noise_trivial_target(tmp_path):
                  "--calib", str(calib), "--out", str(out)]) == 0
     fitted = DeviceCalibration.load(out)
     assert fitted.p_dep == 0.0
+
+
+def count_calls(monkeypatch, fn):
+    """Count calls to ``fn`` through every msbench module that binds it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "msbench" or name.startswith("msbench."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_fit_noise_reuses_the_fits_fidelity(tmp_path, monkeypatch, capsys):
+    evaluations = count_calls(monkeypatch, exact_process_fidelity)
+    builds = count_calls(monkeypatch, build_noise_model)
+    assert main(["fit-noise", "--target-fidelity", "0.9247", "--circuit", "ms",
+                 "--calib", str(DATA_DIR / "example_calibration.json"),
+                 "--out", str(tmp_path / "fitted.json")]) == 0
+    assert (len(evaluations), len(builds)) == (3, 3)
+    assert capsys.readouterr().out == (
+        "fitted p_dep = 0.016500 for ms (target F = 0.9247, achieved F = 0.924700)\n")
 
 
 def test_fit_noise_unachievable_target(tmp_path, capsys):

@@ -8,36 +8,10 @@ from msbench.linalg import (
     PAULI_X,
     PAULI_Z,
     check_density_matrix,
-    hermitian_eig,
+    kraus_sum,
     kron,
-    matmul,
     partial_trace,
 )
-
-
-def test_matmul_identity():
-    assert np.allclose(matmul(I2, I2), I2)
-
-
-def test_matmul_pauli_involution():
-    assert np.allclose(matmul(PAULI_X, PAULI_X), I2)
-
-
-def test_matmul_sqrt_x_squares_to_ix():
-    # (1/sqrt2)(I + iX) squared = (1/2)(I + 2iX - I) = iX
-    m = (I2 + 1j * PAULI_X) / np.sqrt(2)
-    assert np.allclose(matmul(m, m), 1j * PAULI_X, atol=1e-12)
-
-
-def test_matmul_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-
-def test_matmul_rejects_nonfinite():
-    bad = np.array([[np.nan, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        matmul(bad, I2)
 
 
 def test_kron_identities():
@@ -54,39 +28,15 @@ def test_kron_zz():
     assert np.allclose(kron(PAULI_Z, PAULI_Z), np.diag([1, -1, -1, 1]))
 
 
-def test_hermitian_eig_diagonal():
-    vals, _ = hermitian_eig(np.diag([2.0, 1.0]))
-    assert np.allclose(vals, [1.0, 2.0])
-
-
-def test_hermitian_eig_pauli_x():
-    vals, vecs = hermitian_eig(PAULI_X)
-    assert np.allclose(vals, [-1.0, 1.0])
-    minus = np.array([1, -1]) / np.sqrt(2)
-    plus = np.array([1, 1]) / np.sqrt(2)
-    # eigenvectors defined up to phase; compare overlaps
-    assert abs(np.vdot(minus, vecs[:, 0])) == pytest.approx(1.0, abs=1e-12)
-    assert abs(np.vdot(plus, vecs[:, 1])) == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("dim", [4, 8, 16])
-def test_hermitian_eig_roundtrip(rng, dim):
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = g + g.conj().T
-    vals, vecs = hermitian_eig(h)
-    assert np.all(np.diff(vals) >= -1e-12)
-    assert np.linalg.norm((vecs * vals) @ vecs.conj().T - h) <= 1e-9
-    assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(dim)) <= 1e-9
-
-
-def test_hermitian_eig_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        hermitian_eig(np.ones((2, 3)))
-
-
-def test_hermitian_eig_rejects_nonhermitian():
-    with pytest.raises(ValueError):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+def test_kraus_sum_maps_over_a_stack(rng):
+    ops = [np.sqrt(0.7) * I2, np.sqrt(0.3) * PAULI_X]
+    states = np.array([random_density_matrix(rng, 2) for _ in range(3)])
+    before = states.copy()
+    stacked = kraus_sum(ops, states)
+    assert np.array_equal(states, before)
+    for rho, out in zip(states, stacked):
+        assert np.array_equal(out, kraus_sum(ops, rho))
+        assert np.allclose(out, 0.7 * rho + 0.3 * PAULI_X @ rho @ PAULI_X, atol=1e-15)
 
 
 def test_partial_trace_product_state(rng):
@@ -131,8 +81,8 @@ def test_kron_matmul_mixed_product(rng):
             rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4)
         ]
         a, b, c, d = mats
-        lhs = kron(matmul(a, b), matmul(c, d))
-        rhs = matmul(kron(a, c), kron(b, d))
+        lhs = kron(a @ b, c @ d)
+        rhs = kron(a, c) @ kron(b, d)
         assert np.linalg.norm(lhs - rhs) <= 1e-10
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import msbench.tomography
 from msbench.channels import channel_from_unitary
-from msbench.circuits import cx_circuit, synthesize_ms_circuit
+from msbench.circuits import GATE_KINDS, cx_circuit, synthesize_ms_circuit
 from msbench.noise import (
     DEFAULT_DURATIONS_NS,
     DeviceCalibration,
@@ -182,20 +182,20 @@ def test_noise_model_channels_are_cptp():
 def test_fit_depolarizing_trivial_target():
     cal = make_cal(durations={"rz": 0, "sx": 0, "cnot": 0, "x": 0})
     circuit = synthesize_ms_circuit()
-    assert fit_depolarizing(1.0, circuit, cal) == 0.0
+    assert fit_depolarizing(1.0, circuit, cal)[0] == 0.0
 
 
 def test_fit_depolarizing_closed_form_inverse():
     cal = make_cal(durations={"rz": 0, "sx": 0, "cnot": 0, "x": 0})
     circuit = synthesize_ms_circuit()
-    p = fit_depolarizing(0.9247, circuit, cal)
+    p, _ = fit_depolarizing(0.9247, circuit, cal)
     # |F(p) - target| <= 1e-3 translates to |p - p*| <= 16/15 * 1e-3
     assert p == pytest.approx((1 - 0.9247) * 16 / 15, abs=1.2e-3)
 
 
 def test_fit_depolarizing_with_damping_lands_below_closed_form():
     cal = make_cal(t1=(120.0, 90.0), t2=(100.0, 70.0))
-    p = fit_depolarizing(0.9247, synthesize_ms_circuit(), cal)
+    p, _ = fit_depolarizing(0.9247, synthesize_ms_circuit(), cal)
     assert 0.0 < p < 0.0804
 
 
@@ -213,6 +213,51 @@ def test_fidelity_monotone_in_depolarizing_strength():
         for p in (0.0, 0.02, 0.08, 0.2, 0.5)
     ]
     assert all(a >= b - 1e-9 for a, b in zip(fids, fids[1:]))
+
+
+@pytest.mark.parametrize("field", ["t1_us", "t2_us"])
+def test_qubit_calibration_rejects_nan_coherence_time(field):
+    # Unchecked, a NaN T2 switches dephasing off silently (rate_phi > 1e-15 is
+    # false) and a NaN T1 fails late with "empty Kraus set".
+    times = {"t1_us": 100.0, "t2_us": 80.0, field: math.nan}
+    with pytest.raises(ValueError, match=f"^qubit 0: {field} = nan"):
+        QubitCalibration(0, times["t1_us"], times["t2_us"], 0.01)
+
+
+def test_calibration_json_with_nan_t2_is_rejected():
+    text = make_cal().to_json().replace('"t2_us": 80.0', '"t2_us": NaN', 1)
+    with pytest.raises(ValueError, match="^qubit 0: t2_us = nan"):
+        DeviceCalibration.from_json(text)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_durations_reject_non_finite_values(value):
+    # Unchecked, a NaN CNOT duration builds a model without CNOT relaxation.
+    with pytest.raises(ValueError, match=rf"^durations_ns\['cnot'\] = {value}"):
+        make_cal(durations={"cnot": value})
+
+
+@st.composite
+def calibrations(draw):
+    probability = st.floats(0.0, 1.0)
+    metadata = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+    qubits = []
+    for qubit in draw(st.lists(st.integers(0, 20), min_size=1, max_size=4, unique=True)):
+        t1 = draw(st.floats(1e-3, 1e4))
+        t2 = draw(st.floats(1e-3, 1.0)) * 2 * t1
+        qubits.append(QubitCalibration(
+            qubit, t1, t2, draw(probability), draw(metadata), draw(metadata),
+            draw(st.none() | probability), draw(st.none() | probability)))
+    durations = draw(st.dictionaries(st.sampled_from(GATE_KINDS), st.floats(0.0, 1e6)))
+    return DeviceCalibration(tuple(qubits), durations, draw(probability))
+
+
+@settings(max_examples=50)
+@given(cal=calibrations())
+def test_calibration_json_roundtrip_property(cal):
+    again = DeviceCalibration.from_json(cal.to_json())
+    assert again == cal
+    assert again.fingerprint() == cal.fingerprint()
 
 
 def test_noise_fingerprint_covers_the_qubit_pair():
@@ -287,16 +332,30 @@ def test_fit_depolarizing_affine_fidelity_takes_three_evaluations(monkeypatch, n
     for frac in (0.002, 0.05, 0.4, 0.9):
         target = f_zero - frac * (f_zero - f_one)
         calls.clear()
-        p = fit_depolarizing(target, circuit, cal)
+        p, _ = fit_depolarizing(target, circuit, cal)
         assert len(calls) == 3
         assert abs(fidelity(p) - target) <= 1e-12
+
+
+@pytest.mark.parametrize("path", ["p = 0", "secant", "p = 1"])
+def test_fit_depolarizing_returns_the_fidelity_at_the_fitted_p(path):
+    circuit = synthesize_ms_circuit()
+    if path == "secant":
+        cal, target = DeviceCalibration.load(DATA_DIR / EXAMPLE_CALIBRATIONS[0]), 0.9247
+    else:
+        cal = make_cal(durations={"rz": 0, "sx": 0, "cnot": 0, "x": 0})
+        target = 1.0 if path == "p = 0" else exact_process_fidelity(
+            circuit, build_noise_model(cal.with_p_dep(1.0)))
+    p, f = fit_depolarizing(target, circuit, cal)
+    assert (p in (0.0, 1.0)) == (path != "secant")
+    assert f == exact_process_fidelity(circuit, build_noise_model(cal.with_p_dep(p)))
 
 
 def test_fit_depolarizing_target_within_tol_of_full_depolarization():
     cal = make_cal(durations={"rz": 0, "sx": 0, "cnot": 0, "x": 0})
     circuit = synthesize_ms_circuit()
     f_one = exact_process_fidelity(circuit, build_noise_model(cal.with_p_dep(1.0)))
-    assert fit_depolarizing(f_one - 5e-4, circuit, cal) == 1.0
+    assert fit_depolarizing(f_one - 5e-4, circuit, cal)[0] == 1.0
 
 
 def test_fit_depolarizing_two_cnot_circuit_lands_within_tol(monkeypatch):
@@ -307,7 +366,7 @@ def test_fit_depolarizing_two_cnot_circuit_lands_within_tol(monkeypatch):
     for target in (0.9, 0.5, 0.1):
         for tol in (1e-3, 1e-6):
             calls.clear()
-            p = fit_depolarizing(target, circuit, cal, tol=tol)
+            p, _ = fit_depolarizing(target, circuit, cal, tol=tol)
             # F is not affine here; the Illinois step keeps this to about 10
             # (plain false position needs up to 31).
             assert len(calls) <= 12
@@ -323,7 +382,7 @@ def test_fit_then_evaluate_is_within_tol(target, tol, cnots):
     circuit = synthesize_ms_circuit()
     if cnots == 2:
         circuit = circuit.concat(circuit)
-    p = fit_depolarizing(target, circuit, cal, tol=tol)
+    p, _ = fit_depolarizing(target, circuit, cal, tol=tol)
     assert 0.0 <= p <= 1.0
     achieved = exact_process_fidelity(circuit, build_noise_model(cal.with_p_dep(p)))
     assert abs(achieved - target) <= tol

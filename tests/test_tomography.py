@@ -37,6 +37,7 @@ from msbench.tomography import (
 )
 from msbench.simulator import (
     BITSTRINGS,
+    CountsRecord,
     apply_gates,
     basis_state,
     evolve,
@@ -44,7 +45,7 @@ from msbench.simulator import (
     outcome_distribution,
 )
 
-from conftest import random_cptp_kraus
+from conftest import circuits, random_cptp_kraus
 
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -149,6 +150,34 @@ def test_dataset_json_roundtrip_and_standalone_reconstruction():
     assert f1 == f2
 
 
+@st.composite
+def datasets(draw):
+    # The 144 cells come from a drawn seed: drawing each cell makes too large an example.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shots = draw(st.none() | st.integers(1, 10**6))
+    records = {}
+    for label, setting in itertools.product(PREP_LABELS, SETTINGS):
+        dist = rng.dirichlet(np.ones(4))
+        if shots is None:
+            records[(label, setting)] = CountsRecord(setting, None, None, tuple(dist))
+        else:
+            counts = rng.multinomial(shots, dist)
+            records[(label, setting)] = CountsRecord(setting, shots, dict(zip(BITSTRINGS, counts)))
+    seed = None if shots is None else draw(st.integers(0, 2**63 - 1))
+    circuit = draw(st.none() | circuits)
+    return TomographyDataset(records, shots, seed, draw(st.text()),
+                             None if circuit is None else circuit.to_json())
+
+
+@settings(max_examples=20, deadline=None)
+@given(ds=datasets())
+def test_dataset_json_roundtrip_property(ds):
+    text = ds.to_json()
+    again = TomographyDataset.from_json(text)
+    assert again.records == ds.records
+    assert again.to_json() == text
+
+
 def test_dataset_completeness_enforced():
     ds = run_qpt(Circuit(), shots=10, seed=0)
     broken = dict(ds.records)
@@ -234,6 +263,16 @@ def test_sampled_qpt_counts_are_pinned():
     text = json.dumps(grid, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "7465a389586044392a009ce98b8f1d3705ceb62b3a6c7b2ad39e8f6b157ea1ba")
+
+
+def test_raw_channel_qpt_probabilities_are_pinned():
+    """Recorded when each input went through ``apply`` on its own."""
+    ch = random_cptp_kraus(np.random.default_rng(5), n_kraus=3)
+    ds = run_qpt(ch, shots=None)
+    grid = {f"{p}|{s}": list(rec.probs) for (p, s), rec in ds.records.items()}
+    text = json.dumps(grid, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "56a2a97420e8009135c86249e39607778dcba86fb1d0d8e12192c69eed68071a")
 
 
 @pytest.fixture(scope="module")

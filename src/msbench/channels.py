@@ -279,12 +279,14 @@ def project_cptp(
         raise ValueError("input is not Hermitian within 1e-6")
     x = 0.5 * (x + dagger(x))
 
-    eye_out = np.eye(dim, dtype=complex)
     target_in = np.eye(dim, dtype=complex) / dim
 
     def project_tp(m):  # m is validated above; Tr_out by reshape, as in partial_trace
-        gap = np.trace(m.reshape(dim, dim, dim, dim), axis1=0, axis2=2) - target_in
-        return m - np.kron(eye_out, gap) / dim
+        m = m.reshape(dim, dim, dim, dim).copy()
+        gap = np.trace(m, axis1=0, axis2=2) - target_in
+        # Subtracting I_out (x) gap / dim touches only the diagonal blocks (a, a).
+        np.einsum("aiaj->aij", m)[...] -= gap / dim
+        return m.reshape(side, side)
 
     def project_psd(m):
         vals, vecs = np.linalg.eigh(0.5 * (m + dagger(m)))

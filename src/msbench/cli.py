@@ -275,6 +275,8 @@ def main(argv=None) -> int:
         parser.error(f"--input must be one of {', '.join(BITSTRINGS)}")
     if getattr(args, "shots", None) is not None and args.shots <= 0:
         parser.error("--shots must be positive")
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        parser.error("--seed must be a non-negative integer")
     return args.func(args)
 
 

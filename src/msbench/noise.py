@@ -47,6 +47,10 @@ class QubitCalibration:
         for name in ("t1_us", "t2_us"):
             if math.isnan(getattr(self, name)):
                 raise ValueError(f"qubit {self.qubit}: {name} = nan is not a number")
+        for name in ("frequency_ghz", "anharmonicity_ghz"):  # JSON has no NaN or Infinity
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"qubit {self.qubit}: {name} = {v} is not finite")
         if self.t1_us <= 0 or self.t2_us <= 0:
             raise ValueError(f"qubit {self.qubit}: T1 and T2 must be positive")
         if self.t2_us > 2 * self.t1_us + 1e-12:

@@ -13,19 +13,31 @@ with alone. Each entry in a stack goes through exactly the floating-point
 operations it would go through alone: stacked ``u @ rho @ u^dag`` products,
 Kraus terms summed by ``linalg.kraus_sum`` in the order the channel lists
 them, per-state normalization, an ``einsum`` for the readout confusion, and
-a per-row clip, renormalization and draw from the row's own generator.
+a per-row clip, renormalization and draw from the row's own PCG64 stream.
 Sampled counts depend on this. Many outcome distributions sit on ties such
 as p = 0.5 between two outcomes, where a one-ulp change flips the binomial
 draw and swaps two counts; folding the gates into one superoperator, or the
 confusion into one flattened matrix product, changes such ulps.
 
-RNG: numpy PCG64 (algorithm id ``numpy-PCG64-multinomial``), one owned
-generator per sampled distribution; identical seeds reproduce identical
-counts.
+RNG: numpy PCG64 (algorithm id ``numpy-PCG64-multinomial``). A row
+sampled with seed s gets the counts of
+``np.random.Generator(np.random.PCG64(s)).multinomial``; identical seeds
+reproduce identical counts. ``sample_counts`` builds one generator per call
+and, before each row's draw, sets it to the state ``PCG64(s)`` would start
+in. ``pcg64_states`` computes those states for a whole stack of seeds at
+once. Both steps of PCG64 seeding are fixed-width integer arithmetic, so
+the stacked computation is exact: numpy's ``SeedSequence`` hash (a pool of
+four uint32 words, after O'Neill's randutils ``seed_seq``) runs as uint32
+array operations, and PCG's two-step 128-bit LCG seeding (O'Neill,
+HMC-CS-2014-0905) on Python integers. A reused generator draws what a fresh
+one would, because its only other state, the binomial set-up cache, is a
+function of (n, p) alone. The tests check the seeds, the states and the
+draws against numpy's own classes.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +46,113 @@ from .circuits import Circuit
 from .linalg import I2, check_density_matrix, dagger, kraus_sum, kron
 
 RNG_ALGORITHM = "numpy-PCG64-multinomial"
+
+# numpy's SeedSequence: pool size and the hashmix/mix constants of
+# numpy.random.bit_generator.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+# PCG's default 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def validate_seed(seed) -> int:
+    """A seed is a non-negative integer; floats and None are refused, not cast."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}") from None
+    if value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {value}")
+    return value
+
+
+def _seed_width(value: int) -> int:
+    """Number of uint32 words a seed hashes as, padded up to the pool size.
+
+    Zero words up to the pool size hash exactly like absent ones, so this
+    padding never changes a seed's hash; words past the pool size are mixed
+    in a further loop, so longer seeds are never padded."""
+    return max(_POOL_SIZE, -(-value.bit_length() // 32))
+
+
+def _int_words(values, width: int) -> np.ndarray:
+    """(width x n) uint32 array of each value's little-endian 32-bit words."""
+    return np.array([[v >> 32 * i & _MASK32 for v in values] for i in range(width)],
+                    dtype=np.uint32)
+
+
+def _seed_sequence(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``np.random.SeedSequence(...).generate_state(n_words)`` for every
+    column of a (words x n) uint32 array of assembled entropy, as an
+    (n_words x n) uint32 array."""
+
+    def hash_consts(init, mult):  # data-independent: the constant runs on per call
+        while True:
+            nxt = init * mult & _MASK32
+            yield np.uint32(init), np.uint32(nxt)
+            init = nxt
+
+    def hashmix(value, consts):
+        xor, mul = next(consts)
+        value = (value ^ xor) * mul
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return value ^ value >> 16
+
+    consts = hash_consts(_INIT_A, _MULT_A)
+    pool = [hashmix(word, consts) for word in entropy[:_POOL_SIZE]]  # padded by the caller
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], consts))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word, consts))
+    consts = hash_consts(_INIT_B, _MULT_B)
+    return np.array([hashmix(pool[i % _POOL_SIZE], consts) for i in range(n_words)])
+
+
+def spawn_seeds(master: int, keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(master, spawn_key=key).generate_state(1, np.uint64)[0]``
+    for each column of a (k x n) uint32 array of spawn keys (each key entry
+    below 2^32, so one word), as n uint64 seeds."""
+    master = validate_seed(master)
+    width = _seed_width(master)  # a spawn key pads the master's words to the pool size
+    entropy = np.vstack([np.broadcast_to(_int_words([master], width), (width, keys.shape[1])),
+                         keys])
+    lo, hi = _seed_sequence(entropy, 2).astype(np.uint64)
+    return lo | hi << np.uint64(32)
+
+
+def pcg64_states(seeds) -> list[tuple[int, int]]:
+    """The ``(state, inc)`` pair ``np.random.PCG64(seed)`` starts in, per seed.
+
+    ``PCG64(seed)`` takes four uint64 words w0..w3 from
+    ``SeedSequence(seed).generate_state(4, np.uint64)``, then seeds PCG with
+    initstate = w0:w1 and initseq = w2:w3: inc = 2 initseq + 1 and
+    state = ((inc + initstate) MULT + inc) mod 2^128.
+    """
+    seeds = [validate_seed(s) for s in seeds]
+    words = np.empty((8, len(seeds)), dtype=np.uint32)
+    widths = [_seed_width(s) for s in seeds]
+    for width in set(widths):  # seeds longer than the pool hash in groups of one length
+        rows = [i for i, w in enumerate(widths) if w == width]
+        words[:, rows] = _seed_sequence(_int_words([seeds[i] for i in rows], width), 8)
+    w0, w1, w2, w3 = (words[0::2].astype(np.uint64)
+                      | words[1::2].astype(np.uint64) << np.uint64(32)).tolist()
+    states = []
+    for initstate_hi, initstate_lo, initseq_hi, initseq_lo in zip(w0, w1, w2, w3):
+        inc = ((initseq_hi << 64 | initseq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (initstate_hi << 64 | initstate_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
 
 BITSTRINGS = ("00", "01", "10", "11")
 MEASUREMENT_BASES = ("X", "Y", "Z")
@@ -163,7 +282,9 @@ def outcome_distribution(rho, setting, confusion=None) -> np.ndarray:
 
 
 def sample_counts(dist, shots: int, seed, setting="ZZ") -> CountsRecord | list[CountsRecord]:
-    """Deterministic multinomial draw from a probability 4-vector.
+    """Deterministic multinomial draw from a probability 4-vector: the counts
+    of ``np.random.Generator(np.random.PCG64(seed)).multinomial``, for a
+    non-negative integer ``seed``.
 
     Given an (n, 4) stack instead, ``seed`` and ``setting`` hold one entry per
     row, and the result is the list of the n records the single-row calls
@@ -182,18 +303,19 @@ def sample_counts(dist, shots: int, seed, setting="ZZ") -> CountsRecord | list[C
         raise ValueError("shots must be positive")
     dist = np.clip(dist, 0.0, None)
     dist /= dist.sum(axis=-1, keepdims=True)
-    if dist.ndim == 1:
-        return _draw(dist, shots, seed, setting)
-    seeds, settings = list(seed), list(setting)
-    if not len(seeds) == len(settings) == len(dist):
+    single = dist.ndim == 1
+    seeds, settings = ([seed], [setting]) if single else (list(seed), list(setting))
+    if not len(seeds) == len(settings) == len(dist.reshape(-1, 4)):
         raise ValueError("a stack of distributions needs one seed and one setting per row")
-    return [_draw(row, shots, s, st) for row, s, st in zip(dist, seeds, settings)]
-
-
-def _draw(dist: np.ndarray, shots: int, seed: int, setting: str) -> CountsRecord:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    draw = rng.multinomial(shots, dist)
-    return CountsRecord(setting, shots, {b: int(n) for b, n in zip(BITSTRINGS, draw)})
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    records = []
+    for row, (state, inc), row_setting in zip(dist.reshape(-1, 4), pcg64_states(seeds), settings):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        draw = rng.multinomial(shots, row)
+        records.append(CountsRecord(row_setting, shots, dict(zip(BITSTRINGS, draw.tolist()))))
+    return records[0] if single else records
 
 
 def compatible(observable: str, setting: str) -> bool:

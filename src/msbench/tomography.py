@@ -18,7 +18,11 @@ prefixes runs on that stack of 4 states at once: 10 gate applications, not
 all 144 outcome distributions come from one ``outcome_distribution`` call,
 and one ``sample_counts`` call draws every cell from its own seed. The
 arithmetic per state is that of evolving each full circuit on its own, so
-sampled counts are unchanged.
+sampled counts are unchanged. The 144 cell seeds follow the documented rule
+``SeedSequence(master, spawn_key=(prep, setting))`` and come from one array
+hash over all cells (``_experiment_seeds``), not from 144 ``SeedSequence``
+objects; ``sample_counts`` then draws each cell from the state
+``PCG64(cell seed)`` starts in, on one reused generator.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ from .simulator import (
     expectation,
     outcome_distribution,
     sample_counts,
+    spawn_seeds,
+    validate_seed,
 )
 
 DEFAULT_SEED = 42
@@ -69,6 +75,9 @@ _PREP_GATES = {
 PREP_LABELS = tuple(f"{a}:{b}" for a, b in itertools.product(PREP_TOKENS, PREP_TOKENS))
 # The 144 (prep, setting) grid cells, prep-major: the row order of stacked outcomes.
 _CELLS = tuple(itertools.product(PREP_LABELS, SETTINGS))
+# Their spawn keys (prep index, setting index), as a (2 x 144) uint32 array.
+_CELL_KEYS = np.array(list(itertools.product(range(len(PREP_LABELS)), range(len(SETTINGS)))),
+                      dtype=np.uint32).T
 
 
 def prep_state(label: str) -> np.ndarray:
@@ -120,10 +129,11 @@ def design_experiments(circuit: Circuit) -> list[tuple[str, str, Circuit]]:
     return out
 
 
-def _experiment_seed(master: int, prep_index: int, setting_index: int) -> int:
-    """Documented splitting rule: one child seed per (prep, setting) cell."""
-    ss = np.random.SeedSequence(master, spawn_key=(prep_index, setting_index))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+def _experiment_seeds(master: int) -> np.ndarray:
+    """Documented splitting rule: cell (prep, setting) is sampled with seed
+    ``SeedSequence(master, spawn_key=(prep, setting)).generate_state(1,
+    np.uint64)[0]``; all 144 in ``_CELLS`` order, from one hash."""
+    return spawn_seeds(master, _CELL_KEYS)
 
 
 @dataclass(frozen=True)
@@ -180,8 +190,10 @@ def run_qpt(process, noise=None, shots: int | None = None, seed: int = DEFAULT_S
 
     ``process`` is a Circuit (evolved under the optional noise model) or a
     QuantumChannel applied directly to the ideal input states. ``shots=None``
-    records exact outcome probabilities instead of sampled counts.
+    records exact outcome probabilities instead of sampled counts. ``seed``
+    is a non-negative integer.
     """
+    seed = validate_seed(seed)
     circuit_mode = isinstance(process, Circuit)
     if not circuit_mode and noise is not None:
         raise ValueError("noise models apply to circuits, not to raw channels")
@@ -197,9 +209,8 @@ def run_qpt(process, noise=None, shots: int | None = None, seed: int = DEFAULT_S
         recs = [CountsRecord(setting, None, None, tuple(dist))
                 for (_, setting), dist in zip(_CELLS, dists)]
     else:
-        seeds = [_experiment_seed(seed, p_idx, s_idx) for p_idx, s_idx in itertools.product(
-            range(len(PREP_LABELS)), range(len(SETTINGS)))]
-        recs = sample_counts(dists, shots, seeds, [setting for _, setting in _CELLS])
+        recs = sample_counts(dists, shots, _experiment_seeds(seed).tolist(),
+                             [setting for _, setting in _CELLS])
     records = dict(zip(_CELLS, recs))
 
     return TomographyDataset(

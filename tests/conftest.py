@@ -6,6 +6,20 @@ from msbench.channels import QuantumChannel
 from msbench.circuits import Circuit, Gate
 
 
+def count_numpy_random(monkeypatch, name: str) -> list:
+    """Record every construction of ``np.random.<name>`` made through that
+    attribute; the returned list grows by one argument tuple per call."""
+    calls = []
+    real = getattr(np.random, name)
+
+    def build(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, name, build)
+    return calls
+
+
 def random_unitary(rng, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)

@@ -69,6 +69,16 @@ def test_state_bad_bitstring_exits_2(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["state", "qpt"])
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--seed", "-1", "--out", str(out)])
+    assert err.value.code == 2
+    assert "--seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_qpt_exact_noiseless(tmp_path, capsys):
     out = tmp_path / "qpt.json"
     assert main(["qpt", "--circuit", "ms", "--exact", "--out", str(out)]) == 0

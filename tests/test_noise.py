@@ -237,24 +237,48 @@ def test_durations_reject_non_finite_values(value):
         make_cal(durations={"cnot": value})
 
 
+@pytest.mark.parametrize("field", ["frequency_ghz", "anharmonicity_ghz"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_calibration_metadata_must_be_finite(field, value):
+    # JSON has no NaN or Infinity, so to_json could not write such a calibration.
+    with pytest.raises(ValueError, match=rf"^qubit 0: {field} = {value} is not finite"):
+        QubitCalibration(0, 100.0, 80.0, 0.01, **{field: value})
+
+
+_METADATA = ("frequency_ghz", "anharmonicity_ghz")
+
+
 @st.composite
-def calibrations(draw):
+def calibration_fields(draw):
+    """Constructor arguments of a calibration: the qubits' keyword arguments,
+    the durations and p_dep. Metadata may be non-finite."""
     probability = st.floats(0.0, 1.0)
-    metadata = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+    metadata = st.none() | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
     qubits = []
     for qubit in draw(st.lists(st.integers(0, 20), min_size=1, max_size=4, unique=True)):
         t1 = draw(st.floats(1e-3, 1e4))
         t2 = draw(st.floats(1e-3, 1.0)) * 2 * t1
-        qubits.append(QubitCalibration(
-            qubit, t1, t2, draw(probability), draw(metadata), draw(metadata),
-            draw(st.none() | probability), draw(st.none() | probability)))
+        qubits.append(dict(
+            qubit=qubit, t1_us=t1, t2_us=t2, readout_error=draw(probability),
+            frequency_ghz=draw(metadata), anharmonicity_ghz=draw(metadata),
+            readout_error_01=draw(st.none() | probability),
+            readout_error_10=draw(st.none() | probability)))
     durations = draw(st.dictionaries(st.sampled_from(GATE_KINDS), st.floats(0.0, 1e6)))
-    return DeviceCalibration(tuple(qubits), durations, draw(probability))
+    return qubits, durations, draw(probability)
 
 
 @settings(max_examples=50)
-@given(cal=calibrations())
-def test_calibration_json_roundtrip_property(cal):
+@given(fields=calibration_fields())
+def test_calibration_json_roundtrip_property(fields):
+    qubits, durations, p_dep = fields
+    non_finite = [(q["qubit"], name) for q in qubits for name in _METADATA
+                  if q[name] is not None and not math.isfinite(q[name])]
+    if non_finite:
+        qubit, name = non_finite[0]
+        with pytest.raises(ValueError, match=rf"^qubit {qubit}: {name} = .* is not finite"):
+            DeviceCalibration(tuple(QubitCalibration(**q) for q in qubits), durations, p_dep)
+        return
+    cal = DeviceCalibration(tuple(QubitCalibration(**q) for q in qubits), durations, p_dep)
     again = DeviceCalibration.from_json(cal.to_json())
     assert again == cal
     assert again.fingerprint() == cal.fingerprint()

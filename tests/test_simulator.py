@@ -1,21 +1,23 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msbench.circuits import Circuit, Gate, circuit_unitary, synthesize_ms_circuit
 from msbench.noise import DeviceCalibration, QubitCalibration, build_noise_model
 from msbench.simulator import (
+    BITSTRINGS,
     MEASUREMENT_BASES,
     CountsRecord,
     basis_state,
     evolve,
     expectation,
     outcome_distribution,
+    pcg64_states,
     sample_counts,
 )
 
-from conftest import random_density_matrix, random_unitary
+from conftest import count_numpy_random, random_density_matrix, random_unitary
 
 BELL = np.array([1, 0, 0, 1j]) / np.sqrt(2)
 
@@ -260,3 +262,61 @@ def test_stacked_sample_counts_need_a_seed_and_a_setting_per_row():
         sample_counts([[1, 0, 0, 0]] * 2, 10, [1], ["ZZ", "XX"])
     with pytest.raises(ValueError, match="4-vector"):
         sample_counts(np.ones((2, 2, 4)) / 4, 10, [1, 2], ["ZZ", "XX"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1) | st.integers(0, 2**320), min_size=1,
+                      max_size=8))
+# One stack of 1- and 2-word seeds, one of exactly 4 words, and 5-, 7- and 10-word ones.
+@example(seeds=[0, 1, 2**32 - 1, 2**32, 2**63 + 17, 2**64 - 1, 2**128 - 1, 2**128 + 1,
+                2**200 + 3, 3**200])
+def test_pcg64_states_equal_numpys(seeds):
+    assert [{"state": state, "inc": inc} for state, inc in pcg64_states(seeds)] == [
+        np.random.PCG64(seed).state["state"] for seed in seeds]
+
+
+@st.composite
+def dyadic_distributions(draw):
+    """Outcome 4-vectors in 64ths: they sum to exactly 1, with zeros and
+    p = 0.5 ties among them."""
+    cuts = sorted(draw(st.lists(st.sampled_from([0, 16, 32, 48, 64]) | st.integers(0, 64),
+                                min_size=3, max_size=3)))
+    return np.diff([0, *cuts, 64]) / 64.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(st.tuples(dyadic_distributions(),
+                               st.integers(0, 2**64 - 1) | st.integers(0, 2**160)),
+                     min_size=1, max_size=8),
+       shots=st.integers(1, 5000))
+def test_stacked_sample_counts_equal_numpys_generator(rows, shots):
+    dists = np.array([dist for dist, _ in rows])
+    seeds = [seed for _, seed in rows]
+    records = sample_counts(dists, shots, seeds, ["ZZ"] * len(rows))
+    for record, dist, seed in zip(records, dists, seeds):
+        draw = np.random.Generator(np.random.PCG64(seed)).multinomial(shots, dist)
+        assert [record.counts[b] for b in BITSTRINGS] == draw.tolist()
+
+
+def test_sample_counts_builds_one_generator_per_call(monkeypatch):
+    built = count_numpy_random(monkeypatch, "PCG64")
+    sample_counts(np.full((144, 4), 0.25), 100, list(range(144)), ["ZZ"] * 144)
+    assert len(built) == 1
+    sample_counts([0.25] * 4, 100, 7)
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, 2.5, np.float64(3.0), None, "3"],
+                         ids=["negative", "float", "fraction", "numpy-float", "none", "str"])
+def test_sample_counts_rejects_seeds_that_are_not_non_negative_integers(seed):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+        sample_counts([1, 0, 0, 0], 10, seed)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+        sample_counts([[1, 0, 0, 0]] * 2, 10, [0, seed], ["ZZ"] * 2)
+
+
+def test_sample_counts_takes_numpy_integer_seeds():
+    dist = [0.3, 0.3, 0.2, 0.2]
+    expected = sample_counts(dist, 1000, 2**63 + 5)
+    assert sample_counts(dist, 1000, np.uint64(2**63 + 5)) == expected
+    assert sample_counts([dist], 1000, np.array([2**63 + 5], dtype=np.uint64), ["ZZ"]) == [expected]

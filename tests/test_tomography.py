@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msbench.channels import QuantumChannel, channel_from_unitary, identity_channel, pauli_basis
@@ -24,6 +24,7 @@ from msbench.tomography import (
     PREP_LABELS,
     SETTINGS,
     TomographyDataset,
+    _experiment_seeds,
     _prepared_states,
     average_gate_fidelity,
     design_experiments,
@@ -45,7 +46,7 @@ from msbench.simulator import (
     outcome_distribution,
 )
 
-from conftest import circuits, random_cptp_kraus
+from conftest import circuits, count_numpy_random, random_cptp_kraus
 
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -334,3 +335,34 @@ def test_sampled_qpt_fidelity_is_pinned():
     ds = run_qpt(synthesize_ms_circuit(), noise=example_noise(), shots=4000, seed=1)
     f = process_fidelity(reconstruct_channel(ds), channel_from_unitary(ms_unitary().matrix))
     assert abs(f - 0.9221541989274173) <= 1e-12
+
+
+def _numpy_cell_seeds(master):
+    """The documented rule, one SeedSequence per (prep, setting) cell."""
+    return [int(np.random.SeedSequence(master, spawn_key=(p, s)).generate_state(1, np.uint64)[0])
+            for p in range(len(PREP_LABELS)) for s in range(len(SETTINGS))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(master=st.integers(0, 2**256 - 1))
+@example(master=0)
+@example(master=2**32 - 1)
+@example(master=2**32)
+@example(master=2**128)
+@example(master=2**128 + 1)
+def test_experiment_seeds_follow_the_documented_rule(master):
+    assert _experiment_seeds(master).tolist() == _numpy_cell_seeds(master)
+
+
+def test_sampled_run_qpt_builds_no_seed_sequence(monkeypatch):
+    seed_sequences = count_numpy_random(monkeypatch, "SeedSequence")
+    generators = count_numpy_random(monkeypatch, "PCG64")
+    run_qpt(synthesize_ms_circuit(), shots=100, seed=3)
+    assert seed_sequences == []
+    assert len(generators) == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None], ids=["negative", "float", "none"])
+def test_run_qpt_rejects_seeds_that_are_not_non_negative_integers(seed):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+        run_qpt(synthesize_ms_circuit(), shots=100, seed=seed)

@@ -38,6 +38,8 @@ from .linalg import (
 REPRESENTATIONS = ("kraus", "choi", "chi")
 
 _EIG_CLIP = 1e-12
+_CHOI_ATOL_PSD = 1e-8
+_CHOI_ATOL_TP = 1e-6
 
 
 class ProjectionError(RuntimeError):
@@ -113,7 +115,9 @@ class QuantumChannel:
         return QuantumChannel("kraus", tuple(stack), dim)
 
     @staticmethod
-    def from_choi(matrix, atol_psd: float = 1e-8, atol_tp: float = 1e-6) -> "QuantumChannel":
+    def from_choi(matrix) -> "QuantumChannel":
+        """Validate a Choi state: Hermitian, PSD within ``_CHOI_ATOL_PSD`` and
+        trace-preserving within ``_CHOI_ATOL_TP`` (Frobenius)."""
         j = as_matrix(matrix)
         side = j.shape[0]
         dim = int(np.sqrt(side))
@@ -122,10 +126,10 @@ class QuantumChannel:
         if frobenius(j - dagger(j)) > 1e-8:
             raise ValueError("Choi matrix is not Hermitian")
         j = 0.5 * (j + dagger(j))
-        if np.linalg.eigvalsh(j).min() < -atol_psd:
+        if np.linalg.eigvalsh(j).min() < -_CHOI_ATOL_PSD:
             raise ValueError("Choi matrix is not positive semidefinite")
         tp_gap = frobenius(dim * partial_trace(j, [1], [dim, dim]) - np.eye(dim))
-        if tp_gap > atol_tp:
+        if tp_gap > _CHOI_ATOL_TP:
             raise ValueError(f"Choi matrix is not trace-preserving (residual {tp_gap:.3e})")
         return QuantumChannel("choi", j, dim)
 

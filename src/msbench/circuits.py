@@ -134,15 +134,9 @@ class Circuit:
     """Ordered gate list on two qubits; gates[0] is applied first."""
 
     gates: tuple[Gate, ...] = field(default_factory=tuple)
-    num_qubits: int = 2
 
     def __post_init__(self):
-        if self.num_qubits != 2:
-            raise ValueError("only 2-qubit circuits are supported")
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            if any(q >= self.num_qubits for q in g.qubits()):
-                raise ValueError(f"gate {g} acts outside a {self.num_qubits}-qubit register")
 
     def __len__(self) -> int:
         return len(self.gates)

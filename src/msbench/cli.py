@@ -8,18 +8,26 @@ Commands map onto the two benchmark experiments plus utilities:
 * ``fit-noise``  -- calibrate the depolarizing knob to a target fidelity
 * ``stability``  -- drift analytics between two calibration snapshots
 
-Every command writes machine-readable JSON to ``--out``, a run manifest to
-``<out>.manifest.json``, and a human summary to stdout. The wall-clock
-timestamp lives only in the manifest, so result files are byte-identical
-across reruns with the same inputs. Seeds default to a fixed constant (42)
-so runs are reproducible by default. If MSBENCH_OUTPUT_DIR is set, relative
-output paths are resolved under it.
+Every command runs through ``main``: a handler computes its results, prints
+the human summary to stdout and returns its exit code, its calibration
+fingerprint and the files it produced; ``main`` then writes those files and
+a run manifest, ``<out>.manifest.json``, that lists exactly them. The
+wall-clock timestamp lives only in the manifest, so result files are
+byte-identical across reruns with the same inputs. Seeds default to a fixed
+constant (42) so runs are reproducible by default. If MSBENCH_OUTPUT_DIR is
+set, relative output paths are resolved under it.
+
+Errors: a usage error (unknown flag or choice, bad ``--input``, ``--shots``
+or ``--seed``) exits 2 with argparse's message. A bad input file, a missing
+path or an unreachable target prints ``error: <message>`` to stderr and
+exits 1, writing no output and no manifest.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -34,12 +42,17 @@ from .circuits import (
     circuit_unitary,
     phase_aligned_distance,
 )
-from .metrics import BenchmarkReport, stability_analysis, success_probability
-from .noise import DeviceCalibration, UnachievableTargetError, build_noise_model, fit_depolarizing
+from .metrics import SCALING_DEPTH, BenchmarkReport, scaling_table, stability_analysis, success_probability
+from .noise import DeviceCalibration, build_noise_model, fit_depolarizing
 from .simulator import BITSTRINGS, RNG_ALGORITHM, basis_state, evolve, outcome_distribution, sample_counts
 from .tomography import DEFAULT_SEED, process_fidelity, reconstruct_channel, run_qpt
 
 DECOMPOSITION_TOLERANCE = 1e-9
+
+# What a command handler returns: its exit code, the calibration fingerprint
+# for the manifest, and the files it produced as {path: text}, for ``main``
+# to write.
+_Handled = tuple[int, str, dict[Path, str]]
 
 
 def _resolve_out(path: str) -> Path:
@@ -47,7 +60,6 @@ def _resolve_out(path: str) -> Path:
     base = os.environ.get("MSBENCH_OUTPUT_DIR")
     if base and not p.is_absolute():
         p = Path(base) / p
-    p.parent.mkdir(parents=True, exist_ok=True)
     return p
 
 
@@ -56,23 +68,23 @@ def _sibling(out: Path, suffix: str) -> Path:
     return out.with_name(stem + suffix)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _write_manifest(out: Path, command: str, flags: dict, seed, cal_fingerprint: str,
+def _write_manifest(out: Path, args: argparse.Namespace, cal_fingerprint: str,
                     outputs: list[Path]) -> None:
     manifest = {
-        "command": command,
-        "flags": flags,
-        "seed": seed,
+        "command": args.command,
+        "flags": vars(args),
+        "seed": getattr(args, "seed", None),
         "rng": RNG_ALGORITHM,
         "calibration_fingerprint": cal_fingerprint,
         "version": __version__,
         "outputs": [str(p) for p in outputs],
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    _write_json(out.with_name(out.name + ".manifest.json"), manifest)
+    out.with_name(out.name + ".manifest.json").write_text(_json(manifest))
 
 
 def _load_circuit(name_or_path: str) -> tuple[Circuit, str]:
@@ -88,8 +100,7 @@ def _load_noise(path: str | None):
     return build_noise_model(cal), cal
 
 
-def cmd_decompose(args) -> int:
-    out = _resolve_out(args.out)
+def cmd_decompose(args, out: Path) -> _Handled:
     circuit = BUILTIN_CIRCUITS[args.target]()
     target = BUILTIN_TARGETS[args.target]()
     distance = phase_aligned_distance(circuit_unitary(circuit), target.matrix)
@@ -100,30 +111,22 @@ def cmd_decompose(args) -> int:
         "cnot_count": circuit.cnot_count(),
         "phase_aligned_distance": distance,
     }
-    _write_json(out, payload)
-    _write_manifest(out, "decompose", {"target": args.target}, None, "none", [out])
     ok = distance <= DECOMPOSITION_TOLERANCE
     print(f"target {args.target}: {len(circuit)} gates, {circuit.cnot_count()} CNOT, "
           f"phase-aligned distance {distance:.3e} "
           f"({'OK' if ok else 'FAIL'} at {DECOMPOSITION_TOLERANCE:.0e})")
-    return 0 if ok else 1
+    return 0 if ok else 1, "none", {out: _json(payload)}
 
 
-def cmd_state(args) -> int:
-    out = _resolve_out(args.out)
+def cmd_state(args, out: Path) -> _Handled:
     circuit, label = _load_circuit(args.circuit)
     noise, cal = _load_noise(args.noise)
     rho = evolve(circuit, basis_state(args.input), noise)
     dist = outcome_distribution(rho, "ZZ", noise.confusion if noise else None)
     record = sample_counts(dist, args.shots, args.seed)
     p_succ = success_probability(record)
-    report = BenchmarkReport(
-        gate=label,
-        backend=f"shots={args.shots},seed={args.seed}",
-        noise_fingerprint=noise.fingerprint if noise else "noiseless",
-        process_fidelity=float("nan"),
-        success_probability=p_succ,
-    )
+    epsilon = 1.0 - p_succ
+    scaling = scaling_table(epsilon, SCALING_DEPTH)
     payload = {
         "setting": "ZZ",
         "input": args.input,
@@ -132,23 +135,17 @@ def cmd_state(args) -> int:
         "rng": RNG_ALGORITHM,
         "counts": record.counts,
         "success_probability": p_succ,
-        "epsilon": report.epsilon,
-        "scaling": report.scaling(),
+        "epsilon": epsilon,
+        "scaling": scaling,
     }
-    _write_json(out, payload)
-    csv_path = _sibling(out, ".csv")
-    csv_path.write_text(
-        "n,success\n" + "\n".join(f"{n},{v:.12f}" for n, v in report.scaling()) + "\n"
-    )
-    _write_manifest(out, "state", {k: v for k, v in vars(args).items() if k != "func"},
-                    args.seed, cal.fingerprint() if cal else "none", [out, csv_path])
+    csv = "n,success\n" + "\n".join(f"{n},{v:.12f}" for n, v in scaling) + "\n"
     print(f"{label} on |{args.input}>: counts {record.counts}")
-    print(f"P_succ = {p_succ:.4f}, epsilon = {report.epsilon:.4f}")
-    return 0
+    print(f"P_succ = {p_succ:.4f}, epsilon = {epsilon:.4f}")
+    return 0, cal.fingerprint() if cal else "none", {out: _json(payload),
+                                                     _sibling(out, ".csv"): csv}
 
 
-def cmd_qpt(args) -> int:
-    out = _resolve_out(args.out)
+def cmd_qpt(args, out: Path) -> _Handled:
     circuit, label = _load_circuit(args.circuit)
     noise, cal = _load_noise(args.noise)
     shots = None if args.exact else args.shots
@@ -162,65 +159,44 @@ def cmd_qpt(args) -> int:
         target_u = circuit_unitary(circuit)
     fidelity = process_fidelity(channel, channel_from_unitary(target_u))
 
-    out.write_text(ds.to_json() + "\n")
-    channel_path = _sibling(out, ".channel.json")
-    _write_json(channel_path, channel.convert("choi").to_dict())
     report = BenchmarkReport(
         gate=label,
         backend="exact" if shots is None else f"shots={shots},seed={args.seed}",
         noise_fingerprint=ds.noise_fingerprint,
         process_fidelity=fidelity,
     )
-    report_path = _sibling(out, ".report.json")
-    _write_json(report_path, report.to_dict())
-    _write_manifest(out, "qpt", {k: v for k, v in vars(args).items() if k != "func"},
-                    args.seed, cal.fingerprint() if cal else "none",
-                    [out, channel_path, report_path])
     backend = "exact probabilities" if shots is None else f"{shots} shots/setting"
     print(f"{label} QPT ({backend}): process fidelity {fidelity:.6f} vs {target_label}")
-    return 0
+    return 0, cal.fingerprint() if cal else "none", {
+        out: ds.to_json() + "\n",
+        _sibling(out, ".channel.json"): _json(channel.convert("choi").to_dict()),
+        _sibling(out, ".report.json"): _json(report.to_dict()),
+    }
 
 
-def cmd_fit_noise(args) -> int:
-    out = _resolve_out(args.out)
+def cmd_fit_noise(args, out: Path) -> _Handled:
     circuit, label = _load_circuit(args.circuit)
     cal = DeviceCalibration.load(args.calib)
-    try:
-        p_dep, achieved = fit_depolarizing(args.target_fidelity, circuit, cal)
-    except UnachievableTargetError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    p_dep, achieved = fit_depolarizing(args.target_fidelity, circuit, cal)
     fitted = cal.with_p_dep(p_dep)
-    out.write_text(fitted.to_json() + "\n")
-    _write_manifest(out, "fit-noise", {k: v for k, v in vars(args).items() if k != "func"},
-                    None, fitted.fingerprint(), [out])
     print(f"fitted p_dep = {p_dep:.6f} for {label} "
           f"(target F = {args.target_fidelity}, achieved F = {achieved:.6f})")
-    return 0
+    return 0, fitted.fingerprint(), {out: fitted.to_json() + "\n"}
 
 
-def cmd_stability(args) -> int:
-    out = _resolve_out(args.out)
+def cmd_stability(args, out: Path) -> _Handled:
     cal_a = DeviceCalibration.load(args.calib_a)
     cal_b = DeviceCalibration.load(args.calib_b)
-    try:
-        report = stability_analysis(cal_a, cal_b)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    _write_json(out, report.to_dict())
-    csv_path = _sibling(out, ".csv")
-    csv_path.write_text(
-        "\n".join(",".join(str(c) for c in row) for row in report.to_csv_rows()) + "\n"
-    )
-    _write_manifest(out, "stability", {k: v for k, v in vars(args).items() if k != "func"},
-                    None, f"{cal_a.fingerprint()},{cal_b.fingerprint()}", [out, csv_path])
+    report = stability_analysis(cal_a, cal_b)
+    csv = "\n".join(",".join(str(c) for c in row) for row in report.to_csv_rows()) + "\n"
     print(f"quality correlation r = {report.quality_correlation:.4f}")
     for metric, avg in report.average_variation_percent.items():
         print(f"average {metric} variation: {avg:.2f}%")
-    return 0
+    return 0, f"{cal_a.fingerprint()},{cal_b.fingerprint()}", {
+        out: _json(report.to_dict()), _sibling(out, ".csv"): csv}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="msbench",
@@ -231,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="emit and verify a native-basis circuit")
     p.add_argument("--target", choices=("ms", "cx"), required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("state", help="direct state measurement in the ZZ basis")
     p.add_argument("--circuit", default="ms", help="builtin name (ms, cx) or circuit JSON path")
@@ -240,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--noise", help="calibration JSON path")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_state)
 
     p = sub.add_parser("qpt", help="full process tomography")
     p.add_argument("--circuit", default="ms")
@@ -251,20 +225,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", help="calibration JSON path")
     p.add_argument("--target", choices=("ms", "cx"), help="fidelity target (default: the circuit)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_qpt)
 
     p = sub.add_parser("fit-noise", help="fit p_dep so the circuit hits a target fidelity")
     p.add_argument("--target-fidelity", type=float, required=True)
     p.add_argument("--circuit", default="ms")
     p.add_argument("--calib", required=True, help="baseline calibration JSON path")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit_noise)
 
     p = sub.add_parser("stability", help="compare two calibration snapshots")
     p.add_argument("--calib-a", required=True)
     p.add_argument("--calib-b", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_stability)
     return parser
 
 
@@ -277,7 +248,21 @@ def main(argv=None) -> int:
         parser.error("--shots must be positive")
     if getattr(args, "seed", None) is not None and args.seed < 0:
         parser.error("--seed must be a non-negative integer")
-    return args.func(args)
+    # Looked up per call, so that a handler replaced on the module (by a tracer
+    # or a test) is the one that runs.
+    handlers = {"decompose": cmd_decompose, "state": cmd_state, "qpt": cmd_qpt,
+                "fit-noise": cmd_fit_noise, "stability": cmd_stability}
+    out = _resolve_out(args.out)
+    try:
+        code, cal_fingerprint, outputs = handlers[args.command](args, out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        for path, text in outputs.items():
+            path.write_text(text)
+        _write_manifest(out, args, cal_fingerprint, list(outputs))
+    except (ValueError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

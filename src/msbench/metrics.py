@@ -11,6 +11,7 @@ from .noise import DeviceCalibration
 from .simulator import CountsRecord
 
 STABILITY_METRICS = ("t1_us", "t2_us", "readout_error")
+SCALING_DEPTH = 12  # circuit depths the cumulative-success table covers
 
 
 def success_probability(record: CountsRecord) -> float:
@@ -35,7 +36,6 @@ class BenchmarkReport:
     noise_fingerprint: str
     process_fidelity: float
     success_probability: float | None = None
-    scaling_depth: int = 12
 
     @property
     def epsilon(self) -> float | None:
@@ -46,7 +46,7 @@ class BenchmarkReport:
     def scaling(self) -> list[tuple[int, float]] | None:
         if self.epsilon is None:
             return None
-        return scaling_table(self.epsilon, self.scaling_depth)
+        return scaling_table(self.epsilon, SCALING_DEPTH)
 
     def to_dict(self) -> dict:
         return {

@@ -24,8 +24,10 @@ from .linalg import I2, kron
 
 DEFAULT_DURATIONS_NS = {"rz": 0.0, "sx": 35.0, "cnot": 300.0}
 CALIBRATION_KEYS = ("qubits", "durations_ns", "p_dep")
-QUBIT_KEYS = ("id", "t1_us", "t2_us", "readout_error", "frequency_ghz", "anharmonicity_ghz",
-              "readout_error_01", "readout_error_10")
+# Optional per-qubit fields: written only when set, read as None when absent.
+_OPTIONAL_QUBIT_KEYS = ("frequency_ghz", "anharmonicity_ghz", "readout_error_01",
+                        "readout_error_10")
+QUBIT_KEYS = ("id", "t1_us", "t2_us", "readout_error") + _OPTIONAL_QUBIT_KEYS
 
 
 class UnachievableTargetError(ValueError):
@@ -115,14 +117,9 @@ class DeviceCalibration:
                 "t2_us": q.t2_us,
                 "readout_error": q.readout_error,
             }
-            for src, key in (
-                ("frequency_ghz", "frequency_ghz"),
-                ("anharmonicity_ghz", "anharmonicity_ghz"),
-                ("readout_error_01", "readout_error_01"),
-                ("readout_error_10", "readout_error_10"),
-            ):
-                if getattr(q, src) is not None:
-                    rec[key] = getattr(q, src)
+            for key in _OPTIONAL_QUBIT_KEYS:
+                if getattr(q, key) is not None:
+                    rec[key] = getattr(q, key)
             qs.append(rec)
         return {"qubits": qs, "durations_ns": dict(self.durations_ns), "p_dep": self.p_dep}
 
@@ -137,10 +134,7 @@ class DeviceCalibration:
                 t1_us=rec["t1_us"],
                 t2_us=rec["t2_us"],
                 readout_error=rec.get("readout_error", 0.0),
-                frequency_ghz=rec.get("frequency_ghz"),
-                anharmonicity_ghz=rec.get("anharmonicity_ghz"),
-                readout_error_01=rec.get("readout_error_01"),
-                readout_error_10=rec.get("readout_error_10"),
+                **{key: rec.get(key) for key in _OPTIONAL_QUBIT_KEYS},
             )
             for rec in d["qubits"]
         )

@@ -46,6 +46,8 @@ from .circuits import Circuit
 from .linalg import I2, check_density_matrix, dagger, kraus_sum, kron
 
 RNG_ALGORITHM = "numpy-PCG64-multinomial"
+# How far a probability may fall below 0, and a distribution's sum stray from 1.
+_PROB_ATOL = 1e-9
 
 # numpy's SeedSequence: pool size and the hashmix/mix constants of
 # numpy.random.bit_generator.
@@ -205,7 +207,13 @@ class CountsRecord:
         elif self.probs is None:
             raise ValueError("record needs counts or exact probabilities")
         else:
-            object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+            probs = tuple(float(p) for p in self.probs)
+            # A NaN or infinite entry makes the sum fail the second test.
+            if len(probs) != 4 or not (min(probs) >= -_PROB_ATOL
+                                       and abs(sum(probs) - 1.0) <= _PROB_ATOL):
+                raise ValueError(f"probabilities {list(probs)} are not 4 finite entries, "
+                                 f"each >= -{_PROB_ATOL:g}, summing to 1 within {_PROB_ATOL:g}")
+            object.__setattr__(self, "probs", probs)
 
     @property
     def exact(self) -> bool:
@@ -293,10 +301,12 @@ def sample_counts(dist, shots: int, seed, setting="ZZ") -> CountsRecord | list[C
     dist = np.asarray(dist, dtype=float)
     if dist.ndim not in (1, 2) or dist.shape[-1] != 4:
         raise ValueError("distribution must be a 4-vector")
-    if dist.min() < -1e-9:
+    if dist.size == 0:
+        raise ValueError("empty stack of distributions: need at least one row")
+    if dist.min() < -_PROB_ATOL:
         raise ValueError(f"negative probability {dist.min():.3e}")
     sums = dist.sum(axis=-1)
-    off = np.abs(sums - 1.0) > 1e-9
+    off = np.abs(sums - 1.0) > _PROB_ATOL
     if off.any():
         raise ValueError(f"distribution sums to {sums[off][0]:.12f}, not 1")
     if shots <= 0:

@@ -75,6 +75,7 @@ _PREP_GATES = {
 PREP_LABELS = tuple(f"{a}:{b}" for a, b in itertools.product(PREP_TOKENS, PREP_TOKENS))
 # The 144 (prep, setting) grid cells, prep-major: the row order of stacked outcomes.
 _CELLS = tuple(itertools.product(PREP_LABELS, SETTINGS))
+_CELL_SET = frozenset(_CELLS)
 # Their spawn keys (prep index, setting index), as a (2 x 144) uint32 array.
 _CELL_KEYS = np.array(list(itertools.product(range(len(PREP_LABELS)), range(len(SETTINGS)))),
                       dtype=np.uint32).T
@@ -138,7 +139,8 @@ def _experiment_seeds(master: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TomographyDataset:
-    """Complete 16 x 9 grid of measurement records for one process."""
+    """Complete 16 x 9 grid of measurement records for one process: exactly
+    the (prep label, setting) cells, each holding a record of its setting."""
 
     records: dict  # (prep label, setting) -> CountsRecord
     shots: int | None
@@ -148,11 +150,16 @@ class TomographyDataset:
     rng: str = RNG_ALGORITHM
 
     def __post_init__(self):
-        missing = [
-            (p, s) for p in PREP_LABELS for s in SETTINGS if (p, s) not in self.records
-        ]
-        if missing:
-            raise ValueError(f"dataset incomplete: {len(missing)} grid cells missing")
+        if self.records.keys() != _CELL_SET:
+            extra = sorted("|".join(map(str, c)) for c in self.records.keys() - _CELL_SET)
+            if extra:
+                raise ValueError(f"dataset has cells outside the 16x9 grid: {', '.join(extra)}")
+            missing = [f"{p}|{s}" for p, s in _CELLS if (p, s) not in self.records]
+            raise ValueError(f"dataset incomplete: {len(missing)} grid cells missing, "
+                             f"first {missing[0]}")
+        for (prep, setting), rec in self.records.items():
+            if rec.setting != setting:
+                raise ValueError(f"cell {prep}|{setting} holds a {rec.setting} record")
         shot_values = {rec.shots for rec in self.records.values()}
         if shot_values != {self.shots}:
             raise ValueError("records disagree with the dataset shot count")
@@ -175,8 +182,11 @@ class TomographyDataset:
         d = json.loads(text)
         records = {}
         for key, rec in d["records"].items():
-            p, s = key.split("|")
-            records[(p, s)] = CountsRecord.from_dict(rec)
+            prep, _, setting = key.partition("|")
+            try:
+                records[(prep, setting)] = CountsRecord.from_dict(rec)
+            except ValueError as err:
+                raise ValueError(f"records[{key!r}]: {err}") from None
         circuit_json = json.dumps(d["circuit"]) if d.get("circuit") is not None else None
         return TomographyDataset(
             records, d.get("shots"), d.get("seed"), d["noise_fingerprint"], circuit_json,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from msbench import cli
 from msbench.cli import main
 from msbench.noise import DeviceCalibration, QubitCalibration, build_noise_model
 from msbench.tomography import exact_process_fidelity
@@ -154,6 +156,7 @@ def test_fit_noise_unachievable_target(tmp_path, capsys):
     assert main(["fit-noise", "--target-fidelity", "0.999", "--circuit", "ms",
                  "--calib", str(calib), "--out", str(out)]) == 1
     assert "error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cal.json"]
 
 
 def test_stability_identical_files(tmp_path, capsys):
@@ -176,6 +179,7 @@ def test_stability_mismatched_qubits_fails(tmp_path):
     out = tmp_path / "stab.json"
     assert main(["stability", "--calib-a", str(cal_a), "--calib-b", str(cal_b),
                  "--out", str(out)]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):
@@ -252,3 +256,65 @@ def test_manifest_contents(tmp_path):
     assert manifest["rng"] == "numpy-PCG64-multinomial"
     assert manifest["flags"]["shots"] == 200
     assert str(out) in manifest["outputs"]
+
+
+def test_decompose_manifest_records_every_flag(tmp_path):
+    out = tmp_path / "ms.json"
+    assert main(["decompose", "--target", "ms", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "ms.json.manifest.json").read_text())
+    assert manifest["flags"] == {"command": "decompose", "target": "ms", "out": str(out)}
+    assert manifest["seed"] is None and manifest["outputs"] == [str(out)]
+
+
+def test_every_main_call_shares_one_parser(tmp_path, monkeypatch):
+    constructed = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        cli.build_parser()
+        one_tree = len(constructed)
+        cli.build_parser.cache_clear()
+        constructed.clear()
+        for i in range(3):
+            assert main(["decompose", "--target", "ms", "--out", str(tmp_path / f"{i}.json")]) == 0
+        assert len(constructed) == one_tree
+    finally:
+        cli.build_parser.cache_clear()
+
+
+def test_a_patched_handler_runs_on_every_call(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, cli.cmd_qpt)
+    for name in ("a", "b"):
+        assert main(["qpt", "--exact", "--out", str(tmp_path / f"{name}.json")]) == 0
+    assert len(calls) == 2
+
+
+def _calibration_with_unknown_key(path):
+    d = json.loads((DATA_DIR / "example_calibration.json").read_text())
+    d["qubits"][0]["t3_us"] = 50.0
+    path.write_text(json.dumps(d))
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["qpt", "--exact", "--noise", "{dir}/bad.json"], ["qubits[0]", "t3_us"]),
+    (["fit-noise", "--target-fidelity", "0.9", "--calib", "{dir}/missing.json"],
+     ["missing.json"]),
+    (["state", "--circuit", "{dir}/missing_circuit.json"], ["missing_circuit.json"]),
+], ids=["noise-unknown-key", "missing-calib", "missing-circuit"])
+def test_bad_input_file_exits_1_naming_it_and_writes_nothing(tmp_path, capsys, argv, names):
+    _calibration_with_unknown_key(tmp_path / "bad.json")
+    before = sorted(tmp_path.iterdir())
+    out = tmp_path / "runs" / "x.json"
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for name in names:
+        assert name in err
+    assert sorted(tmp_path.iterdir()) == before

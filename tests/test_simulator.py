@@ -218,6 +218,24 @@ def test_counts_record_validation():
     assert rec.exact and np.allclose(rec.frequencies(), 0.25)
 
 
+@pytest.mark.parametrize("probs", [
+    (float("nan"), 0.5, 0.25, 0.25),
+    (0.5, float("nan"), 0.25, 0.25),
+    (float("inf"), 0.0, 0.0, 0.0),
+    (0.9, 0.9, 0.9, 0.9),
+    (0.5, 0.5),
+    (1.0 + 1e-6, -1e-6, 0.0, 0.0),
+], ids=["nan", "nan-not-first", "inf", "sum", "length", "negative"])
+def test_exact_counts_record_needs_a_probability_4_vector(probs):
+    with pytest.raises(ValueError, match=r"^probabilities \[.*\] are not 4 finite entries"):
+        CountsRecord("ZZ", None, None, probs)
+
+
+def test_exact_counts_record_allows_sample_counts_rounding():
+    rec = CountsRecord("ZZ", None, None, (1.0 + 5e-10, -5e-10, 0.0, 0.0))
+    assert rec.probs == (1.0 + 5e-10, -5e-10, 0.0, 0.0)
+
+
 def test_basis_state_rejects_garbage():
     with pytest.raises(ValueError):
         basis_state("02")
@@ -262,6 +280,11 @@ def test_stacked_sample_counts_need_a_seed_and_a_setting_per_row():
         sample_counts([[1, 0, 0, 0]] * 2, 10, [1], ["ZZ", "XX"])
     with pytest.raises(ValueError, match="4-vector"):
         sample_counts(np.ones((2, 2, 4)) / 4, 10, [1, 2], ["ZZ", "XX"])
+
+
+def test_sample_counts_rejects_an_empty_stack():
+    with pytest.raises(ValueError, match="empty stack of distributions"):
+        sample_counts(np.zeros((0, 4)), 10, [], [])
 
 
 @settings(max_examples=50, deadline=None)

@@ -183,8 +183,41 @@ def test_dataset_completeness_enforced():
     ds = run_qpt(Circuit(), shots=10, seed=0)
     broken = dict(ds.records)
     broken.pop(("0:0", "XX"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"1 grid cells missing, first 0:0\|XX"):
         TomographyDataset(broken, 10, 0, "noiseless", Circuit().to_json())
+
+
+def _exact_dataset_json() -> dict:
+    return json.loads(run_qpt(synthesize_ms_circuit()).to_json())
+
+
+def _relabel(d):
+    d["records"]["0:0|XX"]["setting"] = "ZZ"
+
+
+def _add_junk_cell(d):
+    d["records"]["junk|ZZ"] = d["records"]["0:0|ZZ"]
+
+
+def _set_probabilities(probs):
+    def edit(d):
+        d["records"]["0:0|XX"]["probabilities"] = probs
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_relabel, r"cell 0:0\|XX holds a ZZ record"),
+    (_add_junk_cell, r"outside the 16x9 grid: junk\|ZZ"),
+    (_set_probabilities([float("nan"), 0.5, 0.25, 0.25]),
+     r"records\['0:0\|XX'\]: probabilities \[nan, 0.5"),
+    (_set_probabilities([0.9, 0.9, 0.9, 0.9]), r"records\['0:0\|XX'\]: probabilities \[0.9"),
+    (_set_probabilities([0.5, 0.5]), r"records\['0:0\|XX'\]: probabilities \[0.5, 0.5\]"),
+], ids=["mislabeled", "extra-cell", "nan", "sum", "length"])
+def test_dataset_json_rejects_malformed_cells_naming_them(edit, message):
+    d = _exact_dataset_json()
+    edit(d)
+    with pytest.raises(ValueError, match=message):
+        TomographyDataset.from_json(json.dumps(d))
 
 
 def test_dataset_uniform_shots_enforced():

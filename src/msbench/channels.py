@@ -18,6 +18,7 @@ Every representation applies to states through its Kraus operators
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -32,7 +33,6 @@ from .linalg import (
     is_unitary,
     kraus_sum,
     kron,
-    partial_trace,
 )
 
 REPRESENTATIONS = ("kraus", "choi", "chi")
@@ -40,18 +40,19 @@ REPRESENTATIONS = ("kraus", "choi", "chi")
 _EIG_CLIP = 1e-12
 _CHOI_ATOL_PSD = 1e-8
 _CHOI_ATOL_TP = 1e-6
+# project_cptp's absolute bound on |Tr_out J - I/d|_F, and its step cap.
+_TP_GAP = 1e-12
+_NEWTON_STEP_CAP = 50
 
 
 class ProjectionError(RuntimeError):
-    """Alternating projection onto the CPTP set failed to converge."""
+    """``project_cptp`` reached its step cap with the TP gap above ``_TP_GAP``."""
 
-    def __init__(self, iterations: int, residual: float):
-        self.iterations = iterations
-        self.residual = residual
-        super().__init__(
-            f"CPTP projection did not converge after {iterations} iterations "
-            f"(last successive-iterate residual {residual:.3e})"
-        )
+    def __init__(self, steps: int, tp_gap: float):
+        self.steps = steps
+        self.tp_gap = tp_gap
+        super().__init__(f"CPTP projection reached its Newton step cap ({steps}) at TP "
+                         f"gap {tp_gap:.3e}, above {_TP_GAP:.0e}")
 
 
 def pauli_basis(num_qubits: int) -> list[np.ndarray]:
@@ -64,20 +65,25 @@ def pauli_basis(num_qubits: int) -> list[np.ndarray]:
     return out
 
 
+@functools.cache
 def _pauli_change_of_basis(dim: int) -> np.ndarray:
     """Unitary with columns flat(P_m)/sqrt(d); maps chi to Choi."""
-    n = dim.bit_length() - 1
-    cols = [p.reshape(-1) / np.sqrt(dim) for p in pauli_basis(n)]
-    return np.column_stack(cols)
+    return np.column_stack([p.reshape(-1) / np.sqrt(dim)
+                            for p in pauli_basis(dim.bit_length() - 1)])
 
 
-_BASIS_CACHE: dict[int, np.ndarray] = {}
+@functools.cache
+def _lifted_basis(dim: int) -> np.ndarray:
+    """The stack of I_out (x) B_k, over the orthonormal Hermitian basis
+    B_k = P_k/sqrt(d) of the input space that ``_pauli_change_of_basis`` holds."""
+    return np.kron(np.eye(dim), _pauli_change_of_basis(dim).T.reshape(-1, dim, dim))
 
 
-def _basis_matrix(dim: int) -> np.ndarray:
-    if dim not in _BASIS_CACHE:
-        _BASIS_CACHE[dim] = _pauli_change_of_basis(dim)
-    return _BASIS_CACHE[dim]
+def _tp_residual(j: np.ndarray, dim: int) -> np.ndarray:
+    """Coordinates Tr(B_k (Tr_out J - I/d)), J Hermitian; 2-norm |Tr_out J - I/d|_F."""
+    coords = (_lifted_basis(dim).reshape(dim * dim, -1) @ j.T.reshape(-1)).real
+    coords[0] -= 1 / np.sqrt(dim)  # Tr(B_0 I/d), as B_0 = I/sqrt(d)
+    return coords
 
 
 @dataclass(frozen=True)
@@ -128,7 +134,7 @@ class QuantumChannel:
         j = 0.5 * (j + dagger(j))
         if np.linalg.eigvalsh(j).min() < -_CHOI_ATOL_PSD:
             raise ValueError("Choi matrix is not positive semidefinite")
-        tp_gap = frobenius(dim * partial_trace(j, [1], [dim, dim]) - np.eye(dim))
+        tp_gap = dim * frobenius(_tp_residual(j, dim))
         if tp_gap > _CHOI_ATOL_TP:
             raise ValueError(f"Choi matrix is not trace-preserving (residual {tp_gap:.3e})")
         return QuantumChannel("choi", j, dim)
@@ -144,7 +150,7 @@ class QuantumChannel:
             raise ValueError("chi matrix is not Hermitian")
         if abs(np.trace(c).real - 1.0) > 1e-8:
             raise ValueError("chi matrix trace != 1 under the normalized convention")
-        b = _basis_matrix(dim)
+        b = _pauli_change_of_basis(dim)
         QuantumChannel.from_choi(b @ c @ dagger(b))  # CP/TP validation
         return QuantumChannel("chi", c, dim)
 
@@ -203,10 +209,10 @@ class QuantumChannel:
         if self.representation == "choi":
             if to == "kraus":
                 return QuantumChannel("kraus", _choi_to_kraus(self.data, self.dim), self.dim)
-            b = _basis_matrix(self.dim)
+            b = _pauli_change_of_basis(self.dim)
             return QuantumChannel("chi", dagger(b) @ self.data @ b, self.dim)
         # chi -> choi (-> kraus)
-        b = _basis_matrix(self.dim)
+        b = _pauli_change_of_basis(self.dim)
         ch = QuantumChannel("choi", b @ self.data @ dagger(b), self.dim)
         return ch if to == "choi" else ch.convert("kraus")
 
@@ -259,55 +265,45 @@ def identity_channel(dim: int = 4) -> QuantumChannel:
     return QuantumChannel.from_kraus([np.eye(dim, dtype=complex)])
 
 
-def project_cptp(
-    raw,
-    tol: float = 1e-9,
-    max_iterations: int = 10_000,
-) -> QuantumChannel:
-    """Project a Hermitian Choi-form matrix onto the CPTP set.
+def project_cptp(raw) -> QuantumChannel:
+    """Project a Hermitian Choi-form matrix X onto the CPTP set (Frobenius norm).
 
-    Alternating projections between the trace-preserving affine subspace and
-    the positive-semidefinite cone, with a Dykstra correction on the cone
-    step. Stops when successive iterates differ by less than ``tol`` in
-    Frobenius norm; the final iterate leaves the PSD step, so its spectrum is
-    clean and any residual TP error is bounded by the stopping tolerance.
-    The default tolerance is tight enough that re-projecting an output moves
-    it by less than 1e-8.
+    J = P(X + I_out (x) L), where P clips negative eigenvalues and the
+    Hermitian d x d matrix L makes Tr_out J = I/d. Semismooth Newton (Malick,
+    SIAM J. Matrix Anal. Appl. 26, 272 (2004); Qi & Sun, ibid. 28, 360 (2006))
+    finds L from X_tp, the projection of X onto the trace-preserving subspace.
+    Its Jacobian takes the divided differences of max(., 0); each step solves
+    (Jac + mu I) dL = g for the TP residual g, with mu = |g|/|X_tp|_F, so no
+    step outruns |X_tp|_F where Jac is singular. J is PSD, and its TP gap
+    |Tr_out J - I/d|_F is at most ``_TP_GAP``.
     """
     x = as_matrix(raw)
     side = x.shape[0]
     dim = int(np.sqrt(side))
-    if x.shape != (side, side) or dim * dim != side:
-        raise ValueError(f"expected a square d^2 x d^2 Choi-form matrix, got {x.shape}")
+    if x.shape != (side, side) or dim * dim != side or dim not in (2, 4):
+        raise ValueError(f"expected a 4x4 or 16x16 Choi-form matrix, got {x.shape}")
     if frobenius(x - dagger(x)) > 1e-6:
         raise ValueError("input is not Hermitian within 1e-6")
     x = 0.5 * (x + dagger(x))
 
-    target_in = np.eye(dim, dtype=complex) / dim
-
-    def project_tp(m):  # m is validated above; Tr_out by reshape, as in partial_trace
-        m = m.reshape(dim, dim, dim, dim).copy()
-        gap = np.trace(m, axis1=0, axis2=2) - target_in
-        # Subtracting I_out (x) gap / dim touches only the diagonal blocks (a, a).
-        np.einsum("aiaj->aij", m)[...] -= gap / dim
-        return m.reshape(side, side)
-
-    def project_psd(m):
-        vals, vecs = np.linalg.eigh(0.5 * (m + dagger(m)))
-        clipped = np.clip(vals, 0.0, None)
-        return (vecs * clipped) @ dagger(vecs)
-
-    correction = np.zeros_like(x)
-    prev = None
-    residual = np.inf
-    for _ in range(max_iterations):
-        y = project_tp(x)
-        z = project_psd(y + correction)
-        correction = y + correction - z
-        if prev is not None:
-            residual = frobenius(z - prev)
-            if residual < tol:
-                return QuantumChannel("choi", 0.5 * (z + dagger(z)), dim)
-        prev = z
-        x = z
-    raise ProjectionError(max_iterations, residual)
+    lifted = _lifted_basis(dim)
+    x = x - np.tensordot(_tp_residual(x, dim), lifted, 1) / dim  # X_tp
+    scale = frobenius(x)
+    coords = np.zeros(dim * dim)  # of L, less the shift that gave X_tp
+    for step in range(_NEWTON_STEP_CAP + 1):
+        vals, vecs = np.linalg.eigh(x + np.tensordot(coords, lifted, 1))
+        clipped = np.maximum(vals, 0.0)
+        j = (vecs * clipped) @ dagger(vecs)
+        residual = _tp_residual(j, dim)  # also that of j's Hermitian part
+        tp_gap = frobenius(residual)
+        if tp_gap <= _TP_GAP:
+            return QuantumChannel("choi", 0.5 * (j + dagger(j)), dim)
+        if step == _NEWTON_STEP_CAP:
+            raise ProjectionError(step, tp_gap)
+        # Jac_kl = Re Tr(T_k (omega o T_l)) with T_k = V^dag (I (x) B_k) V.
+        t = (dagger(vecs) @ lifted @ vecs).reshape(dim * dim, -1)
+        gaps = vals[:, None] - vals
+        omega = np.where(gaps == 0, vals[:, None] >= 0, 0.0)
+        np.divide(clipped[:, None] - clipped, gaps, out=omega, where=gaps != 0)
+        jac = ((t * omega.reshape(-1)) @ dagger(t)).real
+        coords -= np.linalg.solve(jac + tp_gap / scale * np.eye(dim * dim), residual)

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +23,9 @@ from .linalg import I2, PAULI_X, as_matrix, dagger, frobenius, is_unitary, kron
 
 SINGLE_QUBIT_KINDS = ("rz", "sx", "x")
 GATE_KINDS = SINGLE_QUBIT_KINDS + ("cnot",)
+# The JSON keys each gate kind needs besides "kind".
+_GATE_FIELDS = {"rz": ("qubit", "angle"), "sx": ("qubit",), "x": ("qubit",),
+               "cnot": ("control", "target")}
 
 _SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 
@@ -58,12 +63,13 @@ class Gate:
             if self.qubit not in (0, 1):
                 raise ValueError(f"{self.kind} qubit index must be 0 or 1")
             if self.kind == "rz":
-                if self.angle is None or not math.isfinite(self.angle):
-                    raise ValueError("rz angle must be finite")
+                if not isinstance(self.angle, numbers.Real) or not math.isfinite(self.angle):
+                    raise ValueError(f"rz angle must be a finite number, got {self.angle!r}")
+                object.__setattr__(self, "angle", float(self.angle))
 
     @staticmethod
     def rz(qubit: int, angle: float) -> "Gate":
-        return Gate("rz", qubit=qubit, angle=float(angle))
+        return Gate("rz", qubit=qubit, angle=angle)
 
     @staticmethod
     def sx(qubit: int) -> "Gate":
@@ -99,14 +105,15 @@ class Gate:
 
     @staticmethod
     def from_dict(d: dict) -> "Gate":
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, got {type(d).__name__}")
         kind = d.get("kind")
-        if kind == "cnot":
-            return Gate.cnot(d["control"], d["target"])
-        if kind == "rz":
-            return Gate.rz(d["qubit"], d["angle"])
-        if kind in ("sx", "x"):
-            return Gate(kind, qubit=d["qubit"])
-        raise ValueError(f"unknown gate kind {kind!r}")
+        if kind not in _GATE_FIELDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        missing = [key for key in _GATE_FIELDS[kind] if key not in d]
+        if missing:
+            raise ValueError(f"missing key {missing[0]!r}")
+        return Gate(kind, **{key: d[key] for key in _GATE_FIELDS[kind]})
 
 
 def _single_qubit_matrix(kind: str, angle: float | None) -> np.ndarray:
@@ -152,7 +159,27 @@ class Circuit:
 
     @staticmethod
     def from_json(text: str) -> "Circuit":
-        return Circuit(tuple(Gate.from_dict(d) for d in json.loads(text)))
+        """Read a JSON list of gate records; a bad record fails naming its index."""
+        records = json.loads(text)
+        if not isinstance(records, list):
+            raise ValueError(f"circuit: expected a JSON list of gates, "
+                             f"got {type(records).__name__}")
+        gates = []
+        for i, d in enumerate(records):
+            try:
+                gates.append(Gate.from_dict(d))
+            except ValueError as err:
+                raise ValueError(f"gates[{i}]: {err}") from None
+        return Circuit(tuple(gates))
+
+    @staticmethod
+    def load(path) -> "Circuit":
+        """Read a circuit file; a malformed one fails naming its path."""
+        text = Path(path).read_text()
+        try:
+            return Circuit.from_json(text)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ def _write_manifest(out: Path, args: argparse.Namespace, cal_fingerprint: str,
 def _load_circuit(name_or_path: str) -> tuple[Circuit, str]:
     if name_or_path in BUILTIN_CIRCUITS:
         return BUILTIN_CIRCUITS[name_or_path](), name_or_path
-    return Circuit.from_json(Path(name_or_path).read_text()), "custom"
+    return Circuit.load(name_or_path), "custom"
 
 
 def _load_noise(path: str | None):

@@ -17,6 +17,8 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 PAULIS_1Q = {"I": I2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
+_DENSITY_ATOL = 1e-8  # check_density_matrix's Hermiticity, trace and PSD tolerance
+
 
 def as_matrix(m) -> np.ndarray:
     """Coerce to a finite 2-D complex array."""
@@ -85,7 +87,7 @@ def is_unitary(m, atol: float = 1e-10) -> bool:
     return frobenius(dagger(m) @ m - np.eye(m.shape[0])) <= atol
 
 
-def check_density_matrix(rho, dim: int = 4, atol: float = 1e-8) -> np.ndarray:
+def check_density_matrix(rho, dim: int = 4) -> np.ndarray:
     """Validate a density matrix, or each of a stack of them: Hermitian, unit
     trace, PSD within -1e-8. Returns the complex array. A stack is checked
     with one batched ``eigvalsh``; a defective state in it fails with the
@@ -94,7 +96,7 @@ def check_density_matrix(rho, dim: int = 4, atol: float = 1e-8) -> np.ndarray:
         rho = np.asarray(rho, dtype=complex)
     except ValueError:  # states of different shapes: fail on the first bad one
         for state in rho:
-            check_density_matrix(state, dim, atol)
+            check_density_matrix(state, dim)
         raise
     if rho.ndim not in (2, 3):
         raise ValueError(f"expected a 2-D matrix, got ndim={rho.ndim}")
@@ -103,12 +105,12 @@ def check_density_matrix(rho, dim: int = 4, atol: float = 1e-8) -> np.ndarray:
     if rho.shape[-2:] != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} density matrix, got {rho.shape[-2:]}")
     states = rho.reshape(-1, dim, dim)
-    if (np.linalg.norm(states - dagger(states), axis=(1, 2)) > atol).any():
+    if (np.linalg.norm(states - dagger(states), axis=(1, 2)) > _DENSITY_ATOL).any():
         raise ValueError("density matrix is not Hermitian")
     traces = np.trace(states, axis1=1, axis2=2)
-    off = np.abs(traces.real - 1.0) > atol
+    off = np.abs(traces.real - 1.0) > _DENSITY_ATOL
     if off.any():
         raise ValueError(f"density matrix trace {traces[off][0]:.3g} != 1")
-    if np.linalg.eigvalsh(0.5 * (states + dagger(states))).min() < -atol:
+    if np.linalg.eigvalsh(0.5 * (states + dagger(states))).min() < -_DENSITY_ATOL:
         raise ValueError("density matrix is not positive semidefinite")
     return rho

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -24,10 +25,12 @@ from .linalg import I2, kron
 
 DEFAULT_DURATIONS_NS = {"rz": 0.0, "sx": 35.0, "cnot": 300.0}
 CALIBRATION_KEYS = ("qubits", "durations_ns", "p_dep")
+_FIT_MAX_STEPS = 80  # fit_depolarizing's cap; one-CNOT circuits need 1
 # Optional per-qubit fields: written only when set, read as None when absent.
 _OPTIONAL_QUBIT_KEYS = ("frequency_ghz", "anharmonicity_ghz", "readout_error_01",
                         "readout_error_10")
 QUBIT_KEYS = ("id", "t1_us", "t2_us", "readout_error") + _OPTIONAL_QUBIT_KEYS
+_REQUIRED_QUBIT_KEYS = ("id", "t1_us", "t2_us")
 
 
 class UnachievableTargetError(ValueError):
@@ -46,6 +49,12 @@ class QubitCalibration:
     readout_error_10: float | None = None  # P(read 0 | prepared 1) override
 
     def __post_init__(self):
+        if not isinstance(self.qubit, numbers.Integral):
+            raise ValueError(f"qubit id {self.qubit!r} is not an integer")
+        for name in ("t1_us", "t2_us", "readout_error") + _OPTIONAL_QUBIT_KEYS:
+            value = getattr(self, name)
+            if not _is_number(value) and (value is not None or name not in _OPTIONAL_QUBIT_KEYS):
+                raise ValueError(f"qubit {self.qubit}: {name} = {value!r} is not a number")
         for name in ("t1_us", "t2_us"):
             if math.isnan(getattr(self, name)):
                 raise ValueError(f"qubit {self.qubit}: {name} = nan is not a number")
@@ -81,20 +90,20 @@ class DeviceCalibration:
     p_dep: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.p_dep <= 1.0:
-            raise ValueError(f"p_dep = {self.p_dep} outside [0, 1]")
+        if not _is_number(self.p_dep) or not 0.0 <= self.p_dep <= 1.0:
+            raise ValueError(f"p_dep = {self.p_dep!r} is not a number in [0, 1]")
         object.__setattr__(self, "qubits", tuple(self.qubits))
         ids = [q.qubit for q in self.qubits]
         duplicates = sorted({i for i in ids if ids.count(i) > 1})
         if duplicates:
             raise ValueError(f"duplicate qubit id {', '.join(map(str, duplicates))}")
-        given = dict(self.durations_ns or {})
-        _reject_unknown_keys(given, GATE_KINDS, "durations_ns")
+        given = self.durations_ns or {}
+        _check_record(given, (), GATE_KINDS, "durations_ns")
         durations = {**DEFAULT_DURATIONS_NS, **given}
         durations.setdefault("x", durations["sx"])  # X is a single pulse, like SX
         for key, value in durations.items():
-            if not math.isfinite(value):
-                raise ValueError(f"durations_ns[{key!r}] = {value} is not finite")
+            if not _is_number(value) or not math.isfinite(value):
+                raise ValueError(f"durations_ns[{key!r}] = {value!r} is not a finite number")
             if value < 0:
                 raise ValueError(f"durations_ns[{key!r}] = {value} is negative")
         object.__setattr__(self, "durations_ns", MappingProxyType(durations))
@@ -125,9 +134,11 @@ class DeviceCalibration:
 
     @staticmethod
     def from_dict(d: dict) -> "DeviceCalibration":
-        _reject_unknown_keys(d, CALIBRATION_KEYS, "calibration")
+        _check_record(d, ("qubits",), CALIBRATION_KEYS, "calibration")
+        if not isinstance(d["qubits"], list):
+            raise ValueError("calibration: qubits must be a list of qubit records")
         for i, rec in enumerate(d["qubits"]):
-            _reject_unknown_keys(rec, QUBIT_KEYS, f"qubits[{i}]")
+            _check_record(rec, _REQUIRED_QUBIT_KEYS, QUBIT_KEYS, f"qubits[{i}]")
         qubits = tuple(
             QubitCalibration(
                 qubit=rec["id"],
@@ -149,14 +160,29 @@ class DeviceCalibration:
 
     @staticmethod
     def load(path) -> "DeviceCalibration":
+        """Read a calibration file; a malformed one fails naming its path."""
         with open(path) as fh:
-            return DeviceCalibration.from_json(fh.read())
+            text = fh.read()
+        try:
+            return DeviceCalibration.from_json(text)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
 
 
-def _reject_unknown_keys(record: Mapping, known, where: str) -> None:
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_record(record, required, known, where: str) -> None:
+    """A JSON object holding every key of ``required`` and no key outside ``known``."""
+    if not isinstance(record, Mapping):
+        raise ValueError(f"{where}: expected a JSON object, got {type(record).__name__}")
+    missing = [key for key in required if key not in record]
+    if missing:
+        raise ValueError(f"{where}: missing key {missing[0]!r}")
     unknown = [key for key in record if key not in known]
     if unknown:
         raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}; "
@@ -278,7 +304,6 @@ def fit_depolarizing(
     circuit: Circuit,
     cal: DeviceCalibration,
     tol: float = 1e-3,
-    max_iterations: int = 80,
 ) -> tuple[float, float]:
     """Find the two-qubit depolarizing probability at which the exact-probability
     tomographic fidelity of ``circuit`` under the calibration matches
@@ -321,7 +346,7 @@ def fit_depolarizing(
     lo, r_lo = 0.0, f_zero - target_fidelity
     hi, r_hi = 1.0, f_hi - target_fidelity
     kept = None  # the end that the previous step left in place
-    for _ in range(max_iterations):
+    for _ in range(_FIT_MAX_STEPS):
         p = (lo * r_hi - hi * r_lo) / (r_hi - r_lo)
         f = fidelity_at(p)
         r = f - target_fidelity
@@ -339,5 +364,5 @@ def fit_depolarizing(
             kept = "lo"
     raise UnachievableTargetError(
         f"false position failed to reach fidelity {target_fidelity} within {tol} "
-        f"after {max_iterations} iterations"
+        f"after {_FIT_MAX_STEPS} false-position steps"
     )

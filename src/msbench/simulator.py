@@ -303,6 +303,9 @@ def sample_counts(dist, shots: int, seed, setting="ZZ") -> CountsRecord | list[C
         raise ValueError("distribution must be a 4-vector")
     if dist.size == 0:
         raise ValueError("empty stack of distributions: need at least one row")
+    finite = np.isfinite(dist).all(axis=-1)
+    if not finite.all():
+        raise ValueError(f"distribution row {np.flatnonzero(~finite)[0]} has non-finite entries")
     if dist.min() < -_PROB_ATOL:
         raise ValueError(f"negative probability {dist.min():.3e}")
     sums = dist.sum(axis=-1)

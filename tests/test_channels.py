@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msbench import channels
 from msbench.channels import (
     REPRESENTATIONS,
     ProjectionError,
@@ -234,6 +235,42 @@ def test_project_cptp_rejects_nonhermitian():
     raw[0, 1] = 1.0
     with pytest.raises(ValueError):
         project_cptp(raw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4]),
+       log_scale=st.floats(-2.0, 0.0))
+def test_project_cptp_is_the_exact_projection(seed, dim, log_scale):
+    """PSD, trace-preserving and idempotent to 1e-12, and X - J makes an
+    obtuse angle with every CPTP Y - J: J is the nearest CPTP point to X."""
+    rng = np.random.default_rng(seed)
+    side = dim * dim
+    g = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+    x = 10**log_scale * (g + g.conj().T) / np.linalg.norm(g)
+    j = project_cptp(x).choi_matrix()
+    assert np.linalg.eigvalsh(j).min() >= -1e-12
+    assert np.linalg.norm(partial_trace(j, [1], [dim, dim]) - np.eye(dim) / dim) <= 1e-12
+    assert np.linalg.norm(project_cptp(j).choi_matrix() - j) <= 1e-12
+    y = random_cptp_kraus(rng, dim=dim, n_kraus=int(rng.integers(1, 5))).choi_matrix()
+    assert np.trace((x - j) @ (y - j)).real <= 1e-10
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("factor", [0.0, -1.0, 1.0])
+def test_project_cptp_maps_multiples_of_identity_to_full_depolarizing(dim, factor):
+    out = project_cptp(factor * np.eye(dim * dim)).choi_matrix()
+    assert np.abs(out - np.eye(dim * dim) / dim**2).max() <= 1e-12
+
+
+def test_project_cptp_raises_at_its_step_cap(rng, monkeypatch):
+    monkeypatch.setattr(channels, "_NEWTON_STEP_CAP", 1)
+    g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    far = 10 * (g + g.conj().T) / np.linalg.norm(g)
+    with pytest.raises(ProjectionError, match="step cap") as info:
+        project_cptp(far)
+    assert info.value.steps == 1
+    assert info.value.tp_gap > 1e-12
+    assert f"{info.value.tp_gap:.3e}" in str(info.value)
 
 
 def test_channel_json_roundtrip(rng):

@@ -295,20 +295,48 @@ def test_a_patched_handler_runs_on_every_call(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
-def _calibration_with_unknown_key(path):
+def _calibration_with_unknown_key():
     d = json.loads((DATA_DIR / "example_calibration.json").read_text())
     d["qubits"][0]["t3_us"] = 50.0
-    path.write_text(json.dumps(d))
+    return json.dumps(d)
 
 
-@pytest.mark.parametrize("argv, names", [
-    (["qpt", "--exact", "--noise", "{dir}/bad.json"], ["qubits[0]", "t3_us"]),
-    (["fit-noise", "--target-fidelity", "0.9", "--calib", "{dir}/missing.json"],
+def _calibration_with_qubit(**fields):
+    return json.dumps({"qubits": [{"id": 0, "t1_us": 100.0, "t2_us": 80.0, **fields}]})
+
+
+QPT_NOISE = ["qpt", "--exact", "--noise", "{dir}/bad.json"]
+FIT_CALIB = ["fit-noise", "--target-fidelity", "0.9", "--calib", "{dir}/bad.json"]
+QPT_CIRCUIT = ["qpt", "--exact", "--circuit", "{dir}/bad.json"]
+
+
+@pytest.mark.parametrize("argv, content, names", [
+    (QPT_NOISE, _calibration_with_unknown_key(), ["qubits[0]", "t3_us"]),
+    (["fit-noise", "--target-fidelity", "0.9", "--calib", "{dir}/missing.json"], None,
      ["missing.json"]),
-    (["state", "--circuit", "{dir}/missing_circuit.json"], ["missing_circuit.json"]),
-], ids=["noise-unknown-key", "missing-calib", "missing-circuit"])
-def test_bad_input_file_exits_1_naming_it_and_writes_nothing(tmp_path, capsys, argv, names):
-    _calibration_with_unknown_key(tmp_path / "bad.json")
+    (["state", "--circuit", "{dir}/missing_circuit.json"], None, ["missing_circuit.json"]),
+    (FIT_CALIB, json.dumps({"qubits": [{"id": 0, "t2_us": 80.0}]}),
+     ["bad.json", "qubits[0]: missing key 't1_us'"]),
+    (FIT_CALIB, _calibration_with_qubit(t1_us="abc"), ["bad.json", "t1_us = 'abc'"]),
+    (FIT_CALIB, json.dumps({"qubits": [], "p_dep": "x"}), ["bad.json", "p_dep = 'x'"]),
+    (FIT_CALIB, json.dumps({"p_dep": 0.1}), ["bad.json", "missing key 'qubits'"]),
+    (FIT_CALIB, "[]", ["bad.json", "calibration: expected a JSON object"]),
+    (QPT_CIRCUIT, '[{"kind": "rz", "qubit": 0}]', ["bad.json", "gates[0]: missing key 'angle'"]),
+    (["state", "--circuit", "{dir}/bad.json"], '[{"kind": "sx"}]',
+     ["bad.json", "gates[0]: missing key 'qubit'"]),
+    (QPT_CIRCUIT, "[1]", ["bad.json", "gates[0]: expected a JSON object"]),
+    (QPT_CIRCUIT, "{}", ["bad.json", "expected a JSON list of gates"]),
+    (["stability", "--calib-a", "{dir}/bad.json",
+      "--calib-b", str(DATA_DIR / "example_calibration.json")],
+     "{", ["bad.json", "Expecting property name"]),
+], ids=["noise-unknown-key", "missing-calib", "missing-circuit", "calib-missing-t1",
+        "calib-string-t1", "calib-string-p-dep", "calib-missing-qubits", "calib-not-an-object",
+        "rz-missing-angle", "sx-missing-qubit", "gate-not-an-object", "circuit-not-a-list",
+        "calib-not-json"])
+def test_bad_input_file_exits_1_naming_it_and_writes_nothing(tmp_path, capsys, argv, content,
+                                                             names):
+    if content is not None:
+        (tmp_path / "bad.json").write_text(content)
     before = sorted(tmp_path.iterdir())
     out = tmp_path / "runs" / "x.json"
     argv = [arg.format(dir=tmp_path) for arg in argv]

@@ -287,6 +287,15 @@ def test_sample_counts_rejects_an_empty_stack():
         sample_counts(np.zeros((0, 4)), 10, [], [])
 
 
+@pytest.mark.parametrize("dist, seed, setting, row", [
+    ([np.nan, 0.5, 0.25, 0.25], 0, "ZZ", 0),
+    ([[0.25] * 4, [0.5, np.inf, 0.0, 0.0], [np.nan] * 4], [1, 2, 3], ["ZZ"] * 3, 1),
+], ids=["vector", "stack"])
+def test_sample_counts_rejects_non_finite_rows_naming_the_first(dist, seed, setting, row):
+    with pytest.raises(ValueError, match=f"^distribution row {row} has non-finite entries"):
+        sample_counts(dist, 10, seed, setting)
+
+
 @settings(max_examples=50, deadline=None)
 @given(seeds=st.lists(st.integers(0, 2**64 - 1) | st.integers(0, 2**320), min_size=1,
                       max_size=8))

@@ -41,7 +41,6 @@ from .simulator import CountsRecord, basis_state, evolve, expectation, outcome_d
 from .tomography import (
     TomographyDataset,
     average_gate_fidelity,
-    design_experiments,
     process_fidelity,
     reconstruct_channel,
     run_qpt,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +27,7 @@ GATE_KINDS = SINGLE_QUBIT_KINDS + ("cnot",)
 # The JSON keys each gate kind needs besides "kind".
 _GATE_FIELDS = {"rz": ("qubit", "angle"), "sx": ("qubit",), "x": ("qubit",),
                "cnot": ("control", "target")}
+_GATE_KEYS = ("kind", "qubit", "angle", "control", "target")
 
 _SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 
@@ -63,7 +65,7 @@ class Gate:
             if self.qubit not in (0, 1):
                 raise ValueError(f"{self.kind} qubit index must be 0 or 1")
             if self.kind == "rz":
-                if not isinstance(self.angle, numbers.Real) or not math.isfinite(self.angle):
+                if not _is_number(self.angle) or not math.isfinite(self.angle):
                     raise ValueError(f"rz angle must be a finite number, got {self.angle!r}")
                 object.__setattr__(self, "angle", float(self.angle))
 
@@ -104,16 +106,33 @@ class Gate:
         return d
 
     @staticmethod
-    def from_dict(d: dict) -> "Gate":
-        if not isinstance(d, dict):
-            raise ValueError(f"expected a JSON object, got {type(d).__name__}")
-        kind = d.get("kind")
-        if kind not in _GATE_FIELDS:
-            raise ValueError(f"unknown gate kind {kind!r}")
-        missing = [key for key in _GATE_FIELDS[kind] if key not in d]
-        if missing:
-            raise ValueError(f"missing key {missing[0]!r}")
-        return Gate(kind, **{key: d[key] for key in _GATE_FIELDS[kind]})
+    def from_dict(d, where: str) -> "Gate":
+        """A gate from a JSON object holding ``kind`` and exactly the keys that
+        kind needs; every error is prefixed with ``where``."""
+        kind = d.get("kind") if isinstance(d, Mapping) else None
+        keys = ("kind", *_GATE_FIELDS.get(kind, ()))
+        _check_record(d, keys, keys if kind in _GATE_FIELDS else _GATE_KEYS, where)
+        try:
+            return Gate(**d)
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_record(record, required, known, where: str) -> None:
+    """A JSON object holding every key of ``required`` and no key outside ``known``."""
+    if not isinstance(record, Mapping):
+        raise ValueError(f"{where}: expected a JSON object, got {type(record).__name__}")
+    missing = [key for key in required if key not in record]
+    if missing:
+        raise ValueError(f"{where}: missing key {missing[0]!r}")
+    unknown = [key for key in record if key not in known]
+    if unknown:
+        raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}; "
+                         f"expected one of {', '.join(known)}")
 
 
 def _single_qubit_matrix(kind: str, angle: float | None) -> np.ndarray:
@@ -164,13 +183,7 @@ class Circuit:
         if not isinstance(records, list):
             raise ValueError(f"circuit: expected a JSON list of gates, "
                              f"got {type(records).__name__}")
-        gates = []
-        for i, d in enumerate(records):
-            try:
-                gates.append(Gate.from_dict(d))
-            except ValueError as err:
-                raise ValueError(f"gates[{i}]: {err}") from None
-        return Circuit(tuple(gates))
+        return Circuit(tuple(Gate.from_dict(d, f"gates[{i}]") for i, d in enumerate(records)))
 
     @staticmethod
     def load(path) -> "Circuit":

@@ -20,7 +20,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .channels import QuantumChannel, identity_channel, pauli_basis
-from .circuits import GATE_KINDS, Circuit
+from .circuits import GATE_KINDS, Circuit, _check_record, _is_number
 from .linalg import I2, kron
 
 DEFAULT_DURATIONS_NS = {"rz": 0.0, "sx": 35.0, "cnot": 300.0}
@@ -170,23 +170,6 @@ class DeviceCalibration:
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_record(record, required, known, where: str) -> None:
-    """A JSON object holding every key of ``required`` and no key outside ``known``."""
-    if not isinstance(record, Mapping):
-        raise ValueError(f"{where}: expected a JSON object, got {type(record).__name__}")
-    missing = [key for key in required if key not in record]
-    if missing:
-        raise ValueError(f"{where}: missing key {missing[0]!r}")
-    unknown = [key for key in record if key not in known]
-    if unknown:
-        raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}; "
-                         f"expected one of {', '.join(known)}")
 
 
 def damping_channel(t1_us: float, t2_us: float, duration_ns: float) -> QuantumChannel:

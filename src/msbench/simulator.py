@@ -5,19 +5,20 @@ sets, and measurement probabilities are computed in closed form. Shot noise
 is the only stochastic element, drawn multinomially from a seeded generator.
 
 Batches: ``evolve``, ``outcome_distribution``, ``sample_counts`` and
-``expectation`` take a leading stack axis (many states, distributions or
-frequency vectors); a single one is the one-element case of the same code.
-Input checks (``check_density_matrix``, the distribution checks) run once
-over the whole stack, and a defective entry fails with the message it fails
-with alone. Each entry in a stack goes through exactly the floating-point
-operations it would go through alone: stacked ``u @ rho @ u^dag`` products,
-Kraus terms summed by ``linalg.kraus_sum`` in the order the channel lists
-them, per-state normalization, an ``einsum`` for the readout confusion, and
-a per-row clip, renormalization and draw from the row's own PCG64 stream.
-Sampled counts depend on this. Many outcome distributions sit on ties such
-as p = 0.5 between two outcomes, where a one-ulp change flips the binomial
-draw and swaps two counts; folding the gates into one superoperator, or the
-confusion into one flattened matrix product, changes such ulps.
+``expectation`` take a leading stack axis; a single entry is the one-element
+case of the same code, except that ``sample_counts`` turns one 4-vector into
+a ``CountsRecord`` and a stack into an (n, 4) count array. Input checks
+(``check_density_matrix``, ``distribution_defect``) run once over the stack,
+and a defective entry fails with the message it fails with alone. Each entry
+goes through exactly the floating-point operations it would go through
+alone: stacked ``u @ rho @ u^dag`` products, Kraus terms summed by
+``linalg.kraus_sum`` in the order the channel lists them, per-state
+normalization, an ``einsum`` for the readout confusion, and a per-row clip,
+renormalization and draw from the row's own PCG64 stream. Sampled counts
+depend on this. Many outcome distributions sit on ties such as p = 0.5
+between two outcomes, where a one-ulp change flips the binomial draw and
+swaps two counts; folding the gates into one superoperator, or the confusion
+into one flattened matrix product, changes such ulps.
 
 RNG: numpy PCG64 (algorithm id ``numpy-PCG64-multinomial``). A row
 sampled with seed s gets the counts of
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import Circuit, _check_record
 from .linalg import I2, check_density_matrix, dagger, kraus_sum, kron
 
 RNG_ALGORITHM = "numpy-PCG64-multinomial"
@@ -197,8 +198,10 @@ class CountsRecord:
         if self.counts is not None:
             if self.shots is None or self.shots <= 0:
                 raise ValueError("counted records need a positive shot number")
-            if any(v < 0 for v in self.counts.values()):
-                raise ValueError("negative counts")
+            _check_record(self.counts, (), BITSTRINGS, "counts")
+            for key, value in self.counts.items():
+                if not (type(value) is int or isinstance(value, np.integer)) or value < 0:
+                    raise ValueError(f"counts[{key!r}] = {value!r} is not a non-negative integer")
             if sum(self.counts.values()) != self.shots:
                 raise ValueError("counts do not sum to shots")
             object.__setattr__(
@@ -289,46 +292,54 @@ def outcome_distribution(rho, setting, confusion=None) -> np.ndarray:
     return probs[..., 0, :] if isinstance(setting, str) else probs
 
 
-def sample_counts(dist, shots: int, seed, setting="ZZ") -> CountsRecord | list[CountsRecord]:
+def distribution_defect(rows: np.ndarray) -> tuple[int, str] | None:
+    """The first row of an (n, 4) stack that is not a probability 4-vector (a
+    NaN or inf fails a test), with the message it fails with alone, or None."""
+    ok = (rows.min(axis=1) >= -_PROB_ATOL) & (np.abs(rows.sum(axis=1) - 1.0) <= _PROB_ATOL)
+    if ok.all():
+        return None
+    i = int(np.argmin(ok))
+    if not np.isfinite(rows[i]).all():
+        return i, f"distribution row {i} has non-finite entries"
+    if rows[i].min() < -_PROB_ATOL:
+        return i, f"negative probability {rows[i].min():.3e}"
+    return i, f"distribution sums to {rows[i].sum():.12f}, not 1"
+
+
+def sample_counts(dist, shots: int, seed, setting="ZZ") -> CountsRecord | np.ndarray:
     """Deterministic multinomial draw from a probability 4-vector: the counts
     of ``np.random.Generator(np.random.PCG64(seed)).multinomial``, for a
-    non-negative integer ``seed``.
+    non-negative integer ``seed``, as a record of ``setting``.
 
-    Given an (n, 4) stack instead, ``seed`` and ``setting`` hold one entry per
-    row, and the result is the list of the n records the single-row calls
-    would return.
+    Given an (n, 4) stack instead, ``seed`` holds one seed per row, and the
+    result is the (n, 4) int64 array of the counts the single-row calls
+    would draw, in ``BITSTRINGS`` order.
     """
     dist = np.asarray(dist, dtype=float)
     if dist.ndim not in (1, 2) or dist.shape[-1] != 4:
         raise ValueError("distribution must be a 4-vector")
     if dist.size == 0:
         raise ValueError("empty stack of distributions: need at least one row")
-    finite = np.isfinite(dist).all(axis=-1)
-    if not finite.all():
-        raise ValueError(f"distribution row {np.flatnonzero(~finite)[0]} has non-finite entries")
-    if dist.min() < -_PROB_ATOL:
-        raise ValueError(f"negative probability {dist.min():.3e}")
-    sums = dist.sum(axis=-1)
-    off = np.abs(sums - 1.0) > _PROB_ATOL
-    if off.any():
-        raise ValueError(f"distribution sums to {sums[off][0]:.12f}, not 1")
+    rows = dist.reshape(-1, 4)
+    defect = distribution_defect(rows)
+    if defect is not None:
+        raise ValueError(defect[1])
     if shots <= 0:
         raise ValueError("shots must be positive")
-    dist = np.clip(dist, 0.0, None)
-    dist /= dist.sum(axis=-1, keepdims=True)
-    single = dist.ndim == 1
-    seeds, settings = ([seed], [setting]) if single else (list(seed), list(setting))
-    if not len(seeds) == len(settings) == len(dist.reshape(-1, 4)):
-        raise ValueError("a stack of distributions needs one seed and one setting per row")
+    rows = np.clip(rows, 0.0, None)
+    rows /= rows.sum(axis=1, keepdims=True)
+    seeds = [seed] if dist.ndim == 1 else list(seed)
+    if len(seeds) != len(rows):
+        raise ValueError("a stack of distributions needs one seed per row")
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    records = []
-    for row, (state, inc), row_setting in zip(dist.reshape(-1, 4), pcg64_states(seeds), settings):
+    counts = np.empty(rows.shape, dtype=np.int64)
+    for out, row, (state, inc) in zip(counts, rows, pcg64_states(seeds)):
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
-        draw = rng.multinomial(shots, row)
-        records.append(CountsRecord(row_setting, shots, dict(zip(BITSTRINGS, draw.tolist()))))
-    return records[0] if single else records
+        out[:] = rng.multinomial(shots, row)
+    return counts if dist.ndim == 2 else CountsRecord(setting, shots,
+                                                      dict(zip(BITSTRINGS, counts[0].tolist())))
 
 
 def compatible(observable: str, setting: str) -> bool:

@@ -15,18 +15,17 @@ Simulation: the 16 preparation prefixes run as a 4+4 tree. Qubit 0's
 prefix for each of the 4 tokens runs on |00>, then each of qubit 1's 4
 prefixes runs on that stack of 4 states at once: 10 gate applications, not
 40. The 16 prepared states go through the process in one ``evolve`` call,
-all 144 outcome distributions come from one ``outcome_distribution`` call,
-and one ``sample_counts`` call draws every cell from its own seed. The
-arithmetic per state is that of evolving each full circuit on its own, so
-sampled counts are unchanged. The 144 cell seeds follow the documented rule
-``SeedSequence(master, spawn_key=(prep, setting))`` and come from one array
-hash over all cells (``_experiment_seeds``), not from 144 ``SeedSequence``
-objects; ``sample_counts`` then draws each cell from the state
-``PCG64(cell seed)`` starts in, on one reused generator.
+with the arithmetic per state of evolving each full circuit on its own, so
+sampled counts are unchanged. One ``outcome_distribution`` call gives all
+144 cells' distributions, and one ``sample_counts`` call draws each cell
+from its own seed (``_experiment_seeds``, one array hash). Either result, a
+(144, 4) array in ``_CELLS`` order, goes unchanged into the dataset, which
+checks it once, and on to ``linear_inversion``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from .simulator import (
     apply_gates,
     basis_state,
     compatible,
+    distribution_defect,
     evolve,
     expectation,
     outcome_distribution,
@@ -53,38 +53,31 @@ from .simulator import (
 
 DEFAULT_SEED = 42
 
-PREP_TOKENS = ("0", "1", "+", "+i")
 SETTINGS = tuple(a + b for a, b in itertools.product("XYZ", "XYZ"))
 PAULI_LABELS = tuple(a + b for a, b in itertools.product("IXYZ", "IXYZ"))
 
-_PREP_KETS = {
-    "0": np.array([1, 0], dtype=complex),
-    "1": np.array([0, 1], dtype=complex),
-    "+": np.array([1, 1], dtype=complex) / np.sqrt(2),
-    "+i": np.array([1, 1j], dtype=complex) / np.sqrt(2),
+# Each token's ideal ket, and the native gates preparing it on qubit q from |0>.
+_PREPARATIONS = {
+    "0": (np.array([1, 0], dtype=complex), lambda q: ()),
+    "1": (np.array([0, 1], dtype=complex), lambda q: (Gate.x(q),)),
+    "+": (np.array([1, 1], dtype=complex) / np.sqrt(2),
+          lambda q: (Gate.sx(q), Gate.rz(q, np.pi / 2))),
+    "+i": (np.array([1, 1j], dtype=complex) / np.sqrt(2),
+           lambda q: (Gate.sx(q), Gate.rz(q, np.pi))),
 }
-
-# Gate sequences over the native set realizing each preparation from |0>.
-_PREP_GATES = {
-    "0": (),
-    "1": ("x",),
-    "+": ("sx", ("rz", np.pi / 2)),
-    "+i": ("sx", ("rz", np.pi)),
-}
+PREP_TOKENS = tuple(_PREPARATIONS)
 
 PREP_LABELS = tuple(f"{a}:{b}" for a, b in itertools.product(PREP_TOKENS, PREP_TOKENS))
 # The 144 (prep, setting) grid cells, prep-major: the row order of stacked outcomes.
 _CELLS = tuple(itertools.product(PREP_LABELS, SETTINGS))
-_CELL_SET = frozenset(_CELLS)
 # Their spawn keys (prep index, setting index), as a (2 x 144) uint32 array.
-_CELL_KEYS = np.array(list(itertools.product(range(len(PREP_LABELS)), range(len(SETTINGS)))),
-                      dtype=np.uint32).T
+_CELL_KEYS = np.indices((len(PREP_LABELS), len(SETTINGS)), dtype=np.uint32).reshape(2, -1)
 
 
 def prep_state(label: str) -> np.ndarray:
     """Ideal two-qubit density matrix for a preparation label like ``"0:+i"``."""
     t0, t1 = label.split(":")
-    ket = kron(_PREP_KETS[t0].reshape(2, 1), _PREP_KETS[t1].reshape(2, 1))
+    ket = kron(_PREPARATIONS[t0][0].reshape(2, 1), _PREPARATIONS[t1][0].reshape(2, 1))
     return ket @ dagger(ket)
 
 
@@ -92,42 +85,19 @@ def prep_state(label: str) -> np.ndarray:
 _PREP_STATES = np.array([prep_state(label) for label in PREP_LABELS])
 
 
-def _token_circuit(qubit: int, token: str) -> Circuit:
-    """Native gates preparing one qubit's token from |0>."""
-    gates = []
-    for step in _PREP_GATES[token]:
-        if step == "x":
-            gates.append(Gate.x(qubit))
-        elif step == "sx":
-            gates.append(Gate.sx(qubit))
-        else:
-            gates.append(Gate.rz(qubit, step[1]))
-    return Circuit(tuple(gates))
-
-
 def prep_circuit(label: str) -> Circuit:
     t0, t1 = label.split(":")
-    return _token_circuit(0, t0).concat(_token_circuit(1, t1))
+    return Circuit(_PREPARATIONS[t0][1](0) + _PREPARATIONS[t1][1](1))
 
 
 def _prepared_states(noise) -> np.ndarray:
     """The 16 prepared states in ``PREP_LABELS`` order, as a 4+4 tree: qubit
     0's prefix for each token on |00>, then each qubit-1 prefix on that stack
     of 4. Every state gets the gates of its ``prep_circuit``, in order."""
-    first = np.array([apply_gates(_token_circuit(0, t), basis_state("00"), noise)
-                      for t in PREP_TOKENS])
-    second = [apply_gates(_token_circuit(1, t), first, noise) for t in PREP_TOKENS]
+    first = np.array([apply_gates(Circuit(gates(0)), basis_state("00"), noise)
+                      for _, gates in _PREPARATIONS.values()])
+    second = [apply_gates(Circuit(gates(1)), first, noise) for _, gates in _PREPARATIONS.values()]
     return np.stack(second, axis=1).reshape(-1, 4, 4)  # (t0, t1) -> label index
-
-
-def design_experiments(circuit: Circuit) -> list[tuple[str, str, Circuit]]:
-    """The 144 experiment descriptors: (preparation, setting, prep + circuit)."""
-    out = []
-    for label in PREP_LABELS:
-        prefixed = prep_circuit(label).concat(circuit)
-        for setting in SETTINGS:
-            out.append((label, setting, prefixed))
-    return out
 
 
 def _experiment_seeds(master: int) -> np.ndarray:
@@ -137,12 +107,13 @@ def _experiment_seeds(master: int) -> np.ndarray:
     return spawn_seeds(master, _CELL_KEYS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TomographyDataset:
-    """Complete 16 x 9 grid of measurement records for one process: exactly
-    the (prep label, setting) cells, each holding a record of its setting."""
+    """The 16 x 9 grid of one process as a read-only (144, 4) array in
+    ``_CELLS`` order over ``BITSTRINGS``: counts summing to ``shots`` in each
+    row, or exact probabilities when ``shots`` is None."""
 
-    records: dict  # (prep label, setting) -> CountsRecord
+    outcomes: np.ndarray
     shots: int | None
     seed: int | None
     noise_fingerprint: str
@@ -150,19 +121,33 @@ class TomographyDataset:
     rng: str = RNG_ALGORITHM
 
     def __post_init__(self):
-        if self.records.keys() != _CELL_SET:
-            extra = sorted("|".join(map(str, c)) for c in self.records.keys() - _CELL_SET)
-            if extra:
-                raise ValueError(f"dataset has cells outside the 16x9 grid: {', '.join(extra)}")
-            missing = [f"{p}|{s}" for p, s in _CELLS if (p, s) not in self.records]
-            raise ValueError(f"dataset incomplete: {len(missing)} grid cells missing, "
-                             f"first {missing[0]}")
-        for (prep, setting), rec in self.records.items():
-            if rec.setting != setting:
-                raise ValueError(f"cell {prep}|{setting} holds a {rec.setting} record")
-        shot_values = {rec.shots for rec in self.records.values()}
-        if shot_values != {self.shots}:
-            raise ValueError("records disagree with the dataset shot count")
+        outcomes = np.array(self.outcomes, dtype=float if self.shots is None else None)
+        if outcomes.shape != (len(_CELLS), 4):
+            raise ValueError(f"outcomes must have shape (144, 4), got {outcomes.shape}")
+        if self.shots is None:
+            defect = distribution_defect(outcomes)
+        elif self.shots <= 0:
+            raise ValueError("a counted dataset needs a positive shot number")
+        else:
+            ok = ((outcomes >= 0) & (outcomes == np.round(outcomes))).all(axis=1)
+            ok &= outcomes.sum(axis=1) == self.shots
+            i = int(np.argmin(ok))
+            defect = None if ok[i] else (i, f"counts {outcomes[i].tolist()} are not "
+                                            f"non-negative integers summing to {self.shots}")
+            outcomes = outcomes.astype(np.int64)
+        if defect is not None:
+            raise ValueError(f"cell {'|'.join(_CELLS[defect[0]])}: {defect[1]}")
+        outcomes.flags.writeable = False
+        object.__setattr__(self, "outcomes", outcomes)
+
+    @functools.cached_property
+    def records(self) -> dict:
+        """(prep label, setting) -> ``CountsRecord``, built on first read."""
+        if self.shots is None:
+            return {cell: CountsRecord(cell[1], None, None, tuple(row))
+                    for cell, row in zip(_CELLS, self.outcomes.tolist())}
+        return {cell: CountsRecord(cell[1], self.shots, dict(zip(BITSTRINGS, row)))
+                for cell, row in zip(_CELLS, self.outcomes.tolist())}
 
     def to_json(self) -> str:
         payload = {
@@ -179,17 +164,32 @@ class TomographyDataset:
 
     @staticmethod
     def from_json(text: str) -> "TomographyDataset":
+        """Read a dataset: exactly the 144 grid cells, each a valid record of its
+        setting and of the dataset's shot count; an error names the cell."""
         d = json.loads(text)
-        records = {}
-        for key, rec in d["records"].items():
-            prep, _, setting = key.partition("|")
+        records, shots = d["records"], d.get("shots")
+        names = [f"{p}|{s}" for p, s in _CELLS]
+        extra = sorted(records.keys() - set(names))
+        if extra:
+            raise ValueError(f"dataset has cells outside the 16x9 grid: {', '.join(extra)}")
+        missing = [name for name in names if name not in records]
+        if missing:
+            raise ValueError(f"dataset incomplete: {len(missing)} grid cells missing, "
+                             f"first {missing[0]}")
+        rows = []
+        for name, (_, setting) in zip(names, _CELLS):
             try:
-                records[(prep, setting)] = CountsRecord.from_dict(rec)
+                rec = CountsRecord.from_dict(records[name])
             except ValueError as err:
-                raise ValueError(f"records[{key!r}]: {err}") from None
+                raise ValueError(f"records[{name!r}]: {err}") from None
+            if rec.setting != setting:
+                raise ValueError(f"cell {name} holds a {rec.setting} record")
+            if rec.shots != shots:
+                raise ValueError(f"cell {name} has shots {rec.shots}, the dataset {shots}")
+            rows.append(rec.probs if rec.exact else [rec.counts[b] for b in BITSTRINGS])
         circuit_json = json.dumps(d["circuit"]) if d.get("circuit") is not None else None
         return TomographyDataset(
-            records, d.get("shots"), d.get("seed"), d["noise_fingerprint"], circuit_json,
+            rows, shots, d.get("seed"), d["noise_fingerprint"], circuit_json,
             d.get("rng", RNG_ALGORITHM),
         )
 
@@ -213,18 +213,12 @@ def run_qpt(process, noise=None, shots: int | None = None, seed: int = DEFAULT_S
         states = evolve(process, _prepared_states(noise), noise)
     else:
         states = process.apply(_PREP_STATES)
-    dists = outcome_distribution(states, SETTINGS, confusion).reshape(-1, 4)
-
-    if shots is None:
-        recs = [CountsRecord(setting, None, None, tuple(dist))
-                for (_, setting), dist in zip(_CELLS, dists)]
-    else:
-        recs = sample_counts(dists, shots, _experiment_seeds(seed).tolist(),
-                             [setting for _, setting in _CELLS])
-    records = dict(zip(_CELLS, recs))
+    outcomes = outcome_distribution(states, SETTINGS, confusion).reshape(-1, 4)
+    if shots is not None:
+        outcomes = sample_counts(outcomes, shots, _experiment_seeds(seed).tolist())
 
     return TomographyDataset(
-        records=records,
+        outcomes=outcomes,
         shots=shots,
         seed=seed if shots is not None else None,
         noise_fingerprint=noise.fingerprint if noise is not None else "noiseless",
@@ -246,11 +240,7 @@ def _pauli_table(ds: TomographyDataset) -> np.ndarray:
     An identity-containing observable averages its compatible settings; the
     all-identity column is 1.
     """
-    recs = [ds.records[cell] for cell in _CELLS]
-    if ds.shots is None:
-        freqs = np.array([rec.probs for rec in recs])
-    else:
-        freqs = np.array([[rec.counts[b] for b in BITSTRINGS] for rec in recs]) / ds.shots
+    freqs = ds.outcomes if ds.shots is None else ds.outcomes / ds.shots
     freqs = freqs.reshape(len(PREP_LABELS), len(SETTINGS), 4)
     table = np.ones((len(PREP_LABELS), len(PAULI_LABELS)))
     for k, obs in enumerate(PAULI_LABELS[1:], start=1):

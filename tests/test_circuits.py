@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -159,6 +161,21 @@ def test_gate_validation():
         Gate.rz(0, float("inf"))
     with pytest.raises(ValueError):
         Gate("hadamard", qubit=0)
+    with pytest.raises(ValueError, match="rz angle must be a finite number, got True"):
+        Gate.rz(0, True)
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"kind": "sx", "qubit": 0, "angle": 1.0}, "unknown key 'angle'; expected one of kind, qubit"),
+    ({"kind": "cnot", "control": 0, "target": 1, "qubitt": 3}, "unknown key 'qubitt'"),
+    ({"kind": "rz", "qubit": 0, "angle": True}, "rz angle must be a finite number, got True"),
+    ({"kind": "h", "qubit": 0}, "unknown gate kind 'h'"),
+    ({"qubit": 0}, "missing key 'kind'"),
+    ({"kind": "cnot", "control": 1, "target": 1}, "cnot control and target must differ"),
+], ids=["sx-angle", "cnot-typo", "bool-angle", "unknown-kind", "no-kind", "cnot-same-qubit"])
+def test_circuit_json_rejects_bad_gate_records_naming_them(record, message):
+    with pytest.raises(ValueError, match=rf"^gates\[1\]: {message}"):
+        Circuit.from_json(json.dumps([{"kind": "x", "qubit": 1}, record]))
 
 
 def test_circuit_json_roundtrip():

@@ -325,14 +325,18 @@ QPT_CIRCUIT = ["qpt", "--exact", "--circuit", "{dir}/bad.json"]
     (["state", "--circuit", "{dir}/bad.json"], '[{"kind": "sx"}]',
      ["bad.json", "gates[0]: missing key 'qubit'"]),
     (QPT_CIRCUIT, "[1]", ["bad.json", "gates[0]: expected a JSON object"]),
+    (QPT_CIRCUIT, json.dumps([{"kind": "sx", "qubit": 0, "angle": 1.0}]),
+     ["bad.json", "gates[0]: unknown key 'angle'"]),
+    (QPT_CIRCUIT, json.dumps([{"kind": "rz", "qubit": 0, "angle": True}]),
+     ["bad.json", "gates[0]: rz angle must be a finite number, got True"]),
     (QPT_CIRCUIT, "{}", ["bad.json", "expected a JSON list of gates"]),
     (["stability", "--calib-a", "{dir}/bad.json",
       "--calib-b", str(DATA_DIR / "example_calibration.json")],
      "{", ["bad.json", "Expecting property name"]),
 ], ids=["noise-unknown-key", "missing-calib", "missing-circuit", "calib-missing-t1",
         "calib-string-t1", "calib-string-p-dep", "calib-missing-qubits", "calib-not-an-object",
-        "rz-missing-angle", "sx-missing-qubit", "gate-not-an-object", "circuit-not-a-list",
-        "calib-not-json"])
+        "rz-missing-angle", "sx-missing-qubit", "gate-not-an-object", "sx-unknown-key",
+        "rz-bool-angle", "circuit-not-a-list", "calib-not-json"])
 def test_bad_input_file_exits_1_naming_it_and_writes_nothing(tmp_path, capsys, argv, content,
                                                              names):
     if content is not None:

@@ -231,6 +231,24 @@ def test_exact_counts_record_needs_a_probability_4_vector(probs):
         CountsRecord("ZZ", None, None, probs)
 
 
+@pytest.mark.parametrize("counts, message", [
+    ({"00": 5, "ab": 5}, r"^counts: unknown key 'ab'; expected one of 00, 01, 10, 11"),
+    ({"00": 5.5, "11": 4.5}, r"^counts\['00'\] = 5.5 is not a non-negative integer"),
+    ({"00": 11, "11": -1}, r"^counts\['11'\] = -1 is not a non-negative integer"),
+    ({"00": True, "11": 9}, r"^counts\['00'\] = True is not a non-negative integer"),
+    ([10, 0, 0, 0], r"^counts: expected a JSON object, got list"),
+], ids=["unknown-key", "fraction", "negative", "bool", "not-a-mapping"])
+def test_counted_record_rejects_foreign_keys_and_non_integer_counts(counts, message):
+    with pytest.raises(ValueError, match=message):
+        CountsRecord("ZZ", 10, counts)
+
+
+def test_counted_record_takes_numpy_integers_and_fills_missing_outcomes():
+    rec = CountsRecord("ZZ", 10, {"00": np.int64(4), "11": np.uint8(6)})
+    assert rec.counts == {"00": 4, "01": 0, "10": 0, "11": 6}
+    assert all(type(v) is int for v in rec.counts.values())
+
+
 def test_exact_counts_record_allows_sample_counts_rounding():
     rec = CountsRecord("ZZ", None, None, (1.0 + 5e-10, -5e-10, 0.0, 0.0))
     assert rec.probs == (1.0 + 5e-10, -5e-10, 0.0, 0.0)
@@ -259,10 +277,12 @@ _SETTINGS = [a + b for a in MEASUREMENT_BASES for b in MEASUREMENT_BASES]
 def test_stacked_sample_counts_equal_single_calls(rows, shots):
     dists = np.array([np.array(w) / sum(w) for w, _, _ in rows])
     seeds = [seed for _, seed, _ in rows]
-    settings_ = [setting for _, _, setting in rows]
-    stacked = sample_counts(dists, shots, seeds, settings_)
-    assert stacked == [sample_counts(d, shots, seed, setting)
-                       for d, seed, setting in zip(dists, seeds, settings_)]
+    stacked = sample_counts(dists, shots, seeds)
+    assert stacked.dtype == np.int64 and stacked.shape == (len(rows), 4)
+    for counts, dist, seed, (_, _, setting) in zip(stacked, dists, seeds, rows):
+        single = sample_counts(dist, shots, seed, setting)
+        assert single.setting == setting
+        assert counts.tolist() == [single.counts[b] for b in BITSTRINGS]
 
 
 @pytest.mark.parametrize("bad", [[0.5, 0.5, 0.1, -0.1], [0.5, 0.2, 0.1, 0.1]],
@@ -271,29 +291,29 @@ def test_stacked_sample_counts_fail_like_the_bad_row(bad):
     with pytest.raises(ValueError) as single:
         sample_counts(bad, 100, seed=0)
     with pytest.raises(ValueError) as stacked:
-        sample_counts([[1, 0, 0, 0], bad, [0, 0, 0, 1]], 100, [0, 1, 2], ["ZZ"] * 3)
+        sample_counts([[1, 0, 0, 0], bad, [0, 0, 0, 1]], 100, [0, 1, 2])
     assert str(stacked.value) == str(single.value)
 
 
-def test_stacked_sample_counts_need_a_seed_and_a_setting_per_row():
-    with pytest.raises(ValueError, match="one seed and one setting per row"):
-        sample_counts([[1, 0, 0, 0]] * 2, 10, [1], ["ZZ", "XX"])
+def test_stacked_sample_counts_need_a_seed_per_row():
+    with pytest.raises(ValueError, match="one seed per row"):
+        sample_counts([[1, 0, 0, 0]] * 2, 10, [1])
     with pytest.raises(ValueError, match="4-vector"):
-        sample_counts(np.ones((2, 2, 4)) / 4, 10, [1, 2], ["ZZ", "XX"])
+        sample_counts(np.ones((2, 2, 4)) / 4, 10, [1, 2])
 
 
 def test_sample_counts_rejects_an_empty_stack():
     with pytest.raises(ValueError, match="empty stack of distributions"):
-        sample_counts(np.zeros((0, 4)), 10, [], [])
+        sample_counts(np.zeros((0, 4)), 10, [])
 
 
-@pytest.mark.parametrize("dist, seed, setting, row", [
-    ([np.nan, 0.5, 0.25, 0.25], 0, "ZZ", 0),
-    ([[0.25] * 4, [0.5, np.inf, 0.0, 0.0], [np.nan] * 4], [1, 2, 3], ["ZZ"] * 3, 1),
+@pytest.mark.parametrize("dist, seed, row", [
+    ([np.nan, 0.5, 0.25, 0.25], 0, 0),
+    ([[0.25] * 4, [0.5, np.inf, 0.0, 0.0], [np.nan] * 4], [1, 2, 3], 1),
 ], ids=["vector", "stack"])
-def test_sample_counts_rejects_non_finite_rows_naming_the_first(dist, seed, setting, row):
+def test_sample_counts_rejects_non_finite_rows_naming_the_first(dist, seed, row):
     with pytest.raises(ValueError, match=f"^distribution row {row} has non-finite entries"):
-        sample_counts(dist, 10, seed, setting)
+        sample_counts(dist, 10, seed)
 
 
 @settings(max_examples=50, deadline=None)
@@ -324,15 +344,15 @@ def dyadic_distributions(draw):
 def test_stacked_sample_counts_equal_numpys_generator(rows, shots):
     dists = np.array([dist for dist, _ in rows])
     seeds = [seed for _, seed in rows]
-    records = sample_counts(dists, shots, seeds, ["ZZ"] * len(rows))
-    for record, dist, seed in zip(records, dists, seeds):
+    counts = sample_counts(dists, shots, seeds)
+    for row, dist, seed in zip(counts, dists, seeds):
         draw = np.random.Generator(np.random.PCG64(seed)).multinomial(shots, dist)
-        assert [record.counts[b] for b in BITSTRINGS] == draw.tolist()
+        assert row.tolist() == draw.tolist()
 
 
 def test_sample_counts_builds_one_generator_per_call(monkeypatch):
     built = count_numpy_random(monkeypatch, "PCG64")
-    sample_counts(np.full((144, 4), 0.25), 100, list(range(144)), ["ZZ"] * 144)
+    sample_counts(np.full((144, 4), 0.25), 100, list(range(144)))
     assert len(built) == 1
     sample_counts([0.25] * 4, 100, 7)
     assert len(built) == 2
@@ -344,11 +364,12 @@ def test_sample_counts_rejects_seeds_that_are_not_non_negative_integers(seed):
     with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
         sample_counts([1, 0, 0, 0], 10, seed)
     with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
-        sample_counts([[1, 0, 0, 0]] * 2, 10, [0, seed], ["ZZ"] * 2)
+        sample_counts([[1, 0, 0, 0]] * 2, 10, [0, seed])
 
 
 def test_sample_counts_takes_numpy_integer_seeds():
     dist = [0.3, 0.3, 0.2, 0.2]
     expected = sample_counts(dist, 1000, 2**63 + 5)
     assert sample_counts(dist, 1000, np.uint64(2**63 + 5)) == expected
-    assert sample_counts([dist], 1000, np.array([2**63 + 5], dtype=np.uint64), ["ZZ"]) == [expected]
+    stacked = sample_counts([dist], 1000, np.array([2**63 + 5], dtype=np.uint64))
+    assert stacked.tolist() == [[expected.counts[b] for b in BITSTRINGS]]

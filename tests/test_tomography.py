@@ -24,10 +24,10 @@ from msbench.tomography import (
     PREP_LABELS,
     SETTINGS,
     TomographyDataset,
+    _CELLS,
     _experiment_seeds,
     _prepared_states,
     average_gate_fidelity,
-    design_experiments,
     exact_process_fidelity,
     linear_inversion,
     prep_circuit,
@@ -65,10 +65,11 @@ def dep_noise(p):
 
 
 def test_design_has_144_experiments():
-    descriptors = design_experiments(synthesize_ms_circuit())
-    assert len(descriptors) == 144
-    assert len({(p, s) for p, s, _ in descriptors}) == 144
     assert len(PREP_LABELS) == 16 and len(SETTINGS) == 9
+    assert _CELLS == tuple(itertools.product(PREP_LABELS, SETTINGS))  # prep-major rows
+    assert len(set(_CELLS)) == 144
+    ds = run_qpt(synthesize_ms_circuit(), shots=10, seed=0)
+    assert ds.outcomes.shape == (144, 4) and list(ds.records) == list(_CELLS)
 
 
 def test_zero_zero_prep_is_empty():
@@ -156,17 +157,11 @@ def datasets(draw):
     # The 144 cells come from a drawn seed: drawing each cell makes too large an example.
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shots = draw(st.none() | st.integers(1, 10**6))
-    records = {}
-    for label, setting in itertools.product(PREP_LABELS, SETTINGS):
-        dist = rng.dirichlet(np.ones(4))
-        if shots is None:
-            records[(label, setting)] = CountsRecord(setting, None, None, tuple(dist))
-        else:
-            counts = rng.multinomial(shots, dist)
-            records[(label, setting)] = CountsRecord(setting, shots, dict(zip(BITSTRINGS, counts)))
+    dists = rng.dirichlet(np.ones(4), size=144)
+    outcomes = dists if shots is None else rng.multinomial(shots, dists)
     seed = None if shots is None else draw(st.integers(0, 2**63 - 1))
     circuit = draw(st.none() | circuits)
-    return TomographyDataset(records, shots, seed, draw(st.text()),
+    return TomographyDataset(outcomes, shots, seed, draw(st.text()),
                              None if circuit is None else circuit.to_json())
 
 
@@ -180,11 +175,10 @@ def test_dataset_json_roundtrip_property(ds):
 
 
 def test_dataset_completeness_enforced():
-    ds = run_qpt(Circuit(), shots=10, seed=0)
-    broken = dict(ds.records)
-    broken.pop(("0:0", "XX"))
+    d = json.loads(run_qpt(Circuit(), shots=10, seed=0).to_json())
+    del d["records"]["0:0|XX"]
     with pytest.raises(ValueError, match=r"1 grid cells missing, first 0:0\|XX"):
-        TomographyDataset(broken, 10, 0, "noiseless", Circuit().to_json())
+        TomographyDataset.from_json(json.dumps(d))
 
 
 def _exact_dataset_json() -> dict:
@@ -205,6 +199,16 @@ def _set_probabilities(probs):
     return edit
 
 
+def _set_counts(counts):
+    def edit(d):
+        d["shots"] = 10
+        for rec in d["records"].values():
+            rec.update(shots=10, counts={"00": 10})
+            del rec["exact"], rec["probabilities"]
+        d["records"]["0:0|XX"]["counts"] = counts
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_relabel, r"cell 0:0\|XX holds a ZZ record"),
     (_add_junk_cell, r"outside the 16x9 grid: junk\|ZZ"),
@@ -212,7 +216,9 @@ def _set_probabilities(probs):
      r"records\['0:0\|XX'\]: probabilities \[nan, 0.5"),
     (_set_probabilities([0.9, 0.9, 0.9, 0.9]), r"records\['0:0\|XX'\]: probabilities \[0.9"),
     (_set_probabilities([0.5, 0.5]), r"records\['0:0\|XX'\]: probabilities \[0.5, 0.5\]"),
-], ids=["mislabeled", "extra-cell", "nan", "sum", "length"])
+    (_set_counts({"00": 5, "0l": 5}), r"records\['0:0\|XX'\]: counts: unknown key '0l'"),
+    (_set_counts({"00": 5.5, "11": 4.5}), r"records\['0:0\|XX'\]: counts\['00'\] = 5.5 is not"),
+], ids=["mislabeled", "extra-cell", "nan", "sum", "length", "unknown-outcome", "fractional-count"])
 def test_dataset_json_rejects_malformed_cells_naming_them(edit, message):
     d = _exact_dataset_json()
     edit(d)
@@ -222,8 +228,79 @@ def test_dataset_json_rejects_malformed_cells_naming_them(edit, message):
 
 def test_dataset_uniform_shots_enforced():
     ds = run_qpt(Circuit(), shots=10, seed=0)
-    with pytest.raises(ValueError):
-        TomographyDataset(ds.records, 20, 0, "noiseless", Circuit().to_json())
+    with pytest.raises(ValueError, match=r"^cell 0:0\|XX: counts \[.*\] are not non-negative "
+                                         r"integers summing to 20"):
+        TomographyDataset(ds.outcomes, 20, 0, "noiseless", Circuit().to_json())
+    d = json.loads(ds.to_json())
+    d["shots"] = 20
+    with pytest.raises(ValueError, match=r"^cell 0:0\|XX has shots 10, the dataset 20"):
+        TomographyDataset.from_json(json.dumps(d))
+
+
+@pytest.mark.parametrize("shots, row, value, message", [
+    (None, 10, [np.nan, 0.5, 0.25, 0.25], r"cell 0:1\|XY: distribution row 10 has non-finite"),
+    (None, 20, [0.5, 0.6, 0.0, -0.1], r"cell 0:\+\|XZ: negative probability -1.000e-01"),
+    (None, 143, [0.5, 0.5, 0.5, 0.0], r"cell \+i:\+i\|ZZ: distribution sums to 1.5"),
+    (10, 9, [5, 6, 0, -1], r"cell 0:1\|XX: counts \[5, 6, 0, -1\] are not"),
+    (10, 0, [5.5, 4.5, 0, 0], r"cell 0:0\|XX: counts \[5.5, 4.5, 0.0, 0.0\] are not"),
+    (10, 1, [5, 0, 0, 0], r"cell 0:0\|XY: counts \[5, 0, 0, 0\] are not"),
+], ids=["nan", "negative", "sum", "negative-count", "fractional-count", "count-sum"])
+def test_dataset_rejects_a_bad_row_naming_its_cell(shots, row, value, message):
+    ds = run_qpt(Circuit(), shots=shots, seed=0)
+    outcomes = ds.outcomes.astype(np.result_type(ds.outcomes, np.array(value)))
+    outcomes[row] = value
+    with pytest.raises(ValueError, match=f"^{message}"):
+        TomographyDataset(outcomes, shots, ds.seed, "noiseless", None)
+
+
+@pytest.mark.parametrize("outcomes, shots, message", [
+    (np.full((143, 4), 0.25), None, r"outcomes must have shape \(144, 4\), got \(143, 4\)"),
+    (np.full((144, 4), 0.25), None, None),
+    (np.zeros((144, 4)), 0, "positive shot number"),
+], ids=["shape", "ok", "zero-shots"])
+def test_dataset_checks_the_outcome_array(outcomes, shots, message):
+    if message is None:
+        assert TomographyDataset(outcomes, shots, None, "noiseless", None).outcomes.shape == (144, 4)
+    else:
+        with pytest.raises(ValueError, match=message):
+            TomographyDataset(outcomes, shots, None, "noiseless", None)
+
+
+def test_dataset_outcomes_are_a_read_only_copy_and_records_a_cached_view():
+    dists = np.full((144, 4), 0.25)
+    ds = TomographyDataset(dists, None, None, "noiseless", None)
+    dists[0] = [1, 0, 0, 0]  # the caller's array is not the dataset's
+    assert ds.outcomes[0].tolist() == [0.25] * 4
+    with pytest.raises(ValueError, match="read-only"):
+        ds.outcomes[0, 0] = 1.0
+    assert ds.records is ds.records
+    assert ds.records[("0:0", "XY")] == CountsRecord("XY", None, None, (0.25,) * 4)
+
+
+def test_run_qpt_builds_no_counts_record(monkeypatch):
+    built = []
+    post_init = CountsRecord.__post_init__
+
+    def counting_post_init(rec):
+        built.append(rec)
+        post_init(rec)
+
+    monkeypatch.setattr(CountsRecord, "__post_init__", counting_post_init)
+    for shots in (None, 100):
+        ds = run_qpt(synthesize_ms_circuit(), noise=example_noise(), shots=shots, seed=3)
+        reconstruct_channel(ds)
+    assert built == []
+    assert len(ds.records) == 144 and len(built) == 144
+
+
+@pytest.mark.parametrize("shots, digest", [
+    (4000, "d71df4213b65da5ff7c75d28b09486706adce40b4cf6adbb2ff066ee961aa226"),
+    (None, "9a0b3492db14f805c98dca9d6df4e0116db9e15f388e56e93286d44247b1932e"),
+], ids=["sampled", "exact"])
+def test_dataset_json_is_pinned(shots, digest):
+    """Recorded when the dataset held one validated record per cell."""
+    ds = run_qpt(synthesize_ms_circuit(), noise=example_noise(), shots=shots, seed=1)
+    assert hashlib.sha256(ds.to_json().encode()).hexdigest() == digest
 
 
 def test_process_fidelity_self_is_one(rng):

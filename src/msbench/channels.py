@@ -13,13 +13,18 @@ Conventions, fixed across the toolkit:
 * Kraus operators act as E(rho) = sum_k K rho K^dag with sum K^dag K = I.
 
 Every representation applies to states through its Kraus operators
-(``linalg.kraus_sum``); a Choi or chi channel is converted first.
+(``linalg.kraus_sum``); a Choi or chi channel is converted once, on first use.
+
+Kraus sets are (count, d, d) stacks, and ``tensor``, ``compose`` and the Choi
+state run on them as array operations that give each entry the operations,
+in term order, of a term-by-term loop. Sampled counts depend on the last ulp
+of the noise channels (see ``simulator``), so a closed form or a reassociated
+sum would move them.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +37,7 @@ from .linalg import (
     frobenius,
     is_unitary,
     kraus_sum,
-    kron,
+    kron_pairs,
 )
 
 REPRESENTATIONS = ("kraus", "choi", "chi")
@@ -55,13 +60,14 @@ class ProjectionError(RuntimeError):
                          f"gap {tp_gap:.3e}, above {_TP_GAP:.0e}")
 
 
-def pauli_basis(num_qubits: int) -> list[np.ndarray]:
-    """Unnormalized Pauli products, (I, X, Y, Z) per qubit, qubit 0 first."""
-    labels = ("I", "X", "Y", "Z")
-    ops = [PAULIS_1Q[l] for l in labels]
-    out = ops
+@functools.cache
+def pauli_basis(num_qubits: int) -> np.ndarray:
+    """Unnormalized Pauli products, (I, X, Y, Z) per qubit, qubit 0 first: one
+    read-only (4^n, 2^n, 2^n) stack, built once per n."""
+    out = ops = np.array([PAULIS_1Q[l] for l in ("I", "X", "Y", "Z")])
     for _ in range(num_qubits - 1):
-        out = [kron(a, b) for a, b in itertools.product(out, ops)]
+        out = kron_pairs(out, ops)
+    out.flags.writeable = False
     return out
 
 
@@ -91,15 +97,15 @@ class QuantumChannel:
     """A CPTP map on 1 or 2 qubits, in one of three representations."""
 
     representation: str
-    data: tuple[np.ndarray, ...] | np.ndarray
+    data: np.ndarray  # a (count, d, d) Kraus stack, or a Choi or chi matrix
     dim: int
 
     @staticmethod
     def from_kraus(operators) -> "QuantumChannel":
-        """Validate the operators as one (count, d, d) stack; the stored
-        operators are its rows, equal in value and order to the input."""
-        ops = list(operators)
-        if not ops:
+        """Validate the operators as one (count, d, d) stack and store it; its
+        rows equal the input operators in value and order."""
+        ops = operators if isinstance(operators, np.ndarray) else list(operators)
+        if len(ops) == 0:
             raise ValueError("empty Kraus set")
         shape_error = ValueError("Kraus operators must share a square 2x2 or 4x4 shape")
         try:
@@ -118,7 +124,7 @@ class QuantumChannel:
         comp = np.einsum("kji,kjl->il", stack.conj(), stack)
         if frobenius(comp - np.eye(dim)) > 1e-8:
             raise ValueError("Kraus set is not trace-preserving (completeness fails)")
-        return QuantumChannel("kraus", tuple(stack), dim)
+        return QuantumChannel("kraus", stack, dim)
 
     @staticmethod
     def from_choi(matrix) -> "QuantumChannel":
@@ -188,7 +194,11 @@ class QuantumChannel:
             return QuantumChannel.from_chi(m)
         raise ValueError(f"unknown representation {d['representation']!r}")
 
-    def kraus_operators(self) -> tuple[np.ndarray, ...]:
+    def kraus_operators(self) -> np.ndarray:
+        return self._kraus
+
+    @functools.cached_property
+    def _kraus(self) -> np.ndarray:  # one Choi eigh per channel, not per apply
         return self.convert("kraus").data
 
     def choi_matrix(self) -> np.ndarray:
@@ -223,14 +233,14 @@ class QuantumChannel:
 
     def tensor(self, other: "QuantumChannel") -> "QuantumChannel":
         """Parallel composition: self on the first factor, other on the second."""
-        ops = [kron(a, b) for a in self.kraus_operators() for b in other.kraus_operators()]
-        return QuantumChannel.from_kraus(ops)
+        return QuantumChannel.from_kraus(kron_pairs(self._kraus, other._kraus))
 
     def compose(self, after: "QuantumChannel") -> "QuantumChannel":
         """Sequential composition: ``after`` is applied after self."""
         if after.dim != self.dim:
             raise ValueError("cannot compose channels of different dimension")
-        ops = [b @ a for b in after.kraus_operators() for a in self.kraus_operators()]
+        a, b = self._kraus, after._kraus
+        ops = np.matmul(b[:, None], a).reshape(-1, self.dim, self.dim)  # b_i @ a_j, i-major
         ch = QuantumChannel.from_kraus(ops)
         if len(ops) > self.dim**2:
             ch = ch.convert("choi").convert("kraus")  # compress to a minimal set
@@ -238,20 +248,19 @@ class QuantumChannel:
 
 
 def _kraus_to_choi(ops, dim: int) -> np.ndarray:
-    j = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for k in ops:
-        v = k.reshape(-1, 1)  # row-major flatten matches output (x) input ordering
-        j += v @ dagger(v)
-    return j / dim
+    """sum_k v_k v_k^dag / d, v_k = flat(K_k): each row sums the 1-deep products
+    ``v @ dagger(v)`` makes in k order, in row blocks of <= 256 d^2 products."""
+    cols = np.reshape(ops, (len(ops), -1, 1))  # row-major flatten matches output (x) input
+    rows, step = dagger(cols), max(1, 256 // len(ops))
+    return np.concatenate([np.add.reduce(cols[:, r:r + step] @ rows, axis=0)
+                           for r in range(0, dim * dim, step)]) / dim
 
 
-def _choi_to_kraus(j, dim: int) -> tuple[np.ndarray, ...]:
+def _choi_to_kraus(j, dim: int) -> np.ndarray:
     vals, vecs = np.linalg.eigh(0.5 * (j + dagger(j)))
-    ops = []
-    for lam, v in zip(vals, vecs.T):
-        if lam > _EIG_CLIP:
-            ops.append(np.sqrt(dim * lam) * v.reshape(dim, dim))
-    return tuple(ops) if ops else (np.zeros((dim, dim), dtype=complex),)
+    keep = vals > _EIG_CLIP
+    ops = (np.sqrt(dim * vals[keep])[:, None] * vecs.T[keep]).reshape(-1, dim, dim)
+    return ops if keep.any() else np.zeros((1, dim, dim), dtype=complex)
 
 
 def channel_from_unitary(u) -> QuantumChannel:

@@ -56,18 +56,16 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind == "cnot":
-            if self.control not in (0, 1) or self.target not in (0, 1):
-                raise ValueError("cnot qubit indices must be 0 or 1")
-            if self.control == self.target:
-                raise ValueError("cnot control and target must differ")
-        else:
-            if self.qubit not in (0, 1):
-                raise ValueError(f"{self.kind} qubit index must be 0 or 1")
-            if self.kind == "rz":
-                if not _is_number(self.angle) or not math.isfinite(self.angle):
-                    raise ValueError(f"rz angle must be a finite number, got {self.angle!r}")
-                object.__setattr__(self, "angle", float(self.angle))
+        # Not bools: True == 1 would be stored, and written back as true.
+        if not all(q in (0, 1) and not isinstance(q, bool) for q in self.qubits()):
+            raise ValueError(f"{self.kind} qubit indices must be 0 or 1, got "
+                             f"{', '.join(map(repr, self.qubits()))}")
+        if self.kind == "cnot" and self.control == self.target:
+            raise ValueError("cnot control and target must differ")
+        if self.kind == "rz":
+            if not _is_number(self.angle) or not math.isfinite(self.angle):
+                raise ValueError(f"rz angle must be a finite number, got {self.angle!r}")
+            object.__setattr__(self, "angle", float(self.angle))
 
     @staticmethod
     def rz(qubit: int, angle: float) -> "Gate":

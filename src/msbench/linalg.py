@@ -40,7 +40,15 @@ def frobenius(m: np.ndarray) -> float:
 
 
 def kron(a, b) -> np.ndarray:
-    return np.kron(as_matrix(a), as_matrix(b))
+    a, b = as_matrix(a), as_matrix(b)
+    return kron_pairs(a[None], b[None])[0]
+
+
+def kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a[i], b[j]) for each pair from two stacks, i-major: one broadcast
+    product making ``np.kron``'s multiply per entry; no validation."""
+    (n, p, _), (m, r, _) = a.shape, b.shape
+    return (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(n * m, p * r, -1)
 
 
 def kraus_sum(ops, rho) -> np.ndarray:

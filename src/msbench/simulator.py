@@ -233,10 +233,16 @@ class CountsRecord:
         return {"setting": self.setting, "shots": self.shots, "counts": dict(self.counts)}
 
     @staticmethod
-    def from_dict(d: dict) -> "CountsRecord":
-        if d.get("exact"):
-            return CountsRecord(d["setting"], None, None, tuple(d["probabilities"]))
-        return CountsRecord(d["setting"], d["shots"], dict(d["counts"]))
+    def from_dict(d, where: str) -> "CountsRecord":
+        """The record a JSON object holds; every error is prefixed with ``where``."""
+        exact = isinstance(d, dict) and bool(d.get("exact"))  # a JSON object is a dict
+        keys = ("setting", "probabilities") if exact else ("setting", "shots", "counts")
+        _check_record(d, keys, ("exact", *keys), where)
+        try:
+            return CountsRecord(d["setting"], d.get("shots"), d.get("counts"),
+                                d.get("probabilities"))
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
 
 
 def basis_state(bitstring: str) -> np.ndarray:

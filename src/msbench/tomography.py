@@ -178,10 +178,7 @@ class TomographyDataset:
                              f"first {missing[0]}")
         rows = []
         for name, (_, setting) in zip(names, _CELLS):
-            try:
-                rec = CountsRecord.from_dict(records[name])
-            except ValueError as err:
-                raise ValueError(f"records[{name!r}]: {err}") from None
+            rec = CountsRecord.from_dict(records[name], f"records[{name!r}]")
             if rec.setting != setting:
                 raise ValueError(f"cell {name} holds a {rec.setting} record")
             if rec.shots != shots:
@@ -231,7 +228,7 @@ _COMPATIBLE = {
 }
 # Rows vec(rho_j) of the 16 ideal inputs, and the Pauli products P_k.
 _PREP_FRAME = _PREP_STATES.reshape(len(PREP_LABELS), -1)
-_PAULIS = np.array(pauli_basis(2))
+_PAULIS = pauli_basis(2)
 
 
 def _pauli_table(ds: TomographyDataset) -> np.ndarray:

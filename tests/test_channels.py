@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from msbench.channels import (
     project_cptp,
 )
 from msbench.circuits import ms_unitary
-from msbench.linalg import I2, PAULI_X, kron, partial_trace
+from msbench.linalg import I2, PAULI_X, PAULIS_1Q, dagger, kron, partial_trace
 
 from conftest import random_cptp_kraus, random_density_matrix
 
@@ -294,3 +296,127 @@ def test_compose_and_tensor(rng):
     c = random_cptp_kraus(rng, dim=4, n_kraus=3)
     seq = joint.compose(c)
     assert np.allclose(seq.apply(rho), c.apply(joint.apply(rho)), atol=1e-9)
+
+
+# Term-by-term reference loops for the stacked channel algebra. Sampled counts
+# depend on the last ulp of every Kraus operator, so the stacked forms must
+# agree with these byte for byte, signed zeros included.
+
+def _tensor_loop(a: QuantumChannel, b: QuantumChannel) -> list:
+    return [np.kron(x, y) for x in a.kraus_operators() for y in b.kraus_operators()]
+
+
+def _choi_loop(ops, dim: int) -> np.ndarray:
+    j = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for k in ops:
+        v = k.reshape(-1, 1)
+        j += v @ dagger(v)
+    return j / dim
+
+
+def _kraus_loop(j, dim: int) -> list:
+    vals, vecs = np.linalg.eigh(0.5 * (j + dagger(j)))
+    ops = [np.sqrt(dim * lam) * v.reshape(dim, dim) for lam, v in zip(vals, vecs.T) if lam > 1e-12]
+    return ops or [np.zeros((dim, dim), dtype=complex)]
+
+
+def _compose_loop(a: QuantumChannel, after: QuantumChannel) -> list:
+    ops = [y @ x for y in after.kraus_operators() for x in a.kraus_operators()]
+    ops = list(QuantumChannel.from_kraus(ops).data)
+    return _kraus_loop(_choi_loop(ops, a.dim), a.dim) if len(ops) > a.dim**2 else ops
+
+
+def _same_bytes(stack, ops) -> bool:
+    return len(stack) == len(ops) and all(
+        np.asarray(x).tobytes() == np.asarray(y).tobytes() for x, y in zip(stack, ops))
+
+
+def _matrices(rng, count: int, rows: int, cols: int) -> np.ndarray:
+    """Complex matrices whose real and imaginary parts are each normal, +0.0
+    or -0.0, so that products meet signed zeros."""
+    parts = rng.normal(size=(2, count, rows, cols))
+    pick = rng.integers(0, 3, size=parts.shape)
+    parts = np.where(pick == 1, 0.0, np.where(pick == 2, -0.0, parts))
+    out = np.empty((count, rows, cols), dtype=complex)
+    out.real, out.imag = parts
+    return out
+
+
+def _kraus_set(rng, count: int, dim: int, paulis: bool) -> QuantumChannel:
+    """A random isometry cut into ``count`` blocks, or a random mixture of
+    phase-flipped Pauli products, whose entries hold zeros of both signs."""
+    if not paulis:
+        return random_cptp_kraus(rng, dim=dim, n_kraus=count)
+    basis = pauli_basis(dim.bit_length() - 1)
+    weights = rng.dirichlet(np.ones(count))
+    phases = np.array([1, -1, 1j, -1j])[rng.integers(0, 4, count)]
+    picks = rng.integers(0, len(basis), count)
+    return QuantumChannel.from_kraus(
+        [np.sqrt(w) * z * basis[i] for w, z, i in zip(weights, phases, picks)])
+
+
+_KRAUS_SETS = dict(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 16),
+                   n_b=st.integers(1, 16), paulis=st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_KRAUS_SETS)
+def test_stacked_tensor_matches_the_pairwise_kron_loop(seed, n_a, n_b, paulis):
+    rng = np.random.default_rng(seed)
+    a, b = (_kraus_set(rng, n, 2, paulis) for n in (n_a, n_b))
+    assert _same_bytes(a.tensor(b).data, _tensor_loop(a, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([2, 4]), **_KRAUS_SETS)
+def test_stacked_compose_matches_the_pairwise_product_loop(seed, n_a, n_b, paulis, dim):
+    """Covers the compression through the Choi state when n_a * n_b > d^2."""
+    rng = np.random.default_rng(seed)
+    a, b = (_kraus_set(rng, n, dim, paulis) for n in (n_a, n_b))
+    assert _same_bytes(a.compose(b).data, _compose_loop(a, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 256), dim=st.sampled_from([2, 4]))
+def test_rowwise_kraus_to_choi_matches_the_outer_product_loop(seed, count, dim):
+    ops = _matrices(np.random.default_rng(seed), count, dim, dim)
+    assert channels._kraus_to_choi(ops, dim).tobytes() == _choi_loop(ops, dim).tobytes()
+    assert channels._kraus_to_choi(tuple(ops), dim).tobytes() == _choi_loop(ops, dim).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shapes=st.lists(st.integers(1, 4), min_size=4, max_size=4))
+def test_broadcast_kron_matches_numpys(seed, shapes):
+    rng = np.random.default_rng(seed)
+    a = _matrices(rng, 1, *shapes[:2])[0]
+    b = _matrices(rng, 1, *shapes[2:])[0]
+    assert kron(a, b).tobytes() == np.kron(a, b).tobytes()
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_pauli_basis_is_built_once_read_only_and_matches_the_kron_loop(num_qubits):
+    ops = [PAULIS_1Q[label] for label in "IXYZ"]
+    expected = ops
+    for _ in range(num_qubits - 1):
+        expected = [np.kron(a, b) for a, b in itertools.product(expected, ops)]
+    basis = pauli_basis(num_qubits)
+    assert basis is pauli_basis(num_qubits)
+    assert not basis.flags.writeable
+    assert _same_bytes(basis, expected)
+
+
+def test_choi_channel_derives_its_kraus_set_once(rng, monkeypatch):
+    ch = random_cptp_kraus(rng, n_kraus=3).convert("choi")
+    rho = random_density_matrix(rng, 4)
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    first, second = ch.apply(rho), ch.apply(rho)
+    assert len(calls) == 1
+    assert first.tobytes() == second.tobytes()
+    assert ch.kraus_operators() is ch.kraus_operators()

@@ -163,6 +163,11 @@ def test_gate_validation():
         Gate("hadamard", qubit=0)
     with pytest.raises(ValueError, match="rz angle must be a finite number, got True"):
         Gate.rz(0, True)
+    with pytest.raises(ValueError, match="sx qubit indices must be 0 or 1, got True"):
+        Gate.sx(True)
+    with pytest.raises(ValueError, match="cnot qubit indices must be 0 or 1, got False, True"):
+        Gate.cnot(False, True)
+    assert Gate.x(np.int64(1)).qubit == 1
 
 
 @pytest.mark.parametrize("record, message", [
@@ -172,10 +177,16 @@ def test_gate_validation():
     ({"kind": "h", "qubit": 0}, "unknown gate kind 'h'"),
     ({"qubit": 0}, "missing key 'kind'"),
     ({"kind": "cnot", "control": 1, "target": 1}, "cnot control and target must differ"),
-], ids=["sx-angle", "cnot-typo", "bool-angle", "unknown-kind", "no-kind", "cnot-same-qubit"])
+    ({"kind": "sx", "qubit": True}, "sx qubit indices must be 0 or 1, got True"),
+    ({"kind": "cnot", "control": False, "target": True},
+     "cnot qubit indices must be 0 or 1, got False, True"),
+], ids=["sx-angle", "cnot-typo", "bool-angle", "unknown-kind", "no-kind", "cnot-same-qubit",
+        "bool-qubit", "bool-cnot-indices"])
 def test_circuit_json_rejects_bad_gate_records_naming_them(record, message):
     with pytest.raises(ValueError, match=rf"^gates\[1\]: {message}"):
         Circuit.from_json(json.dumps([{"kind": "x", "qubit": 1}, record]))
+    with pytest.raises(ValueError, match=rf"^gate: {message}"):
+        Gate.from_dict(record, "gate")
 
 
 def test_circuit_json_roundtrip():

@@ -329,6 +329,10 @@ QPT_CIRCUIT = ["qpt", "--exact", "--circuit", "{dir}/bad.json"]
      ["bad.json", "gates[0]: unknown key 'angle'"]),
     (QPT_CIRCUIT, json.dumps([{"kind": "rz", "qubit": 0, "angle": True}]),
      ["bad.json", "gates[0]: rz angle must be a finite number, got True"]),
+    (QPT_CIRCUIT, json.dumps([{"kind": "sx", "qubit": True}]),
+     ["bad.json", "gates[0]: sx qubit indices must be 0 or 1, got True"]),
+    (QPT_CIRCUIT, json.dumps([{"kind": "cnot", "control": False, "target": True}]),
+     ["bad.json", "gates[0]: cnot qubit indices must be 0 or 1, got False, True"]),
     (QPT_CIRCUIT, "{}", ["bad.json", "expected a JSON list of gates"]),
     (["stability", "--calib-a", "{dir}/bad.json",
       "--calib-b", str(DATA_DIR / "example_calibration.json")],
@@ -336,7 +340,8 @@ QPT_CIRCUIT = ["qpt", "--exact", "--circuit", "{dir}/bad.json"]
 ], ids=["noise-unknown-key", "missing-calib", "missing-circuit", "calib-missing-t1",
         "calib-string-t1", "calib-string-p-dep", "calib-missing-qubits", "calib-not-an-object",
         "rz-missing-angle", "sx-missing-qubit", "gate-not-an-object", "sx-unknown-key",
-        "rz-bool-angle", "circuit-not-a-list", "calib-not-json"])
+        "rz-bool-angle", "sx-bool-qubit", "cnot-bool-indices", "circuit-not-a-list",
+        "calib-not-json"])
 def test_bad_input_file_exits_1_naming_it_and_writes_nothing(tmp_path, capsys, argv, content,
                                                              names):
     if content is not None:

@@ -199,6 +199,16 @@ def _set_probabilities(probs):
     return edit
 
 
+def _replace_record(record):
+    def edit(d):
+        d["records"]["0:0|XX"] = record
+    return edit
+
+
+def _drop_setting(d):
+    del d["records"]["0:0|XX"]["setting"]
+
+
 def _set_counts(counts):
     def edit(d):
         d["shots"] = 10
@@ -218,7 +228,10 @@ def _set_counts(counts):
     (_set_probabilities([0.5, 0.5]), r"records\['0:0\|XX'\]: probabilities \[0.5, 0.5\]"),
     (_set_counts({"00": 5, "0l": 5}), r"records\['0:0\|XX'\]: counts: unknown key '0l'"),
     (_set_counts({"00": 5.5, "11": 4.5}), r"records\['0:0\|XX'\]: counts\['00'\] = 5.5 is not"),
-], ids=["mislabeled", "extra-cell", "nan", "sum", "length", "unknown-outcome", "fractional-count"])
+    (_replace_record([]), r"^records\['0:0\|XX'\]: expected a JSON object, got list$"),
+    (_drop_setting, r"^records\['0:0\|XX'\]: missing key 'setting'$"),
+], ids=["mislabeled", "extra-cell", "nan", "sum", "length", "unknown-outcome", "fractional-count",
+        "record-not-an-object", "record-without-setting"])
 def test_dataset_json_rejects_malformed_cells_naming_them(edit, message):
     d = _exact_dataset_json()
     edit(d)

@@ -25,6 +25,7 @@ sum would move them.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,34 +161,36 @@ class QuantumChannel:
         QuantumChannel.from_choi(b @ c @ dagger(b))  # CP/TP validation
         return QuantumChannel("chi", c, dim)
 
-    def to_dict(self) -> dict:
-        """JSON form: representation tag plus row-major [re, im] entry pairs."""
-        def encode(m):
-            return [[float(z.real), float(z.imag)] for z in np.asarray(m).reshape(-1)]
-
-        if self.representation == "kraus":
-            return {
-                "representation": "kraus",
-                "dim": self.dim,
-                "operators": [encode(k) for k in self.data],
-            }
-        return {
-            "representation": self.representation,
-            "dim": self.dim,
-            "entries": encode(self.data),
-        }
+    def to_json(self) -> str:
+        """JSON form, as ``json.dumps(..., indent=2)`` writes it: the representation
+        tag, ``dim``, and the row-major [re, im] pairs of the matrix (``entries``)
+        or of each Kraus operator (``operators``), floats by ``repr``."""
+        header = json.dumps({"representation": self.representation, "dim": self.dim}, indent=2)
+        kraus = self.representation == "kraus"
+        pad = " " * (6 if kraus else 4)
+        pairs = [f"{pad}[\n{pad}  {re!r},\n{pad}  {im!r}\n{pad}]"
+                 for re, im in zip(self.data.real.reshape(-1).tolist(),
+                                   self.data.imag.reshape(-1).tolist())]
+        if kraus:
+            n = self.dim * self.dim
+            key, body = "operators", ",\n".join("    [\n" + ",\n".join(pairs[k:k + n]) + "\n    ]"
+                                                for k in range(0, len(pairs), n))
+        else:
+            key, body = "entries", ",\n".join(pairs)
+        return header[:-2] + f',\n  "{key}": [\n{body}\n  ]\n}}'  # header less its "\n}"
 
     @staticmethod
-    def from_dict(d: dict) -> "QuantumChannel":
+    def from_json(text: str) -> "QuantumChannel":
+        """Read what ``to_json`` writes, validated by the representation's constructor."""
+        d = json.loads(text)
         dim = int(d["dim"])
 
-        def decode(pairs, side):
-            flat = np.array([complex(re, im) for re, im in pairs])
-            return flat.reshape(side, side)
+        def decode(pairs) -> np.ndarray:  # [re, im] pairs, bit for bit
+            return np.array(pairs, dtype=float).view(complex)
 
         if d["representation"] == "kraus":
-            return QuantumChannel.from_kraus([decode(op, dim) for op in d["operators"]])
-        m = decode(d["entries"], dim * dim)
+            return QuantumChannel.from_kraus(decode(d["operators"]).reshape(-1, dim, dim))
+        m = decode(d["entries"]).reshape(dim * dim, dim * dim)
         if d["representation"] == "choi":
             return QuantumChannel.from_choi(m)
         if d["representation"] == "chi":
@@ -204,6 +207,12 @@ class QuantumChannel:
     def choi_matrix(self) -> np.ndarray:
         return self.convert("choi").data
 
+    @functools.cached_property
+    def _choi(self) -> np.ndarray:  # of a Kraus set: one sum per channel, read-only
+        j = _kraus_to_choi(self.data, self.dim)
+        j.flags.writeable = False
+        return j
+
     def chi_matrix(self) -> np.ndarray:
         return self.convert("chi").data
 
@@ -213,8 +222,7 @@ class QuantumChannel:
         if to == self.representation:
             return self
         if self.representation == "kraus":
-            j = _kraus_to_choi(self.data, self.dim)
-            ch = QuantumChannel("choi", j, self.dim)
+            ch = QuantumChannel("choi", self._choi, self.dim)
             return ch if to == "choi" else ch.convert("chi")
         if self.representation == "choi":
             if to == "kraus":

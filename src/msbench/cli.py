@@ -169,7 +169,7 @@ def cmd_qpt(args, out: Path) -> _Handled:
     print(f"{label} QPT ({backend}): process fidelity {fidelity:.6f} vs {target_label}")
     return 0, cal.fingerprint() if cal else "none", {
         out: ds.to_json() + "\n",
-        _sibling(out, ".channel.json"): _json(channel.convert("choi").to_dict()),
+        _sibling(out, ".channel.json"): channel.convert("choi").to_json() + "\n",
         _sibling(out, ".report.json"): _json(report.to_dict()),
     }
 

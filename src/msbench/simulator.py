@@ -227,11 +227,6 @@ class CountsRecord:
             return np.array(self.probs)
         return np.array([self.counts[b] for b in BITSTRINGS]) / self.shots
 
-    def to_dict(self) -> dict:
-        if self.exact:
-            return {"setting": self.setting, "exact": True, "probabilities": list(self.probs)}
-        return {"setting": self.setting, "shots": self.shots, "counts": dict(self.counts)}
-
     @staticmethod
     def from_dict(d, where: str) -> "CountsRecord":
         """The record a JSON object holds; every error is prefixed with ``where``."""

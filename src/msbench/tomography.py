@@ -20,7 +20,8 @@ sampled counts are unchanged. One ``outcome_distribution`` call gives all
 144 cells' distributions, and one ``sample_counts`` call draws each cell
 from its own seed (``_experiment_seeds``, one array hash). Either result, a
 (144, 4) array in ``_CELLS`` order, goes unchanged into the dataset, which
-checks it once, and on to ``linear_inversion``.
+checks it once, and on to ``linear_inversion`` and the file writer,
+``TomographyDataset.to_json``, which formats it without building records.
 """
 
 from __future__ import annotations
@@ -72,6 +73,12 @@ PREP_LABELS = tuple(f"{a}:{b}" for a, b in itertools.product(PREP_TOKENS, PREP_T
 _CELLS = tuple(itertools.product(PREP_LABELS, SETTINGS))
 # Their spawn keys (prep index, setting index), as a (2 x 144) uint32 array.
 _CELL_KEYS = np.indices((len(PREP_LABELS), len(SETTINGS)), dtype=np.uint32).reshape(2, -1)
+# A dataset file lists the cells in sorted (prep, setting) tuple order, which
+# is not the order of their "prep|setting" names:
+# "+:+i|XX" sorts before "+:+|XX" as a string, after it as a tuple.
+_WRITE_ORDER = sorted(range(len(_CELLS)), key=_CELLS.__getitem__)
+_RECORD_HEADS = [f'    "{p}|{s}": {{\n      "setting": "{s}",\n'
+                 for p, s in (_CELLS[i] for i in _WRITE_ORDER)]
 
 
 def prep_state(label: str) -> np.ndarray:
@@ -142,7 +149,9 @@ class TomographyDataset:
 
     @functools.cached_property
     def records(self) -> dict:
-        """(prep label, setting) -> ``CountsRecord``, built on first read."""
+        """(prep label, setting) -> ``CountsRecord``, built on first read: a lazy
+        view for readers such as the benchmark's output check and the tests. No
+        writer uses it; ``to_json`` writes from ``outcomes``."""
         if self.shots is None:
             return {cell: CountsRecord(cell[1], None, None, tuple(row))
                     for cell, row in zip(_CELLS, self.outcomes.tolist())}
@@ -150,17 +159,30 @@ class TomographyDataset:
                 for cell, row in zip(_CELLS, self.outcomes.tolist())}
 
     def to_json(self) -> str:
-        payload = {
+        """The dataset as ``json.dumps(..., indent=2)`` writes it, with one record
+        per cell under ``records`` in sorted (prep, setting) order. ``json``
+        writes the header; the records come from ``outcomes``, already checked,
+        with counts as ints and probabilities by ``repr``, as ``json`` writes a
+        finite float."""
+        header = json.dumps({
             "circuit": json.loads(self.circuit_json) if self.circuit_json else None,
             "shots": self.shots,
             "seed": self.seed,
             "rng": self.rng,
             "noise_fingerprint": self.noise_fingerprint,
-            "records": {
-                f"{p}|{s}": rec.to_dict() for (p, s), rec in sorted(self.records.items())
-            },
-        }
-        return json.dumps(payload, indent=2)
+        }, indent=2)
+        rows = self.outcomes[_WRITE_ORDER].tolist()
+        if self.shots is None:
+            body = (f'{head}      "exact": true,\n      "probabilities": [\n        {a!r},\n'
+                    f'        {b!r},\n        {c!r},\n        {d!r}\n      ]\n    }}'
+                    for head, (a, b, c, d) in zip(_RECORD_HEADS, rows))
+        else:
+            shots = json.dumps(self.shots)
+            body = (f'{head}      "shots": {shots},\n      "counts": {{\n        "00": {a},\n'
+                    f'        "01": {b},\n        "10": {c},\n        "11": {d}\n      }}\n    }}'
+                    for head, (a, b, c, d) in zip(_RECORD_HEADS, rows))
+        # The header without its closing "\n}", then the records block.
+        return header[:-2] + ',\n  "records": {\n' + ",\n".join(body) + "\n  }\n}"
 
     @staticmethod
     def from_json(text: str) -> "TomographyDataset":

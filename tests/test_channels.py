@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -278,7 +279,7 @@ def test_project_cptp_raises_at_its_step_cap(rng, monkeypatch):
 def test_channel_json_roundtrip(rng):
     for rep in ("kraus", "choi", "chi"):
         ch = random_cptp_kraus(rng, n_kraus=2).convert(rep)
-        again = QuantumChannel.from_dict(ch.to_dict())
+        again = QuantumChannel.from_json(ch.to_json())
         assert again.representation == rep
         assert np.linalg.norm(again.choi_matrix() - ch.choi_matrix()) <= 1e-9
 
@@ -420,3 +421,54 @@ def test_choi_channel_derives_its_kraus_set_once(rng, monkeypatch):
     assert len(calls) == 1
     assert first.tobytes() == second.tobytes()
     assert ch.kraus_operators() is ch.kraus_operators()
+
+
+def _pairs_channel_json(ch: QuantumChannel) -> str:
+    """The ``json.dumps`` writer ``to_json`` replaced: the oracle it must match."""
+    def encode(m):
+        return [[float(z.real), float(z.imag)] for z in np.asarray(m).reshape(-1)]
+
+    if ch.representation == "kraus":
+        payload = {"representation": "kraus", "dim": ch.dim,
+                   "operators": [encode(k) for k in ch.data]}
+    else:
+        payload = {"representation": ch.representation, "dim": ch.dim, "entries": encode(ch.data)}
+    return json.dumps(payload, indent=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 16), dim=st.sampled_from([2, 4]),
+       paulis=st.booleans(), representation=st.sampled_from(REPRESENTATIONS))
+def test_channel_json_matches_the_pairs_writer_and_round_trips(seed, count, dim, paulis,
+                                                                representation):
+    """Valid channels of every representation; the Pauli mixtures carry -0.0."""
+    kraus = _kraus_set(np.random.default_rng(seed), count, dim, paulis)
+    ch = {"kraus": kraus, "choi": QuantumChannel.from_choi(kraus.choi_matrix()),
+          "chi": QuantumChannel.from_chi(kraus.chi_matrix())}[representation]
+    text = ch.to_json()
+    assert text == _pairs_channel_json(ch)
+    again = QuantumChannel.from_json(text)
+    assert (again.representation, again.dim) == (representation, dim)
+    assert again.data.tobytes() == ch.data.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 4), dim=st.sampled_from([2, 4]),
+       representation=st.sampled_from(REPRESENTATIONS))
+def test_channel_json_writes_any_finite_entries_as_json_does(seed, count, dim, representation):
+    """Entries the writer meets unvalidated: signed zeros, subnormals, exponents."""
+    rng = np.random.default_rng(seed)
+    side = dim if representation == "kraus" else dim * dim
+    data = _matrices(rng, count, side, side) * 10.0 ** rng.integers(-300, 300, (count, side, side))
+    data[rng.random(data.shape) < 0.1] = complex(5e-324, -0.0)
+    ch = QuantumChannel(representation, data if representation == "kraus" else data[0], dim)
+    assert ch.to_json() == _pairs_channel_json(ch)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_kraus_channel_builds_its_choi_state_once_read_only(rng, dim):
+    ch = random_cptp_kraus(rng, dim=dim, n_kraus=3)
+    j = ch.choi_matrix()
+    assert ch.choi_matrix() is j
+    assert not j.flags.writeable
+    assert j.tobytes() == channels._kraus_to_choi(ch.data, dim).tobytes()

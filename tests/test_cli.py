@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -102,6 +103,22 @@ def test_qpt_run_is_byte_reproducible(tmp_path):
     fid_a = json.loads((tmp_path / "a.report.json").read_text())["process_fidelity"]
     fid_b = json.loads((tmp_path / "b.report.json").read_text())["process_fidelity"]
     assert fid_a == fid_b
+
+
+@pytest.mark.parametrize("flags, digests", [
+    (["--shots", "4000"],
+     {".channel.json": "70ba3ca5b2eb529da82d5e2f8084335f752bf7c4dbc26514acdcc81e0e366d1c",
+      ".report.json": "737e7e1fdddde9c88d7e6c18cc4aff005a276beed81a9e1c6609a2a8dec637f4"}),
+    (["--exact"],
+     {".channel.json": "36d1e071c7e7e07851fb20346a87dd5f1b4dcb631af864e84e44e838af6cdc79",
+      ".report.json": "57b4280f96b05ea124682caf7656f066dc7b676b7ea6db68aa051fee8a880e8c"}),
+], ids=["sampled", "exact"])
+def test_qpt_outputs_are_pinned(tmp_path, flags, digests):
+    """Recorded when the channel file was written by ``json.dumps(indent=2)``."""
+    assert main(["qpt", "--noise", str(DATA_DIR / "example_calibration.json"), "--seed", "1",
+                 *flags, "--out", str(tmp_path / "qpt.json")]) == 0
+    for suffix, digest in digests.items():
+        assert hashlib.sha256((tmp_path / f"qpt{suffix}").read_bytes()).hexdigest() == digest
 
 
 def test_qpt_cx_against_ms_target(tmp_path):

@@ -174,6 +174,66 @@ def test_dataset_json_roundtrip_property(ds):
     assert again.to_json() == text
 
 
+def _record_dataset_json(ds) -> str:
+    """The record-based writer ``to_json`` replaced: the oracle it must match."""
+    def record(rec):
+        if rec.exact:
+            return {"setting": rec.setting, "exact": True, "probabilities": list(rec.probs)}
+        return {"setting": rec.setting, "shots": rec.shots, "counts": dict(rec.counts)}
+
+    return json.dumps({
+        "circuit": json.loads(ds.circuit_json) if ds.circuit_json else None,
+        "shots": ds.shots,
+        "seed": ds.seed,
+        "rng": ds.rng,
+        "noise_fingerprint": ds.noise_fingerprint,
+        "records": {f"{p}|{s}": record(rec) for (p, s), rec in sorted(ds.records.items())},
+    }, indent=2)
+
+
+# Probabilities that the dataset accepts and that json writes with care: signed
+# zeros, subnormals, entries down to -1e-9 and reprs with an exponent.
+_EDGE_PROBABILITIES = np.array([-0.0, 0.0, 5e-324, 2.5e-310, -1e-9, -3.0000000000000004e-10,
+                                1e-05, 1.2345678901234567e-17, 1e-300])
+
+
+@st.composite
+def edge_datasets(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shots = draw(st.none() | st.integers(1, 10**9))
+    dists = rng.dirichlet(np.ones(4), size=144)
+    if shots is None:
+        edge = rng.random(dists.shape) < 0.3
+        dists[edge] = rng.choice(_EDGE_PROBABILITIES, size=edge.sum())
+        # The rest of each row's mass goes to its largest entry, a Dirichlet draw.
+        dists[np.arange(144), dists.argmax(axis=1)] += 1.0 - dists.sum(axis=1)
+    outcomes = dists if shots is None else rng.multinomial(shots, dists)
+    seed = None if shots is None else draw(st.integers(0, 2**63 - 1))
+    circuit = draw(st.none() | circuits)
+    fingerprint = draw(st.text() | st.sampled_from(['q"uote', "back\\slash", "ñø ascii ✓"]))
+    return TomographyDataset(outcomes, shots, seed, fingerprint,
+                             None if circuit is None else circuit.to_json())
+
+
+@settings(max_examples=40, deadline=None)
+@given(ds=edge_datasets())
+def test_dataset_json_matches_the_record_writer_and_round_trips(ds):
+    text = ds.to_json()
+    assert text == _record_dataset_json(ds)
+    again = TomographyDataset.from_json(text)
+    assert again.outcomes.dtype == ds.outcomes.dtype
+    assert again.outcomes.tobytes() == ds.outcomes.tobytes()  # -0.0 included
+    assert (again.shots, again.seed, again.rng, again.noise_fingerprint, again.circuit_json) == (
+        ds.shots, ds.seed, ds.rng, ds.noise_fingerprint, ds.circuit_json)
+
+
+def test_dataset_json_lists_cells_in_tuple_order_not_name_order():
+    names = list(json.loads(run_qpt(Circuit(), shots=None).to_json())["records"])
+    assert names == [f"{p}|{s}" for p, s in sorted(_CELLS)]
+    assert names.index("+:+|XX") < names.index("+:+i|XX")
+    assert sorted(names).index("+:+i|XX") < sorted(names).index("+:+|XX")
+
+
 def test_dataset_completeness_enforced():
     d = json.loads(run_qpt(Circuit(), shots=10, seed=0).to_json())
     del d["records"]["0:0|XX"]

@@ -14,15 +14,12 @@ from .circuits import (
     circuit_unitary,
     cx_circuit,
     cx_unitary,
-    makhlin_invariants,
     ms_unitary,
     phase_aligned_distance,
     synthesize_ms_circuit,
 )
 from .metrics import (
-    BenchmarkReport,
     StabilityReport,
-    compare_gates,
     scaling_table,
     stability_analysis,
     success_probability,
@@ -40,7 +37,6 @@ from .noise import (
 from .simulator import CountsRecord, basis_state, evolve, expectation, outcome_distribution, sample_counts
 from .tomography import (
     TomographyDataset,
-    average_gate_fidelity,
     process_fidelity,
     reconstruct_channel,
     run_qpt,

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuits import _check_record, _is_number
 from .linalg import (
     PAULIS_1Q,
     as_matrix,
@@ -93,7 +94,7 @@ def _tp_residual(j: np.ndarray, dim: int) -> np.ndarray:
     return coords
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """A CPTP map on 1 or 2 qubits, in one of three representations."""
 
@@ -181,21 +182,34 @@ class QuantumChannel:
 
     @staticmethod
     def from_json(text: str) -> "QuantumChannel":
-        """Read what ``to_json`` writes, validated by the representation's constructor."""
+        """Read what ``to_json`` writes, validated by the representation's
+        constructor; a malformed file fails naming the field."""
         d = json.loads(text)
-        dim = int(d["dim"])
-
-        def decode(pairs) -> np.ndarray:  # [re, im] pairs, bit for bit
-            return np.array(pairs, dtype=float).view(complex)
-
-        if d["representation"] == "kraus":
-            return QuantumChannel.from_kraus(decode(d["operators"]).reshape(-1, dim, dim))
-        m = decode(d["entries"]).reshape(dim * dim, dim * dim)
-        if d["representation"] == "choi":
-            return QuantumChannel.from_choi(m)
-        if d["representation"] == "chi":
-            return QuantumChannel.from_chi(m)
-        raise ValueError(f"unknown representation {d['representation']!r}")
+        kraus = isinstance(d, dict) and d.get("representation") == "kraus"
+        key = "operators" if kraus else "entries"
+        _check_record(d, ("representation", "dim", key), ("representation", "dim", key), "channel")
+        rep, dim, pairs = d["representation"], d["dim"], d[key]
+        if rep not in REPRESENTATIONS:
+            raise ValueError(f"channel: unknown representation {rep!r}; "
+                             f"expected one of {', '.join(REPRESENTATIONS)}")
+        if not isinstance(dim, int) or dim not in (2, 4):
+            raise ValueError(f"channel: dim must be 2 or 4, got {dim!r}")
+        n = dim * dim
+        if kraus:
+            if not (isinstance(pairs, list) and pairs
+                    and all(isinstance(op, list) and len(op) == n for op in pairs)):
+                raise ValueError(f"channel: operators must be a non-empty list of "
+                                 f"Kraus operators of {n} pairs each")
+            pairs = [pair for op in pairs for pair in op]
+        elif not isinstance(pairs, list) or len(pairs) != n * n:
+            raise ValueError(f"channel: entries must hold {n * n} pairs for dim {dim}")
+        if not all(isinstance(p, list) and len(p) == 2 and all(map(_is_number, p)) for p in pairs):
+            raise ValueError(f"channel: {key} must be [re, im] number pairs")
+        m = np.array(pairs, dtype=float).view(complex)  # bit for bit
+        if kraus:
+            return QuantumChannel.from_kraus(m.reshape(-1, dim, dim))
+        m = m.reshape(n, n)
+        return QuantumChannel.from_choi(m) if rep == "choi" else QuantumChannel.from_chi(m)
 
     def kraus_operators(self) -> np.ndarray:
         return self._kraus

@@ -31,17 +31,6 @@ _GATE_KEYS = ("kind", "qubit", "angle", "control", "target")
 
 _SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 
-# Magic-basis change used for the local invariants of two-qubit unitaries.
-_MAGIC = (1 / math.sqrt(2)) * np.array(
-    [
-        [1, 0, 0, 1j],
-        [0, 1j, 1, 0],
-        [0, 1j, -1, 0],
-        [1, 0, 0, -1j],
-    ],
-    dtype=complex,
-)
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -168,9 +157,6 @@ class Circuit:
     def cnot_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == "cnot")
 
-    def concat(self, other: "Circuit") -> "Circuit":
-        return Circuit(self.gates + other.gates)
-
     def to_json(self) -> str:
         return json.dumps([g.to_dict() for g in self.gates])
 
@@ -193,9 +179,8 @@ class Circuit:
             raise ValueError(f"{path}: {err}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetUnitary:
-    label: str  # "ms" | "cx" | "custom"
     matrix: np.ndarray
 
     def __post_init__(self):
@@ -209,11 +194,11 @@ def ms_unitary() -> TargetUnitary:
     """The maximally entangling target: 1/sqrt(2) on the diagonal, i/sqrt(2)
     on the anti-diagonal. Equals exp(i*pi/4 * X(x)X)."""
     m = (np.eye(4) + 1j * kron(PAULI_X, PAULI_X)) / math.sqrt(2)
-    return TargetUnitary("ms", m)
+    return TargetUnitary(m)
 
 
 def cx_unitary() -> TargetUnitary:
-    return TargetUnitary("cx", cnot_matrix(0, 1))
+    return TargetUnitary(cnot_matrix(0, 1))
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -229,24 +214,6 @@ def phase_aligned_distance(u, v) -> float:
     overlap = abs(np.trace(dagger(v) @ u))
     gap = frobenius(u) ** 2 + frobenius(v) ** 2 - 2 * overlap
     return math.sqrt(max(0.0, gap))
-
-
-def makhlin_invariants(u) -> tuple[complex, float]:
-    """Local-equivalence invariants (g1 complex, g2 real) of a 4x4 unitary.
-
-    Computed in the magic basis; invariant under single-qubit dressings on
-    either side and under global phase. Identity gives (1, 3), CNOT (0, 1).
-    """
-    u = as_matrix(u)
-    if u.shape != (4, 4) or not is_unitary(u, atol=1e-8):
-        raise ValueError("expected a 4x4 unitary within 1e-8")
-    mb = dagger(_MAGIC) @ u @ _MAGIC
-    m = mb.T @ mb
-    det = np.linalg.det(u)
-    tr = np.trace(m)
-    g1 = complex(tr**2 / (16 * det))
-    g2 = complex((tr**2 - np.trace(m @ m)) / (4 * det))
-    return g1, float(g2.real)
 
 
 # Single-CNOT realization of the entangling target, with the CNOT dressed by

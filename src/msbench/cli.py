@@ -42,7 +42,7 @@ from .circuits import (
     circuit_unitary,
     phase_aligned_distance,
 )
-from .metrics import SCALING_DEPTH, BenchmarkReport, scaling_table, stability_analysis, success_probability
+from .metrics import SCALING_DEPTH, scaling_table, stability_analysis, success_probability
 from .noise import DeviceCalibration, build_noise_model, fit_depolarizing
 from .simulator import BITSTRINGS, RNG_ALGORITHM, basis_state, evolve, outcome_distribution, sample_counts
 from .tomography import DEFAULT_SEED, process_fidelity, reconstruct_channel, run_qpt
@@ -159,18 +159,18 @@ def cmd_qpt(args, out: Path) -> _Handled:
         target_u = circuit_unitary(circuit)
     fidelity = process_fidelity(channel, channel_from_unitary(target_u))
 
-    report = BenchmarkReport(
-        gate=label,
-        backend="exact" if shots is None else f"shots={shots},seed={args.seed}",
-        noise_fingerprint=ds.noise_fingerprint,
-        process_fidelity=fidelity,
-    )
+    report = {
+        "gate": label,
+        "backend": "exact" if shots is None else f"shots={shots},seed={args.seed}",
+        "noise_fingerprint": ds.noise_fingerprint,
+        "process_fidelity": fidelity,
+    }
     backend = "exact probabilities" if shots is None else f"{shots} shots/setting"
     print(f"{label} QPT ({backend}): process fidelity {fidelity:.6f} vs {target_label}")
     return 0, cal.fingerprint() if cal else "none", {
         out: ds.to_json() + "\n",
         _sibling(out, ".channel.json"): channel.convert("choi").to_json() + "\n",
-        _sibling(out, ".report.json"): _json(report.to_dict()),
+        _sibling(out, ".report.json"): _json(report),
     }
 
 

@@ -1,5 +1,5 @@
 """Benchmark-facing metrics: subspace success probability, infidelity
-scaling, gate comparison tables, and calibration stability analytics."""
+scaling, and calibration stability analytics."""
 
 from __future__ import annotations
 
@@ -27,62 +27,6 @@ def scaling_table(epsilon: float, n_max: int) -> list[tuple[int, float]]:
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon = {epsilon} outside [0, 1]")
     return [(n, (1.0 - epsilon) ** n) for n in range(1, n_max + 1)]
-
-
-@dataclass
-class BenchmarkReport:
-    gate: str
-    backend: str  # e.g. "exact" or "shots=4000,seed=42"
-    noise_fingerprint: str
-    process_fidelity: float
-    success_probability: float | None = None
-
-    @property
-    def epsilon(self) -> float | None:
-        if self.success_probability is None:
-            return None
-        return 1.0 - self.success_probability
-
-    def scaling(self) -> list[tuple[int, float]] | None:
-        if self.epsilon is None:
-            return None
-        return scaling_table(self.epsilon, SCALING_DEPTH)
-
-    def to_dict(self) -> dict:
-        return {
-            "gate": self.gate,
-            "backend": self.backend,
-            "noise_fingerprint": self.noise_fingerprint,
-            "process_fidelity": self.process_fidelity,
-            "success_probability": self.success_probability,
-            "epsilon": self.epsilon,
-            "scaling": self.scaling(),
-        }
-
-
-def compare_gates(reports: list[BenchmarkReport]) -> dict:
-    """Side-by-side fidelities with pairwise deltas."""
-    if len(reports) < 2:
-        raise ValueError("need at least two reports to compare")
-    rows = [
-        {
-            "gate": r.gate,
-            "backend": r.backend,
-            "process_fidelity": r.process_fidelity,
-        }
-        for r in reports
-    ]
-    deltas = []
-    for i, a in enumerate(reports):
-        for b in reports[i + 1:]:
-            deltas.append(
-                {
-                    "a": f"{a.gate}/{a.backend}",
-                    "b": f"{b.gate}/{b.backend}",
-                    "delta": a.process_fidelity - b.process_fidelity,
-                }
-            )
-    return {"gates": rows, "deltas": deltas}
 
 
 @dataclass

@@ -219,7 +219,7 @@ def confusion_matrix(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) -
     return kron(c0, c1).real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Concrete error channels for each circuit layer, plus readout confusion.
 

@@ -311,13 +311,6 @@ def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ dagger(vecs)
 
 
-def average_gate_fidelity(f_proc: float) -> float:
-    """Companion metric (d * F_proc + 1) / (d + 1) for d = 4."""
-    if not 0.0 <= f_proc <= 1.0:
-        raise ValueError(f"process fidelity {f_proc} outside [0, 1]")
-    return (4.0 * f_proc + 1.0) / 5.0
-
-
 def exact_process_fidelity(circuit: Circuit, noise=None) -> float:
     """Exact-probability tomographic fidelity of a circuit against its own
     ideal unitary; the deterministic evaluator behind noise fitting."""

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from msbench.channels import QuantumChannel
 from msbench.circuits import Circuit, Gate
+from msbench.linalg import as_matrix
 
 
 def count_numpy_random(monkeypatch, name: str) -> list:
@@ -18,6 +19,34 @@ def count_numpy_random(monkeypatch, name: str) -> list:
 
     monkeypatch.setattr(np.random, name, build)
     return calls
+
+
+def partial_trace(m, keep, dims) -> np.ndarray:
+    """Trace out the subsystems of ``m`` not listed in ``keep``.
+
+    ``dims`` gives the dimension of each subsystem in order; ``keep`` is a
+    sequence of subsystem indices to retain (original order preserved).
+    """
+    m = as_matrix(m)
+    dims = list(int(d) for d in dims)
+    keep = sorted(int(k) for k in np.atleast_1d(keep))
+    n = len(dims)
+    total = int(np.prod(dims))
+    if m.shape != (total, total):
+        raise ValueError(f"matrix shape {m.shape} inconsistent with dims {dims}")
+    if any(k < 0 or k >= n for k in keep) or len(set(keep)) != len(keep):
+        raise ValueError(f"invalid keep selector {keep} for {n} subsystems")
+
+    t = m.reshape(dims + dims)
+    traced = 0
+    for q in range(n):
+        if q not in keep:
+            axis = q - traced
+            nleft = len(t.shape) // 2
+            t = np.trace(t, axis1=axis, axis2=axis + nleft)
+            traced += 1
+    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
+    return t.reshape(d_keep, d_keep)
 
 
 def random_unitary(rng, dim: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 from msbench.channels import QuantumChannel, channel_from_unitary, project_cptp
 from msbench.circuits import circuit_unitary, cx_circuit, ms_unitary, synthesize_ms_circuit
 from msbench.cli import main
-from msbench.linalg import kron, partial_trace
+from msbench.linalg import kron
 from msbench.metrics import scaling_table, stability_analysis, success_probability
 from msbench.noise import DeviceCalibration, QubitCalibration, build_noise_model
 from msbench.simulator import basis_state, evolve, outcome_distribution, sample_counts
@@ -25,7 +25,7 @@ from msbench.tomography import (
     run_qpt,
 )
 
-from conftest import random_cptp_kraus, random_density_matrix
+from conftest import partial_trace, random_cptp_kraus, random_density_matrix
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 BASE_CALIBRATION = DATA_DIR / "example_calibration.json"

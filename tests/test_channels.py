@@ -17,9 +17,9 @@ from msbench.channels import (
     project_cptp,
 )
 from msbench.circuits import ms_unitary
-from msbench.linalg import I2, PAULI_X, PAULIS_1Q, dagger, kron, partial_trace
+from msbench.linalg import I2, PAULI_X, PAULIS_1Q, dagger, kron
 
-from conftest import random_cptp_kraus, random_density_matrix
+from conftest import partial_trace, random_cptp_kraus, random_density_matrix
 
 
 def maximally_entangled_choi():
@@ -282,6 +282,28 @@ def test_channel_json_roundtrip(rng):
         again = QuantumChannel.from_json(ch.to_json())
         assert again.representation == rep
         assert np.linalg.norm(again.choi_matrix() - ch.choi_matrix()) <= 1e-9
+
+
+def _edit_choi_json(edit) -> str:
+    d = json.loads(identity_channel(4).convert("choi").to_json())
+    edit(d)
+    return json.dumps(d)
+
+
+@pytest.mark.parametrize("text, match", [
+    (_edit_choi_json(lambda d: d["entries"].pop()), "entries must hold 256 pairs"),
+    (_edit_choi_json(lambda d: d.pop("dim")), "missing key 'dim'"),
+    (_edit_choi_json(lambda d: d["entries"][0].pop()), r"entries must be \[re, im\] number pairs"),
+    (_edit_choi_json(lambda d: d.update(note="x")), "unknown key 'note'"),
+    (_edit_choi_json(lambda d: d.update(dim=3)), "dim must be 2 or 4, got 3"),
+    (_edit_choi_json(lambda d: d.update(representation="ptm")), "unknown representation 'ptm'"),
+    (json.dumps({"representation": "kraus", "dim": 2, "operators": [[[1.0, 0.0]] * 3]}),
+     "operators must be a non-empty list of Kraus operators of 4 pairs"),
+], ids=["short-entries", "no-dim", "one-element-pair", "unknown-key", "dim-3", "representation",
+        "short-operator"])
+def test_channel_from_json_names_the_malformed_field(text, match):
+    with pytest.raises(ValueError, match=match):
+        QuantumChannel.from_json(text)
 
 
 def test_compose_and_tensor(rng):

@@ -11,7 +11,6 @@ from msbench.circuits import (
     cnot_matrix,
     cx_circuit,
     cx_unitary,
-    makhlin_invariants,
     ms_unitary,
     phase_aligned_distance,
     synthesize_ms_circuit,
@@ -78,44 +77,6 @@ def test_phase_aligned_distance_is_phase_blind(rng):
     assert phase_aligned_distance(np.eye(4), cnot_matrix()) > 1.0
 
 
-def test_makhlin_identity():
-    g1, g2 = makhlin_invariants(np.eye(4, dtype=complex))
-    assert g1 == pytest.approx(1.0, abs=1e-9)
-    assert g2 == pytest.approx(3.0, abs=1e-9)
-
-
-def test_makhlin_cnot():
-    g1, g2 = makhlin_invariants(cnot_matrix())
-    assert abs(g1) <= 1e-9
-    assert g2 == pytest.approx(1.0, abs=1e-9)
-
-
-def test_makhlin_ms_matches_cnot():
-    g1_ms, g2_ms = makhlin_invariants(ms_unitary().matrix)
-    g1_cx, g2_cx = makhlin_invariants(cnot_matrix())
-    assert abs(g1_ms - g1_cx) <= 1e-9
-    assert g2_ms == pytest.approx(g2_cx, abs=1e-9)
-
-
-def test_makhlin_rejects_nonunitary():
-    with pytest.raises(ValueError):
-        makhlin_invariants(np.ones((4, 4)))
-
-
-def test_makhlin_local_invariance(rng):
-    u = cnot_matrix()
-    g1_ref, g2_ref = makhlin_invariants(u)
-    for _ in range(8):
-        dressed = (
-            kron(random_unitary(rng, 2), random_unitary(rng, 2))
-            @ u
-            @ kron(random_unitary(rng, 2), random_unitary(rng, 2))
-        )
-        g1, g2 = makhlin_invariants(dressed)
-        assert abs(g1 - g1_ref) <= 1e-8
-        assert abs(g2 - g2_ref) <= 1e-8
-
-
 def test_synthesized_circuit_has_one_cnot():
     assert synthesize_ms_circuit().cnot_count() == 1
 
@@ -123,13 +84,6 @@ def test_synthesized_circuit_has_one_cnot():
 def test_synthesized_circuit_matches_target():
     c = synthesize_ms_circuit()
     assert phase_aligned_distance(circuit_unitary(c), ms_unitary().matrix) <= 1e-9
-
-
-def test_synthesized_circuit_invariants_match_cnot():
-    g1_c, g2_c = makhlin_invariants(circuit_unitary(synthesize_ms_circuit()))
-    g1_x, g2_x = makhlin_invariants(cnot_matrix())
-    assert abs(g1_c - g1_x) <= 1e-9
-    assert g2_c == pytest.approx(g2_x, abs=1e-9)
 
 
 def test_cx_circuit():
@@ -147,7 +101,7 @@ def test_cx_circuit():
 def test_concatenation_matches_product(rng):
     a = Circuit((Gate.rz(0, 0.7), Gate.sx(1), Gate.cnot(1, 0)))
     b = Circuit((Gate.x(0), Gate.rz(1, -1.2)))
-    lhs = circuit_unitary(a.concat(b))
+    lhs = circuit_unitary(Circuit(a.gates + b.gates))
     rhs = circuit_unitary(b) @ circuit_unitary(a)
     assert np.allclose(lhs, rhs, atol=1e-12)
 

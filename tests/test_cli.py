@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from msbench import cli
+from msbench.circuits import synthesize_ms_circuit
 from msbench.cli import main
 from msbench.noise import DeviceCalibration, QubitCalibration, build_noise_model
 from msbench.tomography import exact_process_fidelity
@@ -105,20 +106,36 @@ def test_qpt_run_is_byte_reproducible(tmp_path):
     assert fid_a == fid_b
 
 
-@pytest.mark.parametrize("flags, digests", [
+@pytest.mark.parametrize("flags, digests, report", [
     (["--shots", "4000"],
      {".channel.json": "70ba3ca5b2eb529da82d5e2f8084335f752bf7c4dbc26514acdcc81e0e366d1c",
-      ".report.json": "737e7e1fdddde9c88d7e6c18cc4aff005a276beed81a9e1c6609a2a8dec637f4"}),
+      ".report.json": "1d968286c5e30c893e56a92910c1c0a57328ce067384f42e0311b22d0013373d"},
+     {"gate": "ms", "backend": "shots=4000,seed=1", "noise_fingerprint": "4e6a3ff91ddc8940",
+      "process_fidelity": 0.9317480627728779}),
     (["--exact"],
      {".channel.json": "36d1e071c7e7e07851fb20346a87dd5f1b4dcb631af864e84e44e838af6cdc79",
-      ".report.json": "57b4280f96b05ea124682caf7656f066dc7b676b7ea6db68aa051fee8a880e8c"}),
+      ".report.json": "db0d6e5416ce7462db2c11a638fc98f53243155a5817fcf69d0ac4623f9008a7"},
+     {"gate": "ms", "backend": "exact", "noise_fingerprint": "4e6a3ff91ddc8940",
+      "process_fidelity": 0.9391649223905055}),
 ], ids=["sampled", "exact"])
-def test_qpt_outputs_are_pinned(tmp_path, flags, digests):
-    """Recorded when the channel file was written by ``json.dumps(indent=2)``."""
+def test_qpt_outputs_are_pinned(tmp_path, flags, digests, report):
+    """Channel digests recorded when the channel file was written by
+    ``json.dumps(indent=2)``; report digests when the report became these four keys."""
     assert main(["qpt", "--noise", str(DATA_DIR / "example_calibration.json"), "--seed", "1",
                  *flags, "--out", str(tmp_path / "qpt.json")]) == 0
+    assert json.loads((tmp_path / "qpt.report.json").read_text()) == report
     for suffix, digest in digests.items():
         assert hashlib.sha256((tmp_path / f"qpt{suffix}").read_bytes()).hexdigest() == digest
+
+
+def test_qpt_on_a_circuit_file_reports_against_itself(tmp_path):
+    circuit = tmp_path / "ms_circuit.json"
+    circuit.write_text(synthesize_ms_circuit().to_json())
+    assert main(["qpt", "--circuit", str(circuit), "--exact",
+                 "--out", str(tmp_path / "custom.json")]) == 0
+    assert json.loads((tmp_path / "custom.report.json").read_text()) == {
+        "gate": "custom", "backend": "exact", "noise_fingerprint": "noiseless",
+        "process_fidelity": pytest.approx(1.0, abs=1e-9)}
 
 
 def test_qpt_cx_against_ms_target(tmp_path):

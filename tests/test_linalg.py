@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix
+from conftest import partial_trace, random_density_matrix
 
 from msbench.linalg import (
     I2,
@@ -10,7 +10,6 @@ from msbench.linalg import (
     check_density_matrix,
     kraus_sum,
     kron,
-    partial_trace,
 )
 
 

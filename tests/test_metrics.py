@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from msbench.metrics import (
-    BenchmarkReport,
-    compare_gates,
     scaling_table,
     stability_analysis,
     success_probability,
@@ -58,34 +56,6 @@ def test_scaling_table_monotone():
     assert all(a > b for a, b in zip(values, values[1:]))
     with pytest.raises(ValueError):
         scaling_table(1.3, 5)
-
-
-def report(gate, fidelity, backend="exact"):
-    return BenchmarkReport(gate, backend, "none", fidelity)
-
-
-def test_compare_gates_deltas():
-    table = compare_gates([report("ms", 0.9247, "hw"), report("cx", 0.9302, "hw")])
-    assert table["deltas"][0]["delta"] == pytest.approx(-0.0055, abs=1e-12)
-    table = compare_gates([report("ms", 0.9686, "sim"), report("ms", 0.9247, "hw")])
-    assert table["deltas"][0]["delta"] == pytest.approx(0.0439, abs=1e-12)
-
-
-def test_compare_gates_identical_reports():
-    table = compare_gates([report("ms", 0.9), report("ms", 0.9)])
-    assert table["deltas"][0]["delta"] == 0.0
-
-
-def test_compare_gates_needs_two():
-    with pytest.raises(ValueError):
-        compare_gates([report("ms", 0.9)])
-
-
-def test_benchmark_report_epsilon_consistency():
-    r = BenchmarkReport("ms", "exact", "none", 0.92, success_probability=0.942)
-    assert r.epsilon == pytest.approx(1 - 0.942, abs=1e-15)
-    assert r.scaling()[0] == (1, pytest.approx(0.942))
-    assert r.to_dict()["epsilon"] == r.epsilon
 
 
 def test_stability_identical_snapshots():

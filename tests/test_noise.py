@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msbench.tomography
-from msbench.channels import channel_from_unitary
-from msbench.circuits import GATE_KINDS, cx_circuit, synthesize_ms_circuit
+from msbench.channels import channel_from_unitary, identity_channel
+from msbench.circuits import GATE_KINDS, Circuit, cx_circuit, ms_unitary, synthesize_ms_circuit
 from msbench.noise import (
     DEFAULT_DURATIONS_NS,
     DeviceCalibration,
@@ -384,7 +384,7 @@ def test_fit_depolarizing_target_within_tol_of_full_depolarization():
 
 def test_fit_depolarizing_two_cnot_circuit_lands_within_tol(monkeypatch):
     cal = DeviceCalibration.load(DATA_DIR / EXAMPLE_CALIBRATIONS[0])
-    circuit = synthesize_ms_circuit().concat(synthesize_ms_circuit())
+    circuit = Circuit(synthesize_ms_circuit().gates + synthesize_ms_circuit().gates)
     assert circuit.cnot_count() == 2
     calls = count_fidelity_evaluations(monkeypatch)
     for target in (0.9, 0.5, 0.1):
@@ -405,7 +405,7 @@ def test_fit_then_evaluate_is_within_tol(target, tol, cnots):
     cal = make_cal(t1=(120.0, 90.0), t2=(100.0, 70.0))
     circuit = synthesize_ms_circuit()
     if cnots == 2:
-        circuit = circuit.concat(circuit)
+        circuit = Circuit(circuit.gates + circuit.gates)
     p, _ = fit_depolarizing(target, circuit, cal, tol=tol)
     assert 0.0 <= p <= 1.0
     achieved = exact_process_fidelity(circuit, build_noise_model(cal.with_p_dep(p)))
@@ -449,3 +449,15 @@ def test_noise_model_builds_each_relaxation_channel_once(monkeypatch):
     for pos in (0, 1):
         assert model.single_qubit[("x", pos)] is model.single_qubit[("sx", pos)]
         assert model.single_qubit[("rz", pos)] is None
+
+
+@pytest.mark.parametrize("build", [
+    lambda: identity_channel(2),
+    ms_unitary,
+    lambda: build_noise_model(DeviceCalibration.load(DATA_DIR / EXAMPLE_CALIBRATIONS[0])),
+], ids=["QuantumChannel", "TargetUnitary", "NoiseModel"])
+def test_array_holding_values_compare_and_hash_by_identity(build):
+    a, b = build(), build()
+    assert (a == b) is False
+    assert a == a
+    assert len({a, b, a}) == 2

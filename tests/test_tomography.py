@@ -17,7 +17,7 @@ from msbench.circuits import (
     ms_unitary,
     synthesize_ms_circuit,
 )
-from msbench.linalg import kron, partial_trace
+from msbench.linalg import kron
 from msbench.noise import DeviceCalibration, QubitCalibration, build_noise_model
 from msbench.tomography import (
     PAULI_LABELS,
@@ -27,7 +27,6 @@ from msbench.tomography import (
     _CELLS,
     _experiment_seeds,
     _prepared_states,
-    average_gate_fidelity,
     exact_process_fidelity,
     linear_inversion,
     prep_circuit,
@@ -46,7 +45,7 @@ from msbench.simulator import (
     outcome_distribution,
 )
 
-from conftest import circuits, count_numpy_random, random_cptp_kraus
+from conftest import circuits, count_numpy_random, partial_trace, random_cptp_kraus
 
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -411,14 +410,6 @@ def test_process_fidelity_ignores_global_phase(rng):
         assert process_fidelity(a, b) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_average_gate_fidelity_values():
-    assert average_gate_fidelity(1.0) == 1.0
-    assert average_gate_fidelity(0.9247) == pytest.approx(0.93976, abs=1e-12)
-    assert average_gate_fidelity(1 / 16) == pytest.approx(0.25, abs=1e-12)
-    with pytest.raises(ValueError):
-        average_gate_fidelity(1.2)
-
-
 def test_exact_process_fidelity_helper_noiseless():
     assert exact_process_fidelity(synthesize_ms_circuit()) == pytest.approx(1.0, abs=1e-9)
 
@@ -435,7 +426,7 @@ def test_batched_qpt_probabilities_equal_the_per_state_path(circuit):
     noise = example_noise()
     ds = run_qpt(circuit, noise=noise, shots=None)
     for label in PREP_LABELS:
-        rho = evolve(prep_circuit(label).concat(circuit), basis_state("00"), noise)
+        rho = evolve(Circuit(prep_circuit(label).gates + circuit.gates), basis_state("00"), noise)
         for setting in SETTINGS:
             expected = outcome_distribution(rho, setting, noise.confusion)
             assert ds.records[(label, setting)].probs == tuple(expected), (label, setting)

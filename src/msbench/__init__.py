@@ -34,8 +34,9 @@ from .noise import (
     depolarizing_channel,
     fit_depolarizing,
 )
-from .simulator import CountsRecord, basis_state, evolve, expectation, outcome_distribution, sample_counts
+from .simulator import basis_state, evolve, expectation, outcome_distribution, sample_counts
 from .tomography import (
+    CountsRecord,
     TomographyDataset,
     process_fidelity,
     reconstruct_channel,

@@ -123,8 +123,9 @@ def cmd_state(args, out: Path) -> _Handled:
     noise, cal = _load_noise(args.noise)
     rho = evolve(circuit, basis_state(args.input), noise)
     dist = outcome_distribution(rho, "ZZ", noise.confusion if noise else None)
-    record = sample_counts(dist, args.shots, args.seed)
-    p_succ = success_probability(record)
+    counts = sample_counts(dist, args.shots, args.seed)
+    p_succ = success_probability(counts)
+    counts = dict(zip(BITSTRINGS, counts.tolist()))
     epsilon = 1.0 - p_succ
     scaling = scaling_table(epsilon, SCALING_DEPTH)
     payload = {
@@ -133,13 +134,13 @@ def cmd_state(args, out: Path) -> _Handled:
         "shots": args.shots,
         "seed": args.seed,
         "rng": RNG_ALGORITHM,
-        "counts": record.counts,
+        "counts": counts,
         "success_probability": p_succ,
         "epsilon": epsilon,
         "scaling": scaling,
     }
     csv = "n,success\n" + "\n".join(f"{n},{v:.12f}" for n, v in scaling) + "\n"
-    print(f"{label} on |{args.input}>: counts {record.counts}")
+    print(f"{label} on |{args.input}>: counts {counts}")
     print(f"P_succ = {p_succ:.4f}, epsilon = {epsilon:.4f}")
     return 0, cal.fingerprint() if cal else "none", {out: _json(payload),
                                                      _sibling(out, ".csv"): csv}

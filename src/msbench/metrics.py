@@ -8,18 +8,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import DeviceCalibration
-from .simulator import CountsRecord
 
 STABILITY_METRICS = ("t1_us", "t2_us", "readout_error")
 SCALING_DEPTH = 12  # circuit depths the cumulative-success table covers
 
 
-def success_probability(record: CountsRecord) -> float:
-    """Probability mass on the {00, 11} subspace of a ZZ-setting record."""
-    if record.setting != "ZZ":
-        raise ValueError(f"success probability needs ZZ counts, got {record.setting}")
-    freqs = record.frequencies()
-    return float(freqs[0] + freqs[3])
+def success_probability(counts) -> float:
+    """Share of the ZZ counts, a 4-vector in ``BITSTRINGS`` order, on {00, 11}."""
+    counts = np.asarray(counts)
+    if not (counts.shape == (4,) and counts.dtype.kind in "iuf" and (counts >= 0).all()
+            and 0 < counts.sum() < np.inf):  # a NaN fails the first test, an inf the second
+        raise ValueError(f"success probability needs 4 non-negative counts with a positive "
+                         f"sum, got {counts.tolist()}")
+    f = counts / counts.sum()
+    return float(f[0] + f[3])
 
 
 def scaling_table(epsilon: float, n_max: int) -> list[tuple[int, float]]:

@@ -108,6 +108,9 @@ class DeviceCalibration:
                 raise ValueError(f"durations_ns[{key!r}] = {value} is negative")
         object.__setattr__(self, "durations_ns", MappingProxyType(durations))
 
+    def __hash__(self):  # == compares durations_ns as a dict, whatever its key order
+        return hash((self.qubits, frozenset(self.durations_ns.items()), self.p_dep))
+
     def qubit(self, index: int) -> QubitCalibration:
         for q in self.qubits:
             if q.qubit == index:

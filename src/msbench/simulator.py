@@ -6,8 +6,8 @@ is the only stochastic element, drawn multinomially from a seeded generator.
 
 Batches: ``evolve``, ``outcome_distribution``, ``sample_counts`` and
 ``expectation`` take a leading stack axis; a single entry is the one-element
-case of the same code, except that ``sample_counts`` turns one 4-vector into
-a ``CountsRecord`` and a stack into an (n, 4) count array. Input checks
+case of the same code, and ``sample_counts`` returns counts in the shape of
+its input, (4,) for one 4-vector and (n, 4) for a stack. Input checks
 (``check_density_matrix``, ``distribution_defect``) run once over the stack,
 and a defective entry fails with the message it fails with alone. Each entry
 goes through exactly the floating-point operations it would go through
@@ -39,11 +39,10 @@ draws against numpy's own classes.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, _check_record
+from .circuits import Circuit
 from .linalg import I2, check_density_matrix, dagger, kraus_sum, kron
 
 RNG_ALGORITHM = "numpy-PCG64-multinomial"
@@ -180,66 +179,6 @@ def validate_setting(setting: str) -> str:
     return setting
 
 
-@dataclass(frozen=True)
-class CountsRecord:
-    """Outcome record for one measurement setting.
-
-    Either integer ``counts`` with ``shots``, or an exact probability vector
-    (``shots`` is None) when the run bypassed sampling.
-    """
-
-    setting: str
-    shots: int | None
-    counts: dict | None
-    probs: tuple | None = None
-
-    def __post_init__(self):
-        validate_setting(self.setting)
-        if self.counts is not None:
-            if self.shots is None or self.shots <= 0:
-                raise ValueError("counted records need a positive shot number")
-            _check_record(self.counts, (), BITSTRINGS, "counts")
-            for key, value in self.counts.items():
-                if not (type(value) is int or isinstance(value, np.integer)) or value < 0:
-                    raise ValueError(f"counts[{key!r}] = {value!r} is not a non-negative integer")
-            if sum(self.counts.values()) != self.shots:
-                raise ValueError("counts do not sum to shots")
-            object.__setattr__(
-                self, "counts", {b: int(self.counts.get(b, 0)) for b in BITSTRINGS}
-            )
-        elif self.probs is None:
-            raise ValueError("record needs counts or exact probabilities")
-        else:
-            probs = tuple(float(p) for p in self.probs)
-            # A NaN or infinite entry makes the sum fail the second test.
-            if len(probs) != 4 or not (min(probs) >= -_PROB_ATOL
-                                       and abs(sum(probs) - 1.0) <= _PROB_ATOL):
-                raise ValueError(f"probabilities {list(probs)} are not 4 finite entries, "
-                                 f"each >= -{_PROB_ATOL:g}, summing to 1 within {_PROB_ATOL:g}")
-            object.__setattr__(self, "probs", probs)
-
-    @property
-    def exact(self) -> bool:
-        return self.counts is None
-
-    def frequencies(self) -> np.ndarray:
-        if self.exact:
-            return np.array(self.probs)
-        return np.array([self.counts[b] for b in BITSTRINGS]) / self.shots
-
-    @staticmethod
-    def from_dict(d, where: str) -> "CountsRecord":
-        """The record a JSON object holds; every error is prefixed with ``where``."""
-        exact = isinstance(d, dict) and bool(d.get("exact"))  # a JSON object is a dict
-        keys = ("setting", "probabilities") if exact else ("setting", "shots", "counts")
-        _check_record(d, keys, ("exact", *keys), where)
-        try:
-            return CountsRecord(d["setting"], d.get("shots"), d.get("counts"),
-                                d.get("probabilities"))
-        except ValueError as err:
-            raise ValueError(f"{where}: {err}") from None
-
-
 def basis_state(bitstring: str) -> np.ndarray:
     """|b0 b1><b0 b1| with qubit 0 the most significant bit."""
     if bitstring not in BITSTRINGS:
@@ -307,14 +246,14 @@ def distribution_defect(rows: np.ndarray) -> tuple[int, str] | None:
     return i, f"distribution sums to {rows[i].sum():.12f}, not 1"
 
 
-def sample_counts(dist, shots: int, seed, setting="ZZ") -> CountsRecord | np.ndarray:
-    """Deterministic multinomial draw from a probability 4-vector: the counts
-    of ``np.random.Generator(np.random.PCG64(seed)).multinomial``, for a
-    non-negative integer ``seed``, as a record of ``setting``.
+def sample_counts(dist, shots: int, seed) -> np.ndarray:
+    """Deterministic multinomial draw from a probability 4-vector: the (4,)
+    int64 counts of ``np.random.Generator(np.random.PCG64(seed)).multinomial``,
+    for a non-negative integer ``seed``, in ``BITSTRINGS`` order.
 
     Given an (n, 4) stack instead, ``seed`` holds one seed per row, and the
     result is the (n, 4) int64 array of the counts the single-row calls
-    would draw, in ``BITSTRINGS`` order.
+    would draw.
     """
     dist = np.asarray(dist, dtype=float)
     if dist.ndim not in (1, 2) or dist.shape[-1] != 4:
@@ -339,33 +278,22 @@ def sample_counts(dist, shots: int, seed, setting="ZZ") -> CountsRecord | np.nda
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
         out[:] = rng.multinomial(shots, row)
-    return counts if dist.ndim == 2 else CountsRecord(setting, shots,
-                                                      dict(zip(BITSTRINGS, counts[0].tolist())))
+    return counts.reshape(dist.shape)
 
 
-def compatible(observable: str, setting: str) -> bool:
-    """Whether the setting measures every non-identity factor of the observable."""
-    return all(factor in ("I", basis) for factor, basis in zip(observable, setting))
+def expectation(freqs, observable: str):
+    """Empirical Pauli expectation from frequency 4-vectors: an array whose
+    last axis holds the outcomes ``BITSTRINGS`` of a setting that measures
+    every non-identity factor of the observable.
 
-
-def expectation(data, observable: str):
-    """Empirical Pauli expectation from a counts record, or from frequency
-    4-vectors (an array whose last axis holds the outcomes ``BITSTRINGS``).
-
-    The observable is two of I/X/Y/Z. For a record, every non-identity factor
-    must match the record's measurement setting at that position; frequencies
-    must come from such a setting. Identity factors marginalize the
+    The observable is two of I/X/Y/Z. Identity factors marginalize the
     corresponding bit.
     """
     if len(observable) != 2 or any(c not in "IXYZ" for c in observable):
         raise ValueError(f"observable must be two of I/X/Y/Z, got {observable!r}")
-    if isinstance(data, CountsRecord):
-        if not compatible(observable, data.setting):
-            raise ValueError(f"observable {observable} incompatible with setting {data.setting}")
-        return float(expectation(data.frequencies(), observable))
     # An outcome's sign is the parity of its bits under non-identity factors.
     signs = np.array([
         (-1.0) ** sum(bit == "1" for bit, factor in zip(bits, observable) if factor != "I")
         for bits in BITSTRINGS
     ])
-    return np.asarray(data, dtype=float) @ signs
+    return np.asarray(freqs, dtype=float) @ signs

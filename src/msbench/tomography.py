@@ -20,8 +20,9 @@ sampled counts are unchanged. One ``outcome_distribution`` call gives all
 144 cells' distributions, and one ``sample_counts`` call draws each cell
 from its own seed (``_experiment_seeds``, one array hash). Either result, a
 (144, 4) array in ``_CELLS`` order, goes unchanged into the dataset, which
-checks it once, and on to ``linear_inversion`` and the file writer,
-``TomographyDataset.to_json``, which formats it without building records.
+checks it once, and on to the file writer, ``TomographyDataset.to_json``,
+which formats it without building records, and as frequencies to
+``linear_inversion``. The file's per-cell ``CountsRecord`` lives here alone.
 """
 
 from __future__ import annotations
@@ -34,15 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import QuantumChannel, channel_from_unitary, pauli_basis, project_cptp
-from .circuits import Circuit, Gate, circuit_unitary
+from .circuits import Circuit, Gate, _check_record, circuit_unitary
 from .linalg import dagger, kron
 from .simulator import (
+    _PROB_ATOL,
     BITSTRINGS,
     RNG_ALGORITHM,
-    CountsRecord,
     apply_gates,
     basis_state,
-    compatible,
     distribution_defect,
     evolve,
     expectation,
@@ -50,6 +50,7 @@ from .simulator import (
     sample_counts,
     spawn_seeds,
     validate_seed,
+    validate_setting,
 )
 
 DEFAULT_SEED = 42
@@ -77,8 +78,69 @@ _CELL_KEYS = np.indices((len(PREP_LABELS), len(SETTINGS)), dtype=np.uint32).resh
 # is not the order of their "prep|setting" names:
 # "+:+i|XX" sorts before "+:+|XX" as a string, after it as a tuple.
 _WRITE_ORDER = sorted(range(len(_CELLS)), key=_CELLS.__getitem__)
+# A dataset file's top-level keys, in the order ``to_json`` writes them.
+_DATASET_KEYS = ("circuit", "shots", "seed", "rng", "noise_fingerprint", "records")
 _RECORD_HEADS = [f'    "{p}|{s}": {{\n      "setting": "{s}",\n'
                  for p, s in (_CELLS[i] for i in _WRITE_ORDER)]
+
+
+@dataclass(frozen=True)
+class CountsRecord:
+    """One cell of a dataset file: the outcomes of one measurement setting.
+
+    Either integer ``counts`` with ``shots``, or an exact probability vector
+    (``shots`` is None) when the run bypassed sampling.
+    """
+
+    setting: str
+    shots: int | None
+    counts: dict | None
+    probs: tuple | None = None
+
+    def __post_init__(self):
+        validate_setting(self.setting)
+        if self.counts is not None:
+            if self.shots is None or self.shots <= 0:
+                raise ValueError("counted records need a positive shot number")
+            _check_record(self.counts, (), BITSTRINGS, "counts")
+            for key, value in self.counts.items():
+                if not (type(value) is int or isinstance(value, np.integer)) or value < 0:
+                    raise ValueError(f"counts[{key!r}] = {value!r} is not a non-negative integer")
+            if sum(self.counts.values()) != self.shots:
+                raise ValueError("counts do not sum to shots")
+            object.__setattr__(
+                self, "counts", {b: int(self.counts.get(b, 0)) for b in BITSTRINGS}
+            )
+        elif self.probs is None:
+            raise ValueError("record needs counts or exact probabilities")
+        else:
+            probs = tuple(float(p) for p in self.probs)
+            # A NaN or infinite entry makes the sum fail the second test.
+            if len(probs) != 4 or not (min(probs) >= -_PROB_ATOL
+                                       and abs(sum(probs) - 1.0) <= _PROB_ATOL):
+                raise ValueError(f"probabilities {list(probs)} are not 4 finite entries, "
+                                 f"each >= -{_PROB_ATOL:g}, summing to 1 within {_PROB_ATOL:g}")
+            object.__setattr__(self, "probs", probs)
+
+    def __hash__(self):
+        counts = None if self.counts is None else tuple(self.counts.values())  # BITSTRINGS order
+        return hash((self.setting, self.shots, counts, self.probs))
+
+    @property
+    def exact(self) -> bool:
+        return self.counts is None
+
+    @staticmethod
+    def from_dict(d, where: str) -> "CountsRecord":
+        """The record a JSON object holds; every error is prefixed with ``where``."""
+        exact = isinstance(d, dict) and bool(d.get("exact"))  # a JSON object is a dict
+        keys = ("setting", "probabilities") if exact else ("setting", "shots", "counts")
+        _check_record(d, keys, ("exact", *keys), where)
+        try:
+            return CountsRecord(d["setting"], d.get("shots"), d.get("counts"),
+                                d.get("probabilities"))
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
 
 
 def prep_state(label: str) -> np.ndarray:
@@ -158,6 +220,10 @@ class TomographyDataset:
         return {cell: CountsRecord(cell[1], self.shots, dict(zip(BITSTRINGS, row)))
                 for cell, row in zip(_CELLS, self.outcomes.tolist())}
 
+    def frequencies(self) -> np.ndarray:
+        """The (144, 4) frequencies: counts over shots, or the exact probabilities."""
+        return self.outcomes if self.shots is None else self.outcomes / self.shots
+
     def to_json(self) -> str:
         """The dataset as ``json.dumps(..., indent=2)`` writes it, with one record
         per cell under ``records`` in sorted (prep, setting) order. ``json``
@@ -186,10 +252,34 @@ class TomographyDataset:
 
     @staticmethod
     def from_json(text: str) -> "TomographyDataset":
-        """Read a dataset: exactly the 144 grid cells, each a valid record of its
-        setting and of the dataset's shot count; an error names the cell."""
+        """Read a dataset: the writer's header fields, each of its type (an error
+        starts ``dataset:`` and names the field), and exactly the 144 grid
+        cells, each a valid record of its setting and of the dataset's shot
+        count (an error names the cell)."""
         d = json.loads(text)
-        records, shots = d["records"], d.get("shots")
+        _check_record(d, ("records", "noise_fingerprint"), _DATASET_KEYS, "dataset")
+        records, shots, seed, circuit = (d["records"], d.get("shots"), d.get("seed"),
+                                         d.get("circuit"))
+        if not isinstance(records, dict):
+            raise ValueError(f"dataset: records must be a JSON object, "
+                             f"got {type(records).__name__}")
+        if shots is not None and not (type(shots) is int and shots > 0):
+            raise ValueError(f"dataset: shots must be null or a positive integer, got {shots!r}")
+        if seed is not None and not (type(seed) is int and seed >= 0):
+            raise ValueError(f"dataset: seed must be null or a non-negative integer, got {seed!r}")
+        for key in ("rng", "noise_fingerprint"):
+            if not isinstance(d.get(key, ""), str):
+                raise ValueError(f"dataset: {key} must be a string, got {d[key]!r}")
+        circuit_json = None
+        if circuit is not None:
+            if not isinstance(circuit, list):
+                raise ValueError(f"dataset: circuit must be null or a list of gates, "
+                                 f"got {type(circuit).__name__}")
+            circuit_json = json.dumps(circuit)
+            try:
+                Circuit.from_json(circuit_json)
+            except ValueError as err:
+                raise ValueError(f"dataset: circuit: {err}") from None
         names = [f"{p}|{s}" for p, s in _CELLS]
         extra = sorted(records.keys() - set(names))
         if extra:
@@ -206,11 +296,8 @@ class TomographyDataset:
             if rec.shots != shots:
                 raise ValueError(f"cell {name} has shots {rec.shots}, the dataset {shots}")
             rows.append(rec.probs if rec.exact else [rec.counts[b] for b in BITSTRINGS])
-        circuit_json = json.dumps(d["circuit"]) if d.get("circuit") is not None else None
-        return TomographyDataset(
-            rows, shots, d.get("seed"), d["noise_fingerprint"], circuit_json,
-            d.get("rng", RNG_ALGORITHM),
-        )
+        return TomographyDataset(rows, shots, seed, d["noise_fingerprint"], circuit_json,
+                                 d.get("rng", RNG_ALGORITHM))
 
 
 def run_qpt(process, noise=None, shots: int | None = None, seed: int = DEFAULT_SEED
@@ -245,43 +332,43 @@ def run_qpt(process, noise=None, shots: int | None = None, seed: int = DEFAULT_S
     )
 
 
-_COMPATIBLE = {
-    obs: [i for i, s in enumerate(SETTINGS) if compatible(obs, s)] for obs in PAULI_LABELS
-}
+# The settings measuring each observable: every non-identity factor in its basis.
+_COMPATIBLE = {obs: [i for i, s in enumerate(SETTINGS)
+                     if all(f in ("I", b) for f, b in zip(obs, s))] for obs in PAULI_LABELS}
 # Rows vec(rho_j) of the 16 ideal inputs, and the Pauli products P_k.
 _PREP_FRAME = _PREP_STATES.reshape(len(PREP_LABELS), -1)
 _PAULIS = pauli_basis(2)
 
 
-def _pauli_table(ds: TomographyDataset) -> np.ndarray:
+def _pauli_table(freqs: np.ndarray) -> np.ndarray:
     """(prep x Pauli) table of the 16 Pauli expectations for each input.
 
     An identity-containing observable averages its compatible settings; the
     all-identity column is 1.
     """
-    freqs = ds.outcomes if ds.shots is None else ds.outcomes / ds.shots
-    freqs = freqs.reshape(len(PREP_LABELS), len(SETTINGS), 4)
+    freqs = np.asarray(freqs, dtype=float).reshape(len(PREP_LABELS), len(SETTINGS), 4)
     table = np.ones((len(PREP_LABELS), len(PAULI_LABELS)))
     for k, obs in enumerate(PAULI_LABELS[1:], start=1):
         table[:, k] = expectation(freqs[:, _COMPATIBLE[obs]], obs).mean(axis=1)
     return table
 
 
-def linear_inversion(ds: TomographyDataset) -> np.ndarray:
-    """Unconstrained Choi estimate that reproduces the expectation table exactly.
+def linear_inversion(freqs) -> np.ndarray:
+    """Unconstrained Choi estimate that reproduces exactly the expectation table
+    of (144, 4) outcome frequencies in ``_CELLS`` order; the rows go unchecked.
 
     With m_jk = Tr(P_k E(rho_j)) and the inputs a basis of operators, the
     dual frame gives Y_k = E^dag(P_k)^T / 4 from vec(Y_k) = (R^-1 m)[:, k] / 4,
     R having rows vec(rho_j), and then J = (1/4) sum_k P_k (x) Y_k.
     """
-    y = np.linalg.solve(_PREP_FRAME, _pauli_table(ds)).T.reshape(16, 4, 4) / 4.0
+    y = np.linalg.solve(_PREP_FRAME, _pauli_table(freqs)).T.reshape(16, 4, 4) / 4.0
     j = np.einsum("kab,kcd->acbd", _PAULIS, y).reshape(16, 16) / 4.0
     return 0.5 * (j + dagger(j))
 
 
 def reconstruct_channel(ds: TomographyDataset) -> QuantumChannel:
     """Linear-inversion Choi estimate from the dataset, projected onto CPTP."""
-    return project_cptp(linear_inversion(ds))
+    return project_cptp(linear_inversion(ds.frequencies()))
 
 
 def process_fidelity(a: QuantumChannel, b: QuantumChannel) -> float:

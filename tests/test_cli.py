@@ -128,6 +128,23 @@ def test_qpt_outputs_are_pinned(tmp_path, flags, digests, report):
         assert hashlib.sha256((tmp_path / f"qpt{suffix}").read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("flags, digests", [
+    (["--seed", "7", "--shots", "13000"],
+     {".json": "cdb661fa29d9cb99221cbc1bbaa525aff2e4df2716303636ff4691f4aa1e53e2",
+      ".csv": "972208fa9f39b84d1adc2458196311f07a50f2395bfacaacf851185dc5b37ff0"}),
+    (["--noise", str(DATA_DIR / "example_calibration.json"), "--seed", "123"],
+     {".json": "5e4efd2112a61c04e05b5dae40c03d1e86e61c2835706b0410b11ddfa2401ca2",
+      ".csv": "5b0b4ad63bbae9601dc8a2199f25491e1855930fa769dd3a1f9d967fb527b546"}),
+], ids=["noiseless", "noisy"])
+def test_state_outputs_are_pinned(tmp_path, flags, digests):
+    """Digests recorded while ``state`` sampled into a ``CountsRecord``: they
+    pin the counts, and the success probability, epsilon and scaling that
+    these two inputs give, to the last bit."""
+    assert main(["state", *flags, "--out", str(tmp_path / "state.json")]) == 0
+    for suffix, digest in digests.items():
+        assert hashlib.sha256((tmp_path / f"state{suffix}").read_bytes()).hexdigest() == digest
+
+
 def test_qpt_on_a_circuit_file_reports_against_itself(tmp_path):
     circuit = tmp_path / "ms_circuit.json"
     circuit.write_text(synthesize_ms_circuit().to_json())

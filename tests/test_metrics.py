@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from msbench.metrics import (
@@ -7,7 +6,6 @@ from msbench.metrics import (
     success_probability,
 )
 from msbench.noise import DeviceCalibration, QubitCalibration
-from msbench.simulator import CountsRecord
 
 
 def make_cal(values):
@@ -17,27 +15,27 @@ def make_cal(values):
 
 def test_success_probability_representative_populations():
     # populations 0.494 / 0.448 with the leakage split over 01/10
-    rec = CountsRecord("ZZ", 13_000, {"00": 6422, "01": 377, "10": 377, "11": 5824})
-    assert success_probability(rec) == pytest.approx(0.942, abs=1e-12)
+    assert success_probability([6422, 377, 377, 5824]) == pytest.approx(0.942, abs=1e-12)
 
 
 def test_success_probability_limits():
-    ideal = CountsRecord("ZZ", 1000, {"00": 480, "01": 0, "10": 0, "11": 520})
-    assert success_probability(ideal) == 1.0
-    uniform = CountsRecord("ZZ", 400, {"00": 100, "01": 100, "10": 100, "11": 100})
-    assert success_probability(uniform) == 0.5
+    assert success_probability([480, 0, 0, 520]) == 1.0
+    assert success_probability([100, 100, 100, 100]) == 0.5
 
 
 def test_success_probability_plus_leakage_is_one():
-    rec = CountsRecord("ZZ", 1000, {"00": 400, "01": 60, "10": 90, "11": 450})
-    leakage = (rec.counts["01"] + rec.counts["10"]) / rec.shots
-    assert success_probability(rec) + leakage == 1.0
+    counts = [400, 60, 90, 450]  # 00, 01, 10, 11
+    leakage = (counts[1] + counts[2]) / sum(counts)
+    assert success_probability(counts) + leakage == 1.0
 
 
-def test_success_probability_rejects_wrong_setting():
-    rec = CountsRecord("XZ", 10, {"00": 10, "01": 0, "10": 0, "11": 0})
-    with pytest.raises(ValueError):
-        success_probability(rec)
+@pytest.mark.parametrize("counts", [
+    [10, 0, 0], [[5, 0, 0, 5]], [-1, 5, 3, 3], [0, 0, 0, 0], [float("nan"), 1, 1, 1],
+    [float("inf"), 1, 1, 1], ["5", "0", "0", "5"], [True, False, False, True],
+], ids=["length", "stacked", "negative", "zero-sum", "nan", "inf", "str", "bool"])
+def test_success_probability_refuses_anything_but_a_count_4_vector(counts):
+    with pytest.raises(ValueError, match="^success probability needs 4 non-negative counts"):
+        success_probability(counts)
 
 
 def test_scaling_table_zero_epsilon():

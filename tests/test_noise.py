@@ -461,3 +461,11 @@ def test_array_holding_values_compare_and_hash_by_identity(build):
     assert (a == b) is False
     assert a == a
     assert len({a, b, a}) == 2
+
+
+def test_calibrations_hash_like_they_compare():
+    cal = DeviceCalibration.load(DATA_DIR / EXAMPLE_CALIBRATIONS[0])
+    reordered = DeviceCalibration(cal.qubits, dict(sorted(cal.durations_ns.items(), reverse=True)),
+                                  cal.p_dep)  # given in reverse key order
+    assert reordered == cal and hash(reordered) == hash(cal)
+    assert len({cal, reordered, cal.with_p_dep(0.5)}) == 2

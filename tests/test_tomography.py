@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from msbench.channels import QuantumChannel, channel_from_unitary, identity_channel, pauli_basis
 from msbench.circuits import (
     Circuit,
-    circuit_unitary,
     cx_circuit,
     cx_unitary,
     ms_unitary,
@@ -23,6 +22,7 @@ from msbench.tomography import (
     PAULI_LABELS,
     PREP_LABELS,
     SETTINGS,
+    CountsRecord,
     TomographyDataset,
     _CELLS,
     _experiment_seeds,
@@ -37,7 +37,6 @@ from msbench.tomography import (
 )
 from msbench.simulator import (
     BITSTRINGS,
-    CountsRecord,
     apply_gates,
     basis_state,
     evolve,
@@ -298,6 +297,59 @@ def test_dataset_json_rejects_malformed_cells_naming_them(edit, message):
         TomographyDataset.from_json(json.dumps(d))
 
 
+def _set(key, value):
+    def edit(d):
+        d[key] = value
+    return edit
+
+
+def _drop(key):
+    def edit(d):
+        del d[key]
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop("records"), r"^dataset: missing key 'records'$"),
+    (_drop("noise_fingerprint"), r"^dataset: missing key 'noise_fingerprint'$"),
+    (_set("records", []), r"^dataset: records must be a JSON object, got list$"),
+    (_set("extra", 1), r"^dataset: unknown key 'extra'; expected one of circuit, shots, seed"),
+    (_set("seed", "x"), r"^dataset: seed must be null or a non-negative integer, got 'x'$"),
+    (_set("seed", -1), r"^dataset: seed must be null or a non-negative integer, got -1$"),
+    (_set("seed", True), r"^dataset: seed must be null or a non-negative integer, got True$"),
+    (_set("shots", 0), r"^dataset: shots must be null or a positive integer, got 0$"),
+    (_set("shots", True), r"^dataset: shots must be null or a positive integer, got True$"),
+    (_set("shots", 10.0), r"^dataset: shots must be null or a positive integer, got 10.0$"),
+    (_set("rng", 5), r"^dataset: rng must be a string, got 5$"),
+    (_set("noise_fingerprint", None), r"^dataset: noise_fingerprint must be a string, got None$"),
+    (_set("circuit", {"kind": "sx", "qubit": 0}),
+     r"^dataset: circuit must be null or a list of gates, got dict$"),
+    (_set("circuit", [{"kind": "zz"}]), r"^dataset: circuit: gates\[0\]: "),
+], ids=["no-records", "no-fingerprint", "records-list", "unknown-key", "seed-str",
+        "seed-negative", "seed-bool", "shots-zero", "shots-bool", "shots-float", "rng-int",
+        "fingerprint-null", "circuit-object", "circuit-bad-gate"])
+def test_dataset_json_rejects_a_malformed_header_naming_the_field(edit, message):
+    d = _exact_dataset_json()
+    edit(d)
+    with pytest.raises(ValueError, match=message):
+        TomographyDataset.from_json(json.dumps(d))
+
+
+def test_dataset_json_must_be_an_object():
+    with pytest.raises(ValueError, match=r"^dataset: expected a JSON object, got list$"):
+        TomographyDataset.from_json("[]")
+
+
+def test_counts_records_hash_like_they_compare():
+    counted = CountsRecord("ZZ", 10, {"11": 6, "00": np.int64(4)})
+    same = CountsRecord("ZZ", 10, {"00": 4, "01": 0, "10": 0, "11": 6})
+    exact = CountsRecord("XY", None, None, (0.25,) * 4)
+    assert counted == same and hash(counted) == hash(same)
+    assert len({counted, same, exact, CountsRecord("XY", None, None, [0.25] * 4)}) == 2
+    ds = run_qpt(Circuit(), shots=10, seed=0)
+    assert set(ds.records.values()) == set(TomographyDataset.from_json(ds.to_json()).records.values())
+
+
 def test_dataset_uniform_shots_enforced():
     ds = run_qpt(Circuit(), shots=10, seed=0)
     with pytest.raises(ValueError, match=r"^cell 0:0\|XX: counts \[.*\] are not non-negative "
@@ -463,13 +515,14 @@ def design_matrix():
 
 
 def lstsq_choi(ds, design):
-    """Least-squares Choi estimate from per-record expectations, identity
+    """Least-squares Choi estimate from per-cell expectations, identity
     terms averaged over the compatible settings."""
+    freqs = dict(zip(_CELLS, ds.frequencies()))
     measured = []
     for label in PREP_LABELS:
         for obs in PAULI_LABELS:
             compat = [s for s in SETTINGS if all(f in ("I", c) for f, c in zip(obs, s))]
-            measured.append(np.mean([expectation(ds.records[(label, s)], obs) for s in compat]))
+            measured.append(np.mean([expectation(freqs[(label, s)], obs) for s in compat]))
     x, *_ = np.linalg.lstsq(design, np.array(measured, dtype=complex), rcond=None)
     j = x.reshape(16, 16)
     return 0.5 * (j + j.conj().T)
@@ -480,12 +533,12 @@ def lstsq_choi(ds, design):
 def test_dual_frame_matches_least_squares_on_random_channels(design_matrix, seed, n_kraus):
     ch = random_cptp_kraus(np.random.default_rng(seed), n_kraus=n_kraus)
     ds = run_qpt(ch, shots=None)
-    assert np.abs(linear_inversion(ds) - lstsq_choi(ds, design_matrix)).max() <= 1e-12
+    assert np.abs(linear_inversion(ds.frequencies()) - lstsq_choi(ds, design_matrix)).max() <= 1e-12
 
 
 def test_dual_frame_matches_least_squares_on_sampled_data(design_matrix):
     ds = run_qpt(synthesize_ms_circuit(), noise=example_noise(), shots=4000, seed=7)
-    assert np.abs(linear_inversion(ds) - lstsq_choi(ds, design_matrix)).max() <= 1e-12
+    assert np.abs(linear_inversion(ds.frequencies()) - lstsq_choi(ds, design_matrix)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("p_dep", [0.0, 0.0165, 0.3])

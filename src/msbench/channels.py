@@ -263,7 +263,7 @@ class QuantumChannel:
             raise ValueError("cannot compose channels of different dimension")
         a, b = self._kraus, after._kraus
         ops = np.matmul(b[:, None], a).reshape(-1, self.dim, self.dim)  # b_i @ a_j, i-major
-        ch = QuantumChannel.from_kraus(ops)
+        ch = QuantumChannel("kraus", ops, self.dim)  # products of two validated channels
         if len(ops) > self.dim**2:
             ch = ch.convert("choi").convert("kraus")  # compress to a minimal set
         return ch

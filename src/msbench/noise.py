@@ -226,13 +226,39 @@ def confusion_matrix(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) -
 class NoiseModel:
     """Concrete error channels for each circuit layer, plus readout confusion.
 
-    ``fingerprint`` covers the calibration and the device qubit pair.
+    ``single_qubit`` is read-only and maps (kind, qubit) to a 2-qubit channel,
+    or None for the identity. ``cnot_channel`` is ``cnot_relaxation``, then the
+    depolarizing channel when the calibration's p_dep > 0. ``fingerprint``
+    covers the calibration and the device qubit pair. ``with_p_dep`` gives
+    the model at another p_dep, sharing everything but the CNOT channel.
     """
 
-    single_qubit: dict  # (kind, qubit) -> QuantumChannel, 2-qubit, or None if identity
-    cnot_channel: QuantumChannel | None
+    calibration: DeviceCalibration
+    qubits: tuple[int, int]
+    single_qubit: Mapping
+    cnot_relaxation: QuantumChannel | None
     confusion: np.ndarray | None
-    fingerprint: str
+    cnot_channel: QuantumChannel | None = field(init=False)
+    fingerprint: str = field(init=False)
+
+    def __post_init__(self):
+        if not isinstance(self.single_qubit, MappingProxyType):
+            object.__setattr__(self, "single_qubit", MappingProxyType(dict(self.single_qubit)))
+        cnot_ch, p_dep = self.cnot_relaxation, self.calibration.p_dep
+        if p_dep > 0:
+            dep = depolarizing_channel(p_dep, arity=2)
+            cnot_ch = dep if cnot_ch is None else cnot_ch.compose(dep)
+        object.__setattr__(self, "cnot_channel", cnot_ch)
+        # The pair selects which qubits' T1/T2 and readout enter, so it is provenance.
+        provenance = json.dumps({"calibration": self.calibration.to_dict(),
+                                 "qubits": list(self.qubits)}, sort_keys=True).encode()
+        object.__setattr__(self, "fingerprint", hashlib.sha256(provenance).hexdigest()[:16])
+
+    def with_p_dep(self, p_dep: float) -> "NoiseModel":
+        """The model of the calibration at ``p_dep``, equal to a fresh
+        ``build_noise_model`` of it; only the depolarizing channel is built."""
+        return NoiseModel(self.calibration.with_p_dep(p_dep), self.qubits, self.single_qubit,
+                          self.cnot_relaxation, self.confusion)
 
     def channel_for(self, gate) -> QuantumChannel | None:
         if gate.kind == "cnot":
@@ -250,7 +276,7 @@ def build_noise_model(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) 
 
     Gate noise is attached after the ideal unitary: relaxation on the acted
     qubits for the gate's duration, plus a global depolarizing channel after
-    each CNOT when p_dep > 0.
+    each CNOT when p_dep > 0 (``NoiseModel`` composes it).
     """
     single: dict = {}
     lifted: dict = {}  # (position, duration) -> channel; x defaults to sx's duration
@@ -267,22 +293,16 @@ def build_noise_model(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) 
 
     dur_cnot = cal.durations_ns.get("cnot", 0.0)
     q0, q1 = (cal.qubit(qubits[0]), cal.qubit(qubits[1]))
-    cnot_ch: QuantumChannel | None = None
+    relaxation: QuantumChannel | None = None
     if dur_cnot > 0:
-        cnot_ch = damping_channel(q0.t1_us, q0.t2_us, dur_cnot).tensor(
+        relaxation = damping_channel(q0.t1_us, q0.t2_us, dur_cnot).tensor(
             damping_channel(q1.t1_us, q1.t2_us, dur_cnot)
         )
-    if cal.p_dep > 0:
-        dep = depolarizing_channel(cal.p_dep, arity=2)
-        cnot_ch = dep if cnot_ch is None else cnot_ch.compose(dep)
 
     confusion = confusion_matrix(cal, qubits)
     if np.allclose(confusion, np.eye(4), atol=1e-15):
         confusion = None
-    # The pair selects which qubits' T1/T2 and readout enter, so it is provenance.
-    provenance = json.dumps({"calibration": cal.to_dict(), "qubits": list(qubits)}, sort_keys=True)
-    fingerprint = hashlib.sha256(provenance.encode()).hexdigest()[:16]
-    return NoiseModel(single, cnot_ch, confusion, fingerprint)
+    return NoiseModel(cal, tuple(qubits), single, relaxation, confusion)
 
 
 def fit_depolarizing(
@@ -297,7 +317,9 @@ def fit_depolarizing(
 
     Returns ``(p_dep, fidelity)``: the fitted probability and the fidelity
     the fit evaluated there, equal to ``exact_process_fidelity(circuit,
-    build_noise_model(cal.with_p_dep(p_dep)))``.
+    build_noise_model(cal.with_p_dep(p_dep)))``. The fit builds one model,
+    at p_dep = 0, and evaluates each further p on its ``with_p_dep(p)``, so
+    only the depolarizing channel is built per evaluation.
 
     Regula falsi on [0, 1] with the Illinois step (Dowell & Jarratt, BIT 11,
     168, 1971): each secant through the bracket ends is evaluated, replaces the
@@ -311,10 +333,12 @@ def fit_depolarizing(
 
     from .tomography import exact_process_fidelity  # deferred: avoids an import cycle
 
-    def fidelity_at(p: float) -> float:
-        return exact_process_fidelity(circuit, build_noise_model(cal.with_p_dep(p)))
+    base = build_noise_model(cal.with_p_dep(0.0))
 
-    f_zero = fidelity_at(0.0)
+    def fidelity_at(p: float) -> float:
+        return exact_process_fidelity(circuit, base.with_p_dep(p))
+
+    f_zero = exact_process_fidelity(circuit, base)
     if f_zero < target_fidelity - tol:
         raise UnachievableTargetError(
             f"target fidelity {target_fidelity} above the p=0 fidelity {f_zero:.6f}"

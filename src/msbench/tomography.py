@@ -11,17 +11,18 @@ table fixes the channel exactly; the product frame's closed-form dual
 (see ``linear_inversion``) gives the Choi estimate, which is then projected
 onto the CPTP set.
 
-Simulation: the 16 preparation prefixes run as a 4+4 tree. Qubit 0's
-prefix for each of the 4 tokens runs on |00>, then each of qubit 1's 4
-prefixes runs on that stack of 4 states at once: 10 gate applications, not
-40. The 16 prepared states go through the process in one ``evolve`` call,
-with the arithmetic per state of evolving each full circuit on its own, so
-sampled counts are unchanged. One ``outcome_distribution`` call gives all
-144 cells' distributions, and one ``sample_counts`` call draws each cell
-from its own seed (``_experiment_seeds``, one array hash). Either result, a
-(144, 4) array in ``_CELLS`` order, goes unchanged into the dataset, which
-checks it once, and on to the file writer, ``TomographyDataset.to_json``,
-which formats it without building records, and as frequencies to
+Simulation: the 16 preparation prefixes run as a 4+4 tree, once per model's
+single-qubit channels (``_prepared_states``). Qubit 0's prefix for each of
+the 4 tokens runs on |00>, then each of qubit 1's 4 prefixes on that stack
+of 4 at once: 10 gate applications, not 40. A ``with_p_dep`` sibling shares
+them. The 16 go through the process in one ``evolve`` call, with the
+arithmetic per state of evolving each full circuit on its own, so sampled
+counts are unchanged. One ``outcome_distribution`` call gives all 144 cells'
+distributions, and one ``sample_counts`` call draws each cell from its own
+seed (``_experiment_seeds``, one array hash). Either result, a (144, 4)
+array in ``_CELLS`` order, goes unchanged into the dataset, which checks it
+once, and on to the file writer, ``TomographyDataset.to_json``, which
+formats it without building records, and as frequencies to
 ``linear_inversion``. The file's per-cell ``CountsRecord`` lives here alone.
 """
 
@@ -159,14 +160,36 @@ def prep_circuit(label: str) -> Circuit:
     return Circuit(_PREPARATIONS[t0][1](0) + _PREPARATIONS[t1][1](1))
 
 
-def _prepared_states(noise) -> np.ndarray:
-    """The 16 prepared states in ``PREP_LABELS`` order, as a 4+4 tree: qubit
-    0's prefix for each token on |00>, then each qubit-1 prefix on that stack
-    of 4. Every state gets the gates of its ``prep_circuit``, in order."""
+def _prepare(noise) -> np.ndarray:
+    """The read-only preparation tree (see the module docstring): every state
+    gets the gates of its ``prep_circuit``, in order."""
     first = np.array([apply_gates(Circuit(gates(0)), basis_state("00"), noise)
                       for _, gates in _PREPARATIONS.values()])
     second = [apply_gates(Circuit(gates(1)), first, noise) for _, gates in _PREPARATIONS.values()]
-    return np.stack(second, axis=1).reshape(-1, 4, 4)  # (t0, t1) -> label index
+    states = np.stack(second, axis=1).reshape(-1, 4, 4)  # (t0, t1) -> label index
+    states.flags.writeable = False
+    return states
+
+
+_IDEAL_PREPARED = _prepare(None)
+# id(single_qubit) -> (single_qubit, its prepared states), oldest first. An
+# entry holds its mapping, so that id is not reused while the entry lives.
+_PREPARED: dict = {}
+_PREPARED_CAP = 4
+
+
+def _prepared_states(noise) -> np.ndarray:
+    """The 16 prepared states in ``PREP_LABELS`` order: ``_IDEAL_PREPARED``
+    without noise, else prepared once per model's single-qubit channels
+    (``with_p_dep`` siblings share them), for the last ``_PREPARED_CAP``."""
+    if noise is None:
+        return _IDEAL_PREPARED
+    key = id(noise.single_qubit)
+    if key not in _PREPARED:
+        if len(_PREPARED) == _PREPARED_CAP:
+            del _PREPARED[next(iter(_PREPARED))]
+        _PREPARED[key] = (noise.single_qubit, _prepare(noise))
+    return _PREPARED[key][1]
 
 
 def _experiment_seeds(master: int) -> np.ndarray:

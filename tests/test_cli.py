@@ -195,7 +195,7 @@ def test_fit_noise_reuses_the_fits_fidelity(tmp_path, monkeypatch, capsys):
     assert main(["fit-noise", "--target-fidelity", "0.9247", "--circuit", "ms",
                  "--calib", str(DATA_DIR / "example_calibration.json"),
                  "--out", str(tmp_path / "fitted.json")]) == 0
-    assert (len(evaluations), len(builds)) == (3, 3)
+    assert (len(evaluations), len(builds)) == (3, 1)
     assert capsys.readouterr().out == (
         "fitted p_dep = 0.016500 for ms (target F = 0.9247, achieved F = 0.924700)\n")
 

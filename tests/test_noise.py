@@ -451,6 +451,45 @@ def test_noise_model_builds_each_relaxation_channel_once(monkeypatch):
         assert model.single_qubit[("rz", pos)] is None
 
 
+def _model_bytes(model):
+    channels = [model.single_qubit[key] for key in sorted(model.single_qubit)]
+    return ([None if ch is None else ch.data.tobytes() for ch in channels + [model.cnot_channel]],
+            None if model.confusion is None else model.confusion.tobytes(), model.fingerprint)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(EXAMPLE_CALIBRATIONS),
+       p=st.one_of(st.just(0), st.just(1), st.floats(0.0, 1.0)))
+def test_with_p_dep_equals_a_fresh_build(name, p):
+    cal = DeviceCalibration.load(DATA_DIR / name)
+    derived = build_noise_model(cal.with_p_dep(0)).with_p_dep(p)
+    assert _model_bytes(derived) == _model_bytes(build_noise_model(cal.with_p_dep(p)))
+
+
+def test_fit_builds_each_relaxation_channel_once(monkeypatch):
+    """One model build per fit: the example fit's 3 evaluations build the 4
+    relaxation channels once."""
+    import msbench.noise
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return damping_channel(*args)
+
+    monkeypatch.setattr(msbench.noise, "damping_channel", counting)
+    cal = DeviceCalibration.load(DATA_DIR / EXAMPLE_CALIBRATIONS[0])
+    p_dep, _ = fit_depolarizing(0.9247, synthesize_ms_circuit(), cal)
+    assert (len(calls), round(p_dep, 6)) == (4, 0.0165)
+
+
+def test_noise_model_single_qubit_channels_are_read_only():
+    model = build_noise_model(DeviceCalibration.load(DATA_DIR / EXAMPLE_CALIBRATIONS[0]))
+    with pytest.raises(TypeError):
+        model.single_qubit[("sx", 0)] = None
+    assert model.with_p_dep(0.5).single_qubit is model.single_qubit
+
+
 @pytest.mark.parametrize("build", [
     lambda: identity_channel(2),
     ms_unitary,

@@ -557,6 +557,35 @@ def test_prep_tree_equals_the_per_label_prefixes(circuit, calibration, p_dep):
         assert ds.records[(label, setting)].probs == tuple(expected[p, s]), (label, setting)
 
 
+def test_a_models_inputs_are_prepared_once(monkeypatch):
+    """The preparation tree runs once per model's single-qubit channels, which
+    a with_p_dep sibling shares; a fresh build of the same file prepares anew."""
+    import msbench.tomography
+
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return apply_gates(*args)
+
+    monkeypatch.setattr(msbench.tomography, "apply_gates", counting)
+    cal = DeviceCalibration.load(EXAMPLE_CALIBRATION)
+    noise, circuit = build_noise_model(cal), synthesize_ms_circuit()
+    runs = []
+    for model in (noise, noise, noise.with_p_dep(0.3), build_noise_model(cal)):
+        run_qpt(circuit, noise=model, shots=None)
+        runs.append(len(calls))
+    assert runs == [8, 8, 8, 16]  # 4 + 4 prefixes per tree
+
+
+@pytest.mark.parametrize("noise", [None, example_noise()], ids=["noiseless", "noisy"])
+def test_prepared_states_are_read_only(noise):
+    states = _prepared_states(noise)
+    assert states is _prepared_states(noise)
+    with pytest.raises(ValueError):
+        states[0, 0, 0] = 0.0
+
+
 def test_sampled_qpt_reconstruction_is_trace_preserving_to_1e_12():
     ds = run_qpt(synthesize_ms_circuit(), noise=example_noise(), shots=4000, seed=1)
     j = reconstruct_channel(ds).choi_matrix()

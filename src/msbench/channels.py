@@ -15,9 +15,9 @@ Conventions, fixed across the toolkit:
 Every representation applies to states through its Kraus operators
 (``linalg.kraus_sum``); a Choi or chi channel is converted once, on first use.
 
-Kraus sets are (count, d, d) stacks, and ``tensor``, ``compose`` and the Choi
-state run on them as array operations that give each entry the operations,
-in term order, of a term-by-term loop. Sampled counts depend on the last ulp
+Kraus sets are (count, d, d) stacks, and ``apply``, ``tensor``, ``compose``
+and the Choi state run on them as array operations that give each entry the
+operations, in term order, of a term-by-term loop. Sampled counts depend on the last ulp
 of the noise channels (see ``simulator``), so a closed form or a reassociated
 sum would move them.
 """
@@ -271,9 +271,9 @@ class QuantumChannel:
 
 def _kraus_to_choi(ops, dim: int) -> np.ndarray:
     """sum_k v_k v_k^dag / d, v_k = flat(K_k): each row sums the 1-deep products
-    ``v @ dagger(v)`` makes in k order, in row blocks of <= 256 d^2 products."""
+    ``v @ dagger(v)`` makes in k order, in row blocks of <= 1024 d^2 products."""
     cols = np.reshape(ops, (len(ops), -1, 1))  # row-major flatten matches output (x) input
-    rows, step = dagger(cols), max(1, 256 // len(ops))
+    rows, step = dagger(cols), max(1, 1024 // len(ops))
     return np.concatenate([np.add.reduce(cols[:, r:r + step] @ rows, axis=0)
                            for r in range(0, dim * dim, step)]) / dim
 

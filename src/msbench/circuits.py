@@ -11,6 +11,7 @@ over that free phase.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -154,6 +155,14 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
+    @functools.cached_property
+    def _unitary(self) -> np.ndarray:  # built on first use, read-only; not a field
+        u = np.eye(4, dtype=complex)
+        for g in self.gates:
+            u = g.matrix() @ u
+        u.flags.writeable = False
+        return u
+
     def cnot_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == "cnot")
 
@@ -202,10 +211,9 @@ def cx_unitary() -> TargetUnitary:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    u = np.eye(4, dtype=complex)
-    for g in circuit.gates:
-        u = g.matrix() @ u
-    return u
+    """The product of the gates' unitaries, gates[0] applied first: one
+    read-only array per circuit instance, built on the first call."""
+    return circuit._unitary
 
 
 def phase_aligned_distance(u, v) -> float:

@@ -3,7 +3,9 @@
 Matrices are plain 2-D complex numpy arrays, row-major, at most 16x16;
 ``dagger``, ``kraus_sum`` and ``check_density_matrix`` also map over a
 leading stack axis. ``kraus_sum`` is the one place a channel acts on a
-state. Everything here is a pure function; inputs are never mutated.
+state: one stacked product over the Kraus axis, then one reduce that adds
+the terms in the channel's order. Everything here is a pure function;
+inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -52,12 +54,14 @@ def kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def kraus_sum(ops, rho) -> np.ndarray:
-    """sum_k K rho K^dag, term by term in the order of ``ops``, on a density
-    matrix or a stack of them; no validation."""
-    out = np.zeros_like(rho, dtype=complex)
-    for k in ops:
-        out += k @ rho @ dagger(k)
-    return out
+    """sum_k K rho K^dag on a density matrix or a stack of them; no validation.
+
+    One stacked product makes every term, the Kraus axis broadcast over the
+    stack, and ``np.add.reduce`` adds them from 0 in the order of ``ops``:
+    the bits of ``out = 0; out += K rho K^dag`` term by term."""
+    ops = np.asarray(ops)
+    k = ops.reshape(ops.shape[:1] + (1,) * (np.ndim(rho) - 2) + ops.shape[1:])
+    return np.add.reduce(k @ rho @ dagger(k), axis=0, dtype=complex, initial=0j)
 
 
 def is_unitary(m, atol: float = 1e-10) -> bool:

@@ -11,8 +11,9 @@ its input, (4,) for one 4-vector and (n, 4) for a stack. Input checks
 (``check_density_matrix``, ``distribution_defect``) run once over the stack,
 and a defective entry fails with the message it fails with alone. Each entry
 goes through exactly the floating-point operations it would go through
-alone: stacked ``u @ rho @ u^dag`` products, Kraus terms summed by
-``linalg.kraus_sum`` in the order the channel lists them, per-state
+alone: stacked ``u @ rho @ u^dag`` products, each channel as one stacked
+product over its Kraus operators and the stack (``linalg.kraus_sum``) with
+the terms added in the order the channel lists them, per-state
 normalization, an ``einsum`` for the readout confusion, and a per-row clip,
 renormalization and draw from the row's own PCG64 stream. Sampled counts
 depend on this. Many outcome distributions sit on ties such as p = 0.5
@@ -69,6 +70,17 @@ def validate_seed(seed) -> int:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}") from None
     if value < 0:
         raise ValueError(f"seed must be a non-negative integer, got {value}")
+    return value
+
+
+def validate_shots(shots) -> int:
+    """A shot number is a positive integer; bools and floats are refused, not cast."""
+    try:
+        value = None if isinstance(shots, (bool, np.bool_)) else operator.index(shots)
+    except TypeError:
+        value = None
+    if value is None or value <= 0:
+        raise ValueError(f"shots must be a positive integer, got {shots!r}")
     return value
 
 
@@ -264,8 +276,7 @@ def sample_counts(dist, shots: int, seed) -> np.ndarray:
     defect = distribution_defect(rows)
     if defect is not None:
         raise ValueError(defect[1])
-    if shots <= 0:
-        raise ValueError("shots must be positive")
+    shots = validate_shots(shots)
     rows = np.clip(rows, 0.0, None)
     rows /= rows.sum(axis=1, keepdims=True)
     seeds = [seed] if dist.ndim == 1 else list(seed)
@@ -281,19 +292,23 @@ def sample_counts(dist, shots: int, seed) -> np.ndarray:
     return counts.reshape(dist.shape)
 
 
+# Each two-qubit Pauli observable's signs over BITSTRINGS: an outcome's sign
+# is the parity of its bits under non-identity factors.
+_OUTCOME_SIGNS = {
+    obs: np.array([(-1.0) ** sum(bit == "1" for bit, factor in zip(bits, obs) if factor != "I")
+                   for bits in BITSTRINGS])
+    for obs in (a + b for a in "IXYZ" for b in "IXYZ")
+}
+
+
 def expectation(freqs, observable: str):
     """Empirical Pauli expectation from frequency 4-vectors: an array whose
     last axis holds the outcomes ``BITSTRINGS`` of a setting that measures
     every non-identity factor of the observable.
 
-    The observable is two of I/X/Y/Z. Identity factors marginalize the
-    corresponding bit.
+    The observable is a string of two of I/X/Y/Z. Identity factors
+    marginalize the corresponding bit.
     """
-    if len(observable) != 2 or any(c not in "IXYZ" for c in observable):
+    if not isinstance(observable, str) or observable not in _OUTCOME_SIGNS:
         raise ValueError(f"observable must be two of I/X/Y/Z, got {observable!r}")
-    # An outcome's sign is the parity of its bits under non-identity factors.
-    signs = np.array([
-        (-1.0) ** sum(bit == "1" for bit, factor in zip(bits, observable) if factor != "I")
-        for bits in BITSTRINGS
-    ])
-    return np.asarray(freqs, dtype=float) @ signs
+    return np.asarray(freqs, dtype=float) @ _OUTCOME_SIGNS[observable]

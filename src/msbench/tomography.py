@@ -52,6 +52,7 @@ from .simulator import (
     spawn_seeds,
     validate_seed,
     validate_setting,
+    validate_shots,
 )
 
 DEFAULT_SEED = 42
@@ -218,9 +219,11 @@ class TomographyDataset:
             raise ValueError(f"outcomes must have shape (144, 4), got {outcomes.shape}")
         if self.shots is None:
             defect = distribution_defect(outcomes)
-        elif self.shots <= 0:
-            raise ValueError("a counted dataset needs a positive shot number")
         else:
+            try:
+                object.__setattr__(self, "shots", validate_shots(self.shots))
+            except ValueError as err:
+                raise ValueError(f"a counted dataset needs a positive shot number: {err}") from None
             ok = ((outcomes >= 0) & (outcomes == np.round(outcomes))).all(axis=1)
             ok &= outcomes.sum(axis=1) == self.shots
             i = int(np.argmin(ok))
@@ -329,10 +332,12 @@ def run_qpt(process, noise=None, shots: int | None = None, seed: int = DEFAULT_S
 
     ``process`` is a Circuit (evolved under the optional noise model) or a
     QuantumChannel applied directly to the ideal input states. ``shots=None``
-    records exact outcome probabilities instead of sampled counts. ``seed``
-    is a non-negative integer.
+    records exact outcome probabilities instead of sampled counts, else
+    ``shots`` is a positive integer. ``seed`` is a non-negative integer.
     """
     seed = validate_seed(seed)
+    if shots is not None:
+        shots = validate_shots(shots)
     circuit_mode = isinstance(process, Circuit)
     if not circuit_mode and noise is not None:
         raise ValueError("noise models apply to circuits, not to raw channels")

@@ -150,6 +150,19 @@ def test_circuit_json_roundtrip():
     assert np.allclose(circuit_unitary(again), circuit_unitary(c))
 
 
+def test_circuit_unitary_is_built_once_read_only():
+    c = synthesize_ms_circuit()
+    u = circuit_unitary(c)
+    assert circuit_unitary(c) is u
+    assert not u.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        u[0, 0] = 0.0
+    fresh = synthesize_ms_circuit()
+    assert fresh == c and hash(fresh) == hash(c)
+    assert circuit_unitary(fresh) is not u
+    assert circuit_unitary(fresh).tobytes() == u.tobytes()
+
+
 @given(circuit=circuits)
 def test_circuit_json_roundtrip_keeps_the_gates(circuit):
     again = Circuit.from_json(circuit.to_json())

@@ -200,6 +200,33 @@ def test_fit_noise_reuses_the_fits_fidelity(tmp_path, monkeypatch, capsys):
         "fitted p_dep = 0.016500 for ms (target F = 0.9247, achieved F = 0.924700)\n")
 
 
+@pytest.mark.parametrize("circuit, calib, target, digest", [
+    ("ms", "example_calibration", "0.9",
+     "61a1edc71d6cadd59c5e515aa253a1bb95d7798853a278c4a436f7d66315215a"),
+    ("ms", "example_calibration", "0.5",
+     "0255be065a39545decc4c4ab42832486efc4f4060425413e88c8e072462e9040"),
+    ("ms", "example_calibration_b", "0.9",
+     "d0cf1af3c872a09b3c0a3ace45e26f05faea3635e9d53bf3800e6f93c72f5d1a"),
+    ("ms", "example_calibration_b", "0.5",
+     "42b0e52b98cfd5d11d28509c305dfad8c5f6892e4d87f5cdf8ca3362d7faee34"),
+    ("cx", "example_calibration", "0.9",
+     "063eef3d0ff8ae5fff8179c7d62659f914577418c26aaa25672565493eb3eaad"),
+    ("cx", "example_calibration", "0.5",
+     "3a4d953813b83dfc0aded0febf62d8bc5ea96c8795222768c8d644fe6a0abd1f"),
+    ("cx", "example_calibration_b", "0.9",
+     "1af8fe942e2f0fbab7a99c1de521e81b163ed4d2da0ed420845e653ca3ec36ec"),
+    ("cx", "example_calibration_b", "0.5",
+     "8aba37274c35a5e75c1d5bc1e0f3a5fc93cbaec68db879c5090df19021466673"),
+])
+def test_fit_noise_outputs_are_pinned(tmp_path, circuit, calib, target, digest):
+    """Digests recorded before the Kraus sum became one stacked product: the
+    fitted p_dep, to the last bit, for both circuits and example calibrations."""
+    out = tmp_path / "fitted.json"
+    assert main(["fit-noise", "--target-fidelity", target, "--circuit", circuit,
+                 "--calib", str(DATA_DIR / f"{calib}.json"), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_fit_noise_unachievable_target(tmp_path, capsys):
     calib = tmp_path / "cal.json"
     write_cal(calib, readout=(0.05, 0.05))

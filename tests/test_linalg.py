@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import partial_trace, random_density_matrix
 
@@ -8,6 +10,7 @@ from msbench.linalg import (
     PAULI_X,
     PAULI_Z,
     check_density_matrix,
+    dagger,
     kraus_sum,
     kron,
 )
@@ -34,8 +37,36 @@ def test_kraus_sum_maps_over_a_stack(rng):
     stacked = kraus_sum(ops, states)
     assert np.array_equal(states, before)
     for rho, out in zip(states, stacked):
-        assert np.array_equal(out, kraus_sum(ops, rho))
+        assert out.tobytes() == kraus_sum(ops, rho).tobytes()
         assert np.allclose(out, 0.7 * rho + 0.3 * PAULI_X @ rho @ PAULI_X, atol=1e-15)
+
+
+def _term_by_term(ops, rho) -> np.ndarray:
+    out = np.zeros_like(rho, dtype=complex)
+    for k in ops:
+        out += k @ rho @ dagger(k)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 16), dim=st.sampled_from([2, 4]),
+       stack=st.sampled_from([None, 1, 3, 16]), zeros=st.floats(0.0, 0.5))
+def test_stacked_kraus_sum_matches_the_term_by_term_loop(seed, count, dim, stack, zeros):
+    """Bit for bit, on one matrix or a stack, with a share of entries set to +0.0 or -0.0."""
+    rng = np.random.default_rng(seed)
+
+    def matrices(shape):
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for part in (m.real, m.imag):
+            hit = rng.random(shape) < zeros
+            part[hit] = rng.choice([0.0, -0.0], hit.sum())
+        return m
+
+    ops = matrices((count, dim, dim))
+    rho = matrices((dim, dim) if stack is None else (stack, dim, dim))
+    out = kraus_sum(ops, rho)
+    assert out.shape == rho.shape
+    assert out.tobytes() == _term_by_term(ops, rho).tobytes()
 
 
 def test_partial_trace_product_state(rng):

@@ -187,6 +187,26 @@ def test_sample_counts_rejects_bad_distributions():
         sample_counts([1, 0, 0, 0], 0, seed=0)
 
 
+@pytest.mark.parametrize("shots", [2.5, 10.0, True, 0, None, "10"],
+                         ids=["fraction", "float", "bool", "zero", "none", "str"])
+def test_sample_counts_rejects_shots_that_are_not_positive_integers(shots):
+    with pytest.raises(ValueError, match="^shots must be a positive integer"):
+        sample_counts([0.5, 0, 0, 0.5], shots, 1)
+
+
+def test_sample_counts_takes_numpy_integer_shots():
+    dist = [0.3, 0.3, 0.2, 0.2]
+    assert (sample_counts(dist, np.int64(1000), 4).tolist()
+            == sample_counts(dist, 1000, 4).tolist())
+
+
+@pytest.mark.parametrize("observable", ["XQ", "X", "XYZ", "", ["X", "Y"], None],
+                         ids=["letter", "one", "three", "empty", "list", "none"])
+def test_expectation_rejects_observables_that_are_not_two_pauli_letters(observable):
+    with pytest.raises(ValueError, match="^observable must be two of I/X/Y/Z, got "):
+        expectation([0.25] * 4, observable)
+
+
 def test_expectation_examples():
     all00 = [1.0, 0.0, 0.0, 0.0]
     assert expectation(all00, "ZZ") == 1.0

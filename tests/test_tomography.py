@@ -629,3 +629,20 @@ def test_sampled_run_qpt_builds_no_seed_sequence(monkeypatch):
 def test_run_qpt_rejects_seeds_that_are_not_non_negative_integers(seed):
     with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
         run_qpt(synthesize_ms_circuit(), shots=100, seed=seed)
+
+
+@pytest.mark.parametrize("shots", [True, 10.0, 0, "10"], ids=["bool", "float", "zero", "str"])
+def test_run_qpt_rejects_shots_that_are_not_positive_integers(shots):
+    with pytest.raises(ValueError, match="^shots must be a positive integer"):
+        run_qpt(synthesize_ms_circuit(), shots=shots, seed=3)
+    outcomes = np.zeros((144, 4))
+    outcomes[:, 0] = 10
+    with pytest.raises(ValueError, match="positive shot number: shots must be a positive integer"):
+        TomographyDataset(outcomes, shots, 3, "noiseless", None)
+
+
+def test_run_qpt_stores_numpy_integer_shots_as_an_int():
+    ds = run_qpt(synthesize_ms_circuit(), shots=np.int64(10), seed=3)
+    assert type(ds.shots) is int
+    assert ds.to_json() == run_qpt(synthesize_ms_circuit(), shots=10, seed=3).to_json()
+    assert TomographyDataset.from_json(ds.to_json()).shots == 10

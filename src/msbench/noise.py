@@ -49,7 +49,7 @@ class QubitCalibration:
     readout_error_10: float | None = None  # P(read 0 | prepared 1) override
 
     def __post_init__(self):
-        if not isinstance(self.qubit, numbers.Integral):
+        if not isinstance(self.qubit, numbers.Integral) or isinstance(self.qubit, bool):
             raise ValueError(f"qubit id {self.qubit!r} is not an integer")
         for name in ("t1_us", "t2_us", "readout_error") + _OPTIONAL_QUBIT_KEYS:
             value = getattr(self, name)
@@ -331,7 +331,9 @@ def fit_depolarizing(
     if not 0.0 < target_fidelity <= 1.0:
         raise ValueError("target fidelity must be in (0, 1]")
 
-    from .tomography import exact_process_fidelity  # deferred: avoids an import cycle
+    # Imported per call, not at the top, so that the fit uses what
+    # msbench.tomography holds then: test_noise.py counts calls by patching it.
+    from .tomography import exact_process_fidelity
 
     base = build_noise_model(cal.with_p_dep(0.0))
 

@@ -63,13 +63,13 @@ _MASK128 = (1 << 128) - 1
 
 
 def validate_seed(seed) -> int:
-    """A seed is a non-negative integer; floats and None are refused, not cast."""
+    """A seed is a non-negative integer; bools, floats and None are refused, not cast."""
     try:
-        value = operator.index(seed)
+        value = None if isinstance(seed, (bool, np.bool_)) else operator.index(seed)
     except TypeError:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}") from None
-    if value < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {value}")
+        value = None
+    if value is None or value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return value
 
 

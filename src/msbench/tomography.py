@@ -21,9 +21,10 @@ counts are unchanged. One ``outcome_distribution`` call gives all 144 cells'
 distributions, and one ``sample_counts`` call draws each cell from its own
 seed (``_experiment_seeds``, one array hash). Either result, a (144, 4)
 array in ``_CELLS`` order, goes unchanged into the dataset, which checks it
-once, and on to the file writer, ``TomographyDataset.to_json``, which
-formats it without building records, and as frequencies to
-``linear_inversion``. The file's per-cell ``CountsRecord`` lives here alone.
+once, to the file writer, ``TomographyDataset.to_json``, and as frequencies
+to ``linear_inversion``. The file reader parses each cell straight into a
+row and checks only what the dataset cannot: keys, setting, shots and JSON
+types. ``CountsRecord`` is just the row type of the lazy ``records`` view.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channels import QuantumChannel, channel_from_unitary, pauli_basis, project_cptp
-from .circuits import Circuit, Gate, _check_record, circuit_unitary
+from .circuits import Circuit, Gate, _check_record, _is_number, circuit_unitary
 from .linalg import dagger, kron
 from .simulator import (
     _PROB_ATOL,
@@ -51,7 +53,6 @@ from .simulator import (
     sample_counts,
     spawn_seeds,
     validate_seed,
-    validate_setting,
     validate_shots,
 )
 
@@ -86,63 +87,14 @@ _RECORD_HEADS = [f'    "{p}|{s}": {{\n      "setting": "{s}",\n'
                  for p, s in (_CELLS[i] for i in _WRITE_ORDER)]
 
 
-@dataclass(frozen=True)
-class CountsRecord:
-    """One cell of a dataset file: the outcomes of one measurement setting.
-
-    Either integer ``counts`` with ``shots``, or an exact probability vector
-    (``shots`` is None) when the run bypassed sampling.
-    """
+class CountsRecord(NamedTuple):
+    """A cell as ``TomographyDataset.records`` gives it, unchecked: counts keyed
+    by ``BITSTRINGS`` with ``shots``, or exact ``probs`` with ``shots`` None."""
 
     setting: str
     shots: int | None
     counts: dict | None
     probs: tuple | None = None
-
-    def __post_init__(self):
-        validate_setting(self.setting)
-        if self.counts is not None:
-            if self.shots is None or self.shots <= 0:
-                raise ValueError("counted records need a positive shot number")
-            _check_record(self.counts, (), BITSTRINGS, "counts")
-            for key, value in self.counts.items():
-                if not (type(value) is int or isinstance(value, np.integer)) or value < 0:
-                    raise ValueError(f"counts[{key!r}] = {value!r} is not a non-negative integer")
-            if sum(self.counts.values()) != self.shots:
-                raise ValueError("counts do not sum to shots")
-            object.__setattr__(
-                self, "counts", {b: int(self.counts.get(b, 0)) for b in BITSTRINGS}
-            )
-        elif self.probs is None:
-            raise ValueError("record needs counts or exact probabilities")
-        else:
-            probs = tuple(float(p) for p in self.probs)
-            # A NaN or infinite entry makes the sum fail the second test.
-            if len(probs) != 4 or not (min(probs) >= -_PROB_ATOL
-                                       and abs(sum(probs) - 1.0) <= _PROB_ATOL):
-                raise ValueError(f"probabilities {list(probs)} are not 4 finite entries, "
-                                 f"each >= -{_PROB_ATOL:g}, summing to 1 within {_PROB_ATOL:g}")
-            object.__setattr__(self, "probs", probs)
-
-    def __hash__(self):
-        counts = None if self.counts is None else tuple(self.counts.values())  # BITSTRINGS order
-        return hash((self.setting, self.shots, counts, self.probs))
-
-    @property
-    def exact(self) -> bool:
-        return self.counts is None
-
-    @staticmethod
-    def from_dict(d, where: str) -> "CountsRecord":
-        """The record a JSON object holds; every error is prefixed with ``where``."""
-        exact = isinstance(d, dict) and bool(d.get("exact"))  # a JSON object is a dict
-        keys = ("setting", "probabilities") if exact else ("setting", "shots", "counts")
-        _check_record(d, keys, ("exact", *keys), where)
-        try:
-            return CountsRecord(d["setting"], d.get("shots"), d.get("counts"),
-                                d.get("probabilities"))
-        except ValueError as err:
-            raise ValueError(f"{where}: {err}") from None
 
 
 def prep_state(label: str) -> np.ndarray:
@@ -230,6 +182,8 @@ class TomographyDataset:
             defect = None if ok[i] else (i, f"counts {outcomes[i].tolist()} are not "
                                             f"non-negative integers summing to {self.shots}")
             outcomes = outcomes.astype(np.int64)
+        if self.seed is not None:
+            object.__setattr__(self, "seed", validate_seed(self.seed))
         if defect is not None:
             raise ValueError(f"cell {'|'.join(_CELLS[defect[0]])}: {defect[1]}")
         outcomes.flags.writeable = False
@@ -237,13 +191,10 @@ class TomographyDataset:
 
     @functools.cached_property
     def records(self) -> dict:
-        """(prep label, setting) -> ``CountsRecord``, built on first read: a lazy
-        view for readers such as the benchmark's output check and the tests. No
-        writer uses it; ``to_json`` writes from ``outcomes``."""
-        if self.shots is None:
-            return {cell: CountsRecord(cell[1], None, None, tuple(row))
-                    for cell, row in zip(_CELLS, self.outcomes.tolist())}
-        return {cell: CountsRecord(cell[1], self.shots, dict(zip(BITSTRINGS, row)))
+        """(prep label, setting) -> ``CountsRecord``, built on first read for callers
+        such as the benchmark's output check; the file writer and reader skip it."""
+        return {cell: CountsRecord(cell[1], None, None, tuple(row)) if self.shots is None
+                else CountsRecord(cell[1], self.shots, dict(zip(BITSTRINGS, row)))
                 for cell, row in zip(_CELLS, self.outcomes.tolist())}
 
     def frequencies(self) -> np.ndarray:
@@ -316,12 +267,33 @@ class TomographyDataset:
                              f"first {missing[0]}")
         rows = []
         for name, (_, setting) in zip(names, _CELLS):
-            rec = CountsRecord.from_dict(records[name], f"records[{name!r}]")
-            if rec.setting != setting:
-                raise ValueError(f"cell {name} holds a {rec.setting} record")
-            if rec.shots != shots:
-                raise ValueError(f"cell {name} has shots {rec.shots}, the dataset {shots}")
-            rows.append(rec.probs if rec.exact else [rec.counts[b] for b in BITSTRINGS])
+            cell, where = records[name], f"records[{name!r}]"
+            exact = isinstance(cell, dict) and bool(cell.get("exact"))  # a JSON object is a dict
+            keys = ("setting", "probabilities") if exact else ("setting", "shots", "counts")
+            _check_record(cell, keys, ("exact", *keys), where)
+            if cell["setting"] != setting:
+                raise ValueError(f"cell {name} holds a {cell['setting']} record")
+            given = cell.get("shots")  # None in an exact cell
+            if type(given) is not type(shots) or given != shots:  # refuses true and 10.0
+                raise ValueError(f"cell {name} has shots {given!r}, the dataset {shots}")
+            if exact:
+                row = cell["probabilities"]
+                # A NaN or infinite entry makes the sum fail the second test.
+                if not (isinstance(row, list) and len(row) == 4 and all(map(_is_number, row))
+                        and min(row) >= -_PROB_ATOL and abs(sum(row) - 1.0) <= _PROB_ATOL):
+                    raise ValueError(f"{where}: probabilities {row} are not 4 finite entries, "
+                                     f"each >= -{_PROB_ATOL:g}, summing to 1 within {_PROB_ATOL:g}")
+            else:
+                if shots is None:
+                    raise ValueError(f"{where}: counted records need a positive shot number")
+                counts = cell["counts"]
+                _check_record(counts, (), BITSTRINGS, f"{where}: counts")
+                for key, value in counts.items():
+                    if type(value) is not int or value < 0:  # JSON true is a bool, not an int
+                        raise ValueError(f"{where}: counts[{key!r}] = {value!r} "
+                                         f"is not a non-negative integer")
+                row = [counts.get(b, 0) for b in BITSTRINGS]
+            rows.append(row)
         return TomographyDataset(rows, shots, seed, d["noise_fingerprint"], circuit_json,
                                  d.get("rng", RNG_ALGORITHM))
 

@@ -329,6 +329,15 @@ def test_duplicate_qubit_ids_rejected():
         DeviceCalibration(qubits)
 
 
+def test_bool_qubit_id_rejected():
+    text = ('{"qubits": [{"id": true, "t1_us": 100.0, "t2_us": 80.0}, '
+            '{"id": 0, "t1_us": 100.0, "t2_us": 80.0}]}')
+    with pytest.raises(ValueError, match="^qubit id True is not an integer$"):
+        DeviceCalibration.from_json(text)
+    with pytest.raises(ValueError, match="^qubit id False is not an integer$"):
+        QubitCalibration(False, 100.0, 80.0, 0.0)
+
+
 def count_fidelity_evaluations(monkeypatch):
     """Count exact_process_fidelity calls made through msbench.tomography."""
     calls = []

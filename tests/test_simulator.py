@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,7 @@ from msbench.simulator import (
     pcg64_states,
     sample_counts,
 )
-from msbench.tomography import CountsRecord
+from msbench.tomography import _CELLS, TomographyDataset, run_qpt
 
 from conftest import count_numpy_random, random_density_matrix, random_unitary
 
@@ -219,49 +221,71 @@ def test_expectation_examples():
     assert expectation(half, "II") == 1.0
 
 
-def test_counts_record_validation():
-    with pytest.raises(ValueError):
-        CountsRecord("ZZ", 10, {"00": 5, "01": 0, "10": 0, "11": 0})  # sums to 5
-    with pytest.raises(ValueError):
-        CountsRecord("ZZ", None, None, None)  # neither counts nor probabilities
-    rec = CountsRecord("XY", None, None, (0.25, 0.25, 0.25, 0.25))
-    assert rec.exact and rec.probs == (0.25,) * 4
+def _read_with_cell(shots, /, **fields):
+    """Read the dataset file of ``run_qpt(Circuit(), shots=shots)`` with
+    ``fields`` set in its cell 0:0|ZZ."""
+    d = json.loads(run_qpt(Circuit(), shots=shots, seed=0).to_json())
+    d["records"]["0:0|ZZ"].update(fields)
+    return TomographyDataset.from_json(json.dumps(d))
 
 
 @pytest.mark.parametrize("probs", [
-    (float("nan"), 0.5, 0.25, 0.25),
-    (0.5, float("nan"), 0.25, 0.25),
-    (float("inf"), 0.0, 0.0, 0.0),
-    (0.9, 0.9, 0.9, 0.9),
-    (0.5, 0.5),
-    (1.0 + 1e-6, -1e-6, 0.0, 0.0),
-], ids=["nan", "nan-not-first", "inf", "sum", "length", "negative"])
+    [float("nan"), 0.5, 0.25, 0.25],
+    [0.5, float("nan"), 0.25, 0.25],
+    [float("inf"), 0.0, 0.0, 0.0],
+    [0.9, 0.9, 0.9, 0.9],
+    [0.5, 0.5],
+    [1.0 + 1e-6, -1e-6, 0.0, 0.0],
+    None,
+    5,
+    [True, False, False, False],
+    [0.25, 0.25, 0.25, "0.25"],
+], ids=["nan", "nan-not-first", "inf", "sum", "length", "negative", "null", "number", "bools",
+        "string"])
 def test_exact_counts_record_needs_a_probability_4_vector(probs):
-    with pytest.raises(ValueError, match=r"^probabilities \[.*\] are not 4 finite entries"):
-        CountsRecord("ZZ", None, None, probs)
+    with pytest.raises(ValueError, match=r"^records\['0:0\|ZZ'\]: probabilities .* are not 4 "
+                                         r"finite entries"):
+        _read_with_cell(None, probabilities=probs)
 
 
-@pytest.mark.parametrize("counts, message", [
-    ({"00": 5, "ab": 5}, r"^counts: unknown key 'ab'; expected one of 00, 01, 10, 11"),
-    ({"00": 5.5, "11": 4.5}, r"^counts\['00'\] = 5.5 is not a non-negative integer"),
-    ({"00": 11, "11": -1}, r"^counts\['11'\] = -1 is not a non-negative integer"),
-    ({"00": True, "11": 9}, r"^counts\['00'\] = True is not a non-negative integer"),
-    ([10, 0, 0, 0], r"^counts: expected a JSON object, got list"),
-], ids=["unknown-key", "fraction", "negative", "bool", "not-a-mapping"])
-def test_counted_record_rejects_foreign_keys_and_non_integer_counts(counts, message):
+@pytest.mark.parametrize("shots, fields, message", [
+    (10, {"counts": {"00": 5, "ab": 5}},
+     r"^records\['0:0\|ZZ'\]: counts: unknown key 'ab'; expected one of 00, 01, 10, 11"),
+    (10, {"counts": {"00": 5.5, "11": 4.5}},
+     r"^records\['0:0\|ZZ'\]: counts\['00'\] = 5.5 is not a non-negative integer"),
+    (10, {"counts": {"00": 11, "11": -1}},
+     r"^records\['0:0\|ZZ'\]: counts\['11'\] = -1 is not a non-negative integer"),
+    (10, {"counts": {"00": True, "11": 9}},
+     r"^records\['0:0\|ZZ'\]: counts\['00'\] = True is not a non-negative integer"),
+    (10, {"counts": [10, 0, 0, 0]},
+     r"^records\['0:0\|ZZ'\]: counts: expected a JSON object, got list"),
+    (10, {"counts": {"00": 5}},
+     r"^cell 0:0\|ZZ: counts \[5, 0, 0, 0\] are not non-negative integers summing to 10"),
+    (1, {"shots": True}, r"^cell 0:0\|ZZ has shots True, the dataset 1$"),
+    (10, {"shots": 10.0}, r"^cell 0:0\|ZZ has shots 10.0, the dataset 10$"),
+], ids=["unknown-key", "fraction", "negative", "bool", "not-a-mapping", "sum", "bool-shots",
+        "float-shots"])
+def test_counted_record_rejects_foreign_keys_and_non_integer_counts(shots, fields, message):
     with pytest.raises(ValueError, match=message):
-        CountsRecord("ZZ", 10, counts)
+        _read_with_cell(shots, **fields)
 
 
-def test_counted_record_takes_numpy_integers_and_fills_missing_outcomes():
-    rec = CountsRecord("ZZ", 10, {"00": np.int64(4), "11": np.uint8(6)})
-    assert rec.counts == {"00": 4, "01": 0, "10": 0, "11": 6}
-    assert all(type(v) is int for v in rec.counts.values())
+def test_counted_record_needs_a_counted_dataset():
+    d = json.loads(run_qpt(Circuit(), shots=None).to_json())
+    d["records"]["0:0|ZZ"] = {"setting": "ZZ", "shots": None, "counts": {"00": 1}}
+    with pytest.raises(ValueError, match=r"^records\['0:0\|ZZ'\]: counted records need a "
+                                         r"positive shot number$"):
+        TomographyDataset.from_json(json.dumps(d))
+
+
+def test_counted_record_fills_missing_outcomes():
+    ds = _read_with_cell(10, counts={"00": 10})
+    assert ds.outcomes[_CELLS.index(("0:0", "ZZ"))].tolist() == [10, 0, 0, 0]
 
 
 def test_exact_counts_record_allows_sample_counts_rounding():
-    rec = CountsRecord("ZZ", None, None, (1.0 + 5e-10, -5e-10, 0.0, 0.0))
-    assert rec.probs == (1.0 + 5e-10, -5e-10, 0.0, 0.0)
+    ds = _read_with_cell(None, probabilities=[1.0 + 5e-10, -5e-10, 0.0, 0.0])
+    assert ds.outcomes[_CELLS.index(("0:0", "ZZ"))].tolist() == [1.0 + 5e-10, -5e-10, 0.0, 0.0]
 
 
 def test_basis_state_rejects_garbage():
@@ -364,8 +388,9 @@ def test_sample_counts_builds_one_generator_per_call(monkeypatch):
     assert len(built) == 2
 
 
-@pytest.mark.parametrize("seed", [-1, 1.0, 2.5, np.float64(3.0), None, "3"],
-                         ids=["negative", "float", "fraction", "numpy-float", "none", "str"])
+@pytest.mark.parametrize("seed", [-1, 1.0, 2.5, np.float64(3.0), None, "3", True, np.True_],
+                         ids=["negative", "float", "fraction", "numpy-float", "none", "str", "bool",
+                              "numpy-bool"])
 def test_sample_counts_rejects_seeds_that_are_not_non_negative_integers(seed):
     with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
         sample_counts([1, 0, 0, 0], 10, seed)

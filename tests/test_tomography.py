@@ -175,7 +175,7 @@ def test_dataset_json_roundtrip_property(ds):
 def _record_dataset_json(ds) -> str:
     """The record-based writer ``to_json`` replaced: the oracle it must match."""
     def record(rec):
-        if rec.exact:
+        if rec.shots is None:
             return {"setting": rec.setting, "exact": True, "probabilities": list(rec.probs)}
         return {"setting": rec.setting, "shots": rec.shots, "counts": dict(rec.counts)}
 
@@ -340,16 +340,6 @@ def test_dataset_json_must_be_an_object():
         TomographyDataset.from_json("[]")
 
 
-def test_counts_records_hash_like_they_compare():
-    counted = CountsRecord("ZZ", 10, {"11": 6, "00": np.int64(4)})
-    same = CountsRecord("ZZ", 10, {"00": 4, "01": 0, "10": 0, "11": 6})
-    exact = CountsRecord("XY", None, None, (0.25,) * 4)
-    assert counted == same and hash(counted) == hash(same)
-    assert len({counted, same, exact, CountsRecord("XY", None, None, [0.25] * 4)}) == 2
-    ds = run_qpt(Circuit(), shots=10, seed=0)
-    assert set(ds.records.values()) == set(TomographyDataset.from_json(ds.to_json()).records.values())
-
-
 def test_dataset_uniform_shots_enforced():
     ds = run_qpt(Circuit(), shots=10, seed=0)
     with pytest.raises(ValueError, match=r"^cell 0:0\|XX: counts \[.*\] are not non-negative "
@@ -401,20 +391,14 @@ def test_dataset_outcomes_are_a_read_only_copy_and_records_a_cached_view():
     assert ds.records[("0:0", "XY")] == CountsRecord("XY", None, None, (0.25,) * 4)
 
 
-def test_run_qpt_builds_no_counts_record(monkeypatch):
-    built = []
-    post_init = CountsRecord.__post_init__
-
-    def counting_post_init(rec):
-        built.append(rec)
-        post_init(rec)
-
-    monkeypatch.setattr(CountsRecord, "__post_init__", counting_post_init)
+def test_run_qpt_builds_no_counts_record():
     for shots in (None, 100):
         ds = run_qpt(synthesize_ms_circuit(), noise=example_noise(), shots=shots, seed=3)
         reconstruct_channel(ds)
-    assert built == []
-    assert len(ds.records) == 144 and len(built) == 144
+        again = TomographyDataset.from_json(ds.to_json())
+        reconstruct_channel(again)
+        assert "records" not in ds.__dict__ and "records" not in again.__dict__
+    assert len(ds.records) == 144 and "records" in ds.__dict__
 
 
 @pytest.mark.parametrize("shots, digest", [
@@ -625,10 +609,25 @@ def test_sampled_run_qpt_builds_no_seed_sequence(monkeypatch):
     assert len(generators) == 1
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, None], ids=["negative", "float", "none"])
+@pytest.mark.parametrize("seed", [-1, 1.5, None, True, np.True_],
+                         ids=["negative", "float", "none", "bool", "numpy-bool"])
 def test_run_qpt_rejects_seeds_that_are_not_non_negative_integers(seed):
     with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
         run_qpt(synthesize_ms_circuit(), shots=100, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "3"], ids=["negative", "fraction", "bool", "str"])
+def test_dataset_rejects_seeds_that_are_not_non_negative_integers(seed):
+    ds = run_qpt(Circuit(), shots=10, seed=3)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+        TomographyDataset(ds.outcomes, 10, seed, "noiseless", None)
+
+
+def test_dataset_stores_a_numpy_integer_seed_as_an_int():
+    ds = run_qpt(Circuit(), shots=10, seed=3)
+    again = TomographyDataset(ds.outcomes, 10, np.int64(3), ds.noise_fingerprint, ds.circuit_json)
+    assert type(again.seed) is int
+    assert again.to_json() == ds.to_json()
 
 
 @pytest.mark.parametrize("shots", [True, 10.0, 0, "10"], ids=["bool", "float", "zero", "str"])

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,6 @@ from .linalg import (
     check_density_matrix,
     dagger,
     frobenius,
-    is_unitary,
     kraus_sum,
     kron_pairs,
 )
@@ -87,6 +87,14 @@ def _lifted_basis(dim: int) -> np.ndarray:
     return np.kron(np.eye(dim), _pauli_change_of_basis(dim).T.reshape(-1, dim, dim))
 
 
+def _choi_form(matrix, name: str) -> tuple[np.ndarray, int]:
+    """``linalg.as_matrix`` of a d^2 x d^2 matrix, d 2 or 4, and d."""
+    m = as_matrix(matrix)
+    if m.shape not in ((4, 4), (16, 16)):
+        raise ValueError(f"{name} must be 4x4 or 16x16, got shape {m.shape}")
+    return m, math.isqrt(len(m))
+
+
 def _tp_residual(j: np.ndarray, dim: int) -> np.ndarray:
     """Coordinates Tr(B_k (Tr_out J - I/d)), J Hermitian; 2-norm |Tr_out J - I/d|_F."""
     coords = (_lifted_basis(dim).reshape(dim * dim, -1) @ j.T.reshape(-1)).real
@@ -132,11 +140,7 @@ class QuantumChannel:
     def from_choi(matrix) -> "QuantumChannel":
         """Validate a Choi state: Hermitian, PSD within ``_CHOI_ATOL_PSD`` and
         trace-preserving within ``_CHOI_ATOL_TP`` (Frobenius)."""
-        j = as_matrix(matrix)
-        side = j.shape[0]
-        dim = int(np.sqrt(side))
-        if j.shape != (side, side) or dim * dim != side or dim not in (2, 4):
-            raise ValueError(f"Choi matrix has unsupported shape {j.shape}")
+        j, dim = _choi_form(matrix, "Choi matrix")
         if frobenius(j - dagger(j)) > 1e-8:
             raise ValueError("Choi matrix is not Hermitian")
         j = 0.5 * (j + dagger(j))
@@ -149,11 +153,7 @@ class QuantumChannel:
 
     @staticmethod
     def from_chi(matrix) -> "QuantumChannel":
-        c = as_matrix(matrix)
-        side = c.shape[0]
-        dim = int(np.sqrt(side))
-        if c.shape != (side, side) or dim * dim != side or dim not in (2, 4):
-            raise ValueError(f"chi matrix has unsupported shape {c.shape}")
+        c, dim = _choi_form(matrix, "chi matrix")
         if frobenius(c - dagger(c)) > 1e-8:
             raise ValueError("chi matrix is not Hermitian")
         if abs(np.trace(c).real - 1.0) > 1e-8:
@@ -286,9 +286,8 @@ def _choi_to_kraus(j, dim: int) -> np.ndarray:
 
 
 def channel_from_unitary(u) -> QuantumChannel:
-    u = as_matrix(u)
-    if not is_unitary(u, atol=1e-8):
-        raise ValueError("matrix is not unitary within 1e-8")
+    """The channel of one Kraus operator; ``from_kraus`` refuses it unless
+    it is unitary within 1e-8 (Frobenius), as it refuses an incomplete set."""
     return QuantumChannel.from_kraus([u])
 
 
@@ -308,11 +307,7 @@ def project_cptp(raw) -> QuantumChannel:
     step outruns |X_tp|_F where Jac is singular. J is PSD, and its TP gap
     |Tr_out J - I/d|_F is at most ``_TP_GAP``.
     """
-    x = as_matrix(raw)
-    side = x.shape[0]
-    dim = int(np.sqrt(side))
-    if x.shape != (side, side) or dim * dim != side or dim not in (2, 4):
-        raise ValueError(f"expected a 4x4 or 16x16 Choi-form matrix, got {x.shape}")
+    x, dim = _choi_form(raw, "Choi-form matrix")
     if frobenius(x - dagger(x)) > 1e-6:
         raise ValueError("input is not Hermitian within 1e-6")
     x = 0.5 * (x + dagger(x))

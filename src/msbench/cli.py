@@ -44,7 +44,8 @@ from .circuits import (
 )
 from .metrics import SCALING_DEPTH, scaling_table, stability_analysis, success_probability
 from .noise import DeviceCalibration, build_noise_model, fit_depolarizing
-from .simulator import BITSTRINGS, RNG_ALGORITHM, basis_state, evolve, outcome_distribution, sample_counts
+from .simulator import (BITSTRINGS, RNG_ALGORITHM, basis_state, evolve, outcome_distribution,
+                        sample_counts, validate_seed, validate_shots)
 from .tomography import DEFAULT_SEED, process_fidelity, reconstruct_channel, run_qpt
 
 DECOMPOSITION_TOLERANCE = 1e-9
@@ -197,6 +198,22 @@ def cmd_stability(args, out: Path) -> _Handled:
         out: _json(report.to_dict()), _sibling(out, ".csv"): csv}
 
 
+def _int_flag(validate):
+    """An argparse type: ``int`` of the text, then ``validate``, whose refusal
+    argparse reports as a usage error naming the flag."""
+    def parse(text: str) -> int:
+        value = int(text)  # a ValueError here reads "invalid int value"
+        try:
+            return validate(value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    parse.__name__ = "int"
+    return parse
+
+
+_SHOTS, _SEED = _int_flag(validate_shots), _int_flag(validate_seed)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -211,18 +228,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("state", help="direct state measurement in the ZZ basis")
     p.add_argument("--circuit", default="ms", help="builtin name (ms, cx) or circuit JSON path")
-    p.add_argument("--input", default="00", help="initial basis state, e.g. 00")
-    p.add_argument("--shots", type=int, default=13_000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--input", choices=BITSTRINGS, default="00", help="initial basis state")
+    p.add_argument("--shots", type=_SHOTS, default=13_000)
+    p.add_argument("--seed", type=_SEED, default=DEFAULT_SEED)
     p.add_argument("--noise", help="calibration JSON path")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("qpt", help="full process tomography")
     p.add_argument("--circuit", default="ms")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--shots", type=int, default=4_000)
+    group.add_argument("--shots", type=_SHOTS, default=4_000)
     group.add_argument("--exact", action="store_true", help="exact probabilities, no sampling")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_SEED, default=DEFAULT_SEED)
     p.add_argument("--noise", help="calibration JSON path")
     p.add_argument("--target", choices=("ms", "cx"), help="fidelity target (default: the circuit)")
     p.add_argument("--out", required=True)
@@ -241,14 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "input", None) is not None and args.input not in BITSTRINGS:
-        parser.error(f"--input must be one of {', '.join(BITSTRINGS)}")
-    if getattr(args, "shots", None) is not None and args.shots <= 0:
-        parser.error("--shots must be positive")
-    if getattr(args, "seed", None) is not None and args.seed < 0:
-        parser.error("--seed must be a non-negative integer")
+    args = build_parser().parse_args(argv)
     # Looked up per call, so that a handler replaced on the module (by a tracer
     # or a test) is the one that runs.
     handlers = {"decompose": cmd_decompose, "state": cmd_state, "qpt": cmd_qpt,

@@ -42,8 +42,8 @@ def frobenius(m: np.ndarray) -> float:
 
 
 def kron(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    return kron_pairs(a[None], b[None])[0]
+    """``np.kron`` of two matrices as complex arrays, bit for bit; no validation."""
+    return kron_pairs(np.asarray(a, dtype=complex)[None], np.asarray(b, dtype=complex)[None])[0]
 
 
 def kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -62,13 +62,6 @@ def kraus_sum(ops, rho) -> np.ndarray:
     ops = np.asarray(ops)
     k = ops.reshape(ops.shape[:1] + (1,) * (np.ndim(rho) - 2) + ops.shape[1:])
     return np.add.reduce(k @ rho @ dagger(k), axis=0, dtype=complex, initial=0j)
-
-
-def is_unitary(m, atol: float = 1e-10) -> bool:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return frobenius(dagger(m) @ m - np.eye(m.shape[0])) <= atol
 
 
 def check_density_matrix(rho, dim: int = 4) -> np.ndarray:

@@ -22,6 +22,7 @@ import numpy as np
 from .channels import QuantumChannel, identity_channel, pauli_basis
 from .circuits import GATE_KINDS, Circuit, _check_record, _is_number
 from .linalg import I2, kron
+from .tomography import exact_process_fidelity
 
 DEFAULT_DURATIONS_NS = {"rz": 0.0, "sx": 35.0, "cnot": 300.0}
 CALIBRATION_KEYS = ("qubits", "durations_ns", "p_dep")
@@ -330,10 +331,6 @@ def fit_depolarizing(
     """
     if not 0.0 < target_fidelity <= 1.0:
         raise ValueError("target fidelity must be in (0, 1]")
-
-    # Imported per call, not at the top, so that the fit uses what
-    # msbench.tomography holds then: test_noise.py counts calls by patching it.
-    from .tomography import exact_process_fidelity
 
     base = build_noise_model(cal.with_p_dep(0.0))
 

@@ -62,26 +62,25 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-def validate_seed(seed) -> int:
-    """A seed is a non-negative integer; bools, floats and None are refused, not cast."""
+def _integer(value, low: int, high: float, rule: str) -> int:
+    """``value`` as a Python int in [low, high]; bools, floats, None and strings
+    are refused, not cast, with ``ValueError("<rule>, got <value>")``."""
     try:
-        value = None if isinstance(seed, (bool, np.bool_)) else operator.index(seed)
+        n = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
     except TypeError:
-        value = None
-    if value is None or value < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return value
+        n = None
+    if n is None or not low <= n <= high:
+        raise ValueError(f"{rule}, got {value!r}")
+    return n
+
+
+def validate_seed(seed) -> int:
+    return _integer(seed, 0, np.inf, "seed must be a non-negative integer")
 
 
 def validate_shots(shots) -> int:
-    """A shot number is a positive integer; bools and floats are refused, not cast."""
-    try:
-        value = None if isinstance(shots, (bool, np.bool_)) else operator.index(shots)
-    except TypeError:
-        value = None
-    if value is None or value <= 0:
-        raise ValueError(f"shots must be a positive integer, got {shots!r}")
-    return value
+    """Up to 2**63 - 1, the most ``Generator.multinomial`` draws."""
+    return _integer(shots, 1, 2**63 - 1, "shots must be a positive integer below 2**63")
 
 
 def _seed_width(value: int) -> int:
@@ -135,8 +134,7 @@ def _seed_sequence(entropy: np.ndarray, n_words: int) -> np.ndarray:
 def spawn_seeds(master: int, keys: np.ndarray) -> np.ndarray:
     """``SeedSequence(master, spawn_key=key).generate_state(1, np.uint64)[0]``
     for each column of a (k x n) uint32 array of spawn keys (each key entry
-    below 2^32, so one word), as n uint64 seeds."""
-    master = validate_seed(master)
+    below 2^32, so one word), as n uint64 seeds; ``master`` is a validated seed."""
     width = _seed_width(master)  # a spawn key pads the master's words to the pool size
     entropy = np.vstack([np.broadcast_to(_int_words([master], width), (width, keys.shape[1])),
                          keys])

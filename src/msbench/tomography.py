@@ -23,8 +23,10 @@ seed (``_experiment_seeds``, one array hash). Either result, a (144, 4)
 array in ``_CELLS`` order, goes unchanged into the dataset, which checks it
 once, to the file writer, ``TomographyDataset.to_json``, and as frequencies
 to ``linear_inversion``. The file reader parses each cell straight into a
-row and checks only what the dataset cannot: keys, setting, shots and JSON
-types. ``CountsRecord`` is just the row type of the lazy ``records`` view.
+row and checks only its JSON structure and types: its keys, its setting,
+its shots, and numbers that an int64 count or a float64 probability holds.
+The dataset then checks every row's values once, for every cell alike.
+``CountsRecord`` is just the row type of the lazy ``records`` view.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,7 +44,6 @@ from .channels import QuantumChannel, channel_from_unitary, pauli_basis, project
 from .circuits import Circuit, Gate, _check_record, _is_number, circuit_unitary
 from .linalg import dagger, kron
 from .simulator import (
-    _PROB_ATOL,
     BITSTRINGS,
     RNG_ALGORITHM,
     apply_gates,
@@ -240,10 +242,13 @@ class TomographyDataset:
         if not isinstance(records, dict):
             raise ValueError(f"dataset: records must be a JSON object, "
                              f"got {type(records).__name__}")
-        if shots is not None and not (type(shots) is int and shots > 0):
-            raise ValueError(f"dataset: shots must be null or a positive integer, got {shots!r}")
-        if seed is not None and not (type(seed) is int and seed >= 0):
-            raise ValueError(f"dataset: seed must be null or a non-negative integer, got {seed!r}")
+        try:
+            if shots is not None:
+                validate_shots(shots)
+            if seed is not None:
+                validate_seed(seed)
+        except ValueError as err:
+            raise ValueError(f"dataset: {err}") from None
         for key in ("rng", "noise_fingerprint"):
             if not isinstance(d.get(key, ""), str):
                 raise ValueError(f"dataset: {key} must be a string, got {d[key]!r}")
@@ -278,20 +283,20 @@ class TomographyDataset:
                 raise ValueError(f"cell {name} has shots {given!r}, the dataset {shots}")
             if exact:
                 row = cell["probabilities"]
-                # A NaN or infinite entry makes the sum fail the second test.
-                if not (isinstance(row, list) and len(row) == 4 and all(map(_is_number, row))
-                        and min(row) >= -_PROB_ATOL and abs(sum(row) - 1.0) <= _PROB_ATOL):
-                    raise ValueError(f"{where}: probabilities {row} are not 4 finite entries, "
-                                     f"each >= -{_PROB_ATOL:g}, summing to 1 within {_PROB_ATOL:g}")
+                # Refuses NaN and infinities, which JSON lacks, and integers past float64.
+                if not (isinstance(row, list) and len(row) == 4
+                        and all(_is_number(p) and abs(p) <= sys.float_info.max for p in row)):
+                    raise ValueError(f"{where}: probabilities {row} are not 4 finite numbers")
             else:
                 if shots is None:
                     raise ValueError(f"{where}: counted records need a positive shot number")
                 counts = cell["counts"]
                 _check_record(counts, (), BITSTRINGS, f"{where}: counts")
                 for key, value in counts.items():
-                    if type(value) is not int or value < 0:  # JSON true is a bool, not an int
+                    # JSON true is a bool, not an int; an int64 holds the rest.
+                    if type(value) is not int or not 0 <= value < 2**63:
                         raise ValueError(f"{where}: counts[{key!r}] = {value!r} "
-                                         f"is not a non-negative integer")
+                                         f"is not a non-negative integer below 2**63")
                 row = [counts.get(b, 0) for b in BITSTRINGS]
             rows.append(row)
         return TomographyDataset(rows, shots, seed, d["noise_fingerprint"], circuit_json,

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,33 @@ def test_unitary_channel_choi_is_rank_one():
 def test_channel_from_unitary_rejects_nonunitary():
     with pytest.raises(ValueError):
         channel_from_unitary(np.diag([1.0, 2.0, 1.0, 1.0]))
+
+
+_MS = ms_unitary().matrix
+
+
+@pytest.mark.parametrize("u, accepted", [
+    (_MS * (1 + 1e-9), True),  # |U^dag U - I|_F = 4e-9
+    (_MS * (1 + 1e-8), False),  # 4e-8
+    (np.diag([1.0, 2.0, 1.0, 1.0]), False),
+    (np.where(np.eye(4) == 1, np.nan, 0), False),
+    (np.eye(3), False),
+    (np.eye(4)[:, :2], False),
+], ids=["within-1e-8", "beyond-1e-8", "non-unitary", "nan", "3x3", "4x2"])
+def test_channel_from_unitary_takes_a_unitary_within_1e8(u, accepted):
+    if accepted:
+        assert channel_from_unitary(u).kraus_operators().tolist() == [u.tolist()]
+    else:
+        with pytest.raises(ValueError):
+            channel_from_unitary(u)
+
+
+@pytest.mark.parametrize("read", [QuantumChannel.from_choi, QuantumChannel.from_chi, project_cptp],
+                         ids=["from_choi", "from_chi", "project_cptp"])
+@pytest.mark.parametrize("shape", [(9, 9), (16, 4), (8, 8), (64, 64)])
+def test_choi_form_readers_take_only_4x4_and_16x16(read, shape):
+    with pytest.raises(ValueError, match=re.escape(f"must be 4x4 or 16x16, got shape {shape}")):
+        read(np.eye(*shape) / shape[0])
 
 
 def test_x_tensor_i_chi_single_diagonal():

@@ -7,6 +7,7 @@ from hypothesis import given
 from msbench.circuits import (
     Circuit,
     Gate,
+    TargetUnitary,
     circuit_unitary,
     cnot_matrix,
     cx_circuit,
@@ -104,6 +105,21 @@ def test_concatenation_matches_product(rng):
     lhs = circuit_unitary(Circuit(a.gates + b.gates))
     rhs = circuit_unitary(b) @ circuit_unitary(a)
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("m, accepted", [
+    (np.diag([1.0, 1.0, 1.0, 1.0 + 1e-11]), True),  # |U^dag U - I|_F = 2e-11
+    (np.diag([1.0, 1.0, 1.0, 1.0 + 1e-9]), False),
+    (np.eye(3), False),
+    (np.eye(4)[:, :2], False),
+    (np.diag([1.0, np.nan, 1.0, 1.0]), False),
+], ids=["within-1e-10", "beyond-1e-10", "3x3", "4x2", "nan"])
+def test_target_unitary_must_be_a_4x4_unitary(m, accepted):
+    if accepted:
+        assert TargetUnitary(m).matrix.tolist() == m.tolist()
+    else:
+        with pytest.raises(ValueError):
+            TargetUnitary(m)
 
 
 def test_gate_validation():

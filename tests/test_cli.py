@@ -79,7 +79,18 @@ def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as err:
         main([command, "--seed", "-1", "--out", str(out)])
     assert err.value.code == 2
-    assert "--seed must be a non-negative integer" in capsys.readouterr().err
+    assert "argument --seed: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["state", "qpt"])
+def test_shots_beyond_int64_exit_2_naming_the_flag(tmp_path, capsys, command):
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--shots", "99999999999999999999999", "--out", str(out)])
+    assert err.value.code == 2
+    assert ("argument --shots: shots must be a positive integer below 2**63, "
+            "got 99999999999999999999999") in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import msbench.tomography
+import msbench.noise
 from msbench.channels import channel_from_unitary, identity_channel
 from msbench.circuits import GATE_KINDS, Circuit, cx_circuit, ms_unitary, synthesize_ms_circuit
 from msbench.noise import (
@@ -339,15 +339,15 @@ def test_bool_qubit_id_rejected():
 
 
 def count_fidelity_evaluations(monkeypatch):
-    """Count exact_process_fidelity calls made through msbench.tomography."""
+    """Count exact_process_fidelity calls made through msbench.noise."""
     calls = []
-    original = msbench.tomography.exact_process_fidelity
+    original = msbench.noise.exact_process_fidelity
 
     def counting(*args, **kwargs):
         calls.append(None)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(msbench.tomography, "exact_process_fidelity", counting)
+    monkeypatch.setattr(msbench.noise, "exact_process_fidelity", counting)
     return calls
 
 

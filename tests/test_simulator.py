@@ -14,6 +14,8 @@ from msbench.simulator import (
     outcome_distribution,
     pcg64_states,
     sample_counts,
+    validate_seed,
+    validate_shots,
 )
 from msbench.tomography import _CELLS, TomographyDataset, run_qpt
 
@@ -196,6 +198,44 @@ def test_sample_counts_rejects_shots_that_are_not_positive_integers(shots):
         sample_counts([0.5, 0, 0, 0.5], shots, 1)
 
 
+_MAX_SHOTS = 2**63 - 1  # the most Generator.multinomial draws
+
+
+def test_sample_counts_takes_the_most_shots_numpy_draws_and_refuses_more():
+    assert sample_counts([1, 0, 0, 0], _MAX_SHOTS, 0).tolist() == [_MAX_SHOTS, 0, 0, 0]
+    for shots in (_MAX_SHOTS + 1, 2**70):
+        with pytest.raises(ValueError, match=r"^shots must be a positive integer below 2\*\*63, "):
+            sample_counts([1, 0, 0, 0], shots, 0)
+
+
+_INTEGER_LIKE = st.one_of(
+    st.integers(), st.integers(-2**200, 2**200),
+    st.sampled_from([0, 1, _MAX_SHOTS, _MAX_SHOTS + 1, 2**70, 10**400]),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(0, 2**64 - 1).map(np.uint64),
+    st.integers(-128, 127).map(np.int8),
+    st.booleans(), st.booleans().map(np.bool_),
+    st.floats(), st.floats().map(np.float64), st.none(), st.text(max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_INTEGER_LIKE)
+def test_seed_and_shots_accept_exactly_the_integers_in_their_range(value):
+    """Python and numpy integers in range are taken, as a plain int; bools,
+    floats, None and strings never are, whatever their value."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    for validate, low, high, rule in (
+            (validate_seed, 0, float("inf"), "seed must be a non-negative integer"),
+            (validate_shots, 1, _MAX_SHOTS, "shots must be a positive integer below 2**63")):
+        if integral and low <= int(value) <= high:
+            result = validate(value)
+            assert type(result) is int and result == int(value)
+        else:
+            with pytest.raises(ValueError) as err:
+                validate(value)
+            assert str(err.value) == f"{rule}, got {value!r}"
+
+
 def test_sample_counts_takes_numpy_integer_shots():
     dist = [0.3, 0.3, 0.2, 0.2]
     assert (sample_counts(dist, np.int64(1000), 4).tolist()
@@ -229,23 +269,37 @@ def _read_with_cell(shots, /, **fields):
     return TomographyDataset.from_json(json.dumps(d))
 
 
-@pytest.mark.parametrize("probs", [
-    [float("nan"), 0.5, 0.25, 0.25],
-    [0.5, float("nan"), 0.25, 0.25],
-    [float("inf"), 0.0, 0.0, 0.0],
-    [0.9, 0.9, 0.9, 0.9],
-    [0.5, 0.5],
-    [1.0 + 1e-6, -1e-6, 0.0, 0.0],
-    None,
-    5,
-    [True, False, False, False],
-    [0.25, 0.25, 0.25, "0.25"],
+_NOT_4_NUMBERS = r"^records\['0:0\|ZZ'\]: probabilities .* are not 4 finite numbers$"
+
+
+@pytest.mark.parametrize("probs, message", [
+    ([float("nan"), 0.5, 0.25, 0.25], _NOT_4_NUMBERS),
+    ([0.5, float("nan"), 0.25, 0.25], _NOT_4_NUMBERS),
+    ([float("inf"), 0.0, 0.0, 0.0], _NOT_4_NUMBERS),
+    ([0.9, 0.9, 0.9, 0.9], r"^cell 0:0\|ZZ: distribution sums to 3.600000000000, not 1$"),
+    ([0.5, 0.5], _NOT_4_NUMBERS),
+    ([1.0 + 1e-6, -1e-6, 0.0, 0.0], r"^cell 0:0\|ZZ: negative probability -1.000e-06$"),
+    (None, _NOT_4_NUMBERS),
+    (5, _NOT_4_NUMBERS),
+    ([True, False, False, False], _NOT_4_NUMBERS),
+    ([0.25, 0.25, 0.25, "0.25"], _NOT_4_NUMBERS),
 ], ids=["nan", "nan-not-first", "inf", "sum", "length", "negative", "null", "number", "bools",
         "string"])
-def test_exact_counts_record_needs_a_probability_4_vector(probs):
-    with pytest.raises(ValueError, match=r"^records\['0:0\|ZZ'\]: probabilities .* are not 4 "
-                                         r"finite entries"):
+def test_exact_counts_record_needs_a_probability_4_vector(probs, message):
+    with pytest.raises(ValueError, match=message):
         _read_with_cell(None, probabilities=probs)
+
+
+@pytest.mark.parametrize("shots, fields, message", [
+    (10, {"counts": {"00": 2**70}}, r"^records\['0:0\|ZZ'\]: counts\['00'\] = "
+                                    r"1180591620717411303424 is not a non-negative integer below "
+                                    r"2\*\*63$"),
+    (None, {"probabilities": [10**400, 0, 0, 0]}, _NOT_4_NUMBERS),
+    (None, {"probabilities": [1.0, 0, 0, -10**400]}, _NOT_4_NUMBERS),
+], ids=["count", "probability", "negative-probability"])
+def test_dataset_reader_refuses_json_integers_numpy_cannot_hold(shots, fields, message):
+    with pytest.raises(ValueError, match=message):
+        _read_with_cell(shots, **fields)
 
 
 @pytest.mark.parametrize("shots, fields, message", [

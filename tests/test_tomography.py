@@ -282,7 +282,7 @@ def _set_counts(counts):
     (_add_junk_cell, r"outside the 16x9 grid: junk\|ZZ"),
     (_set_probabilities([float("nan"), 0.5, 0.25, 0.25]),
      r"records\['0:0\|XX'\]: probabilities \[nan, 0.5"),
-    (_set_probabilities([0.9, 0.9, 0.9, 0.9]), r"records\['0:0\|XX'\]: probabilities \[0.9"),
+    (_set_probabilities([0.9, 0.9, 0.9, 0.9]), r"cell 0:0\|XX: distribution sums to 3.6"),
     (_set_probabilities([0.5, 0.5]), r"records\['0:0\|XX'\]: probabilities \[0.5, 0.5\]"),
     (_set_counts({"00": 5, "0l": 5}), r"records\['0:0\|XX'\]: counts: unknown key '0l'"),
     (_set_counts({"00": 5.5, "11": 4.5}), r"records\['0:0\|XX'\]: counts\['00'\] = 5.5 is not"),
@@ -314,12 +314,12 @@ def _drop(key):
     (_drop("noise_fingerprint"), r"^dataset: missing key 'noise_fingerprint'$"),
     (_set("records", []), r"^dataset: records must be a JSON object, got list$"),
     (_set("extra", 1), r"^dataset: unknown key 'extra'; expected one of circuit, shots, seed"),
-    (_set("seed", "x"), r"^dataset: seed must be null or a non-negative integer, got 'x'$"),
-    (_set("seed", -1), r"^dataset: seed must be null or a non-negative integer, got -1$"),
-    (_set("seed", True), r"^dataset: seed must be null or a non-negative integer, got True$"),
-    (_set("shots", 0), r"^dataset: shots must be null or a positive integer, got 0$"),
-    (_set("shots", True), r"^dataset: shots must be null or a positive integer, got True$"),
-    (_set("shots", 10.0), r"^dataset: shots must be null or a positive integer, got 10.0$"),
+    (_set("seed", "x"), r"^dataset: seed must be a non-negative integer, got 'x'$"),
+    (_set("seed", -1), r"^dataset: seed must be a non-negative integer, got -1$"),
+    (_set("seed", True), r"^dataset: seed must be a non-negative integer, got True$"),
+    (_set("shots", 0), r"^dataset: shots must be a positive integer below 2\*\*63, got 0$"),
+    (_set("shots", True), r"^dataset: shots must be a positive integer below 2\*\*63, got True$"),
+    (_set("shots", 10.0), r"^dataset: shots must be a positive integer below 2\*\*63, got 10.0$"),
     (_set("rng", 5), r"^dataset: rng must be a string, got 5$"),
     (_set("noise_fingerprint", None), r"^dataset: noise_fingerprint must be a string, got None$"),
     (_set("circuit", {"kind": "sx", "qubit": 0}),
@@ -638,6 +638,18 @@ def test_run_qpt_rejects_shots_that_are_not_positive_integers(shots):
     outcomes[:, 0] = 10
     with pytest.raises(ValueError, match="positive shot number: shots must be a positive integer"):
         TomographyDataset(outcomes, shots, 3, "noiseless", None)
+
+
+def test_shots_beyond_int64_are_refused_by_run_qpt_and_the_dataset_reader():
+    message = r"shots must be a positive integer below 2\*\*63, got 1180591620717411303424$"
+    with pytest.raises(ValueError, match=f"^{message}"):
+        run_qpt(Circuit(), shots=2**70, seed=3)
+    d = json.loads(run_qpt(Circuit(), shots=10, seed=3).to_json())
+    d["shots"] = 2**70
+    for cell in d["records"].values():
+        cell.update(shots=2**70, counts={"00": 2**70})
+    with pytest.raises(ValueError, match=f"^dataset: {message}"):
+        TomographyDataset.from_json(json.dumps(d))
 
 
 def test_run_qpt_stores_numpy_integer_shots_as_an_int():

@@ -227,6 +227,13 @@ class QuantumChannel:
         j.flags.writeable = False
         return j
 
+    @functools.cached_property
+    def choi_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh(self.choi_matrix())``, computed once per channel, read-only."""
+        vals, vecs = np.linalg.eigh(self.choi_matrix())
+        vals.flags.writeable = vecs.flags.writeable = False
+        return vals, vecs
+
     def chi_matrix(self) -> np.ndarray:
         return self.convert("chi").data
 

@@ -30,15 +30,20 @@ in. ``pcg64_states`` computes those states for a whole stack of seeds at
 once. Both steps of PCG64 seeding are fixed-width integer arithmetic, so
 the stacked computation is exact: numpy's ``SeedSequence`` hash (a pool of
 four uint32 words, after O'Neill's randutils ``seed_seq``) runs as uint32
-array operations, and PCG's two-step 128-bit LCG seeding (O'Neill,
-HMC-CS-2014-0905) on Python integers. A reused generator draws what a fresh
-one would, because its only other state, the binomial set-up cache, is a
-function of (n, p) alone. The tests check the seeds, the states and the
-draws against numpy's own classes.
+array operations over all pool words and all seeds at once, with its
+data-independent constants tabled once, and PCG's two-step 128-bit LCG
+seeding (O'Neill, HMC-CS-2014-0905) on Python integers. ``spawn_seeds``
+hashes a master seed once and mixes only the spawn keys per child. A uint64
+seed array is valid by its dtype and is split into words by array ops; a
+seed given as a Python int or in a list is checked (``validate_seed``). A
+reused generator draws what a fresh one would, because its only other
+state, the binomial set-up cache, is a function of (n, p) alone. The tests
+check the seeds, the states and the draws against numpy's own classes.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
@@ -57,6 +62,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
+# Shifts giving the low and high 32-bit words of a row of uint64 seeds.
+_WORD_SHIFTS = np.array([[0], [32]], dtype=np.uint64)
 # PCG's default 128-bit LCG multiplier.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
@@ -98,47 +105,77 @@ def _int_words(values, width: int) -> np.ndarray:
                     dtype=np.uint32)
 
 
+@functools.lru_cache(maxsize=32)  # a few lengths per seed width in use
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The constants of the first n hashmix calls of one sequence, as a read-only
+    (2, n, 1) uint32 array: call k xors with init * mult**k and multiplies by
+    init * mult**(k + 1), mod 2**32. Data-independent, so built once per length."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    table = np.array([consts[:-1], consts[1:]], dtype=np.uint32)[..., None]
+    table.flags.writeable = False
+    return table
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    value = (values ^ consts[0]) * consts[1]
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return value ^ value >> 16
+
+
+# Each pool word in turn is hashed into the other three; it does not change
+# during its own step, so its three destinations mix at once.
+_CROSS_MIX = [(src, [dst for dst in range(_POOL_SIZE) if dst != src]) for src in range(_POOL_SIZE)]
+
+
+def _mix_in(pool: np.ndarray, words: np.ndarray, start: int) -> np.ndarray:
+    """Mix each row of a (k x n) uint32 array of entropy words into every word
+    of a (4 x n) pool, ``start`` hashmix calls into the sequence."""
+    consts = _hash_consts(_INIT_A, _MULT_A, start + _POOL_SIZE * len(words))[:, start:]
+    hashed = _hashmix(words[:, None], consts.reshape(2, -1, _POOL_SIZE, 1))
+    for row in hashed:
+        pool = _mix(pool, row)
+    return pool
+
+
+def _entropy_pool(entropy: np.ndarray) -> np.ndarray:
+    """The (4 x n) mixed pool of ``SeedSequence`` for each column of a (words x n)
+    uint32 array of assembled entropy, padded by the caller to the pool size."""
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+    pool = _hashmix(entropy[:_POOL_SIZE], consts[:, :_POOL_SIZE])
+    for src, dst in _CROSS_MIX:
+        step = _POOL_SIZE + (_POOL_SIZE - 1) * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[:, step:step + _POOL_SIZE - 1]))
+    return _mix_in(pool, entropy[_POOL_SIZE:], _POOL_SIZE * _POOL_SIZE)
+
+
+def _generate_state(pool: np.ndarray, n_words: int) -> np.ndarray:
+    """``generate_state(n_words)`` of each pool column, as (n_words x n) uint32."""
+    return _hashmix(pool[np.arange(n_words) % _POOL_SIZE],
+                    _hash_consts(_INIT_B, _MULT_B, n_words))
+
+
 def _seed_sequence(entropy: np.ndarray, n_words: int) -> np.ndarray:
     """``np.random.SeedSequence(...).generate_state(n_words)`` for every
     column of a (words x n) uint32 array of assembled entropy, as an
-    (n_words x n) uint32 array."""
-
-    def hash_consts(init, mult):  # data-independent: the constant runs on per call
-        while True:
-            nxt = init * mult & _MASK32
-            yield np.uint32(init), np.uint32(nxt)
-            init = nxt
-
-    def hashmix(value, consts):
-        xor, mul = next(consts)
-        value = (value ^ xor) * mul
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return value ^ value >> 16
-
-    consts = hash_consts(_INIT_A, _MULT_A)
-    pool = [hashmix(word, consts) for word in entropy[:_POOL_SIZE]]  # padded by the caller
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src], consts))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word, consts))
-    consts = hash_consts(_INIT_B, _MULT_B)
-    return np.array([hashmix(pool[i % _POOL_SIZE], consts) for i in range(n_words)])
+    (n_words x n) uint32 array; every pool word hashes in one step."""
+    return _generate_state(_entropy_pool(entropy), n_words)
 
 
 def spawn_seeds(master: int, keys: np.ndarray) -> np.ndarray:
     """``SeedSequence(master, spawn_key=key).generate_state(1, np.uint64)[0]``
-    for each column of a (k x n) uint32 array of spawn keys (each key entry
-    below 2^32, so one word), as n uint64 seeds; ``master`` is a validated seed."""
+    for each column of a (k x n) uint32 array of spawn keys, k >= 1 (each key
+    entry below 2^32, so one word), as n uint64 seeds; ``master`` is a
+    validated seed. The master's words hash once, in one column; only the
+    key words are mixed into the pool across the n columns."""
     width = _seed_width(master)  # a spawn key pads the master's words to the pool size
-    entropy = np.vstack([np.broadcast_to(_int_words([master], width), (width, keys.shape[1])),
-                         keys])
-    lo, hi = _seed_sequence(entropy, 2).astype(np.uint64)
+    pool = _entropy_pool(_int_words([master], width))  # (4 x 1): broadcast by the first key
+    lo, hi = _generate_state(_mix_in(pool, keys, _POOL_SIZE * width), 2).astype(np.uint64)
     return lo | hi << np.uint64(32)
 
 
@@ -149,13 +186,23 @@ def pcg64_states(seeds) -> list[tuple[int, int]]:
     ``SeedSequence(seed).generate_state(4, np.uint64)``, then seeds PCG with
     initstate = w0:w1 and initseq = w2:w3: inc = 2 initseq + 1 and
     state = ((inc + initstate) MULT + inc) mod 2^128.
+
+    A 1-D uint64 array is valid by its dtype: its seeds are split into words
+    by two array ops and hashed in one pass. Any other sequence is checked
+    seed by seed (``validate_seed``), and its seeds hash in groups of one
+    width, so seeds past 2^128 hash as the wider ``SeedSequence`` input.
     """
-    seeds = [validate_seed(s) for s in seeds]
-    words = np.empty((8, len(seeds)), dtype=np.uint32)
-    widths = [_seed_width(s) for s in seeds]
-    for width in set(widths):  # seeds longer than the pool hash in groups of one length
-        rows = [i for i, w in enumerate(widths) if w == width]
-        words[:, rows] = _seed_sequence(_int_words([seeds[i] for i in rows], width), 8)
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1:
+        entropy = np.zeros((_POOL_SIZE, len(seeds)), dtype=np.uint32)
+        entropy[:2] = seeds >> _WORD_SHIFTS & np.uint64(_MASK32)
+        words = _seed_sequence(entropy, 8)
+    else:
+        seeds = [validate_seed(s) for s in seeds]
+        words = np.empty((8, len(seeds)), dtype=np.uint32)
+        widths = [_seed_width(s) for s in seeds]
+        for width in set(widths):  # seeds longer than the pool hash in groups of one length
+            rows = [i for i, w in enumerate(widths) if w == width]
+            words[:, rows] = _seed_sequence(_int_words([seeds[i] for i in rows], width), 8)
     w0, w1, w2, w3 = (words[0::2].astype(np.uint64)
                       | words[1::2].astype(np.uint64) << np.uint64(32)).tolist()
     states = []
@@ -261,9 +308,9 @@ def sample_counts(dist, shots: int, seed) -> np.ndarray:
     int64 counts of ``np.random.Generator(np.random.PCG64(seed)).multinomial``,
     for a non-negative integer ``seed``, in ``BITSTRINGS`` order.
 
-    Given an (n, 4) stack instead, ``seed`` holds one seed per row, and the
-    result is the (n, 4) int64 array of the counts the single-row calls
-    would draw.
+    Given an (n, 4) stack instead, ``seed`` holds one seed per row (a uint64
+    array goes to ``pcg64_states`` as it is), and the result is the (n, 4)
+    int64 array of the counts the single-row calls would draw.
     """
     dist = np.asarray(dist, dtype=float)
     if dist.ndim not in (1, 2) or dist.shape[-1] != 4:
@@ -277,15 +324,17 @@ def sample_counts(dist, shots: int, seed) -> np.ndarray:
     shots = validate_shots(shots)
     rows = np.clip(rows, 0.0, None)
     rows /= rows.sum(axis=1, keepdims=True)
-    seeds = [seed] if dist.ndim == 1 else list(seed)
+    seeds = [seed] if dist.ndim == 1 else seed if isinstance(seed, np.ndarray) else list(seed)
     if len(seeds) != len(rows):
         raise ValueError("a stack of distributions needs one seed per row")
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     counts = np.empty(rows.shape, dtype=np.int64)
+    pcg = {"state": 0, "inc": 0}
+    record = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     for out, row, (state, inc) in zip(counts, rows, pcg64_states(seeds)):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
+        pcg["state"], pcg["inc"] = state, inc
+        bit_generator.state = record
         out[:] = rng.multinomial(shots, row)
     return counts.reshape(dist.shape)
 

@@ -178,12 +178,17 @@ class TomographyDataset:
                 object.__setattr__(self, "shots", validate_shots(self.shots))
             except ValueError as err:
                 raise ValueError(f"a counted dataset needs a positive shot number: {err}") from None
-            ok = ((outcomes >= 0) & (outcomes == np.round(outcomes))).all(axis=1)
-            ok &= outcomes.sum(axis=1) == self.shots
+            ok = ((outcomes >= 0) & (outcomes <= self.shots)
+                  & (outcomes == np.round(outcomes))).all(axis=1)
+            counts = outcomes.astype(np.int64)
+            # Counts at most shots < 2**63 cannot wrap a uint64 running sum
+            # before it passes shots, so the row test is exact.
+            running = np.cumsum(counts.view(np.uint64), axis=1)
+            ok &= (running <= self.shots).all(axis=1) & (running[:, -1] == self.shots)
             i = int(np.argmin(ok))
             defect = None if ok[i] else (i, f"counts {outcomes[i].tolist()} are not "
                                             f"non-negative integers summing to {self.shots}")
-            outcomes = outcomes.astype(np.int64)
+            outcomes = counts
         if self.seed is not None:
             object.__setattr__(self, "seed", validate_seed(self.seed))
         if defect is not None:
@@ -326,7 +331,7 @@ def run_qpt(process, noise=None, shots: int | None = None, seed: int = DEFAULT_S
         states = process.apply(_PREP_STATES)
     outcomes = outcome_distribution(states, SETTINGS, confusion).reshape(-1, 4)
     if shots is not None:
-        outcomes = sample_counts(outcomes, shots, _experiment_seeds(seed).tolist())
+        outcomes = sample_counts(outcomes, shots, _experiment_seeds(seed))
 
     return TomographyDataset(
         outcomes=outcomes,
@@ -381,12 +386,14 @@ def process_fidelity(a: QuantumChannel, b: QuantumChannel) -> float:
 
     When either Choi state is rank one (any unitary channel) this reduces to
     the plain overlap <phi|J|phi>, which is evaluated directly for accuracy.
+    Each channel's Choi eigendecomposition is cached on it (``choi_eigh``),
+    so a fixed target pays for its ``eigh`` once.
     """
     ja, jb = a.choi_matrix(), b.choi_matrix()
     if ja.shape != jb.shape:
         raise ValueError("channels act on different dimensions")
-    for first, second in ((ja, jb), (jb, ja)):
-        vals, vecs = np.linalg.eigh(first)
+    for first, second in ((a, jb), (b, ja)):
+        vals, vecs = first.choi_eigh
         if vals[:-1].max(initial=0.0) <= 1e-12:
             v = vecs[:, -1]
             f = float(vals[-1] * np.real(np.vdot(v, second @ v)))

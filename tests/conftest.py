@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from msbench.channels import QuantumChannel
 from msbench.circuits import Circuit, Gate
 from msbench.linalg import as_matrix
+
+# `pytest --hypothesis-profile=ci` runs ten times the examples; the default run is unchanged.
+settings.register_profile("ci", max_examples=1000)
+
+
+def examples(n: int) -> int:
+    """A test's own example count, scaled by the loaded profile's over hypothesis'
+    default of 100: n by default, 10 n under the "ci" profile."""
+    return n * settings.default.max_examples // 100
 
 
 def count_numpy_random(monkeypatch, name: str) -> list:

@@ -12,6 +12,9 @@ from msbench.simulator import (
     evolve,
     expectation,
     outcome_distribution,
+    _int_words,
+    _seed_sequence,
+    _seed_width,
     pcg64_states,
     sample_counts,
     validate_seed,
@@ -19,7 +22,7 @@ from msbench.simulator import (
 )
 from msbench.tomography import _CELLS, TomographyDataset, run_qpt
 
-from conftest import count_numpy_random, random_density_matrix, random_unitary
+from conftest import count_numpy_random, examples, random_density_matrix, random_unitary
 
 BELL = np.array([1, 0, 0, 1j]) / np.sqrt(2)
 
@@ -347,7 +350,7 @@ def test_basis_state_rejects_garbage():
         basis_state("02")
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=examples(50), deadline=None)
 @given(
     rows=st.lists(
         st.tuples(
@@ -400,15 +403,29 @@ def test_sample_counts_rejects_non_finite_rows_naming_the_first(dist, seed, row)
         sample_counts(dist, 10, seed)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=examples(50), deadline=None)
 @given(seeds=st.lists(st.integers(0, 2**64 - 1) | st.integers(0, 2**320), min_size=1,
                       max_size=8))
 # One stack of 1- and 2-word seeds, one of exactly 4 words, and 5-, 7- and 10-word ones.
 @example(seeds=[0, 1, 2**32 - 1, 2**32, 2**63 + 17, 2**64 - 1, 2**128 - 1, 2**128 + 1,
                 2**200 + 3, 3**200])
 def test_pcg64_states_equal_numpys(seeds):
-    assert [{"state": state, "inc": inc} for state, inc in pcg64_states(seeds)] == [
-        np.random.PCG64(seed).state["state"] for seed in seeds]
+    numpys = [np.random.PCG64(seed).state["state"] for seed in seeds]
+    assert [{"state": state, "inc": inc} for state, inc in pcg64_states(seeds)] == numpys
+    # The seeds below 2**64 once more, as the uint64 array that takes no per-seed checks.
+    small = np.array([seed for seed in seeds if seed < 2**64], dtype=np.uint64)
+    assert [{"state": state, "inc": inc} for state, inc in pcg64_states(small)] == [
+        state for seed, state in zip(seeds, numpys) if seed < 2**64]
+
+
+@settings(max_examples=examples(50), deadline=None)
+@given(value=st.integers(0, 2**64 - 1) | st.integers(0, 2**400), n_words=st.integers(1, 9))
+@example(value=0, n_words=8)
+@example(value=2**400 - 1, n_words=9)  # 13 words: nine mixed in after the pool's four
+def test_seed_sequence_equals_numpys(value, n_words):
+    words = _seed_sequence(_int_words([value], _seed_width(value)), n_words)
+    assert words.dtype == np.uint32  # a legacy-casting promotion would fail here
+    assert words[:, 0].tolist() == np.random.SeedSequence(value).generate_state(n_words).tolist()
 
 
 @st.composite
@@ -434,6 +451,19 @@ def test_stacked_sample_counts_equal_numpys_generator(rows, shots):
         assert row.tolist() == draw.tolist()
 
 
+@settings(max_examples=examples(50), deadline=None)
+@given(rows=st.lists(st.tuples(dyadic_distributions(), st.integers(0, 2**64 - 1)),
+                     min_size=1, max_size=8),
+       shots=st.integers(1, 5000))
+def test_sample_counts_from_a_uint64_seed_array_equal_numpys_generator(rows, shots):
+    dists = np.array([dist for dist, _ in rows])
+    seeds = np.array([seed for _, seed in rows], dtype=np.uint64)
+    counts = sample_counts(dists, shots, seeds)
+    for row, dist, seed in zip(counts, dists, seeds.tolist()):
+        draw = np.random.Generator(np.random.PCG64(seed)).multinomial(shots, dist)
+        assert row.tolist() == draw.tolist()
+
+
 def test_sample_counts_builds_one_generator_per_call(monkeypatch):
     built = count_numpy_random(monkeypatch, "PCG64")
     sample_counts(np.full((144, 4), 0.25), 100, list(range(144)))
@@ -450,6 +480,15 @@ def test_sample_counts_rejects_seeds_that_are_not_non_negative_integers(seed):
         sample_counts([1, 0, 0, 0], 10, seed)
     with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
         sample_counts([[1, 0, 0, 0]] * 2, 10, [0, seed])
+
+
+@pytest.mark.parametrize("seeds", [np.array([0, -1]), np.array([False, True])],
+                         ids=["int64-negative", "bool"])
+def test_seed_arrays_other_than_uint64_are_checked_seed_by_seed(seeds):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+        pcg64_states(seeds)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+        sample_counts([[1, 0, 0, 0]] * 2, 10, seeds)
 
 
 def test_sample_counts_takes_numpy_integer_seeds():

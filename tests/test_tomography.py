@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from msbench.channels import QuantumChannel, channel_from_unitary, identity_channel, pauli_basis
+from msbench import simulator, tomography
+from msbench.channels import (
+    QuantumChannel,
+    channel_from_unitary,
+    identity_channel,
+    pauli_basis,
+    project_cptp,
+)
 from msbench.circuits import (
     Circuit,
     cx_circuit,
@@ -44,7 +51,7 @@ from msbench.simulator import (
     outcome_distribution,
 )
 
-from conftest import circuits, count_numpy_random, partial_trace, random_cptp_kraus
+from conftest import circuits, count_numpy_random, examples, partial_trace, random_cptp_kraus
 
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -367,6 +374,32 @@ def test_dataset_rejects_a_bad_row_naming_its_cell(shots, row, value, message):
         TomographyDataset(outcomes, shots, ds.seed, "noiseless", None)
 
 
+# shots 7 * 10**18: each row's true sum is shots + 2**64, which an int64 sum
+# wraps round to shots; every count is below 2**63, as the reader requires.
+_SHOTS_NEAR_2_63 = 7 * 10**18
+_THIRD = (_SHOTS_NEAR_2_63 + 2**64) // 3
+_QUARTER = (_SHOTS_NEAR_2_63 + 2**64) // 4
+
+
+@pytest.mark.parametrize("row", [
+    [_THIRD, _THIRD, _SHOTS_NEAR_2_63 + 2**64 - 2 * _THIRD, 0],
+    [_QUARTER, _QUARTER, _QUARTER, _SHOTS_NEAR_2_63 + 2**64 - 3 * _QUARTER],
+], ids=["counts-above-shots", "counts-below-shots"])
+def test_dataset_row_sums_do_not_wrap(row):
+    shots = _SHOTS_NEAR_2_63
+    outcomes = [[shots, 0, 0, 0]] * 143 + [row]
+    message = rf"^cell \+i:\+i\|ZZ: counts \[{row[0]}, .*\] are not non-negative integers"
+    with pytest.raises(ValueError, match=message):
+        TomographyDataset(outcomes, shots, 3, "noiseless", None)
+    d = json.loads(run_qpt(Circuit(), shots=10, seed=3).to_json())
+    d["shots"] = shots
+    for name, cell in d["records"].items():
+        counts = row if name == "+i:+i|ZZ" else (shots, 0, 0, 0)
+        cell.update(shots=shots, counts=dict(zip(BITSTRINGS, counts)))
+    with pytest.raises(ValueError, match=message):
+        TomographyDataset.from_json(json.dumps(d))
+
+
 @pytest.mark.parametrize("outcomes, shots, message", [
     (np.full((143, 4), 0.25), None, r"outcomes must have shape \(144, 4\), got \(143, 4\)"),
     (np.full((144, 4), 0.25), None, None),
@@ -576,6 +609,25 @@ def test_sampled_qpt_reconstruction_is_trace_preserving_to_1e_12():
     assert np.linalg.norm(partial_trace(j, [1], [4, 4]) - np.eye(4) / 4) <= 1e-12
 
 
+def test_process_fidelity_reuses_a_channels_read_only_choi_eigh(monkeypatch):
+    target = channel_from_unitary(ms_unitary().matrix)
+    raw = linear_inversion(run_qpt(synthesize_ms_circuit(), noise=example_noise(), shots=4000,
+                                   seed=1).frequencies())
+    estimate = project_cptp(raw)
+    first = process_fidelity(estimate, target)
+    vals, vecs = target.choi_eigh
+    assert not vals.flags.writeable and not vecs.flags.writeable
+    assert target.choi_eigh[0] is vals  # cached, not recomputed
+    fresh = project_cptp(raw), channel_from_unitary(ms_unitary().matrix)
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or real(m))
+    assert process_fidelity(estimate, target) == first
+    assert calls == []
+    assert process_fidelity(*fresh) == first
+    assert len(calls) == 2  # one per fresh channel
+
+
 def test_sampled_qpt_fidelity_is_pinned():
     """Recorded with the exact CPTP projection, TP gap <= 1e-12; the dataset's
     counts are pinned above."""
@@ -590,13 +642,17 @@ def _numpy_cell_seeds(master):
             for p in range(len(PREP_LABELS)) for s in range(len(SETTINGS))]
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(master=st.integers(0, 2**256 - 1))
 @example(master=0)
 @example(master=2**32 - 1)
 @example(master=2**32)
 @example(master=2**128)
 @example(master=2**128 + 1)
+# Masters past 2**256: their words past the pool's four are mixed in before the keys.
+@example(master=2**256)
+@example(master=2**320 + 7)
+@example(master=3**300)
 def test_experiment_seeds_follow_the_documented_rule(master):
     assert _experiment_seeds(master).tolist() == _numpy_cell_seeds(master)
 
@@ -607,6 +663,22 @@ def test_sampled_run_qpt_builds_no_seed_sequence(monkeypatch):
     run_qpt(synthesize_ms_circuit(), shots=100, seed=3)
     assert seed_sequences == []
     assert len(generators) == 1
+
+
+def test_sampled_run_qpt_validates_only_the_master_seed(monkeypatch):
+    """The 144 cell seeds reach ``pcg64_states`` as a uint64 array, valid by its
+    dtype; only the master is checked, by ``run_qpt`` and by the dataset."""
+    checked = {}
+    for module in (simulator, tomography):
+        def count(seed, module=module, real=module.validate_seed):
+            checked.setdefault(module.__name__, []).append(seed)
+            return real(seed)
+        monkeypatch.setattr(module, "validate_seed", count)
+    run_qpt(synthesize_ms_circuit(), shots=100, seed=3)
+    assert checked == {"msbench.tomography": [3, 3]}
+    # The same cell seeds as Python ints are checked one by one.
+    simulator.sample_counts(np.full((144, 4), 0.25), 100, _experiment_seeds(3).tolist())
+    assert len(checked["msbench.simulator"]) == 144
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, None, True, np.True_],

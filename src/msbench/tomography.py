@@ -180,7 +180,8 @@ class TomographyDataset:
                 raise ValueError(f"a counted dataset needs a positive shot number: {err}") from None
             ok = ((outcomes >= 0) & (outcomes <= self.shots)
                   & (outcomes == np.round(outcomes))).all(axis=1)
-            counts = outcomes.astype(np.int64)
+            # A failing row casts as zeros, so a NaN or huge count never reaches the cast.
+            counts = np.where(ok[:, None], outcomes, 0).astype(np.int64)
             # Counts at most shots < 2**63 cannot wrap a uint64 running sum
             # before it passes shots, so the row test is exact.
             running = np.cumsum(counts.view(np.uint64), axis=1)

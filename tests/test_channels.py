@@ -20,7 +20,13 @@ from msbench.channels import (
 from msbench.circuits import ms_unitary
 from msbench.linalg import I2, PAULI_X, PAULIS_1Q, dagger, kron
 
-from conftest import partial_trace, random_cptp_kraus, random_density_matrix
+from conftest import (
+    examples,
+    partial_trace,
+    random_cptp_kraus,
+    random_density_matrix,
+    random_unitary,
+)
 
 
 def maximally_entangled_choi():
@@ -418,13 +424,24 @@ def test_stacked_tensor_matches_the_pairwise_kron_loop(seed, n_a, n_b, paulis):
     assert _same_bytes(a.tensor(b).data, _tensor_loop(a, b))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(dim=st.sampled_from([2, 4]), **_KRAUS_SETS)
 def test_stacked_compose_matches_the_pairwise_product_loop(seed, n_a, n_b, paulis, dim):
     """Covers the compression through the Choi state when n_a * n_b > d^2."""
     rng = np.random.default_rng(seed)
     a, b = (_kraus_set(rng, n, dim, paulis) for n in (n_a, n_b))
     assert _same_bytes(a.compose(b).data, _compose_loop(a, b))
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4]), fortran=st.booleans())
+def test_lifted_basis_in_an_eigenbasis_matches_the_stacked_product(seed, dim, fortran):
+    """``project_cptp``'s two GEMMs against the per-matrix products, on a random
+    d^2 x d^2 unitary in either memory order, as ``eigh`` may return."""
+    vecs = random_unitary(np.random.default_rng(seed), dim * dim)
+    vecs = np.asfortranarray(vecs) if fortran else vecs
+    expected = (dagger(vecs) @ channels._lifted_basis(dim) @ vecs).reshape(dim * dim, -1)
+    assert channels._lifted_in_eigenbasis(vecs, dim).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import partial_trace, random_density_matrix
+from conftest import examples, partial_trace, random_density_matrix
 
 from msbench.linalg import (
     I2,
@@ -13,6 +13,7 @@ from msbench.linalg import (
     dagger,
     kraus_sum,
     kron,
+    sandwich,
 )
 
 
@@ -48,25 +49,40 @@ def _term_by_term(ops, rho) -> np.ndarray:
     return out
 
 
-@settings(max_examples=200, deadline=None)
+def _matrices(rng, shape, zeros: float) -> np.ndarray:
+    """Complex normal matrices with a share ``zeros`` of their real and imaginary
+    parts set to +0.0 or -0.0."""
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for part in (m.real, m.imag):
+        hit = rng.random(shape) < zeros
+        part[hit] = rng.choice([0.0, -0.0], hit.sum())
+    return m
+
+
+@settings(max_examples=examples(200), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 16), dim=st.sampled_from([2, 4]),
        stack=st.sampled_from([None, 1, 3, 16]), zeros=st.floats(0.0, 0.5))
 def test_stacked_kraus_sum_matches_the_term_by_term_loop(seed, count, dim, stack, zeros):
     """Bit for bit, on one matrix or a stack, with a share of entries set to +0.0 or -0.0."""
     rng = np.random.default_rng(seed)
-
-    def matrices(shape):
-        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        for part in (m.real, m.imag):
-            hit = rng.random(shape) < zeros
-            part[hit] = rng.choice([0.0, -0.0], hit.sum())
-        return m
-
-    ops = matrices((count, dim, dim))
-    rho = matrices((dim, dim) if stack is None else (stack, dim, dim))
+    ops = _matrices(rng, (count, dim, dim), zeros)
+    rho = _matrices(rng, (dim, dim) if stack is None else (stack, dim, dim), zeros)
     out = kraus_sum(ops, rho)
     assert out.shape == rho.shape
     assert out.tobytes() == _term_by_term(ops, rho).tobytes()
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 16), dim=st.sampled_from([2, 4, 16]),
+       stack=st.sampled_from([None, 1, 3, 16, 144]), zeros=st.floats(0.0, 0.5))
+def test_grouped_sandwich_matches_the_per_matrix_product(seed, count, dim, stack, zeros):
+    """Grouped GEMMs give each K rho K^dag the bits of its own ``k @ rho @ dagger(k)``."""
+    rng = np.random.default_rng(seed)
+    ops = _matrices(rng, (count, dim, dim), zeros)
+    rho = _matrices(rng, (dim, dim) if stack is None else (stack, dim, dim), zeros)
+    out = sandwich(ops, rho)
+    assert out.shape == (count,) + rho.shape
+    assert out.tobytes() == np.array([k @ rho @ dagger(k) for k in ops]).tobytes()
 
 
 def test_partial_trace_product_state(rng):

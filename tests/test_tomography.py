@@ -365,7 +365,13 @@ def test_dataset_uniform_shots_enforced():
     (10, 9, [5, 6, 0, -1], r"cell 0:1\|XX: counts \[5, 6, 0, -1\] are not"),
     (10, 0, [5.5, 4.5, 0, 0], r"cell 0:0\|XX: counts \[5.5, 4.5, 0.0, 0.0\] are not"),
     (10, 1, [5, 0, 0, 0], r"cell 0:0\|XY: counts \[5, 0, 0, 0\] are not"),
-], ids=["nan", "negative", "sum", "negative-count", "fractional-count", "count-sum"])
+    # A count no int64 holds fails as its row, with no cast warning first.
+    (10, 5, [10, np.nan, 0, 0], r"cell 0:0\|YZ: counts \[10.0, nan, 0.0, 0.0\] are not"),
+    (10, 5, [10, 1e30, 0, 0], r"cell 0:0\|YZ: counts \[10.0, 1e\+30, 0.0, 0.0\] are not"),
+    (10, 5, [10, -1e30, 0, 0], r"cell 0:0\|YZ: counts \[10.0, -1e\+30, 0.0, 0.0\] are not"),
+], ids=["nan", "negative", "sum", "negative-count", "fractional-count", "count-sum",
+        "nan-count", "huge-count", "huge-negative-count"])
+@pytest.mark.filterwarnings("error")
 def test_dataset_rejects_a_bad_row_naming_its_cell(shots, row, value, message):
     ds = run_qpt(Circuit(), shots=shots, seed=0)
     outcomes = ds.outcomes.astype(np.result_type(ds.outcomes, np.array(value)))

@@ -163,6 +163,11 @@ class Circuit:
         u.flags.writeable = False
         return u
 
+    @functools.cached_property
+    def _channel(self):  # the channel of _unitary, built on first use; not a field
+        from .channels import channel_from_unitary  # channels imports this module
+        return channel_from_unitary(self._unitary)
+
     def cnot_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == "cnot")
 

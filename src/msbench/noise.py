@@ -320,7 +320,10 @@ def fit_depolarizing(
     the fit evaluated there, equal to ``exact_process_fidelity(circuit,
     build_noise_model(cal.with_p_dep(p_dep)))``. The fit builds one model,
     at p_dep = 0, and evaluates each further p on its ``with_p_dep(p)``, so
-    only the depolarizing channel is built per evaluation.
+    only the depolarizing channel is built per evaluation. The target, the
+    ideal channel that ``exact_process_fidelity`` caches on ``circuit``, is
+    built once per fit, so its Choi ``eigh`` is taken once, not once per
+    evaluation.
 
     Regula falsi on [0, 1] with the Illinois step (Dowell & Jarratt, BIT 11,
     168, 1971): each secant through the bracket ends is evaluated, replaces the

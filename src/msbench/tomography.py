@@ -40,8 +40,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import QuantumChannel, channel_from_unitary, pauli_basis, project_cptp
-from .circuits import Circuit, Gate, _check_record, _is_number, circuit_unitary
+from .channels import QuantumChannel, pauli_basis, project_cptp
+from .circuits import Circuit, Gate, _check_record, _is_number
 from .linalg import dagger, kron
 from .simulator import (
     BITSTRINGS,
@@ -387,13 +387,26 @@ def process_fidelity(a: QuantumChannel, b: QuantumChannel) -> float:
 
     When either Choi state is rank one (any unitary channel) this reduces to
     the plain overlap <phi|J|phi>, which is evaluated directly for accuracy.
-    Each channel's Choi eigendecomposition is cached on it (``choi_eigh``),
-    so a fixed target pays for its ``eigh`` once.
+    A channel counts as rank one when its ``choi_eigh`` puts every eigenvalue
+    but the largest at or below 1e-12. Each channel's Choi eigendecomposition
+    is cached on it, so a fixed target pays for its ``eigh`` once.
+
+    A purity gate skips a channel's ``eigh`` when Tr(J)^2 - |J|_F^2, twice
+    the sum of the eigenvalue products l_i l_j (i < j), exceeds
+    1e-9 max(1, Tr(J)^2). It never skips a channel that the eigenvalue test
+    calls rank one. Every Choi constructor admits eigenvalues down to -1e-8
+    (``from_choi``'s PSD tolerance) and Tr J = 1 within its TP tolerance, so
+    the d^2 - 1 <= 15 eigenvalues below the largest, l_max, lie in
+    [-1e-8, 1e-12], and the gap is at most 3e-11 l_max + 2.3e-14, far under
+    the bound. A NaN gap is not above it, so ``eigh`` decides as before.
     """
     ja, jb = a.choi_matrix(), b.choi_matrix()
     if ja.shape != jb.shape:
         raise ValueError("channels act on different dimensions")
-    for first, second in ((a, jb), (b, ja)):
+    for first, j, second in ((a, ja, jb), (b, jb, ja)):
+        trace_sq = np.trace(j).real ** 2
+        if trace_sq - np.vdot(j, j).real > 1e-9 * max(1.0, trace_sq):
+            continue  # not rank one: its eigh would say so
         vals, vecs = first.choi_eigh
         if vals[:-1].max(initial=0.0) <= 1e-12:
             v = vecs[:, -1]
@@ -413,8 +426,10 @@ def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
 
 def exact_process_fidelity(circuit: Circuit, noise=None) -> float:
     """Exact-probability tomographic fidelity of a circuit against its own
-    ideal unitary; the deterministic evaluator behind noise fitting."""
+    ideal unitary; the deterministic evaluator behind noise fitting. The
+    target channel is cached on the circuit instance, as its unitary is, so
+    repeated evaluations of one circuit build it, and take its Choi ``eigh``,
+    once."""
     ds = run_qpt(circuit, noise=noise, shots=None)
     reconstructed = reconstruct_channel(ds)
-    target = channel_from_unitary(circuit_unitary(circuit))
-    return process_fidelity(reconstructed, target)
+    return process_fidelity(reconstructed, circuit._channel)

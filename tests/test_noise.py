@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msbench.noise
-from msbench.channels import channel_from_unitary, identity_channel
+from msbench.channels import QuantumChannel, channel_from_unitary, identity_channel
 from msbench.circuits import GATE_KINDS, Circuit, cx_circuit, ms_unitary, synthesize_ms_circuit
 from msbench.noise import (
     DEFAULT_DURATIONS_NS,
@@ -368,6 +369,20 @@ def test_fit_depolarizing_affine_fidelity_takes_three_evaluations(monkeypatch, n
         p, _ = fit_depolarizing(target, circuit, cal)
         assert len(calls) == 3
         assert abs(fidelity(p) - target) <= 1e-12
+
+
+@pytest.mark.parametrize("make_circuit", [synthesize_ms_circuit, cx_circuit])
+def test_fit_depolarizing_takes_its_targets_choi_eigh_once(monkeypatch, make_circuit):
+    """Three evaluations share one target; each estimate's purity skips its eigh."""
+    eighs = []
+    real = QuantumChannel.choi_eigh.func
+    counting = functools.cached_property(lambda ch: eighs.append(ch) or real(ch))
+    counting.__set_name__(QuantumChannel, "choi_eigh")
+    monkeypatch.setattr(QuantumChannel, "choi_eigh", counting)
+    calls = count_fidelity_evaluations(monkeypatch)
+    fit_depolarizing(0.9247, make_circuit(), DeviceCalibration.load(DATA_DIR / EXAMPLE_CALIBRATIONS[0]))
+    assert len(calls) == 3
+    assert len(eighs) == 1
 
 
 @pytest.mark.parametrize("path", ["p = 0", "secant", "p = 1"])

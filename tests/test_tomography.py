@@ -51,7 +51,14 @@ from msbench.simulator import (
     outcome_distribution,
 )
 
-from conftest import circuits, count_numpy_random, examples, partial_trace, random_cptp_kraus
+from conftest import (
+    circuits,
+    count_numpy_random,
+    examples,
+    partial_trace,
+    random_cptp_kraus,
+    random_unitary,
+)
 
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -631,7 +638,52 @@ def test_process_fidelity_reuses_a_channels_read_only_choi_eigh(monkeypatch):
     assert process_fidelity(estimate, target) == first
     assert calls == []
     assert process_fidelity(*fresh) == first
-    assert len(calls) == 2  # one per fresh channel
+    assert len(calls) == 1  # the target's; the estimate's purity answers without one
+
+
+def _process_fidelity_eigh_first(a, b):
+    """``process_fidelity`` without its purity gate: each channel's
+    ``choi_eigh`` decides, in turn, whether it is rank one."""
+    ja, jb = a.choi_matrix(), b.choi_matrix()
+    if ja.shape != jb.shape:
+        raise ValueError("channels act on different dimensions")
+    for first, second in ((a, jb), (b, ja)):
+        vals, vecs = first.choi_eigh
+        if vals[:-1].max(initial=0.0) <= 1e-12:
+            v = vecs[:, -1]
+            f = float(vals[-1] * np.real(np.vdot(v, second @ v)))
+            return min(max(f, 0.0), 1.0)
+    sq = tomography._sqrtm_psd(ja)
+    ev = np.linalg.eigvalsh(sq @ jb @ sq)
+    ev = ev[ev > max(ev.max(initial=0.0), 0.0) * 1e-13]  # drop numerical junk
+    f = float(np.sum(np.sqrt(ev)) ** 2)
+    return min(max(f, 0.0), 1.0)
+
+
+def _choi_state(rng, n, vals):
+    """V diag(vals) V^dag for a random n x n unitary V, Hermitian by construction."""
+    v = random_unitary(rng, n)
+    j = (v * vals) @ v.conj().T
+    return 0.5 * (j + j.conj().T)
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4]),
+       second=st.sampled_from([0.0, 1e-14, 1e-12, 1e-11, 1e-9, 1e-6]),
+       partner=st.sampled_from(["rank-one", "full-rank"]), swap=st.booleans())
+def test_purity_gate_keeps_the_eigh_first_fidelity_bit_for_bit(seed, dim, second, partner, swap):
+    """Choi states whose second eigenvalue straddles the 1e-12 rank-one test,
+    against a pure or a full-rank partner, in both argument orders."""
+    rng, n = np.random.default_rng(seed), dim * dim
+    vals = np.zeros(n)
+    vals[:2] = 1.0 - second, second
+    partner_vals = np.eye(n)[0] if partner == "rank-one" else rng.dirichlet(np.ones(n))
+    pair = [_choi_state(rng, n, vals), _choi_state(rng, n, partner_vals)]
+    if swap:
+        pair.reverse()
+    got = process_fidelity(*(QuantumChannel("choi", j, dim) for j in pair))
+    want = _process_fidelity_eigh_first(*(QuantumChannel("choi", j, dim) for j in pair))
+    assert got.hex() == want.hex()
 
 
 def test_sampled_qpt_fidelity_is_pinned():

@@ -26,21 +26,19 @@ into one flattened matrix product, changes such ulps.
 RNG: numpy PCG64 (algorithm id ``numpy-PCG64-multinomial``). A row
 sampled with seed s gets the counts of
 ``np.random.Generator(np.random.PCG64(s)).multinomial``; identical seeds
-reproduce identical counts. ``sample_counts`` builds one generator per call
-and, before each row's draw, sets it to the state ``PCG64(s)`` would start
-in. ``pcg64_states`` computes those states for a whole stack of seeds at
-once. Both steps of PCG64 seeding are fixed-width integer arithmetic, so
-the stacked computation is exact: numpy's ``SeedSequence`` hash (a pool of
-four uint32 words, after O'Neill's randutils ``seed_seq``) runs as uint32
-array operations over all pool words and all seeds at once, with its
-data-independent constants tabled once, and PCG's two-step 128-bit LCG
-seeding (O'Neill, HMC-CS-2014-0905) on Python integers. ``spawn_seeds``
-hashes a master seed once and mixes only the spawn keys per child. A uint64
-seed array is valid by its dtype and is split into words by array ops; a
-seed given as a Python int or in a list is checked (``validate_seed``). A
-reused generator draws what a fresh one would, because its only other
-state, the binomial set-up cache, is a function of (n, p) alone. The tests
-check the seeds, the states and the draws against numpy's own classes.
+reproduce identical counts. numpy builds each row's PCG64 from a seed
+sequence, through its public interface: ``PCG64`` asks any ``ISeedSequence``
+for ``generate_state(4, np.uint64)``. A seed given as a Python int or in a
+list is checked (``validate_seed``) and gets numpy's ``SeedSequence``. A
+uint64 seed array, such as a QPT's 144 cell seeds, is valid by its dtype and
+hashes in one pass: numpy's ``SeedSequence`` hash (a pool of four uint32
+words, after O'Neill's randutils ``seed_seq``) runs as uint32 array
+operations over all pool words and all seeds at once, with its
+data-independent constants tabled once. It is fixed-width integer
+arithmetic, so the stacked hash is exact. ``spawn_seeds`` takes the master's
+pool from numpy's ``SeedSequence`` and mixes only the spawn keys per child.
+The tests check the seeds, the states and the draws against numpy's own
+classes.
 """
 
 from __future__ import annotations
@@ -49,6 +47,7 @@ import functools
 import operator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .circuits import Circuit
 from .linalg import I2, check_density_matrix, dagger, kraus_sum, kron, sandwich
@@ -66,9 +65,6 @@ _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
 # Shifts giving the low and high 32-bit words of a row of uint64 seeds.
 _WORD_SHIFTS = np.array([[0], [32]], dtype=np.uint64)
-# PCG's default 128-bit LCG multiplier.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _integer(value, low: int, high: float, rule: str) -> int:
@@ -90,21 +86,6 @@ def validate_seed(seed) -> int:
 def validate_shots(shots) -> int:
     """Up to 2**63 - 1, the most ``Generator.multinomial`` draws."""
     return _integer(shots, 1, 2**63 - 1, "shots must be a positive integer below 2**63")
-
-
-def _seed_width(value: int) -> int:
-    """Number of uint32 words a seed hashes as, padded up to the pool size.
-
-    Zero words up to the pool size hash exactly like absent ones, so this
-    padding never changes a seed's hash; words past the pool size are mixed
-    in a further loop, so longer seeds are never padded."""
-    return max(_POOL_SIZE, -(-value.bit_length() // 32))
-
-
-def _int_words(values, width: int) -> np.ndarray:
-    """(width x n) uint32 array of each value's little-endian 32-bit words."""
-    return np.array([[v >> 32 * i & _MASK32 for v in values] for i in range(width)],
-                    dtype=np.uint32)
 
 
 @functools.lru_cache(maxsize=32)  # a few lengths per seed width in use
@@ -146,73 +127,67 @@ def _mix_in(pool: np.ndarray, words: np.ndarray, start: int) -> np.ndarray:
 
 
 def _entropy_pool(entropy: np.ndarray) -> np.ndarray:
-    """The (4 x n) mixed pool of ``SeedSequence`` for each column of a (words x n)
-    uint32 array of assembled entropy, padded by the caller to the pool size."""
+    """The (4 x n) mixed pool of ``SeedSequence`` for each column of a (4 x n)
+    uint32 array of seed words, zero-padded to the pool size."""
     consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
-    pool = _hashmix(entropy[:_POOL_SIZE], consts[:, :_POOL_SIZE])
+    pool = _hashmix(entropy, consts[:, :_POOL_SIZE])
     for src, dst in _CROSS_MIX:
         step = _POOL_SIZE + (_POOL_SIZE - 1) * src
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[:, step:step + _POOL_SIZE - 1]))
-    return _mix_in(pool, entropy[_POOL_SIZE:], _POOL_SIZE * _POOL_SIZE)
+    return pool
 
 
 def _generate_state(pool: np.ndarray, n_words: int) -> np.ndarray:
-    """``generate_state(n_words)`` of each pool column, as (n_words x n) uint32."""
-    return _hashmix(pool[np.arange(n_words) % _POOL_SIZE],
-                    _hash_consts(_INIT_B, _MULT_B, n_words))
-
-
-def _seed_sequence(entropy: np.ndarray, n_words: int) -> np.ndarray:
-    """``np.random.SeedSequence(...).generate_state(n_words)`` for every
-    column of a (words x n) uint32 array of assembled entropy, as an
-    (n_words x n) uint32 array; every pool word hashes in one step."""
-    return _generate_state(_entropy_pool(entropy), n_words)
+    """``generate_state(n_words, np.uint64)`` of each pool column, as
+    (n_words x n) uint64: two uint32 words each, the low one first."""
+    words = _hashmix(pool[np.arange(2 * n_words) % _POOL_SIZE],
+                     _hash_consts(_INIT_B, _MULT_B, 2 * n_words)).astype(np.uint64)
+    return words[0::2] | words[1::2] << np.uint64(32)
 
 
 def spawn_seeds(master: int, keys: np.ndarray) -> np.ndarray:
     """``SeedSequence(master, spawn_key=key).generate_state(1, np.uint64)[0]``
     for each column of a (k x n) uint32 array of spawn keys, k >= 1 (each key
     entry below 2^32, so one word), as n uint64 seeds; ``master`` is a
-    validated seed. The master's words hash once, in one column; only the
-    key words are mixed into the pool across the n columns."""
-    width = _seed_width(master)  # a spawn key pads the master's words to the pool size
-    pool = _entropy_pool(_int_words([master], width))  # (4 x 1): broadcast by the first key
-    lo, hi = _generate_state(_mix_in(pool, keys, _POOL_SIZE * width), 2).astype(np.uint64)
-    return lo | hi << np.uint64(32)
+    validated seed. numpy hashes the master once, as ``SeedSequence(master)``;
+    a spawn key's words follow the master's, padded to the pool size, so they
+    are mixed into its pool from hashmix call 4 max(4, words) on."""
+    start = _POOL_SIZE * max(_POOL_SIZE, -(-master.bit_length() // 32))
+    pool = np.random.SeedSequence(master).pool[:, None]  # (4 x 1): broadcast by the first key
+    return _generate_state(_mix_in(pool, keys, start), 1)[0]
 
 
-def pcg64_states(seeds) -> list[tuple[int, int]]:
-    """The ``(state, inc)`` pair ``np.random.PCG64(seed)`` starts in, per seed.
+class _HashedSeed(ISeedSequence):
+    """One uint64 seed's ``SeedSequence(seed).generate_state(4, np.uint64)``,
+    from a stacked hash: the one request ``PCG64`` makes of its seed."""
 
-    ``PCG64(seed)`` takes four uint64 words w0..w3 from
-    ``SeedSequence(seed).generate_state(4, np.uint64)``, then seeds PCG with
-    initstate = w0:w1 and initseq = w2:w3: inc = 2 initseq + 1 and
-    state = ((inc + initstate) MULT + inc) mod 2^128.
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a hashed seed holds generate_state(4, np.uint64) only, "
+                             f"got ({n_words!r}, {dtype!r})")
+        return self.words
+
+
+def seed_sequences(seeds) -> list[ISeedSequence]:
+    """One seed sequence per seed; ``np.random.PCG64`` of each starts where
+    ``PCG64(seed)`` does.
 
     A 1-D uint64 array is valid by its dtype: its seeds are split into words
-    by two array ops and hashed in one pass. Any other sequence is checked
-    seed by seed (``validate_seed``), and its seeds hash in groups of one
-    width, so seeds past 2^128 hash as the wider ``SeedSequence`` input.
+    by two array ops and hashed in one pass, and each gets its four words as
+    a read-only, C-contiguous (4,) uint64 array. Any other sequence is
+    checked seed by seed (``validate_seed``), and each seed gets numpy's
+    ``SeedSequence``.
     """
     if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64 and seeds.ndim == 1:
         entropy = np.zeros((_POOL_SIZE, len(seeds)), dtype=np.uint32)
         entropy[:2] = seeds >> _WORD_SHIFTS & np.uint64(_MASK32)
-        words = _seed_sequence(entropy, 8)
-    else:
-        seeds = [validate_seed(s) for s in seeds]
-        words = np.empty((8, len(seeds)), dtype=np.uint32)
-        widths = [_seed_width(s) for s in seeds]
-        for width in set(widths):  # seeds longer than the pool hash in groups of one length
-            rows = [i for i, w in enumerate(widths) if w == width]
-            words[:, rows] = _seed_sequence(_int_words([seeds[i] for i in rows], width), 8)
-    w0, w1, w2, w3 = (words[0::2].astype(np.uint64)
-                      | words[1::2].astype(np.uint64) << np.uint64(32)).tolist()
-    states = []
-    for initstate_hi, initstate_lo, initseq_hi, initseq_lo in zip(w0, w1, w2, w3):
-        inc = ((initseq_hi << 64 | initseq_lo) << 1 | 1) & _MASK128
-        state = ((inc + (initstate_hi << 64 | initstate_lo)) * _PCG_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
+        words = np.ascontiguousarray(_generate_state(_entropy_pool(entropy), 4).T)
+        words.flags.writeable = False
+        return [_HashedSeed(row) for row in words]
+    return [np.random.SeedSequence(validate_seed(s)) for s in seeds]
 
 
 BITSTRINGS = ("00", "01", "10", "11")
@@ -310,9 +285,10 @@ def sample_counts(dist, shots: int, seed) -> np.ndarray:
     int64 counts of ``np.random.Generator(np.random.PCG64(seed)).multinomial``,
     for a non-negative integer ``seed``, in ``BITSTRINGS`` order.
 
-    Given an (n, 4) stack instead, ``seed`` holds one seed per row (a uint64
-    array goes to ``pcg64_states`` as it is), and the result is the (n, 4)
-    int64 array of the counts the single-row calls would draw.
+    Given an (n, 4) stack instead, ``seed`` is a 1-D sequence of one seed
+    per row (a uint64 array goes to ``seed_sequences`` as it is), and the
+    result is the (n, 4) int64 array of the counts the single-row calls
+    would draw.
     """
     dist = np.asarray(dist, dtype=float)
     if dist.ndim not in (1, 2) or dist.shape[-1] != 4:
@@ -326,18 +302,13 @@ def sample_counts(dist, shots: int, seed) -> np.ndarray:
     shots = validate_shots(shots)
     rows = np.clip(rows, 0.0, None)
     rows /= rows.sum(axis=1, keepdims=True)
-    seeds = [seed] if dist.ndim == 1 else seed if isinstance(seed, np.ndarray) else list(seed)
-    if len(seeds) != len(rows):
+    if dist.ndim == 1:
+        seed = [seed]
+    elif np.ndim(seed) != 1 or len(seed) != len(rows):
         raise ValueError("a stack of distributions needs one seed per row")
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
     counts = np.empty(rows.shape, dtype=np.int64)
-    pcg = {"state": 0, "inc": 0}
-    record = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for out, row, (state, inc) in zip(counts, rows, pcg64_states(seeds)):
-        pcg["state"], pcg["inc"] = state, inc
-        bit_generator.state = record
-        out[:] = rng.multinomial(shots, row)
+    for out, row, sequence in zip(counts, rows, seed_sequences(seed)):
+        out[:] = np.random.Generator(np.random.PCG64(sequence)).multinomial(shots, row)
     return counts.reshape(dist.shape)
 
 

@@ -318,9 +318,7 @@ def run_qpt(process, noise=None, shots: int | None = None, seed: int = DEFAULT_S
     records exact outcome probabilities instead of sampled counts, else
     ``shots`` is a positive integer. ``seed`` is a non-negative integer.
     """
-    seed = validate_seed(seed)
-    if shots is not None:
-        shots = validate_shots(shots)
+    seed = validate_seed(seed)  # spawn_seeds needs a valid int
     circuit_mode = isinstance(process, Circuit)
     if not circuit_mode and noise is not None:
         raise ValueError("noise models apply to circuits, not to raw channels")

@@ -12,11 +12,8 @@ from msbench.simulator import (
     evolve,
     expectation,
     outcome_distribution,
-    _int_words,
-    _seed_sequence,
-    _seed_width,
-    pcg64_states,
     sample_counts,
+    seed_sequences,
     validate_seed,
     validate_shots,
 )
@@ -389,6 +386,13 @@ def test_stacked_sample_counts_need_a_seed_per_row():
         sample_counts(np.ones((2, 2, 4)) / 4, 10, [1, 2])
 
 
+@pytest.mark.parametrize("seed", [5, np.uint64(5), np.array(5, dtype=np.uint64)],
+                         ids=["int", "numpy-uint64", "0-d-array"])
+def test_a_stack_given_one_scalar_seed_is_refused(seed):
+    with pytest.raises(ValueError, match="^a stack of distributions needs one seed per row$"):
+        sample_counts([[0.5, 0.5, 0, 0]], 10, seed)
+
+
 def test_sample_counts_rejects_an_empty_stack():
     with pytest.raises(ValueError, match="empty stack of distributions"):
         sample_counts(np.zeros((0, 4)), 10, [])
@@ -409,23 +413,39 @@ def test_sample_counts_rejects_non_finite_rows_naming_the_first(dist, seed, row)
 # One stack of 1- and 2-word seeds, one of exactly 4 words, and 5-, 7- and 10-word ones.
 @example(seeds=[0, 1, 2**32 - 1, 2**32, 2**63 + 17, 2**64 - 1, 2**128 - 1, 2**128 + 1,
                 2**200 + 3, 3**200])
-def test_pcg64_states_equal_numpys(seeds):
-    numpys = [np.random.PCG64(seed).state["state"] for seed in seeds]
-    assert [{"state": state, "inc": inc} for state, inc in pcg64_states(seeds)] == numpys
+def test_seed_sequences_start_pcg64_where_numpy_does(seeds):
+    numpys = [np.random.PCG64(seed).state for seed in seeds]
+    assert [np.random.PCG64(seq).state for seq in seed_sequences(seeds)] == numpys
     # The seeds below 2**64 once more, as the uint64 array that takes no per-seed checks.
     small = np.array([seed for seed in seeds if seed < 2**64], dtype=np.uint64)
-    assert [{"state": state, "inc": inc} for state, inc in pcg64_states(small)] == [
+    assert [np.random.PCG64(seq).state for seq in seed_sequences(small)] == [
         state for seed, state in zip(seeds, numpys) if seed < 2**64]
 
 
 @settings(max_examples=examples(50), deadline=None)
-@given(value=st.integers(0, 2**64 - 1) | st.integers(0, 2**400), n_words=st.integers(1, 9))
-@example(value=0, n_words=8)
-@example(value=2**400 - 1, n_words=9)  # 13 words: nine mixed in after the pool's four
-def test_seed_sequence_equals_numpys(value, n_words):
-    words = _seed_sequence(_int_words([value], _seed_width(value)), n_words)
-    assert words.dtype == np.uint32  # a legacy-casting promotion would fail here
-    assert words[:, 0].tolist() == np.random.SeedSequence(value).generate_state(n_words).tolist()
+@given(value=st.integers(0, 2**64 - 1))
+@example(value=0)
+@example(value=2**32 - 1)
+@example(value=2**32)
+@example(value=2**64 - 1)
+def test_seed_sequence_equals_numpys(value):
+    # Two seeds, so that a row of the stacked words can be a strided view.
+    values = [value, 2**64 - 1 - value]
+    for v, sequence in zip(values, seed_sequences(np.array(values, dtype=np.uint64))):
+        words = sequence.generate_state(4, np.uint64)
+        assert words.dtype == np.uint64  # a legacy-casting promotion would fail here
+        assert words.flags.c_contiguous and words.shape == (4,)
+        assert words.tolist() == np.random.SeedSequence(v).generate_state(4, np.uint64).tolist()
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
+                                            (5, np.uint64), (4, np.int64)])
+def test_a_hashed_seed_refuses_requests_other_than_four_uint64_words(n_words, dtype):
+    (sequence,) = seed_sequences(np.array([7], dtype=np.uint64))
+    with pytest.raises(ValueError, match=r"generate_state\(4, np.uint64\) only"):
+        sequence.generate_state(n_words, dtype)
+    assert sequence.generate_state(4, "uint64").tolist() == [
+        int(w) for w in np.random.SeedSequence(7).generate_state(4, np.uint64)]
 
 
 @st.composite
@@ -464,12 +484,14 @@ def test_sample_counts_from_a_uint64_seed_array_equal_numpys_generator(rows, sho
         assert row.tolist() == draw.tolist()
 
 
-def test_sample_counts_builds_one_generator_per_call(monkeypatch):
-    built = count_numpy_random(monkeypatch, "PCG64")
-    sample_counts(np.full((144, 4), 0.25), 100, list(range(144)))
-    assert len(built) == 1
+def test_sample_counts_builds_one_pcg64_per_row_and_a_seed_sequence_per_int_seed(monkeypatch):
+    sequences = count_numpy_random(monkeypatch, "SeedSequence")
+    generators = count_numpy_random(monkeypatch, "PCG64")
+    sample_counts(np.full((144, 4), 0.25), 100, np.arange(144, dtype=np.uint64))
+    assert (len(sequences), len(generators)) == (0, 144)
     sample_counts([0.25] * 4, 100, 7)
-    assert len(built) == 2
+    assert sequences == [(7,)]
+    assert len(generators) == 145
 
 
 @pytest.mark.parametrize("seed", [-1, 1.0, 2.5, np.float64(3.0), None, "3", True, np.True_],
@@ -486,7 +508,7 @@ def test_sample_counts_rejects_seeds_that_are_not_non_negative_integers(seed):
                          ids=["int64-negative", "bool"])
 def test_seed_arrays_other_than_uint64_are_checked_seed_by_seed(seeds):
     with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
-        pcg64_states(seeds)
+        seed_sequences(seeds)
     with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
         sample_counts([[1, 0, 0, 0]] * 2, 10, seeds)
 

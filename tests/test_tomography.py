@@ -715,12 +715,12 @@ def test_experiment_seeds_follow_the_documented_rule(master):
     assert _experiment_seeds(master).tolist() == _numpy_cell_seeds(master)
 
 
-def test_sampled_run_qpt_builds_no_seed_sequence(monkeypatch):
+def test_sampled_run_qpt_builds_one_seed_sequence_for_the_master(monkeypatch):
     seed_sequences = count_numpy_random(monkeypatch, "SeedSequence")
     generators = count_numpy_random(monkeypatch, "PCG64")
     run_qpt(synthesize_ms_circuit(), shots=100, seed=3)
-    assert seed_sequences == []
-    assert len(generators) == 1
+    assert seed_sequences == [(3,)]
+    assert len(generators) == 144
 
 
 def test_sampled_run_qpt_validates_only_the_master_seed(monkeypatch):

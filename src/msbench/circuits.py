@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import numbers
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,12 +87,7 @@ class Gate:
         return kron(u, I2) if self.qubit == 0 else kron(I2, u)
 
     def to_dict(self) -> dict:
-        if self.kind == "cnot":
-            return {"kind": "cnot", "control": self.control, "target": self.target}
-        d = {"kind": self.kind, "qubit": self.qubit}
-        if self.kind == "rz":
-            d["angle"] = self.angle
-        return d
+        return {"kind": self.kind, **{key: getattr(self, key) for key in _GATE_FIELDS[self.kind]}}
 
     @staticmethod
     def from_dict(d, where: str) -> "Gate":
@@ -107,7 +103,10 @@ class Gate:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A JSON number: a real, not a bool, and not an int past float64's range
+    (numpy's fixed-width integers all lie inside it)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and not (isinstance(value, int) and abs(value) > sys.float_info.max))
 
 
 def _check_record(record, required, known, where: str) -> None:
@@ -121,6 +120,15 @@ def _check_record(record, required, known, where: str) -> None:
     if unknown:
         raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}; "
                          f"expected one of {', '.join(known)}")
+
+
+def _load(path, from_json):
+    """``from_json`` of a file's text; a malformed file fails naming its path."""
+    text = Path(path).read_text()
+    try:
+        return from_json(text)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _single_qubit_matrix(kind: str, angle: float | None) -> np.ndarray:
@@ -186,11 +194,7 @@ class Circuit:
     @staticmethod
     def load(path) -> "Circuit":
         """Read a circuit file; a malformed one fails naming its path."""
-        text = Path(path).read_text()
-        try:
-            return Circuit.from_json(text)
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from None
+        return _load(path, Circuit.from_json)
 
 
 @dataclass(frozen=True, eq=False)

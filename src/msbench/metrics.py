@@ -3,7 +3,7 @@ scaling, and calibration stability analytics."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,11 +48,7 @@ class StabilityReport:
 
     def to_dict(self) -> dict:
         return {
-            "variation_percent": self.variation_percent,
-            "average_variation_percent": self.average_variation_percent,
-            "quality_scores_a": self.quality_scores_a,
-            "quality_scores_b": self.quality_scores_b,
-            "quality_correlation": self.quality_correlation,
+            **asdict(self),
             "quality_score_definition": (
                 "toolkit-defined: mean of z-scored T1, T2 and negated readout "
                 "error within each snapshot"

@@ -20,7 +20,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .channels import QuantumChannel, identity_channel, pauli_basis
-from .circuits import GATE_KINDS, Circuit, _check_record, _is_number
+from .circuits import GATE_KINDS, Circuit, _check_record, _is_number, _load
 from .linalg import I2, kron
 from .tomography import exact_process_fidelity
 
@@ -52,7 +52,7 @@ class QubitCalibration:
     def __post_init__(self):
         if not isinstance(self.qubit, numbers.Integral) or isinstance(self.qubit, bool):
             raise ValueError(f"qubit id {self.qubit!r} is not an integer")
-        for name in ("t1_us", "t2_us", "readout_error") + _OPTIONAL_QUBIT_KEYS:
+        for name in QUBIT_KEYS[1:]:
             value = getattr(self, name)
             if not _is_number(value) and (value is not None or name not in _OPTIONAL_QUBIT_KEYS):
                 raise ValueError(f"qubit {self.qubit}: {name} = {value!r} is not a number")
@@ -94,6 +94,8 @@ class DeviceCalibration:
         if not _is_number(self.p_dep) or not 0.0 <= self.p_dep <= 1.0:
             raise ValueError(f"p_dep = {self.p_dep!r} is not a number in [0, 1]")
         object.__setattr__(self, "qubits", tuple(self.qubits))
+        if not self.qubits:
+            raise ValueError("qubits: a calibration needs at least one qubit")
         ids = [q.qubit for q in self.qubits]
         duplicates = sorted({i for i in ids if ids.count(i) > 1})
         if duplicates:
@@ -122,19 +124,9 @@ class DeviceCalibration:
         return DeviceCalibration(self.qubits, dict(self.durations_ns), p_dep)
 
     def to_dict(self) -> dict:
-        qs = []
-        for q in self.qubits:
-            rec = {
-                "id": q.qubit,
-                "t1_us": q.t1_us,
-                "t2_us": q.t2_us,
-                "readout_error": q.readout_error,
-            }
-            for key in _OPTIONAL_QUBIT_KEYS:
-                if getattr(q, key) is not None:
-                    rec[key] = getattr(q, key)
-            qs.append(rec)
-        return {"qubits": qs, "durations_ns": dict(self.durations_ns), "p_dep": self.p_dep}
+        qubits = [{"id": q.qubit, **{key: getattr(q, key) for key in QUBIT_KEYS[1:]
+                                     if getattr(q, key) is not None}} for q in self.qubits]
+        return {"qubits": qubits, "durations_ns": dict(self.durations_ns), "p_dep": self.p_dep}
 
     @staticmethod
     def from_dict(d: dict) -> "DeviceCalibration":
@@ -143,16 +135,8 @@ class DeviceCalibration:
             raise ValueError("calibration: qubits must be a list of qubit records")
         for i, rec in enumerate(d["qubits"]):
             _check_record(rec, _REQUIRED_QUBIT_KEYS, QUBIT_KEYS, f"qubits[{i}]")
-        qubits = tuple(
-            QubitCalibration(
-                qubit=rec["id"],
-                t1_us=rec["t1_us"],
-                t2_us=rec["t2_us"],
-                readout_error=rec.get("readout_error", 0.0),
-                **{key: rec.get(key) for key in _OPTIONAL_QUBIT_KEYS},
-            )
-            for rec in d["qubits"]
-        )
+        records = [{"readout_error": 0.0, **rec} for rec in d["qubits"]]
+        qubits = [QubitCalibration(rec.pop("id"), **rec) for rec in records]
         return DeviceCalibration(qubits, d.get("durations_ns", {}), d.get("p_dep", 0.0))
 
     def to_json(self) -> str:
@@ -165,12 +149,7 @@ class DeviceCalibration:
     @staticmethod
     def load(path) -> "DeviceCalibration":
         """Read a calibration file; a malformed one fails naming its path."""
-        with open(path) as fh:
-            text = fh.read()
-        try:
-            return DeviceCalibration.from_json(text)
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from None
+        return _load(path, DeviceCalibration.from_json)
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]

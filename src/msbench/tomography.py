@@ -217,10 +217,7 @@ class TomographyDataset:
         finite float."""
         header = json.dumps({
             "circuit": json.loads(self.circuit_json) if self.circuit_json else None,
-            "shots": self.shots,
-            "seed": self.seed,
-            "rng": self.rng,
-            "noise_fingerprint": self.noise_fingerprint,
+            **{key: getattr(self, key) for key in _DATASET_KEYS[1:-1]},
         }, indent=2)
         rows = self.outcomes[_WRITE_ORDER].tolist()
         if self.shots is None:

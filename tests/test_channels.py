@@ -328,13 +328,15 @@ def _edit_choi_json(edit) -> str:
     (_edit_choi_json(lambda d: d["entries"].pop()), "entries must hold 256 pairs"),
     (_edit_choi_json(lambda d: d.pop("dim")), "missing key 'dim'"),
     (_edit_choi_json(lambda d: d["entries"][0].pop()), r"entries must be \[re, im\] number pairs"),
+    (_edit_choi_json(lambda d: d["entries"][0].__setitem__(0, 10**400)),
+     r"entries must be \[re, im\] number pairs"),
     (_edit_choi_json(lambda d: d.update(note="x")), "unknown key 'note'"),
     (_edit_choi_json(lambda d: d.update(dim=3)), "dim must be 2 or 4, got 3"),
     (_edit_choi_json(lambda d: d.update(representation="ptm")), "unknown representation 'ptm'"),
     (json.dumps({"representation": "kraus", "dim": 2, "operators": [[[1.0, 0.0]] * 3]}),
      "operators must be a non-empty list of Kraus operators of 4 pairs"),
-], ids=["short-entries", "no-dim", "one-element-pair", "unknown-key", "dim-3", "representation",
-        "short-operator"])
+], ids=["short-entries", "no-dim", "one-element-pair", "integer-past-float64", "unknown-key",
+        "dim-3", "representation", "short-operator"])
 def test_channel_from_json_names_the_malformed_field(text, match):
     with pytest.raises(ValueError, match=match):
         QuantumChannel.from_json(text)

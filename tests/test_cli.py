@@ -156,6 +156,25 @@ def test_state_outputs_are_pinned(tmp_path, flags, digests):
         assert hashlib.sha256((tmp_path / f"state{suffix}").read_bytes()).hexdigest() == digest
 
 
+def test_decompose_and_stability_outputs_are_pinned(tmp_path):
+    """Digests of the circuit and stability writers, as recorded before they
+    were derived from the readers' key lists."""
+    digests = {
+        "ms.json": "a2178cf00db376b22d192a3d76b04e68a66efc40e90d840cd86e5f34ae64634f",
+        "cx.json": "8b86ed656a27dc10c5f686c2dd0dfbac3bea7656fcc2351c8fe0a4ac00773d33",
+        "stability.json": "5cb74a5339b71bcbea1d2ab002e67895de3d95b1ccfe3620109b81ea3c4ba5e6",
+        "stability.csv": "7c62890619ef13a2eb9eb677a98180887f8baa55e6ae415c9a805232b8f50ee3",
+    }
+    for target in ("ms", "cx"):
+        assert main(["decompose", "--target", target,
+                     "--out", str(tmp_path / f"{target}.json")]) == 0
+    assert main(["stability", "--calib-a", str(DATA_DIR / "example_calibration.json"),
+                 "--calib-b", str(DATA_DIR / "example_calibration_b.json"),
+                 "--out", str(tmp_path / "stability.json")]) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 def test_qpt_on_a_circuit_file_reports_against_itself(tmp_path):
     circuit = tmp_path / "ms_circuit.json"
     circuit.write_text(synthesize_ms_circuit().to_json())
@@ -397,6 +416,7 @@ def _calibration_with_qubit(**fields):
 QPT_NOISE = ["qpt", "--exact", "--noise", "{dir}/bad.json"]
 FIT_CALIB = ["fit-noise", "--target-fidelity", "0.9", "--calib", "{dir}/bad.json"]
 QPT_CIRCUIT = ["qpt", "--exact", "--circuit", "{dir}/bad.json"]
+HUGE = 10**400  # a JSON integer past float64's range
 
 
 @pytest.mark.parametrize("argv, content, names", [
@@ -426,11 +446,26 @@ QPT_CIRCUIT = ["qpt", "--exact", "--circuit", "{dir}/bad.json"]
     (["stability", "--calib-a", "{dir}/bad.json",
       "--calib-b", str(DATA_DIR / "example_calibration.json")],
      "{", ["bad.json", "Expecting property name"]),
+    (["stability", "--calib-a", "{dir}/bad.json", "--calib-b", "{dir}/bad.json"],
+     json.dumps({"qubits": []}), ["bad.json", "qubits: a calibration needs at least one qubit"]),
+    (FIT_CALIB, _calibration_with_qubit(t1_us=HUGE), ["bad.json", "qubit 0: t1_us = 1000"]),
+    (FIT_CALIB, _calibration_with_qubit(t2_us=HUGE), ["bad.json", "qubit 0: t2_us = 1000"]),
+    (FIT_CALIB, _calibration_with_qubit(frequency_ghz=HUGE),
+     ["bad.json", "qubit 0: frequency_ghz = 1000"]),
+    (FIT_CALIB, _calibration_with_qubit(anharmonicity_ghz=-HUGE),
+     ["bad.json", "qubit 0: anharmonicity_ghz = -1000"]),
+    (FIT_CALIB, json.dumps({**json.loads(_calibration_with_qubit()),
+                            "durations_ns": {"cnot": HUGE}}),
+     ["bad.json", "durations_ns['cnot'] = 1000"]),
+    (QPT_CIRCUIT, json.dumps([{"kind": "rz", "qubit": 0, "angle": HUGE}]),
+     ["bad.json", "gates[0]: rz angle must be a finite number, got 1000"]),
 ], ids=["noise-unknown-key", "missing-calib", "missing-circuit", "calib-missing-t1",
         "calib-string-t1", "calib-string-p-dep", "calib-missing-qubits", "calib-not-an-object",
         "rz-missing-angle", "sx-missing-qubit", "gate-not-an-object", "sx-unknown-key",
         "rz-bool-angle", "sx-bool-qubit", "cnot-bool-indices", "circuit-not-a-list",
-        "calib-not-json"])
+        "calib-not-json", "stability-no-qubits", "calib-huge-t1", "calib-huge-t2",
+        "calib-huge-frequency", "calib-huge-anharmonicity", "calib-huge-duration",
+        "rz-huge-angle"])
 def test_bad_input_file_exits_1_naming_it_and_writes_nothing(tmp_path, capsys, argv, content,
                                                              names):
     if content is not None:

@@ -159,6 +159,34 @@ def test_calibration_json_roundtrip():
     assert again.durations_ns["x"] == DEFAULT_DURATIONS_NS["sx"]
 
 
+def test_calibration_json_with_optional_qubit_keys_is_pinned():
+    """Readout overrides are written when set, and a None metadata key is left
+    out. Text and fingerprint recorded before the writer took its keys from
+    ``QUBIT_KEYS``."""
+    q0 = QubitCalibration(0, 100.0, 80.0, 0.02, frequency_ghz=5.1, readout_error_01=0.01,
+                          readout_error_10=0.03)
+    cal = DeviceCalibration((q0, QubitCalibration(1, 90.0, 70.0, 0.0)), {"cnot": 250.0}, 0.01)
+    assert cal.to_json() == (
+        '{\n  "durations_ns": {\n    "cnot": 250.0,\n    "rz": 0.0,\n    "sx": 35.0,\n'
+        '    "x": 35.0\n  },\n  "p_dep": 0.01,\n  "qubits": [\n    {\n'
+        '      "frequency_ghz": 5.1,\n      "id": 0,\n      "readout_error": 0.02,\n'
+        '      "readout_error_01": 0.01,\n      "readout_error_10": 0.03,\n'
+        '      "t1_us": 100.0,\n      "t2_us": 80.0\n    },\n    {\n      "id": 1,\n'
+        '      "readout_error": 0.0,\n      "t1_us": 90.0,\n      "t2_us": 70.0\n    }\n'
+        '  ]\n}')
+    assert cal.fingerprint() == "f7bd6c4fb4148ee5"
+
+
+def test_a_qubit_record_without_optional_keys_reads_their_defaults():
+    cal = DeviceCalibration.from_json('{"qubits": [{"id": 0, "t1_us": 100.0, "t2_us": 80.0}]}')
+    assert cal.qubits == (QubitCalibration(0, 100.0, 80.0, 0.0),)
+
+
+def test_a_calibration_without_qubits_is_refused():
+    with pytest.raises(ValueError, match="qubits: a calibration needs at least one qubit"):
+        DeviceCalibration(())
+
+
 def test_noise_model_zero_errors_is_identity(rng):
     cal = make_cal(durations={"rz": 0, "sx": 0, "cnot": 0, "x": 0})
     model = build_noise_model(cal)

@@ -724,7 +724,7 @@ def test_sampled_run_qpt_builds_one_seed_sequence_for_the_master(monkeypatch):
 
 
 def test_sampled_run_qpt_validates_only_the_master_seed(monkeypatch):
-    """The 144 cell seeds reach ``pcg64_states`` as a uint64 array, valid by its
+    """The 144 cell seeds reach ``seed_sequences`` as a uint64 array, valid by its
     dtype; only the master is checked, by ``run_qpt`` and by the dataset."""
     checked = {}
     for module in (simulator, tomography):

@@ -55,7 +55,7 @@ class Gate:
             raise ValueError("cnot control and target must differ")
         if self.kind == "rz":
             if not _is_number(self.angle) or not math.isfinite(self.angle):
-                raise ValueError(f"rz angle must be a finite number, got {self.angle!r}")
+                raise ValueError(f"rz angle must be a finite number, got {_show(self.angle)}")
             object.__setattr__(self, "angle", float(self.angle))
 
     @staticmethod
@@ -107,6 +107,16 @@ def _is_number(value) -> bool:
     (numpy's fixed-width integers all lie inside it)."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and not (isinstance(value, int) and abs(value) > sys.float_info.max))
+
+
+def _show(value) -> str:
+    """``repr(value)`` for an error message, but an int past float64's range as
+    its leading digits and length: ``1000… (an integer of 401 digits, beyond the
+    float range)``, not all 401 digits."""
+    if not (isinstance(value, int) and abs(value) > sys.float_info.max):
+        return repr(value)
+    sign, digits = "-" * (value < 0), str(abs(value))
+    return f"{sign}{digits[:4]}… (an integer of {len(digits)} digits, beyond the float range)"
 
 
 def _check_record(record, required, known, where: str) -> None:

@@ -9,6 +9,7 @@ anharmonicity are carried as metadata only.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -20,13 +21,14 @@ from types import MappingProxyType
 import numpy as np
 
 from .channels import QuantumChannel, identity_channel, pauli_basis
-from .circuits import GATE_KINDS, Circuit, _check_record, _is_number, _load
+from .circuits import GATE_KINDS, Circuit, _check_record, _is_number, _load, _show
 from .linalg import I2, kron
 from .tomography import exact_process_fidelity
 
 DEFAULT_DURATIONS_NS = {"rz": 0.0, "sx": 35.0, "cnot": 300.0}
 CALIBRATION_KEYS = ("qubits", "durations_ns", "p_dep")
 _FIT_MAX_STEPS = 80  # fit_depolarizing's cap; one-CNOT circuits need 1
+_CHANNEL_CACHE_SIZE = 16  # qubit pairs and durations whose channels a process keeps
 # Optional per-qubit fields: written only when set, read as None when absent.
 _OPTIONAL_QUBIT_KEYS = ("frequency_ghz", "anharmonicity_ghz", "readout_error_01",
                         "readout_error_10")
@@ -55,7 +57,7 @@ class QubitCalibration:
         for name in QUBIT_KEYS[1:]:
             value = getattr(self, name)
             if not _is_number(value) and (value is not None or name not in _OPTIONAL_QUBIT_KEYS):
-                raise ValueError(f"qubit {self.qubit}: {name} = {value!r} is not a number")
+                raise ValueError(f"qubit {self.qubit}: {name} = {_show(value)} is not a number")
         for name in ("t1_us", "t2_us"):
             if math.isnan(getattr(self, name)):
                 raise ValueError(f"qubit {self.qubit}: {name} = nan is not a number")
@@ -76,8 +78,8 @@ class QubitCalibration:
 
     def confusion_1q(self) -> np.ndarray:
         """Row-stochastic [true, read] confusion; row t holds P(read | true t)."""
-        e01 = self.readout_error if self.readout_error_01 is None else self.readout_error_01
-        e10 = self.readout_error if self.readout_error_10 is None else self.readout_error_10
+        e01, e10 = (float(self.readout_error if e is None else e) + 0.0  # -0.0 reads as 0.0
+                    for e in (self.readout_error_01, self.readout_error_10))
         return np.array([[1 - e01, e01], [e10, 1 - e10]])
 
 
@@ -92,7 +94,7 @@ class DeviceCalibration:
 
     def __post_init__(self):
         if not _is_number(self.p_dep) or not 0.0 <= self.p_dep <= 1.0:
-            raise ValueError(f"p_dep = {self.p_dep!r} is not a number in [0, 1]")
+            raise ValueError(f"p_dep = {_show(self.p_dep)} is not a number in [0, 1]")
         object.__setattr__(self, "qubits", tuple(self.qubits))
         if not self.qubits:
             raise ValueError("qubits: a calibration needs at least one qubit")
@@ -100,13 +102,12 @@ class DeviceCalibration:
         duplicates = sorted({i for i in ids if ids.count(i) > 1})
         if duplicates:
             raise ValueError(f"duplicate qubit id {', '.join(map(str, duplicates))}")
-        given = self.durations_ns or {}
-        _check_record(given, (), GATE_KINDS, "durations_ns")
-        durations = {**DEFAULT_DURATIONS_NS, **given}
+        _check_record(self.durations_ns, (), GATE_KINDS, "durations_ns")  # null too
+        durations = {**DEFAULT_DURATIONS_NS, **self.durations_ns}
         durations.setdefault("x", durations["sx"])  # X is a single pulse, like SX
         for key, value in durations.items():
             if not _is_number(value) or not math.isfinite(value):
-                raise ValueError(f"durations_ns[{key!r}] = {value!r} is not a finite number")
+                raise ValueError(f"durations_ns[{key!r}] = {_show(value)} is not a finite number")
             if value < 0:
                 raise ValueError(f"durations_ns[{key!r}] = {value} is negative")
         object.__setattr__(self, "durations_ns", MappingProxyType(durations))
@@ -158,7 +159,8 @@ class DeviceCalibration:
 def damping_channel(t1_us: float, t2_us: float, duration_ns: float) -> QuantumChannel:
     """Single-qubit relaxation over ``duration_ns``: amplitude damping with
     gamma = 1 - exp(-t/T1) composed with pure dephasing at rate
-    1/Tphi = 1/T2 - 1/(2*T1)."""
+    1/Tphi = 1/T2 - 1/(2*T1). Numbers are read as floats: 100 and 100.0 give equal bits."""
+    t1_us, t2_us, duration_ns = float(t1_us), float(t2_us), float(duration_ns)
     if t1_us <= 0 or t2_us <= 0 or t2_us > 2 * t1_us + 1e-12:
         raise ValueError("require T1 > 0, T2 > 0 and T2 <= 2*T1")
     if duration_ns < 0:
@@ -209,8 +211,9 @@ class NoiseModel:
     ``single_qubit`` is read-only and maps (kind, qubit) to a 2-qubit channel,
     or None for the identity. ``cnot_channel`` is ``cnot_relaxation``, then the
     depolarizing channel when the calibration's p_dep > 0. ``fingerprint``
-    covers the calibration and the device qubit pair. ``with_p_dep`` gives
-    the model at another p_dep, sharing everything but the CNOT channel.
+    covers the calibration and the device qubit pair. Every model of one
+    calibration shares its read-only ``single_qubit``, ``cnot_relaxation`` and
+    ``confusion``, built once per process; ``with_p_dep`` builds only the CNOT channel.
     """
 
     calibration: DeviceCalibration
@@ -256,14 +259,25 @@ def build_noise_model(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) 
 
     Gate noise is attached after the ideal unitary: relaxation on the acted
     qubits for the gate's duration, plus a global depolarizing channel after
-    each CNOT when p_dep > 0 (``NoiseModel`` composes it).
+    each CNOT when p_dep > 0 (``NoiseModel`` composes it). The channels p_dep
+    does not enter are built once per process (``_relaxation_and_confusion``);
+    the model, its depolarizing channel and fingerprint come from ``cal`` per call.
     """
+    return NoiseModel(cal, tuple(qubits), *_relaxation_and_confusion(
+        cal.qubit(qubits[0]), cal.qubit(qubits[1]), frozenset(cal.durations_ns.items())))
+
+
+@functools.lru_cache(maxsize=_CHANNEL_CACHE_SIZE)
+def _relaxation_and_confusion(q0: QubitCalibration, q1: QubitCalibration, durations: frozenset):
+    """The read-only single-qubit map, CNOT relaxation and readout confusion of
+    the pair ``(q0, q1)``. Equal arguments give equal bits (numbers are read as
+    floats), so a shared result is the one a fresh build would make."""
+    durations = dict(durations)
     single: dict = {}
     lifted: dict = {}  # (position, duration) -> channel; x defaults to sx's duration
     for kind in ("rz", "sx", "x"):
-        dur = cal.durations_ns.get(kind, 0.0)
-        for pos, device_q in enumerate(qubits):
-            q = cal.qubit(device_q)
+        dur = durations.get(kind, 0.0)
+        for pos, q in enumerate((q0, q1)):
             if dur <= 0:
                 single[(kind, pos)] = None
                 continue
@@ -271,18 +285,20 @@ def build_noise_model(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) 
                 lifted[(pos, dur)] = _lift(damping_channel(q.t1_us, q.t2_us, dur), pos)
             single[(kind, pos)] = lifted[(pos, dur)]
 
-    dur_cnot = cal.durations_ns.get("cnot", 0.0)
-    q0, q1 = (cal.qubit(qubits[0]), cal.qubit(qubits[1]))
+    dur_cnot = durations.get("cnot", 0.0)
     relaxation: QuantumChannel | None = None
     if dur_cnot > 0:
         relaxation = damping_channel(q0.t1_us, q0.t2_us, dur_cnot).tensor(
             damping_channel(q1.t1_us, q1.t2_us, dur_cnot)
         )
 
-    confusion = confusion_matrix(cal, qubits)
+    confusion = kron(q0.confusion_1q(), q1.confusion_1q()).real
     if np.allclose(confusion, np.eye(4), atol=1e-15):
         confusion = None
-    return NoiseModel(cal, tuple(qubits), single, relaxation, confusion)
+    for array in [confusion] + [ch and ch.data for ch in (*lifted.values(), relaxation)]:
+        if array is not None:  # shared by every model of the pair: no caller may write
+            array.flags.writeable = False
+    return MappingProxyType(single), relaxation, confusion
 
 
 def fit_depolarizing(
@@ -299,7 +315,9 @@ def fit_depolarizing(
     the fit evaluated there, equal to ``exact_process_fidelity(circuit,
     build_noise_model(cal.with_p_dep(p_dep)))``. The fit builds one model,
     at p_dep = 0, and evaluates each further p on its ``with_p_dep(p)``, so
-    only the depolarizing channel is built per evaluation. The target, the
+    only the depolarizing channel is built per evaluation. That model's
+    relaxation channels and prepared tomography inputs are the ones every
+    model of the calibration shares, built once per process. The target, the
     ideal channel that ``exact_process_fidelity`` caches on ``circuit``, is
     built once per fit, so its Choi ``eigh`` is taken once, not once per
     evaluation.

@@ -587,9 +587,9 @@ def test_prep_tree_equals_the_per_label_prefixes(circuit, calibration, p_dep):
         assert ds.records[(label, setting)].probs == tuple(expected[p, s]), (label, setting)
 
 
-def test_a_models_inputs_are_prepared_once(monkeypatch):
-    """The preparation tree runs once per model's single-qubit channels, which
-    a with_p_dep sibling shares; a fresh build of the same file prepares anew."""
+def test_a_models_inputs_are_prepared_once(monkeypatch, cold_channels):
+    """The preparation tree runs once per single-qubit channel map, which a
+    with_p_dep sibling and a fresh build of the same file share."""
     import msbench.tomography
 
     calls = []
@@ -605,7 +605,7 @@ def test_a_models_inputs_are_prepared_once(monkeypatch):
     for model in (noise, noise, noise.with_p_dep(0.3), build_noise_model(cal)):
         run_qpt(circuit, noise=model, shots=None)
         runs.append(len(calls))
-    assert runs == [8, 8, 8, 16]  # 4 + 4 prefixes per tree
+    assert runs == [8, 8, 8, 8]  # 4 + 4 prefixes per tree
 
 
 @pytest.mark.parametrize("noise", [None, example_noise()], ids=["noiseless", "noisy"])

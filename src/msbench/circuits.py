@@ -190,6 +190,10 @@ class Circuit:
         return sum(1 for g in self.gates if g.kind == "cnot")
 
     def to_json(self) -> str:
+        return self._json
+
+    @functools.cached_property
+    def _json(self) -> str:  # built on first use; not a field
         return json.dumps([g.to_dict() for g in self.gates])
 
     @staticmethod

@@ -28,7 +28,6 @@ from .tomography import exact_process_fidelity
 DEFAULT_DURATIONS_NS = {"rz": 0.0, "sx": 35.0, "cnot": 300.0}
 CALIBRATION_KEYS = ("qubits", "durations_ns", "p_dep")
 _FIT_MAX_STEPS = 80  # fit_depolarizing's cap; one-CNOT circuits need 1
-_CHANNEL_CACHE_SIZE = 16  # qubit pairs and durations whose channels a process keeps
 # Optional per-qubit fields: written only when set, read as None when absent.
 _OPTIONAL_QUBIT_KEYS = ("frequency_ghz", "anharmonicity_ghz", "readout_error_01",
                         "readout_error_10")
@@ -78,8 +77,8 @@ class QubitCalibration:
 
     def confusion_1q(self) -> np.ndarray:
         """Row-stochastic [true, read] confusion; row t holds P(read | true t)."""
-        e01, e10 = (float(self.readout_error if e is None else e) + 0.0  # -0.0 reads as 0.0
-                    for e in (self.readout_error_01, self.readout_error_10))
+        e01 = self.readout_error if self.readout_error_01 is None else self.readout_error_01
+        e10 = self.readout_error if self.readout_error_10 is None else self.readout_error_10
         return np.array([[1 - e01, e01], [e10, 1 - e10]])
 
 
@@ -141,6 +140,10 @@ class DeviceCalibration:
         return DeviceCalibration(qubits, d.get("durations_ns", {}), d.get("p_dep", 0.0))
 
     def to_json(self) -> str:
+        return self._json
+
+    @functools.cached_property
+    def _json(self) -> str:  # built on first use, for the file and the fingerprint; not a field
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @staticmethod
@@ -159,8 +162,7 @@ class DeviceCalibration:
 def damping_channel(t1_us: float, t2_us: float, duration_ns: float) -> QuantumChannel:
     """Single-qubit relaxation over ``duration_ns``: amplitude damping with
     gamma = 1 - exp(-t/T1) composed with pure dephasing at rate
-    1/Tphi = 1/T2 - 1/(2*T1). Numbers are read as floats: 100 and 100.0 give equal bits."""
-    t1_us, t2_us, duration_ns = float(t1_us), float(t2_us), float(duration_ns)
+    1/Tphi = 1/T2 - 1/(2*T1)."""
     if t1_us <= 0 or t2_us <= 0 or t2_us > 2 * t1_us + 1e-12:
         raise ValueError("require T1 > 0, T2 > 0 and T2 <= 2*T1")
     if duration_ns < 0:
@@ -179,8 +181,7 @@ def damping_channel(t1_us: float, t2_us: float, duration_ns: float) -> QuantumCh
         math.sqrt(1 - p_z) * I2,
         math.sqrt(p_z) * np.array([[1, 0], [0, -1]], dtype=complex),
     ]
-    ops = [d @ a for d in deph for a in amp]
-    return QuantumChannel.from_kraus([k for k in ops if np.linalg.norm(k) > 1e-12])
+    return QuantumChannel.from_kraus(_nonzero([d @ a for d in deph for a in amp]))
 
 
 def depolarizing_channel(p: float, arity: int = 2) -> QuantumChannel:
@@ -193,7 +194,17 @@ def depolarizing_channel(p: float, arity: int = 2) -> QuantumChannel:
     d2 = len(paulis)
     ops = [math.sqrt(1 - p + p / d2) * paulis[0]]
     ops += [math.sqrt(p / d2) * pm for pm in paulis[1:]]
-    return QuantumChannel.from_kraus([k for k in ops if np.linalg.norm(k) > 1e-12])
+    return QuantumChannel.from_kraus(_nonzero(ops))
+
+
+def _nonzero(ops) -> np.ndarray:
+    """The stack of the operators, in order, whose ``np.linalg.norm`` is above
+    1e-12. A d x d operator's norm lies between its largest entry m and d m,
+    so only one with m in (0.5e-12 / d, 2e-12] needs its norm taken."""
+    ops = np.array(ops)
+    peaks = np.abs(ops).max(axis=(1, 2))
+    return ops[[m > 2e-12 or (len(k) * m > 0.5e-12 and np.linalg.norm(k) > 1e-12)
+                for k, m in zip(ops, peaks)]]
 
 
 def confusion_matrix(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) -> np.ndarray:
@@ -211,9 +222,8 @@ class NoiseModel:
     ``single_qubit`` is read-only and maps (kind, qubit) to a 2-qubit channel,
     or None for the identity. ``cnot_channel`` is ``cnot_relaxation``, then the
     depolarizing channel when the calibration's p_dep > 0. ``fingerprint``
-    covers the calibration and the device qubit pair. Every model of one
-    calibration shares its read-only ``single_qubit``, ``cnot_relaxation`` and
-    ``confusion``, built once per process; ``with_p_dep`` builds only the CNOT channel.
+    covers the calibration and the device qubit pair. ``with_p_dep`` gives
+    the model at another p_dep, sharing everything but the CNOT channel.
     """
 
     calibration: DeviceCalibration
@@ -249,9 +259,11 @@ class NoiseModel:
         return self.single_qubit.get((gate.kind, gate.qubit))
 
 
+_IDENTITY_1Q = identity_channel(2)
+
+
 def _lift(ch: QuantumChannel, qubit: int) -> QuantumChannel:
-    ident = identity_channel(2)
-    return ch.tensor(ident) if qubit == 0 else ident.tensor(ch)
+    return ch.tensor(_IDENTITY_1Q) if qubit == 0 else _IDENTITY_1Q.tensor(ch)
 
 
 def build_noise_model(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) -> NoiseModel:
@@ -259,25 +271,14 @@ def build_noise_model(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) 
 
     Gate noise is attached after the ideal unitary: relaxation on the acted
     qubits for the gate's duration, plus a global depolarizing channel after
-    each CNOT when p_dep > 0 (``NoiseModel`` composes it). The channels p_dep
-    does not enter are built once per process (``_relaxation_and_confusion``);
-    the model, its depolarizing channel and fingerprint come from ``cal`` per call.
+    each CNOT when p_dep > 0 (``NoiseModel`` composes it).
     """
-    return NoiseModel(cal, tuple(qubits), *_relaxation_and_confusion(
-        cal.qubit(qubits[0]), cal.qubit(qubits[1]), frozenset(cal.durations_ns.items())))
-
-
-@functools.lru_cache(maxsize=_CHANNEL_CACHE_SIZE)
-def _relaxation_and_confusion(q0: QubitCalibration, q1: QubitCalibration, durations: frozenset):
-    """The read-only single-qubit map, CNOT relaxation and readout confusion of
-    the pair ``(q0, q1)``. Equal arguments give equal bits (numbers are read as
-    floats), so a shared result is the one a fresh build would make."""
-    durations = dict(durations)
     single: dict = {}
     lifted: dict = {}  # (position, duration) -> channel; x defaults to sx's duration
     for kind in ("rz", "sx", "x"):
-        dur = durations.get(kind, 0.0)
-        for pos, q in enumerate((q0, q1)):
+        dur = cal.durations_ns.get(kind, 0.0)
+        for pos, device_q in enumerate(qubits):
+            q = cal.qubit(device_q)
             if dur <= 0:
                 single[(kind, pos)] = None
                 continue
@@ -285,20 +286,18 @@ def _relaxation_and_confusion(q0: QubitCalibration, q1: QubitCalibration, durati
                 lifted[(pos, dur)] = _lift(damping_channel(q.t1_us, q.t2_us, dur), pos)
             single[(kind, pos)] = lifted[(pos, dur)]
 
-    dur_cnot = durations.get("cnot", 0.0)
+    dur_cnot = cal.durations_ns.get("cnot", 0.0)
+    q0, q1 = (cal.qubit(qubits[0]), cal.qubit(qubits[1]))
     relaxation: QuantumChannel | None = None
     if dur_cnot > 0:
         relaxation = damping_channel(q0.t1_us, q0.t2_us, dur_cnot).tensor(
             damping_channel(q1.t1_us, q1.t2_us, dur_cnot)
         )
 
-    confusion = kron(q0.confusion_1q(), q1.confusion_1q()).real
+    confusion = confusion_matrix(cal, qubits)
     if np.allclose(confusion, np.eye(4), atol=1e-15):
         confusion = None
-    for array in [confusion] + [ch and ch.data for ch in (*lifted.values(), relaxation)]:
-        if array is not None:  # shared by every model of the pair: no caller may write
-            array.flags.writeable = False
-    return MappingProxyType(single), relaxation, confusion
+    return NoiseModel(cal, tuple(qubits), single, relaxation, confusion)
 
 
 def fit_depolarizing(
@@ -315,9 +314,7 @@ def fit_depolarizing(
     the fit evaluated there, equal to ``exact_process_fidelity(circuit,
     build_noise_model(cal.with_p_dep(p_dep)))``. The fit builds one model,
     at p_dep = 0, and evaluates each further p on its ``with_p_dep(p)``, so
-    only the depolarizing channel is built per evaluation. That model's
-    relaxation channels and prepared tomography inputs are the ones every
-    model of the calibration shares, built once per process. The target, the
+    only the depolarizing channel is built per evaluation. The target, the
     ideal channel that ``exact_process_fidelity`` caches on ``circuit``, is
     built once per fit, so its Choi ``eigh`` is taken once, not once per
     evaluation.

@@ -11,13 +11,11 @@ table fixes the channel exactly; the product frame's closed-form dual
 (see ``linear_inversion``) gives the Choi estimate, which is then projected
 onto the CPTP set.
 
-Simulation: the 16 preparation prefixes run as a 4+4 tree, once per
-single-qubit channel map (``_prepared_states``). Qubit 0's prefix for each of
+Simulation: the 16 preparation prefixes run as a 4+4 tree, once per model's
+single-qubit channels (``_prepared_states``). Qubit 0's prefix for each of
 the 4 tokens runs on |00>, then each of qubit 1's 4 prefixes on that stack
-of 4 at once: 10 gate applications, not 40. Every model of one calibration
-shares that map, built once per process by ``noise.build_noise_model``, so
-fits, ``with_p_dep`` siblings and later commands reuse the prepared inputs.
-The 16 go through the process in one ``evolve`` call, with the
+of 4 at once: 10 gate applications, not 40. A ``with_p_dep`` sibling shares
+them. The 16 go through the process in one ``evolve`` call, with the
 arithmetic per state of evolving each full circuit on its own, so sampled
 counts are unchanged. One ``outcome_distribution`` call gives all 144 cells'
 distributions, and one ``sample_counts`` call draws each cell from its own
@@ -137,8 +135,8 @@ _PREPARED_CAP = 4
 
 def _prepared_states(noise) -> np.ndarray:
     """The 16 prepared states in ``PREP_LABELS`` order: ``_IDEAL_PREPARED``
-    without noise, else prepared once per single-qubit channel map, which
-    every model of one calibration shares, for the last ``_PREPARED_CAP``."""
+    without noise, else prepared once per model's single-qubit channels
+    (``with_p_dep`` siblings share them), for the last ``_PREPARED_CAP``."""
     if noise is None:
         return _IDEAL_PREPARED
     key = id(noise.single_qubit)
@@ -341,8 +339,9 @@ def run_qpt(process, noise=None, shots: int | None = None, seed: int = DEFAULT_S
 
 
 # The settings measuring each observable: every non-identity factor in its basis.
-_COMPATIBLE = {obs: [i for i, s in enumerate(SETTINGS)
-                     if all(f in ("I", b) for f, b in zip(obs, s))] for obs in PAULI_LABELS}
+_COMPATIBLE = {obs: np.array([i for i, s in enumerate(SETTINGS)
+                              if all(f in ("I", b) for f, b in zip(obs, s))])
+               for obs in PAULI_LABELS}
 # Rows vec(rho_j) of the 16 ideal inputs, and the Pauli products P_k.
 _PREP_FRAME = _PREP_STATES.reshape(len(PREP_LABELS), -1)
 _PAULIS = pauli_basis(2)
@@ -357,7 +356,9 @@ def _pauli_table(freqs: np.ndarray) -> np.ndarray:
     freqs = np.asarray(freqs, dtype=float).reshape(len(PREP_LABELS), len(SETTINGS), 4)
     table = np.ones((len(PREP_LABELS), len(PAULI_LABELS)))
     for k, obs in enumerate(PAULI_LABELS[1:], start=1):
-        table[:, k] = expectation(freqs[:, _COMPATIBLE[obs]], obs).mean(axis=1)
+        settings = _COMPATIBLE[obs]
+        # The sum and division of ``.mean(axis=1)``, without its per-call overhead.
+        table[:, k] = np.add.reduce(expectation(freqs[:, settings], obs), axis=1) / len(settings)
     return table
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from msbench.channels import QuantumChannel
 from msbench.circuits import Circuit, Gate
 from msbench.linalg import as_matrix
-from msbench.noise import _relaxation_and_confusion
 
 # `pytest --hypothesis-profile=ci` runs ten times the examples; the default run is unchanged.
 settings.register_profile("ci", max_examples=1000)
@@ -87,13 +86,6 @@ _GATES = st.one_of(
     st.sampled_from([Gate.cnot(0, 1), Gate.cnot(1, 0)]),
 )
 circuits = st.lists(_GATES, max_size=12).map(lambda gates: Circuit(tuple(gates)))
-
-
-@pytest.fixture
-def cold_channels():
-    """Empty ``build_noise_model``'s process-wide channel cache, so that the test
-    counts the builds its own calls make."""
-    _relaxation_and_confusion.cache_clear()
 
 
 @pytest.fixture

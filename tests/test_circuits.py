@@ -184,3 +184,6 @@ def test_circuit_json_roundtrip_keeps_the_gates(circuit):
     again = Circuit.from_json(circuit.to_json())
     assert again.gates == circuit.gates
     assert again.to_json() == circuit.to_json()
+    # Written once per circuit, as json.dumps writes the gate records.
+    assert circuit.to_json() is circuit.to_json()
+    assert circuit.to_json() == json.dumps([g.to_dict() for g in circuit.gates])

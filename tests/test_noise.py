@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msbench.noise
@@ -23,7 +23,7 @@ from msbench.noise import (
     depolarizing_channel,
     fit_depolarizing,
 )
-from msbench.tomography import exact_process_fidelity, process_fidelity, run_qpt
+from msbench.tomography import exact_process_fidelity, process_fidelity
 
 from conftest import examples, random_density_matrix
 
@@ -41,11 +41,24 @@ def make_cal(t1=(100.0, 100.0), t2=(80.0, 80.0), readout=(0.0, 0.0),
     return DeviceCalibration(qubits, durations or {}, p_dep)
 
 
-@pytest.mark.parametrize("number", [int, float, np.float32, np.float64])
-def test_damping_reads_its_numbers_as_floats(number):
-    # build_noise_model shares one channel among calibrations whose numbers compare equal.
-    ch = damping_channel(number(100), number(80), number(35))
-    assert ch.data.tobytes() == damping_channel(100.0, 80.0, 35.0).data.tobytes()
+# Scales putting an operator's norm on either side of, or at, the 1e-12 cut.
+_NEAR_CUT = st.one_of(st.just(0.0), st.floats(1e-16, 1e-8), st.floats(0.0, 1.0),
+                      st.sampled_from([1e-12, 0.5e-12, 2e-12, 0.25e-12, 0.125e-12]))
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4]),
+       scales=st.lists(_NEAR_CUT, min_size=1, max_size=16))
+def test_nonzero_keeps_what_the_norm_filter_keeps(seed, dim, scales):
+    """``_nonzero`` takes a norm only near the cut, and keeps exactly the
+    operators that ``np.linalg.norm(k) > 1e-12`` keeps, in order."""
+    rng = np.random.default_rng(seed)
+    ops = [s * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) for s in scales]
+    ops += [s * np.eye(dim, dtype=complex) / np.sqrt(dim) for s in scales]  # norm exactly s
+    kept = msbench.noise._nonzero(ops)
+    expected = [k for k in ops if np.linalg.norm(k) > 1e-12]
+    assert kept.shape == (len(expected), dim, dim)
+    assert kept.tobytes() == np.array(expected, dtype=complex).reshape(-1, dim, dim).tobytes()
 
 
 def test_damping_zero_duration_is_identity(rng):
@@ -165,6 +178,7 @@ def test_calibration_json_roundtrip():
     assert again == cal
     assert again.fingerprint() == cal.fingerprint()
     assert again.durations_ns["x"] == DEFAULT_DURATIONS_NS["sx"]
+    assert cal.to_json() is cal.to_json()  # written once, for the file and the fingerprint
 
 
 def test_calibration_json_with_optional_qubit_keys_is_pinned():
@@ -518,11 +532,9 @@ def test_noise_model_kraus_operators_match_recorded_digest():
     )
 
 
-def test_noise_model_builds_each_relaxation_channel_once(monkeypatch, cold_channels):
+def test_noise_model_builds_each_relaxation_channel_once(monkeypatch):
     """x defaults to sx's duration, so both share one lifted channel per qubit:
-    2 single-qubit builds plus the CNOT's 2, for the example calibration. A
-    second build of an equal calibration builds none: the channels are built
-    once per process."""
+    2 single-qubit builds plus the CNOT's 2, for the example calibration."""
     import msbench.noise
 
     calls = []
@@ -537,8 +549,6 @@ def test_noise_model_builds_each_relaxation_channel_once(monkeypatch, cold_chann
     for pos in (0, 1):
         assert model.single_qubit[("x", pos)] is model.single_qubit[("sx", pos)]
         assert model.single_qubit[("rz", pos)] is None
-    build_noise_model(DeviceCalibration.load(DATA_DIR / EXAMPLE_CALIBRATIONS[0]))
-    assert len(calls) == 4
 
 
 def _model_bytes(model):
@@ -556,10 +566,9 @@ def test_with_p_dep_equals_a_fresh_build(name, p):
     assert _model_bytes(derived) == _model_bytes(build_noise_model(cal.with_p_dep(p)))
 
 
-def test_fit_builds_each_relaxation_channel_once(monkeypatch, cold_channels):
+def test_fit_builds_each_relaxation_channel_once(monkeypatch):
     """One model build per fit: the example fit's 3 evaluations build the 4
-    relaxation channels once, and a second fit of an equal calibration builds
-    none."""
+    relaxation channels once."""
     import msbench.noise
 
     calls = []
@@ -569,86 +578,9 @@ def test_fit_builds_each_relaxation_channel_once(monkeypatch, cold_channels):
         return damping_channel(*args)
 
     monkeypatch.setattr(msbench.noise, "damping_channel", counting)
-    for _ in range(2):
-        cal = DeviceCalibration.load(DATA_DIR / EXAMPLE_CALIBRATIONS[0])
-        p_dep, _ = fit_depolarizing(0.9247, synthesize_ms_circuit(), cal)
-        assert (len(calls), round(p_dep, 6)) == (4, 0.0165)
-
-
-def _three_qubits(t1=(100.0, 90.0, 80.0), t2=(80.0, 72.0, 64.0), readout=(0.0, 0.02, 0.03),
-                  durations=None, p_dep=0.0):
-    qubits = tuple(QubitCalibration(i, t1[i], t2[i], readout[i]) for i in range(3))
-    return DeviceCalibration(qubits, durations or {"sx": 35.0, "cnot": 300.0}, p_dep)
-
-
-def _shares_channels(a, b) -> bool:
-    return a.single_qubit is b.single_qubit and a.cnot_relaxation is b.cnot_relaxation
-
-
-@pytest.mark.parametrize("other", [
-    _three_qubits(p_dep=0.3),
-    _three_qubits(t1=(100, 90, 80), t2=(80, 72, 64), durations={"sx": 35, "cnot": 300}),
-    _three_qubits(readout=(-0.0, 0.02, 0.03)),
-    _three_qubits(t1=(100.0, 90.0, 50.0), readout=(0.0, 0.02, 0.5)),  # qubit 2 is outside
-], ids=["p_dep", "int-spelling", "negative-zero", "outside-qubit"])
-def test_models_of_equal_pair_calibrations_share_their_channels(other, cold_channels):
-    base = build_noise_model(_three_qubits())
-    model = build_noise_model(other)
-    assert _shares_channels(model, base)
-    assert model is not base and model.calibration is other
-    msbench.noise._relaxation_and_confusion.cache_clear()
-    cold = build_noise_model(other)
-    assert _model_bytes(model) == _model_bytes(cold)  # channels, confusion and fingerprint
-    assert model.fingerprint != base.fingerprint == build_noise_model(_three_qubits()).fingerprint
-
-
-@pytest.mark.parametrize("other, qubits", [
-    (_three_qubits(t1=(101.0, 90.0, 80.0)), (0, 1)),
-    (_three_qubits(t2=(80.0, 71.0, 64.0)), (0, 1)),
-    (_three_qubits(readout=(0.0, 0.025, 0.03)), (0, 1)),
-    (_three_qubits(durations={"sx": 36.0, "cnot": 300.0}), (0, 1)),
-    (_three_qubits(durations={"sx": 35.0, "cnot": 301.0}), (0, 1)),
-    (_three_qubits(), (1, 2)),
-    (_three_qubits(), (1, 0)),
-], ids=["t1", "t2", "readout", "sx-duration", "cnot-duration", "pair-1-2", "pair-1-0"])
-def test_models_of_other_pair_calibrations_do_not_share(other, qubits, cold_channels):
-    base = build_noise_model(_three_qubits())
-    model = build_noise_model(other, qubits)
-    assert model.single_qubit is not base.single_qubit
-    assert model.cnot_relaxation is not base.cnot_relaxation
-    assert _model_bytes(model)[:2] != _model_bytes(base)[:2]
-
-
-@settings(max_examples=examples(25), deadline=None)
-@given(fields=calibration_fields(), data=st.data())
-def test_a_shared_model_is_bit_for_bit_a_cold_build(fields, data):
-    """What ``build_noise_model`` and exact QPT give from a warm channel cache,
-    warmed here by a model at another p_dep and with int spellings where the
-    drawn number is an integer, equals what they give after ``cache_clear``."""
-    qubits, durations, p_dep = fields
-    assume(len(qubits) >= 2)
-    cal = DeviceCalibration(tuple(QubitCalibration(**{**q, **dict.fromkeys(_METADATA)})
-                                  for q in qubits), durations, p_dep)  # metadata may be NaN
-    pair = tuple(data.draw(st.permutations([q["qubit"] for q in qubits]))[:2])
-    spelled = DeviceCalibration(cal.qubits, {k: int(v) if v.is_integer() else v
-                                             for k, v in durations.items()}, 1 - p_dep)
-    build_noise_model(spelled, pair)
-    warm = build_noise_model(cal, pair)
-    warm_outcomes = run_qpt(synthesize_ms_circuit(), noise=warm, shots=None).outcomes.tobytes()
-    msbench.noise._relaxation_and_confusion.cache_clear()
-    cold = build_noise_model(cal, pair)
-    assert warm.single_qubit is not cold.single_qubit
-    assert _model_bytes(warm) == _model_bytes(cold)
-    assert warm_outcomes == run_qpt(synthesize_ms_circuit(), noise=cold,
-                                    shots=None).outcomes.tobytes()
-
-
-def test_shared_channels_and_confusion_are_read_only(cold_channels):
-    model = build_noise_model(_three_qubits())
-    channels = [ch for ch in model.single_qubit.values() if ch is not None]
-    for array in [ch.data for ch in channels + [model.cnot_relaxation]] + [model.confusion]:
-        with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 0.5
+    cal = DeviceCalibration.load(DATA_DIR / EXAMPLE_CALIBRATIONS[0])
+    p_dep, _ = fit_depolarizing(0.9247, synthesize_ms_circuit(), cal)
+    assert (len(calls), round(p_dep, 6)) == (4, 0.0165)
 
 
 def test_noise_model_single_qubit_channels_are_read_only():

@@ -32,7 +32,9 @@ from msbench.tomography import (
     CountsRecord,
     TomographyDataset,
     _CELLS,
+    _COMPATIBLE,
     _experiment_seeds,
+    _pauli_table,
     _prepared_states,
     exact_process_fidelity,
     linear_inversion,
@@ -587,9 +589,25 @@ def test_prep_tree_equals_the_per_label_prefixes(circuit, calibration, p_dep):
         assert ds.records[(label, setting)].probs == tuple(expected[p, s]), (label, setting)
 
 
-def test_a_models_inputs_are_prepared_once(monkeypatch, cold_channels):
-    """The preparation tree runs once per single-qubit channel map, which a
-    with_p_dep sibling and a fresh build of the same file share."""
+@settings(max_examples=examples(50), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shots=st.sampled_from([None, 1, 7, 4000]))
+def test_pauli_table_is_each_observables_mean_bit_for_bit(seed, shots):
+    """The table's sum-and-divide is ``np.mean`` over the compatible settings."""
+    rng = np.random.default_rng(seed)
+    if shots is None:
+        freqs = rng.dirichlet(np.ones(4), size=len(_CELLS))
+    else:
+        freqs = rng.multinomial(shots, [0.1, 0.2, 0.3, 0.4], size=len(_CELLS)) / shots
+    grid = freqs.reshape(len(PREP_LABELS), len(SETTINGS), 4)
+    expected = np.ones((len(PREP_LABELS), len(PAULI_LABELS)))
+    for k, obs in enumerate(PAULI_LABELS[1:], start=1):
+        expected[:, k] = expectation(grid[:, _COMPATIBLE[obs]], obs).mean(axis=1)
+    assert _pauli_table(freqs).tobytes() == expected.tobytes()
+
+
+def test_a_models_inputs_are_prepared_once(monkeypatch):
+    """The preparation tree runs once per model's single-qubit channels, which
+    a with_p_dep sibling shares; a fresh build of the same file prepares anew."""
     import msbench.tomography
 
     calls = []
@@ -605,7 +623,7 @@ def test_a_models_inputs_are_prepared_once(monkeypatch, cold_channels):
     for model in (noise, noise, noise.with_p_dep(0.3), build_noise_model(cal)):
         run_qpt(circuit, noise=model, shots=None)
         runs.append(len(calls))
-    assert runs == [8, 8, 8, 8]  # 4 + 4 prefixes per tree
+    assert runs == [8, 8, 8, 16]  # 4 + 4 prefixes per tree
 
 
 @pytest.mark.parametrize("noise", [None, example_noise()], ids=["noiseless", "noisy"])

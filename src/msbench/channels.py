@@ -17,11 +17,13 @@ Every representation applies to states through its Kraus operators
 
 Kraus sets are (count, d, d) stacks, and ``apply``, ``tensor``, ``compose``
 and the Choi state run on them as array operations that give each entry the
-operations, in term order, of a term-by-term loop. Their matrix products are
-grouped GEMMs (``linalg.matmul_pairs`` and ``linalg.sandwich``): one call
-for all of ``compose``'s pairs, two for ``project_cptp``'s 16 lifted basis
-matrices. Each entry is still the same dot product, so only the number of
-calls changes (measured for d >= 4; 2x2 left products stay per matrix).
+operations, in term order, of a term-by-term loop; the Choi state of a sparse
+stack skips only terms that are +0, which leave the sum's bits alone. Their
+matrix products are grouped GEMMs (``linalg.matmul_pairs`` and
+``linalg.sandwich``): one call for all of ``compose``'s pairs, two for
+``project_cptp``'s 16 lifted basis matrices. Each entry is still the same
+dot product, so only the number of calls changes (measured for d >= 4; 2x2
+left products stay per matrix).
 Sampled counts depend on the last ulp of the noise channels (see
 ``simulator``), so a closed form or a reassociated sum would move them.
 """
@@ -55,6 +57,9 @@ _CHOI_ATOL_TP = 1e-6
 # project_cptp's absolute bound on |Tr_out J - I/d|_F, and its step cap.
 _TP_GAP = 1e-12
 _NEWTON_STEP_CAP = 50
+# Dense products the sparse Choi sum's set-up costs, about 20 us (timeit,
+# 16 x 16 Choi states of 8 to 256 operators).
+_SPARSE_SETUP = 8192
 
 
 class ProjectionError(RuntimeError):
@@ -298,12 +303,41 @@ class QuantumChannel:
 
 
 def _kraus_to_choi(ops, dim: int) -> np.ndarray:
-    """sum_k v_k v_k^dag / d, v_k = flat(K_k): each row sums the 1-deep products
-    ``v @ dagger(v)`` makes in k order, in row blocks of <= 1024 d^2 products."""
-    cols = np.reshape(ops, (len(ops), -1, 1))  # row-major flatten matches output (x) input
-    rows, step = dagger(cols), max(1, 1024 // len(ops))
-    return np.concatenate([np.add.reduce(cols[:, r:r + step] @ rows, axis=0)
-                           for r in range(0, dim * dim, step)]) / dim
+    """sum_k v_k v_k^dag / d, v_k = flat(K_k), with the bits of the loop that
+    adds each ``v @ dagger(v)`` to a zero matrix in k order.
+
+    Each term is made by numpy's 1-deep matmul loop, which writes the real and
+    imaginary parts of a product as 0 + (...): a product with a zero factor is
+    +0, and no product is -0. So no partial sum is -0 either, and adding a +0
+    term leaves its bits alone: J[a, b] needs only the terms where v_k[a] and
+    v_k[b] are both nonzero, added in k order. This holds for finite
+    operators, as inf * 0 is nan; every caller passes a validated stack.
+
+    A sparse stack is summed so. Each operator's nonzero entries, in order and
+    padded with its own zero entries (whose terms are +0) to the widest
+    operator's count m >= 2 (at m = 1 numpy would take its dot, not that
+    loop), make an m x m outer product, and ``np.bincount`` adds the k-major
+    terms to their entries from +0, in order. Forming and adding such a term
+    costs about four dense products, so where that saves no more than
+    ``_SPARSE_SETUP`` products, one reduce over k adds all d^4 terms of each
+    operator.
+    """
+    count, n = len(ops), dim * dim
+    flat = np.reshape(ops, (count, n))  # row-major flatten matches output (x) input
+    if count * (n * n - 16) > _SPARSE_SETUP:  # else not even m = 2 would pay
+        nonzero = flat != 0
+        width = max(2, nonzero.sum(axis=1).max())
+        if count * (n * n - 4 * width * width) > _SPARSE_SETUP:
+            entries = np.arange(n)  # zero entries sort after the nonzero ones
+            support = np.sort(np.where(nonzero, entries, entries + n), axis=1)[:, :width] % n
+            u = np.take_along_axis(flat, support, axis=1)[:, :, None]
+            terms = (u @ dagger(u)).reshape(-1)
+            bins = (n * support[:, :, None] + support[:, None, :]).reshape(-1)
+            j = np.empty(n * n, dtype=complex)
+            j.real, j.imag = (np.bincount(bins, part, n * n) for part in (terms.real, terms.imag))
+            return j.reshape(n, n) / dim
+    cols = flat[:, :, None]
+    return np.add.reduce(cols @ dagger(cols), axis=0) / dim
 
 
 def _choi_to_kraus(j, dim: int) -> np.ndarray:

@@ -271,8 +271,13 @@ def build_noise_model(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) 
 
     Gate noise is attached after the ideal unitary: relaxation on the acted
     qubits for the gate's duration, plus a global depolarizing channel after
-    each CNOT when p_dep > 0 (``NoiseModel`` composes it).
+    each CNOT when p_dep > 0 (``NoiseModel`` composes it). ``qubits`` names
+    the two distinct device qubits that register qubits 0 and 1 stand for.
     """
+    if not (isinstance(qubits, (tuple, list)) and len(qubits) == 2
+            and all(isinstance(q, numbers.Integral) and not isinstance(q, bool) for q in qubits)
+            and qubits[0] != qubits[1]):
+        raise ValueError(f"qubits must be two distinct integer qubit ids, got {qubits!r}")
     single: dict = {}
     lifted: dict = {}  # (position, duration) -> channel; x defaults to sx's duration
     for kind in ("rz", "sx", "x"):
@@ -297,7 +302,7 @@ def build_noise_model(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) 
     confusion = confusion_matrix(cal, qubits)
     if np.allclose(confusion, np.eye(4), atol=1e-15):
         confusion = None
-    return NoiseModel(cal, tuple(qubits), single, relaxation, confusion)
+    return NoiseModel(cal, tuple(map(int, qubits)), single, relaxation, confusion)
 
 
 def fit_depolarizing(
@@ -326,8 +331,12 @@ def fit_depolarizing(
     the first secant lands on the target and a fit costs F(0), F(1) and one
     verifying evaluation. Circuits with more CNOTs converge in a few more.
     """
+    if not _is_number(target_fidelity):
+        raise ValueError(f"target fidelity must be a number, got {_show(target_fidelity)}")
     if not 0.0 < target_fidelity <= 1.0:
         raise ValueError("target fidelity must be in (0, 1]")
+    if not _is_number(tol) or not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite positive number, got {_show(tol)}")
 
     base = build_noise_model(cal.with_p_dep(0.0))
 

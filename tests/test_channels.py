@@ -1,10 +1,11 @@
 import itertools
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msbench import channels
@@ -17,8 +18,9 @@ from msbench.channels import (
     pauli_basis,
     project_cptp,
 )
-from msbench.circuits import ms_unitary
-from msbench.linalg import I2, PAULI_X, PAULIS_1Q, dagger, kron
+from msbench.circuits import circuit_unitary, ms_unitary, synthesize_ms_circuit
+from msbench.linalg import I2, PAULI_X, PAULIS_1Q, dagger, kron, matmul_pairs
+from msbench.noise import DeviceCalibration, build_noise_model, depolarizing_channel
 
 from conftest import (
     examples,
@@ -27,6 +29,8 @@ from conftest import (
     random_density_matrix,
     random_unitary,
 )
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 def maximally_entangled_choi():
@@ -446,10 +450,55 @@ def test_lifted_basis_in_an_eigenbasis_matches_the_stacked_product(seed, dim, fo
     assert channels._lifted_in_eigenbasis(vecs, dim).tobytes() == expected.tobytes()
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 256), dim=st.sampled_from([2, 4]))
-def test_rowwise_kraus_to_choi_matches_the_outer_product_loop(seed, count, dim):
-    ops = _matrices(np.random.default_rng(seed), count, dim, dim)
+def _sparse_stack(seed: int, count: int, dim: int, zero_entries: float,
+                  zero_operators: float) -> np.ndarray:
+    """``_matrices`` with a share of entries, and of whole operators, set to
+    zeros whose parts are +0.0 or -0.0."""
+    rng = np.random.default_rng(seed)
+    ops = _matrices(rng, count, dim, dim)
+    zero = rng.random(ops.shape) < zero_entries
+    zero |= (rng.random(count) < zero_operators)[:, None, None]
+    for part in (ops.real, ops.imag):
+        part[zero] = rng.choice([0.0, -0.0], zero.sum())
+    return ops
+
+
+def _relaxation_then_depolarizing(name: str, p: float) -> np.ndarray:
+    """The stack whose Choi state ``NoiseModel.with_p_dep`` takes: the products
+    of the depolarizing operators at p with an example calibration's CNOT
+    relaxation operators, 256 of them for p > 0."""
+    relaxation = build_noise_model(DeviceCalibration.load(DATA_DIR / f"{name}.json")).cnot_relaxation
+    return matmul_pairs(depolarizing_channel(p).kraus_operators(),
+                        relaxation.kraus_operators()).reshape(-1, 4, 4)
+
+
+_CHOI_STACKS = [
+    circuit_unitary(synthesize_ms_circuit())[None],  # one operator: the ms target
+    _sparse_stack(1, 256, 4, 0.0, 0.0),
+    _sparse_stack(2, 256, 4, 0.9, 0.1),
+    *(_relaxation_then_depolarizing(name, p)
+      for name in ("example_calibration", "example_calibration_b") for p in (0, 0.0165, 0.3, 1)),
+]
+
+
+def _each_choi_stack(test):
+    for ops in _CHOI_STACKS:
+        test = example(ops=ops)(test)
+    return test
+
+
+@_each_choi_stack
+@settings(max_examples=examples(60), deadline=None)
+@given(ops=st.builds(_sparse_stack, seed=st.integers(0, 2**32 - 1), count=st.integers(1, 256),
+                     dim=st.sampled_from([2, 4]),
+                     zero_entries=st.sampled_from([0.0, 0.5, 0.9, 0.97, 1.0]),
+                     zero_operators=st.sampled_from([0.0, 0.1, 0.5])))
+def test_rowwise_kraus_to_choi_matches_the_outer_product_loop(ops):
+    """Dense stacks and sparse ones, whose sum skips the +0 terms, against the
+    loop that adds every term; among them the relaxation-then-depolarizing
+    stacks of both example calibrations, whose 256 operators at p > 0 hold
+    576 nonzero entries in 4096."""
+    dim = ops.shape[1]
     assert channels._kraus_to_choi(ops, dim).tobytes() == _choi_loop(ops, dim).tobytes()
     assert channels._kraus_to_choi(tuple(ops), dim).tobytes() == _choi_loop(ops, dim).tobytes()
 

@@ -256,6 +256,31 @@ def test_fit_depolarizing_unachievable_target():
         fit_depolarizing(0.999, synthesize_ms_circuit(), cal)
 
 
+@pytest.mark.parametrize("target, tol, message", [
+    (True, 1e-3, "target fidelity must be a number, got True"),
+    (False, 1e-3, "target fidelity must be a number, got False"),
+    ("0.9", 1e-3, "target fidelity must be a number, got '0.9'"),
+    (None, 1e-3, "target fidelity must be a number, got None"),
+    (0.0, 1e-3, r"target fidelity must be in \(0, 1\]"),
+    (1.5, 1e-3, r"target fidelity must be in \(0, 1\]"),
+    (math.nan, 1e-3, r"target fidelity must be in \(0, 1\]"),
+    (0.5, -1, "tol must be a finite positive number, got -1"),
+    (0.5, 0, "tol must be a finite positive number, got 0"),
+    (0.5, -0.0, "tol must be a finite positive number, got -0.0"),
+    (0.5, math.nan, "tol must be a finite positive number, got nan"),
+    (0.5, math.inf, "tol must be a finite positive number, got inf"),
+    (0.5, True, "tol must be a finite positive number, got True"),
+    (0.5, "0.001", "tol must be a finite positive number, got '0.001'"),
+])
+def test_fit_depolarizing_checks_its_arguments_before_any_qpt(monkeypatch, target, tol, message):
+    """tol = -1 used to report an unachievable target, 0 and nan ran 80 QPTs,
+    inf and True returned p = 0, and a target of True was read as 1.0."""
+    calls = count_fidelity_evaluations(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fit_depolarizing(target, synthesize_ms_circuit(), make_cal(), tol=tol)
+    assert calls == []
+
+
 def test_fidelity_monotone_in_depolarizing_strength():
     cal = make_cal(durations={"rz": 0, "sx": 0, "cnot": 0, "x": 0})
     circuit = synthesize_ms_circuit()
@@ -342,6 +367,24 @@ def test_noise_fingerprint_covers_the_qubit_pair():
     assert not np.array_equal(a.confusion, b.confusion)
     assert a.fingerprint != b.fingerprint
     assert build_noise_model(cal, (0, 1)).fingerprint == a.fingerprint
+
+
+@pytest.mark.parametrize("qubits", [(0, 0), (0, True), (True, 0), (0,), (), (0, 1, 2), (0.0, 1),
+                                    (0, "1"), "01", 0, None])
+def test_build_noise_model_refuses_all_but_two_distinct_integer_ids(qubits):
+    """(0, 0) would put both register qubits on one device qubit, and (0, True)
+    would build the (0, 1) model under another fingerprint."""
+    with pytest.raises(ValueError, match=r"^qubits must be two distinct integer qubit ids, got "):
+        build_noise_model(make_cal(), qubits)
+
+
+def test_build_noise_model_takes_any_two_integer_ids_as_the_pair():
+    cal = make_cal()
+    default = build_noise_model(cal)
+    for qubits in ([0, 1], (np.int64(0), np.int64(1))):
+        model = build_noise_model(cal, qubits)
+        assert model.qubits == (0, 1) and model.fingerprint == default.fingerprint
+    assert build_noise_model(cal, (1, 0)).fingerprint != default.fingerprint
 
 
 def test_durations_reject_unknown_gate_names():

@@ -26,6 +26,15 @@ dot product, so only the number of calls changes (measured for d >= 4; 2x2
 left products stay per matrix).
 Sampled counts depend on the last ulp of the noise channels (see
 ``simulator``), so a closed form or a reassociated sum would move them.
+
+``depolarized(p)`` is ``compose(depolarizing_channel(p))`` for many p on one
+channel. The channel keeps the products P_i K_j of the unscaled Pauli
+products with its operators, and their Choi sum's sparse plan; each p scales
+P_i K_j by sqrt(w_i), sums the Choi state and takes its Kraus set. That is
+exact: a Pauli product is monomial with entries +-1 and +-i, so each entry of
+P_i K_j is one term, exactly, and multiplying it by sqrt(w_i) rounds once, as
+the GEMM of sqrt(w_i) P_i with K_j does. Only signed zeros may differ, and
+the Choi sum reads none.
 """
 
 from __future__ import annotations
@@ -33,11 +42,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import _check_record, _is_number
+from .circuits import _check_record, _is_number, _show
 from .linalg import (
     PAULIS_1Q,
     as_matrix,
@@ -301,6 +311,36 @@ class QuantumChannel:
             ch = ch.convert("choi").convert("kraus")  # compress to a minimal set
         return ch
 
+    def depolarized(self, p: float) -> "QuantumChannel":
+        """The channel followed by the depolarizing channel of probability p,
+        ``self.compose(depolarizing_channel(p, arity))`` bit for bit, from the
+        ``_pauli_products`` built once per channel (see the module docstring).
+        Their Choi plan is reused while the scaled products are nonzero where
+        the products are. A channel of one operator, whose d^2 products
+        ``compose`` returns as they are, and a p whose Pauli terms ``_nonzero``
+        may drop (below about 6e-23) go through ``compose``."""
+        d2 = self.dim * self.dim
+        amplitudes = _depolarizing_amplitudes(p, d2)
+        if len(self._kraus) == 1 or min(amplitudes) <= 2e-12:  # _nonzero keeps all Paulis above
+            return self.compose(depolarizing_channel(p, self.dim.bit_length() - 1))
+        products, nonzero, plan = self._pauli_products
+        scaled = (products.view(float) * np.array(amplitudes)[:, None]).view(complex)
+        flat = scaled.reshape(-1, d2)
+        if not np.array_equal(flat != 0, nonzero):
+            plan = _choi_plan(flat)
+        j = _choi_sum(flat, self.dim, plan)
+        return QuantumChannel("kraus", _choi_to_kraus(j, self.dim), self.dim)
+
+    @functools.cached_property
+    def _pauli_products(self) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+        """P_i K_j over the unscaled Pauli products P_i and the channel's
+        operators K_j, i-major, one row of flattened products per P_i; the
+        nonzero mask of the flattened products; and their ``_choi_plan``."""
+        paulis = pauli_basis(self.dim.bit_length() - 1)
+        products = matmul_pairs(paulis, self._kraus).reshape(len(paulis), -1)
+        flat = products.reshape(-1, self.dim * self.dim)
+        return products, flat != 0, _choi_plan(flat)
+
 
 def _kraus_to_choi(ops, dim: int) -> np.ndarray:
     """sum_k v_k v_k^dag / d, v_k = flat(K_k), with the bits of the loop that
@@ -320,24 +360,40 @@ def _kraus_to_choi(ops, dim: int) -> np.ndarray:
     terms to their entries from +0, in order. Forming and adding such a term
     costs about four dense products, so where that saves no more than
     ``_SPARSE_SETUP`` products, one reduce over k adds all d^4 terms of each
-    operator.
+    operator. ``_choi_plan`` makes that choice, and ``_choi_sum`` the sum.
     """
-    count, n = len(ops), dim * dim
-    flat = np.reshape(ops, (count, n))  # row-major flatten matches output (x) input
+    flat = np.reshape(ops, (len(ops), dim * dim))  # row-major flatten matches output (x) input
+    return _choi_sum(flat, dim, _choi_plan(flat))
+
+
+def _choi_plan(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The sparse sum's plan for a (count, d^2) stack of flattened operators:
+    the support, each operator's nonzero entries padded to m, and the Choi
+    entry of each term; or None where one reduce costs less."""
+    count, n = flat.shape
     if count * (n * n - 16) > _SPARSE_SETUP:  # else not even m = 2 would pay
         nonzero = flat != 0
         width = max(2, nonzero.sum(axis=1).max())
         if count * (n * n - 4 * width * width) > _SPARSE_SETUP:
             entries = np.arange(n)  # zero entries sort after the nonzero ones
             support = np.sort(np.where(nonzero, entries, entries + n), axis=1)[:, :width] % n
-            u = np.take_along_axis(flat, support, axis=1)[:, :, None]
-            terms = (u @ dagger(u)).reshape(-1)
-            bins = (n * support[:, :, None] + support[:, None, :]).reshape(-1)
-            j = np.empty(n * n, dtype=complex)
-            j.real, j.imag = (np.bincount(bins, part, n * n) for part in (terms.real, terms.imag))
-            return j.reshape(n, n) / dim
-    cols = flat[:, :, None]
-    return np.add.reduce(cols @ dagger(cols), axis=0) / dim
+            return support, (n * support[:, :, None] + support[:, None, :]).reshape(-1)
+    return None
+
+
+def _choi_sum(flat: np.ndarray, dim: int, plan: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """``_kraus_to_choi`` of the flattened operators, by the ``_choi_plan`` of
+    a stack that is nonzero where they are."""
+    if plan is None:
+        cols = flat[:, :, None]
+        return np.add.reduce(cols @ dagger(cols), axis=0) / dim
+    support, bins = plan
+    n = flat.shape[1]
+    u = np.take_along_axis(flat, support, axis=1)[:, :, None]
+    terms = (u @ dagger(u)).reshape(-1)
+    j = np.empty(n * n, dtype=complex)
+    j.real, j.imag = (np.bincount(bins, part, n * n) for part in (terms.real, terms.imag))
+    return j.reshape(n, n) / dim
 
 
 def _choi_to_kraus(j, dim: int) -> np.ndarray:
@@ -345,6 +401,36 @@ def _choi_to_kraus(j, dim: int) -> np.ndarray:
     keep = vals > _EIG_CLIP
     ops = (np.sqrt(dim * vals[keep])[:, None] * vecs.T[keep]).reshape(-1, dim, dim)
     return ops if keep.any() else np.zeros((1, dim, dim), dtype=complex)
+
+
+def depolarizing_channel(p: float, arity: int = 2) -> QuantumChannel:
+    """rho -> (1-p) rho + p I/d, as a Pauli Kraus set."""
+    if not (isinstance(arity, numbers.Integral) and not isinstance(arity, bool)
+            and arity in (1, 2)):
+        raise ValueError(f"arity must be 1 or 2, got {_show(arity)}")
+    paulis = pauli_basis(arity)
+    amplitudes = _depolarizing_amplitudes(p, len(paulis))
+    return QuantumChannel.from_kraus(_nonzero([a * pm for a, pm in zip(amplitudes, paulis)]))
+
+
+def _depolarizing_amplitudes(p: float, d2: int) -> list[float]:
+    """The square roots of the weights of the d^2 Pauli products, identity
+    first, in the depolarizing channel of probability p, a number in [0, 1]."""
+    if not _is_number(p) or math.isnan(p):
+        raise ValueError(f"p = {_show(p)} is not a number")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p = {p} outside [0, 1]")
+    return [math.sqrt(1 - p + p / d2)] + [math.sqrt(p / d2)] * (d2 - 1)
+
+
+def _nonzero(ops) -> np.ndarray:
+    """The stack of the operators, in order, whose ``np.linalg.norm`` is above
+    1e-12. A d x d operator's norm lies between its largest entry m and d m,
+    so only one with m in (0.5e-12 / d, 2e-12] needs its norm taken."""
+    ops = np.array(ops)
+    peaks = np.abs(ops).max(axis=(1, 2))
+    return ops[[m > 2e-12 or (len(k) * m > 0.5e-12 and np.linalg.norm(k) > 1e-12)
+                for k, m in zip(ops, peaks)]]
 
 
 def channel_from_unitary(u) -> QuantumChannel:

@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .channels import QuantumChannel, identity_channel, pauli_basis
+from .channels import QuantumChannel, _nonzero, depolarizing_channel, identity_channel
 from .circuits import GATE_KINDS, Circuit, _check_record, _is_number, _load, _show
 from .linalg import I2, kron
 from .tomography import exact_process_fidelity
@@ -163,6 +163,9 @@ def damping_channel(t1_us: float, t2_us: float, duration_ns: float) -> QuantumCh
     """Single-qubit relaxation over ``duration_ns``: amplitude damping with
     gamma = 1 - exp(-t/T1) composed with pure dephasing at rate
     1/Tphi = 1/T2 - 1/(2*T1)."""
+    for name, value in (("t1_us", t1_us), ("t2_us", t2_us), ("duration_ns", duration_ns)):
+        if not _is_number(value) or math.isnan(value):
+            raise ValueError(f"{name} = {_show(value)} is not a number")
     if t1_us <= 0 or t2_us <= 0 or t2_us > 2 * t1_us + 1e-12:
         raise ValueError("require T1 > 0, T2 > 0 and T2 <= 2*T1")
     if duration_ns < 0:
@@ -184,32 +187,20 @@ def damping_channel(t1_us: float, t2_us: float, duration_ns: float) -> QuantumCh
     return QuantumChannel.from_kraus(_nonzero([d @ a for d in deph for a in amp]))
 
 
-def depolarizing_channel(p: float, arity: int = 2) -> QuantumChannel:
-    """rho -> (1-p) rho + p I/d, as a Pauli Kraus set."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p = {p} outside [0, 1]")
-    if arity not in (1, 2):
-        raise ValueError("arity must be 1 or 2")
-    paulis = pauli_basis(arity)
-    d2 = len(paulis)
-    ops = [math.sqrt(1 - p + p / d2) * paulis[0]]
-    ops += [math.sqrt(p / d2) * pm for pm in paulis[1:]]
-    return QuantumChannel.from_kraus(_nonzero(ops))
-
-
-def _nonzero(ops) -> np.ndarray:
-    """The stack of the operators, in order, whose ``np.linalg.norm`` is above
-    1e-12. A d x d operator's norm lies between its largest entry m and d m,
-    so only one with m in (0.5e-12 / d, 2e-12] needs its norm taken."""
-    ops = np.array(ops)
-    peaks = np.abs(ops).max(axis=(1, 2))
-    return ops[[m > 2e-12 or (len(k) * m > 0.5e-12 and np.linalg.norm(k) > 1e-12)
-                for k, m in zip(ops, peaks)]]
+def _check_pair(qubits) -> tuple[int, int]:
+    """``qubits`` as a tuple of ints, if it holds two distinct integer qubit ids."""
+    if not (isinstance(qubits, (tuple, list)) and len(qubits) == 2
+            and all(isinstance(q, numbers.Integral) and not isinstance(q, bool) for q in qubits)
+            and qubits[0] != qubits[1]):
+        raise ValueError(f"qubits must be two distinct integer qubit ids, got {qubits!r}")
+    return tuple(map(int, qubits))
 
 
 def confusion_matrix(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) -> np.ndarray:
-    """4x4 row-stochastic confusion, entry [true, read] = P(read | true).
-    Applies to outcome distributions, never to quantum states."""
+    """4x4 row-stochastic confusion, entry [true, read] = P(read | true), of
+    two distinct device qubits. Applies to outcome distributions, never to
+    quantum states."""
+    qubits = _check_pair(qubits)
     c0 = cal.qubit(qubits[0]).confusion_1q()
     c1 = cal.qubit(qubits[1]).confusion_1q()
     return kron(c0, c1).real
@@ -221,9 +212,10 @@ class NoiseModel:
 
     ``single_qubit`` is read-only and maps (kind, qubit) to a 2-qubit channel,
     or None for the identity. ``cnot_channel`` is ``cnot_relaxation``, then the
-    depolarizing channel when the calibration's p_dep > 0. ``fingerprint``
-    covers the calibration and the device qubit pair. ``with_p_dep`` gives
-    the model at another p_dep, sharing everything but the CNOT channel.
+    depolarizing channel when the calibration's p_dep > 0, made by
+    ``cnot_relaxation.depolarized(p_dep)``. ``fingerprint`` covers the
+    calibration and the device qubit pair. ``with_p_dep`` gives the model at
+    another p_dep, sharing everything but the CNOT channel.
     """
 
     calibration: DeviceCalibration
@@ -239,8 +231,7 @@ class NoiseModel:
             object.__setattr__(self, "single_qubit", MappingProxyType(dict(self.single_qubit)))
         cnot_ch, p_dep = self.cnot_relaxation, self.calibration.p_dep
         if p_dep > 0:
-            dep = depolarizing_channel(p_dep, arity=2)
-            cnot_ch = dep if cnot_ch is None else cnot_ch.compose(dep)
+            cnot_ch = depolarizing_channel(p_dep) if cnot_ch is None else cnot_ch.depolarized(p_dep)
         object.__setattr__(self, "cnot_channel", cnot_ch)
         # The pair selects which qubits' T1/T2 and readout enter, so it is provenance.
         provenance = json.dumps({"calibration": self.calibration.to_dict(),
@@ -249,7 +240,9 @@ class NoiseModel:
 
     def with_p_dep(self, p_dep: float) -> "NoiseModel":
         """The model of the calibration at ``p_dep``, equal to a fresh
-        ``build_noise_model`` of it; only the depolarizing channel is built."""
+        ``build_noise_model`` of it; only the CNOT channel is built. The models
+        share ``cnot_relaxation``, so its Pauli products and their Choi plan
+        (``QuantumChannel.depolarized``) are built once for them all."""
         return NoiseModel(self.calibration.with_p_dep(p_dep), self.qubits, self.single_qubit,
                           self.cnot_relaxation, self.confusion)
 
@@ -274,10 +267,7 @@ def build_noise_model(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) 
     each CNOT when p_dep > 0 (``NoiseModel`` composes it). ``qubits`` names
     the two distinct device qubits that register qubits 0 and 1 stand for.
     """
-    if not (isinstance(qubits, (tuple, list)) and len(qubits) == 2
-            and all(isinstance(q, numbers.Integral) and not isinstance(q, bool) for q in qubits)
-            and qubits[0] != qubits[1]):
-        raise ValueError(f"qubits must be two distinct integer qubit ids, got {qubits!r}")
+    qubits = _check_pair(qubits)
     single: dict = {}
     lifted: dict = {}  # (position, duration) -> channel; x defaults to sx's duration
     for kind in ("rz", "sx", "x"):
@@ -302,7 +292,7 @@ def build_noise_model(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) 
     confusion = confusion_matrix(cal, qubits)
     if np.allclose(confusion, np.eye(4), atol=1e-15):
         confusion = None
-    return NoiseModel(cal, tuple(map(int, qubits)), single, relaxation, confusion)
+    return NoiseModel(cal, qubits, single, relaxation, confusion)
 
 
 def fit_depolarizing(
@@ -319,10 +309,12 @@ def fit_depolarizing(
     the fit evaluated there, equal to ``exact_process_fidelity(circuit,
     build_noise_model(cal.with_p_dep(p_dep)))``. The fit builds one model,
     at p_dep = 0, and evaluates each further p on its ``with_p_dep(p)``, so
-    only the depolarizing channel is built per evaluation. The target, the
-    ideal channel that ``exact_process_fidelity`` caches on ``circuit``, is
-    built once per fit, so its Choi ``eigh`` is taken once, not once per
-    evaluation.
+    only the CNOT channel is built per evaluation: the relaxation's Pauli
+    products are scaled, summed into a Choi state and split into its Kraus
+    set, and the products and the sum's plan are built once per fit. The
+    target, the ideal channel that ``exact_process_fidelity`` caches on
+    ``circuit``, is built once per fit, so its Choi ``eigh`` is taken once,
+    not once per evaluation.
 
     Regula falsi on [0, 1] with the Illinois step (Dowell & Jarratt, BIT 11,
     168, 1971): each secant through the bracket ends is evaluated, replaces the

@@ -20,7 +20,8 @@ from msbench.channels import (
 )
 from msbench.circuits import circuit_unitary, ms_unitary, synthesize_ms_circuit
 from msbench.linalg import I2, PAULI_X, PAULIS_1Q, dagger, kron, matmul_pairs
-from msbench.noise import DeviceCalibration, build_noise_model, depolarizing_channel
+from msbench.noise import (DeviceCalibration, build_noise_model, damping_channel,
+                           depolarizing_channel)
 
 from conftest import (
     examples,
@@ -437,6 +438,29 @@ def test_stacked_compose_matches_the_pairwise_product_loop(seed, n_a, n_b, pauli
     rng = np.random.default_rng(seed)
     a, b = (_kraus_set(rng, n, dim, paulis) for n in (n_a, n_b))
     assert _same_bytes(a.compose(b).data, _compose_loop(a, b))
+
+
+_RELAXATION = st.builds(
+    lambda t1, t2_share, duration: damping_channel(t1, 2 * t1 * t2_share, duration),
+    st.floats(1.0, 1e3), st.floats(1e-3, 1.0),  # T2 = 2 T1 at a share of 1
+    st.sampled_from([0.0, 35.0, 300.0, 1e6]) | st.floats(0.0, 1e6))
+
+
+@example(channel=QuantumChannel.from_kraus([I2, [[0, 5e-324], [0, 0]]]), p=0.3)  # underflows
+@settings(max_examples=examples(60), deadline=None)
+@given(channel=st.builds(lambda seed, count, dim, paulis:
+                         _kraus_set(np.random.default_rng(seed), count, dim, paulis),
+                         st.integers(0, 2**32 - 1), st.integers(1, 20), st.sampled_from([2, 4]),
+                         st.booleans())
+       | st.builds(QuantumChannel.tensor, _RELAXATION, _RELAXATION),
+       p=st.sampled_from([1e-30, 1e-12, 0.0165, 1.0]) | st.floats(0.0, 1.0))
+def test_depolarized_matches_compose_with_the_depolarizing_channel(channel, p):
+    """Random Kraus sets and CNOT relaxations, zero and 10^6 ns durations
+    among them, at p where ``_nonzero`` drops Pauli terms and where it keeps
+    all; the second call reuses the Pauli products and their plan."""
+    expected = channel.compose(depolarizing_channel(p, channel.dim.bit_length() - 1)).data
+    for _ in range(2):
+        assert _same_bytes(channel.depolarized(p).data, expected)
 
 
 @settings(max_examples=examples(100), deadline=None)

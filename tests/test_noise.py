@@ -86,11 +86,22 @@ def test_damping_long_time_limit(rng):
     assert np.allclose(ch.apply(rho), GROUND, atol=1e-8)
 
 
-def test_damping_rejects_unphysical():
-    with pytest.raises(ValueError):
-        damping_channel(50.0, 120.0, 10.0)  # T2 > 2*T1
-    with pytest.raises(ValueError):
-        damping_channel(-1.0, 1.0, 10.0)
+@pytest.mark.parametrize("args, match", [
+    ((50.0, 120.0, 10.0), r"^require T1 > 0, T2 > 0 and T2 <= 2\*T1$"),
+    ((-1.0, 1.0, 10.0), r"^require T1 > 0, T2 > 0 and T2 <= 2\*T1$"),
+    ((100.0, 80.0, -1.0), "^duration must be non-negative$"),
+    ((math.nan, 100.0, 35.0), "^t1_us = nan is not a number$"),
+    ((120.0, math.nan, 35.0), "^t2_us = nan is not a number$"),
+    ((120.0, 100.0, math.nan), "^duration_ns = nan is not a number$"),
+    ((True, True, 35.0), "^t1_us = True is not a number$"),
+    ((100.0, "80", 35.0), "^t2_us = '80' is not a number$"),
+    ((100.0, 80.0, None), "^duration_ns = None is not a number$"),
+    ((100.0, 80.0, 10**400), r"^duration_ns = 1000… \(an integer of 401 digits"),
+], ids=["t2-above-2t1", "negative-t1", "negative-duration", "nan-t1", "nan-t2", "nan-duration",
+        "bool-times", "string-t2", "none-duration", "huge-duration"])
+def test_damping_rejects_unphysical(args, match):
+    with pytest.raises(ValueError, match=match):
+        damping_channel(*args)
 
 
 @pytest.mark.parametrize("t2_factor", [2.0, 0.7])
@@ -125,11 +136,22 @@ def test_depolarizing_fidelity_closed_form():
     assert process_fidelity(ch, ident) == pytest.approx(0.90625, abs=1e-9)
 
 
-def test_depolarizing_rejects_bad_probability():
-    with pytest.raises(ValueError):
-        depolarizing_channel(-0.1, 2)
-    with pytest.raises(ValueError):
-        depolarizing_channel(1.1, 1)
+@pytest.mark.parametrize("p, arity, match", [
+    (-0.1, 2, r"^p = -0.1 outside \[0, 1\]$"),
+    (1.1, 1, r"^p = 1.1 outside \[0, 1\]$"),
+    (math.nan, 2, "^p = nan is not a number$"),
+    (True, 2, "^p = True is not a number$"),
+    ("0.5", 1, "^p = '0.5' is not a number$"),
+    (0.5, True, "^arity must be 1 or 2, got True$"),
+    (0.5, 3, "^arity must be 1 or 2, got 3$"),
+    (0.5, 2.0, "^arity must be 1 or 2, got 2.0$"),
+], ids=["negative", "above-one", "nan", "bool", "string", "bool-arity", "arity-3", "float-arity"])
+def test_depolarizing_rejects_bad_probability(p, arity, match):
+    with pytest.raises(ValueError, match=match):
+        depolarizing_channel(p, arity)
+    if match.startswith("^p"):  # QuantumChannel.depolarized applies the same rule to p
+        with pytest.raises(ValueError, match=match):
+            identity_channel(2 ** arity).depolarized(p)
 
 
 def test_confusion_matrix_identity():
@@ -373,9 +395,11 @@ def test_noise_fingerprint_covers_the_qubit_pair():
                                     (0, "1"), "01", 0, None])
 def test_build_noise_model_refuses_all_but_two_distinct_integer_ids(qubits):
     """(0, 0) would put both register qubits on one device qubit, and (0, True)
-    would build the (0, 1) model under another fingerprint."""
-    with pytest.raises(ValueError, match=r"^qubits must be two distinct integer qubit ids, got "):
-        build_noise_model(make_cal(), qubits)
+    would build the (0, 1) model under another fingerprint. ``confusion_matrix``
+    takes the pair through the same check."""
+    for refuse in (build_noise_model, confusion_matrix):
+        with pytest.raises(ValueError, match=r"^qubits must be two distinct integer qubit ids, got "):
+            refuse(make_cal(), qubits)
 
 
 def test_build_noise_model_takes_any_two_integer_ids_as_the_pair():
@@ -601,29 +625,39 @@ def _model_bytes(model):
 
 
 @settings(max_examples=30, deadline=None)
-@given(name=st.sampled_from(EXAMPLE_CALIBRATIONS),
+@given(cal=st.sampled_from([*(DeviceCalibration.load(DATA_DIR / name) for name in EXAMPLE_CALIBRATIONS),
+                            make_cal(durations={"cnot": 0})]),  # a model without CNOT relaxation
        p=st.one_of(st.just(0), st.just(1), st.floats(0.0, 1.0)))
-def test_with_p_dep_equals_a_fresh_build(name, p):
-    cal = DeviceCalibration.load(DATA_DIR / name)
+def test_with_p_dep_equals_a_fresh_build(cal, p):
     derived = build_noise_model(cal.with_p_dep(0)).with_p_dep(p)
     assert _model_bytes(derived) == _model_bytes(build_noise_model(cal.with_p_dep(p)))
 
 
 def test_fit_builds_each_relaxation_channel_once(monkeypatch):
     """One model build per fit: the example fit's 3 evaluations build the 4
-    relaxation channels once."""
+    relaxation channels once, and the 2 at p_dep > 0 share one build of the
+    CNOT relaxation's Pauli products."""
     import msbench.noise
 
-    calls = []
+    calls, builds = [], []
 
     def counting(*args):
         calls.append(args)
         return damping_channel(*args)
 
+    products = QuantumChannel._pauli_products
+
+    def counting_products(channel):
+        builds.append(channel)
+        return products.func(channel)
+
+    counted = functools.cached_property(counting_products)
+    counted.__set_name__(QuantumChannel, "_pauli_products")
     monkeypatch.setattr(msbench.noise, "damping_channel", counting)
+    monkeypatch.setattr(QuantumChannel, "_pauli_products", counted)
     cal = DeviceCalibration.load(DATA_DIR / EXAMPLE_CALIBRATIONS[0])
     p_dep, _ = fit_depolarizing(0.9247, synthesize_ms_circuit(), cal)
-    assert (len(calls), round(p_dep, 6)) == (4, 0.0165)
+    assert (len(calls), len(builds), round(p_dep, 6)) == (4, 1, 0.0165)
 
 
 def test_noise_model_single_qubit_channels_are_read_only():

@@ -314,32 +314,29 @@ class QuantumChannel:
     def depolarized(self, p: float) -> "QuantumChannel":
         """The channel followed by the depolarizing channel of probability p,
         ``self.compose(depolarizing_channel(p, arity))`` bit for bit, from the
-        ``_pauli_products`` built once per channel (see the module docstring).
-        Their Choi plan is reused while the scaled products are nonzero where
-        the products are. A channel of one operator, whose d^2 products
-        ``compose`` returns as they are, and a p whose Pauli terms ``_nonzero``
-        may drop (below about 6e-23) go through ``compose``."""
+        ``_pauli_products`` built once per channel (see the module docstring),
+        summed on the products' Choi plan even where a scaled product
+        underflows to zero (``_choi_sum``). A channel of one operator, whose
+        d^2 products ``compose`` returns as they are, and a p whose Pauli
+        terms ``_nonzero`` may drop (below about 6e-23) go through
+        ``compose``."""
         d2 = self.dim * self.dim
         amplitudes = _depolarizing_amplitudes(p, d2)
         if len(self._kraus) == 1 or min(amplitudes) <= 2e-12:  # _nonzero keeps all Paulis above
             return self.compose(depolarizing_channel(p, self.dim.bit_length() - 1))
-        products, nonzero, plan = self._pauli_products
+        products, plan = self._pauli_products
         scaled = (products.view(float) * np.array(amplitudes)[:, None]).view(complex)
-        flat = scaled.reshape(-1, d2)
-        if not np.array_equal(flat != 0, nonzero):
-            plan = _choi_plan(flat)
-        j = _choi_sum(flat, self.dim, plan)
+        j = _choi_sum(scaled.reshape(-1, d2), self.dim, plan)
         return QuantumChannel("kraus", _choi_to_kraus(j, self.dim), self.dim)
 
     @functools.cached_property
-    def _pauli_products(self) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    def _pauli_products(self) -> tuple[np.ndarray, tuple | None]:
         """P_i K_j over the unscaled Pauli products P_i and the channel's
-        operators K_j, i-major, one row of flattened products per P_i; the
-        nonzero mask of the flattened products; and their ``_choi_plan``."""
+        operators K_j, i-major, one row of flattened products per P_i, and
+        the ``_choi_plan`` of the flattened products."""
         paulis = pauli_basis(self.dim.bit_length() - 1)
         products = matmul_pairs(paulis, self._kraus).reshape(len(paulis), -1)
-        flat = products.reshape(-1, self.dim * self.dim)
-        return products, flat != 0, _choi_plan(flat)
+        return products, _choi_plan(products.reshape(-1, self.dim * self.dim))
 
 
 def _kraus_to_choi(ops, dim: int) -> np.ndarray:
@@ -383,7 +380,12 @@ def _choi_plan(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _choi_sum(flat: np.ndarray, dim: int, plan: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
     """``_kraus_to_choi`` of the flattened operators, by the ``_choi_plan`` of
-    a stack that is nonzero where they are."""
+    a stack that is nonzero wherever they are.
+
+    The plan's support may hold zeros of ``flat`` besides its padding, such
+    as entries that underflowed when the stack was scaled. Their terms are
+    +0 too, by the argument of ``_kraus_to_choi``, so the sum has the bits of
+    the plan of ``flat`` itself, and of the full sum."""
     if plan is None:
         cols = flat[:, :, None]
         return np.add.reduce(cols @ dagger(cols), axis=0) / dim

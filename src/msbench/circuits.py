@@ -94,8 +94,9 @@ class Gate:
         """A gate from a JSON object holding ``kind`` and exactly the keys that
         kind needs; every error is prefixed with ``where``."""
         kind = d.get("kind") if isinstance(d, Mapping) else None
-        keys = ("kind", *_GATE_FIELDS.get(kind, ()))
-        _check_record(d, keys, keys if kind in _GATE_FIELDS else _GATE_KEYS, where)
+        fields = _GATE_FIELDS.get(kind) if isinstance(kind, str) else None  # {} is unhashable
+        keys = ("kind", *(fields or ()))
+        _check_record(d, keys, keys if fields else _GATE_KEYS, where)
         try:
             return Gate(**d)
         except ValueError as err:

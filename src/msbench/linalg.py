@@ -7,12 +7,12 @@ state: ``sandwich`` makes every term, then one reduce adds the terms in the
 channel's order. Everything here is a pure function; inputs are never
 mutated.
 
-Stacked products are grouped GEMMs (``matmul_pairs``, ``sandwich``), not one
-call per small matrix. A GEMM computes each output entry as one dot product
-over the inner dimension, so grouping changes the number of calls, not any
-entry's operands, order or bits: equal by ``tobytes`` for d = 4, 8 and 16,
-signed zeros included (OpenBLAS 0.3.31, Haswell kernels). The 2x2 left
-product is the exception (``matmul_pairs``).
+Stacked products are grouped GEMMs (``matmul_pairs``, ``sandwich``,
+``conjugate``), not one call per small matrix. A GEMM computes each output
+entry as one dot product over the inner dimension, so grouping changes the
+number of calls, not any entry's operands, order or bits: equal by
+``tobytes`` for d = 4, 8 and 16, signed zeros included (OpenBLAS 0.3.31,
+Haswell kernels). The 2x2 left product is the exception (``matmul_pairs``).
 """
 
 from __future__ import annotations
@@ -87,6 +87,17 @@ def sandwich(ops, rho) -> np.ndarray:
     k, d, _ = ops.shape
     left = matmul_pairs(ops, rho.reshape(-1, d, d)).reshape(k, -1, d)
     return (left @ dagger(ops)).reshape((k,) + rho.shape)
+
+
+def conjugate(u, rho) -> np.ndarray:
+    """u rho u^dag for one d x d operator, d >= 4, and a matrix or a stack of
+    them, shaped like ``rho``; no validation. The two GEMMs of
+    ``sandwich(u[None], rho)[0]``, with its operand layouts and so its bits,
+    without the stack bookkeeping."""
+    d = len(u)
+    left = u @ rho.reshape(-1, d, d).swapaxes(0, 1).reshape(d, -1)
+    left = left.reshape(d, -1, d).swapaxes(0, 1).reshape(-1, d)
+    return (left @ dagger(u)).reshape(rho.shape)
 
 
 def kraus_sum(ops, rho) -> np.ndarray:

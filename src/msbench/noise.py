@@ -253,6 +253,8 @@ class NoiseModel:
 
 
 _IDENTITY_1Q = identity_channel(2)
+_EYE4 = np.eye(4)
+_IDENTITY_TOL = 1e-15 + 1e-5 * _EYE4  # atol + rtol |b| of np.allclose(a, b, atol=1e-15)
 
 
 def _lift(ch: QuantumChannel, qubit: int) -> QuantumChannel:
@@ -290,7 +292,7 @@ def build_noise_model(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) 
         )
 
     confusion = confusion_matrix(cal, qubits)
-    if np.allclose(confusion, np.eye(4), atol=1e-15):
+    if (np.abs(confusion - _EYE4) <= _IDENTITY_TOL).all():  # np.allclose's test, atol=1e-15
         confusion = None
     return NoiseModel(cal, qubits, single, relaxation, confusion)
 

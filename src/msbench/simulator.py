@@ -11,17 +11,21 @@ its input, (4,) for one 4-vector and (n, 4) for a stack. Input checks
 (``check_density_matrix``, ``distribution_defect``) run once over the stack,
 and a defective entry fails with the message it fails with alone. Each entry
 goes through exactly the floating-point operations it would go through
-alone: ``u @ rho @ u^dag`` for the whole stack in two GEMMs, each channel
-as K rho K^dag for all its operators and states in 1 + k GEMMs, and the
-setting rotations the same way (``linalg.sandwich``: grouping changes the
-number of BLAS calls, not any entry's dot product, measured bit for bit for
-d >= 4; a 2x2 left product stays per matrix), the channel's terms added in
-the order it lists them, per-state normalization, an ``einsum`` for the
-readout confusion, and a per-row clip, renormalization and draw from the
-row's own PCG64 stream. Sampled counts depend on this. Many outcome distributions sit on ties such as p = 0.5
+alone: ``u @ rho @ u^dag`` for the whole stack in the two GEMMs of
+``linalg.conjugate``, each channel as K rho K^dag for all its operators and
+states in 1 + k GEMMs, and the setting rotations, read from a prebuilt
+stack for the 9 tomography ``SETTINGS``, the same way (``linalg.sandwich``:
+grouping changes the number of BLAS calls, not any entry's dot product,
+measured bit for bit for d >= 4; a 2x2 left product stays per matrix), the
+channel's terms added in the order it lists them, per-state normalization,
+an ``einsum`` for the readout confusion, and a per-row clip,
+renormalization and draw from the row's own PCG64 stream. Sampled counts
+depend on this. Many outcome distributions sit on ties such as p = 0.5
 between two outcomes, where a one-ulp change flips the binomial draw and
 swaps two counts; folding the gates into one superoperator, or the confusion
-into one flattened matrix product, changes such ulps.
+into one flattened matrix product, changes such ulps. ``expectation`` also
+takes a list of observables and reads every (observable, block) pair in one
+``matmul``, whose per-block BLAS calls are those of one observable's call.
 
 RNG: numpy PCG64 (algorithm id ``numpy-PCG64-multinomial``). A row
 sampled with seed s gets the counts of
@@ -50,7 +54,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .circuits import Circuit
-from .linalg import I2, check_density_matrix, dagger, kraus_sum, kron, sandwich
+from .linalg import I2, check_density_matrix, conjugate, dagger, kraus_sum, kron, sandwich
 
 RNG_ALGORITHM = "numpy-PCG64-multinomial"
 # How far a probability may fall below 0, and a distribution's sum stray from 1.
@@ -201,10 +205,10 @@ _BASIS_ROTATION = {
     "Y": _HAD @ np.diag([1, -1j]).astype(complex),
     "Z": I2,
 }
-_SETTING_ROTATION = {
-    a + b: kron(_BASIS_ROTATION[a], _BASIS_ROTATION[b])
-    for a in MEASUREMENT_BASES for b in MEASUREMENT_BASES
-}
+SETTINGS = tuple(a + b for a in MEASUREMENT_BASES for b in MEASUREMENT_BASES)
+# Each setting's rotation, in SETTINGS order: the stack a tomography grid reads.
+_SETTINGS_ROTATIONS = np.array([kron(_BASIS_ROTATION[a], _BASIS_ROTATION[b]) for a, b in SETTINGS])
+_SETTINGS_ROTATIONS.flags.writeable = False
 
 
 def validate_setting(setting: str) -> str:
@@ -231,7 +235,7 @@ def apply_gates(circuit: Circuit, rho, noise=None) -> np.ndarray:
     same bits as evolving the whole circuit at once.
     """
     for gate in circuit.gates:
-        rho = sandwich(gate.matrix()[None], rho)[0]
+        rho = conjugate(gate.matrix(), rho)
         if noise is not None:
             channel = noise.channel_for(gate)
             if channel is not None:
@@ -254,8 +258,9 @@ def outcome_distribution(rho, setting, confusion=None) -> np.ndarray:
     setting or a sequence of them. The result has the stack shape, then one
     axis over the settings if a sequence was given, then the 4 outcomes.
     """
-    settings = [setting] if isinstance(setting, str) else list(setting)
-    r = np.array([_SETTING_ROTATION[validate_setting(s)] for s in settings])
+    settings = (setting,) if isinstance(setting, str) else tuple(setting)
+    r = (_SETTINGS_ROTATIONS if settings == SETTINGS
+         else _SETTINGS_ROTATIONS[[SETTINGS.index(validate_setting(s)) for s in settings]])
     rho = check_density_matrix(rho)
     rotated = np.moveaxis(sandwich(r, rho), 0, -3)  # stack, setting, 4, 4
     probs = np.real(np.diagonal(rotated, axis1=-2, axis2=-1))
@@ -321,14 +326,29 @@ _OUTCOME_SIGNS = {
 }
 
 
-def expectation(freqs, observable: str):
+def expectation(freqs, observable):
     """Empirical Pauli expectation from frequency 4-vectors: an array whose
     last axis holds the outcomes ``BITSTRINGS`` of a setting that measures
     every non-identity factor of the observable.
 
     The observable is a string of two of I/X/Y/Z. Identity factors
     marginalize the corresponding bit.
+
+    A list or tuple of k observables reads them all in one call: the result
+    is ``np.matmul``'s broadcast of ``freqs``, as a stack of (m, 4) blocks,
+    against the k observables' sign columns, without its last axis. So
+    observable j reads ``freqs[..., j, :, :]``, or every block if that axis
+    has length 1 or ``freqs`` has fewer than 3 axes. numpy makes each block
+    the BLAS call that ``expectation(block, observable)`` makes (a dot for
+    m = 1, a GEMV otherwise), so each entry has that call's bits.
     """
+    if isinstance(observable, (list, tuple)):
+        signs = np.array([_signs(obs) for obs in observable]).reshape(-1, 4, 1)
+        return (np.asarray(freqs, dtype=float) @ signs)[..., 0]
+    return np.asarray(freqs, dtype=float) @ _signs(observable)
+
+
+def _signs(observable) -> np.ndarray:
     if not isinstance(observable, str) or observable not in _OUTCOME_SIGNS:
         raise ValueError(f"observable must be two of I/X/Y/Z, got {observable!r}")
-    return np.asarray(freqs, dtype=float) @ _OUTCOME_SIGNS[observable]
+    return _OUTCOME_SIGNS[observable]

@@ -14,15 +14,17 @@ onto the CPTP set.
 Simulation: the 16 preparation prefixes run as a 4+4 tree, once per model's
 single-qubit channels (``_prepared_states``). Qubit 0's prefix for each of
 the 4 tokens runs on |00>, then each of qubit 1's 4 prefixes on that stack
-of 4 at once: 10 gate applications, not 40. A ``with_p_dep`` sibling shares
-them. The 16 go through the process in one ``evolve`` call, with the
-arithmetic per state of evolving each full circuit on its own, so sampled
-counts are unchanged. One ``outcome_distribution`` call gives all 144 cells'
+of 4 at once, and the ``sx`` that ``+`` and ``+i`` share runs once per qubit:
+8 gate applications in 8 ``apply_gates`` calls, not 40. A ``with_p_dep``
+sibling shares them. The 16 go through the process in one ``evolve`` call,
+with the arithmetic per state of evolving each full circuit on its own, so
+sampled counts are unchanged. One ``outcome_distribution`` call gives all 144 cells'
 distributions, and one ``sample_counts`` call draws each cell from its own
 seed (``_experiment_seeds``, one array hash). Either result, a (144, 4)
 array in ``_CELLS`` order, goes unchanged into the dataset, which checks it
 once, to the file writer, ``TomographyDataset.to_json``, and as frequencies
-to ``linear_inversion``. The file reader parses each cell straight into a
+to ``linear_inversion``, whose Pauli table reads them in two batched
+``expectation`` calls. The file reader parses each cell straight into a
 row and checks only its JSON structure and types: its keys, its setting,
 its shots, and numbers that an int64 count or a float64 probability holds.
 The dataset then checks every row's values once, for every cell alike.
@@ -46,6 +48,7 @@ from .linalg import dagger, kron
 from .simulator import (
     BITSTRINGS,
     RNG_ALGORITHM,
+    SETTINGS,
     apply_gates,
     basis_state,
     distribution_defect,
@@ -60,17 +63,17 @@ from .simulator import (
 
 DEFAULT_SEED = 42
 
-SETTINGS = tuple(a + b for a, b in itertools.product("XYZ", "XYZ"))
 PAULI_LABELS = tuple(a + b for a, b in itertools.product("IXYZ", "IXYZ"))
 
-# Each token's ideal ket, and the native gates preparing it on qubit q from |0>.
+# Each token's ideal ket, and the native gates preparing it on a qubit q from
+# |0>, in order, each as its constructor of q: ``+`` and ``+i`` share ``Gate.sx``.
 _PREPARATIONS = {
-    "0": (np.array([1, 0], dtype=complex), lambda q: ()),
-    "1": (np.array([0, 1], dtype=complex), lambda q: (Gate.x(q),)),
+    "0": (np.array([1, 0], dtype=complex), ()),
+    "1": (np.array([0, 1], dtype=complex), (Gate.x,)),
     "+": (np.array([1, 1], dtype=complex) / np.sqrt(2),
-          lambda q: (Gate.sx(q), Gate.rz(q, np.pi / 2))),
+          (Gate.sx, lambda q: Gate.rz(q, np.pi / 2))),
     "+i": (np.array([1, 1j], dtype=complex) / np.sqrt(2),
-           lambda q: (Gate.sx(q), Gate.rz(q, np.pi))),
+           (Gate.sx, lambda q: Gate.rz(q, np.pi))),
 }
 PREP_TOKENS = tuple(_PREPARATIONS)
 
@@ -112,16 +115,24 @@ _PREP_STATES = np.array([prep_state(label) for label in PREP_LABELS])
 
 def prep_circuit(label: str) -> Circuit:
     t0, t1 = label.split(":")
-    return Circuit(_PREPARATIONS[t0][1](0) + _PREPARATIONS[t1][1](1))
+    return Circuit([gate(0) for gate in _PREPARATIONS[t0][1]]
+                   + [gate(1) for gate in _PREPARATIONS[t1][1]])
 
 
 def _prepare(noise) -> np.ndarray:
     """The read-only preparation tree (see the module docstring): every state
-    gets the gates of its ``prep_circuit``, in order."""
-    first = np.array([apply_gates(Circuit(gates(0)), basis_state("00"), noise)
-                      for _, gates in _PREPARATIONS.values()])
-    second = [apply_gates(Circuit(gates(1)), first, noise) for _, gates in _PREPARATIONS.values()]
-    states = np.stack(second, axis=1).reshape(-1, 4, 4)  # (t0, t1) -> label index
+    gets the gates of its ``prep_circuit``, in order. Each qubit's prefixes
+    form a trie, so a gate that tokens share runs once, on the stack so far."""
+    states = basis_state("00")
+    for q in (0, 1):
+        done = {(): states}  # constructor prefix -> the stack after its gates
+        for _, path in _PREPARATIONS.values():
+            for i in range(1, len(path) + 1):
+                if path[:i] not in done:
+                    done[path[:i]] = apply_gates(Circuit((path[i - 1](q),)), done[path[:i - 1]],
+                                                 noise)
+        states = np.stack([done[path] for _, path in _PREPARATIONS.values()], axis=-3)
+    states = states.reshape(-1, 4, 4)  # (t0, t1) -> label index
     states.flags.writeable = False
     return states
 
@@ -276,7 +287,9 @@ class TomographyDataset:
         rows = []
         for name, (_, setting) in zip(names, _CELLS):
             cell, where = records[name], f"records[{name!r}]"
-            exact = isinstance(cell, dict) and bool(cell.get("exact"))  # a JSON object is a dict
+            exact = isinstance(cell, dict) and "exact" in cell  # a JSON object is a dict
+            if exact and cell["exact"] is not True:
+                raise ValueError(f"{where}: exact must be true where given, got {cell['exact']!r}")
             keys = ("setting", "probabilities") if exact else ("setting", "shots", "counts")
             _check_record(cell, keys, ("exact", *keys), where)
             if cell["setting"] != setting:
@@ -342,6 +355,12 @@ def run_qpt(process, noise=None, shots: int | None = None, seed: int = DEFAULT_S
 _COMPATIBLE = {obs: np.array([i for i, s in enumerate(SETTINGS)
                               if all(f in ("I", b) for f, b in zip(obs, s))])
                for obs in PAULI_LABELS}
+# A correlator is read in its own setting (SETTINGS order); a marginal, one
+# identity factor, in its 3 compatible settings.
+_MARGINALS = tuple(obs for obs in PAULI_LABELS[1:] if "I" in obs)
+_MARGINAL_SETTINGS = np.array([_COMPATIBLE[obs] for obs in _MARGINALS])
+_CORRELATOR_COLUMNS = [PAULI_LABELS.index(obs) for obs in SETTINGS]
+_MARGINAL_COLUMNS = [PAULI_LABELS.index(obs) for obs in _MARGINALS]
 # Rows vec(rho_j) of the 16 ideal inputs, and the Pauli products P_k.
 _PREP_FRAME = _PREP_STATES.reshape(len(PREP_LABELS), -1)
 _PAULIS = pauli_basis(2)
@@ -351,14 +370,16 @@ def _pauli_table(freqs: np.ndarray) -> np.ndarray:
     """(prep x Pauli) table of the 16 Pauli expectations for each input.
 
     An identity-containing observable averages its compatible settings; the
-    all-identity column is 1.
+    all-identity column is 1. Two ``expectation`` calls read every block as
+    the per-observable calls would, a (1, 4) block per correlator and a
+    (3, 4) block per marginal, so each mean is theirs bit for bit: the sum
+    and division of ``.mean(axis=1)``, without its per-call overhead.
     """
     freqs = np.asarray(freqs, dtype=float).reshape(len(PREP_LABELS), len(SETTINGS), 4)
     table = np.ones((len(PREP_LABELS), len(PAULI_LABELS)))
-    for k, obs in enumerate(PAULI_LABELS[1:], start=1):
-        settings = _COMPATIBLE[obs]
-        # The sum and division of ``.mean(axis=1)``, without its per-call overhead.
-        table[:, k] = np.add.reduce(expectation(freqs[:, settings], obs), axis=1) / len(settings)
+    table[:, _CORRELATOR_COLUMNS] = expectation(freqs[:, :, None], SETTINGS)[..., 0]
+    marginals = expectation(freqs[:, _MARGINAL_SETTINGS], _MARGINALS)
+    table[:, _MARGINAL_COLUMNS] = np.add.reduce(marginals, axis=-1) / _MARGINAL_SETTINGS.shape[1]
     return table
 
 

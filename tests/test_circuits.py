@@ -145,13 +145,15 @@ def test_gate_validation():
     ({"kind": "cnot", "control": 0, "target": 1, "qubitt": 3}, "unknown key 'qubitt'"),
     ({"kind": "rz", "qubit": 0, "angle": True}, "rz angle must be a finite number, got True"),
     ({"kind": "h", "qubit": 0}, "unknown gate kind 'h'"),
+    ({"kind": {}, "qubit": 0}, r"unknown gate kind \{\}"),
+    ({"kind": [], "qubit": 0}, r"unknown gate kind \[\]"),
     ({"qubit": 0}, "missing key 'kind'"),
     ({"kind": "cnot", "control": 1, "target": 1}, "cnot control and target must differ"),
     ({"kind": "sx", "qubit": True}, "sx qubit indices must be 0 or 1, got True"),
     ({"kind": "cnot", "control": False, "target": True},
      "cnot qubit indices must be 0 or 1, got False, True"),
-], ids=["sx-angle", "cnot-typo", "bool-angle", "unknown-kind", "no-kind", "cnot-same-qubit",
-        "bool-qubit", "bool-cnot-indices"])
+], ids=["sx-angle", "cnot-typo", "bool-angle", "unknown-kind", "object-kind", "list-kind",
+        "no-kind", "cnot-same-qubit", "bool-qubit", "bool-cnot-indices"])
 def test_circuit_json_rejects_bad_gate_records_naming_them(record, message):
     with pytest.raises(ValueError, match=rf"^gates\[1\]: {message}"):
         Circuit.from_json(json.dumps([{"kind": "x", "qubit": 1}, record]))

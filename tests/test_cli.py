@@ -459,13 +459,16 @@ HUGE = 10**400  # a JSON integer past float64's range
      ["bad.json", "durations_ns['cnot'] = 1000"]),
     (QPT_CIRCUIT, json.dumps([{"kind": "rz", "qubit": 0, "angle": HUGE}]),
      ["bad.json", "gates[0]: rz angle must be a finite number, got 1000"]),
+    (QPT_CIRCUIT, '[{"kind": {}, "qubit": 0}]', ["bad.json", "gates[0]: unknown gate kind {}"]),
+    (QPT_CIRCUIT, '[{"kind": "x", "qubit": 0}, {"kind": [], "qubit": 0}]',
+     ["bad.json", "gates[1]: unknown gate kind []"]),
 ], ids=["noise-unknown-key", "missing-calib", "missing-circuit", "calib-missing-t1",
         "calib-string-t1", "calib-string-p-dep", "calib-missing-qubits", "calib-not-an-object",
         "rz-missing-angle", "sx-missing-qubit", "gate-not-an-object", "sx-unknown-key",
         "rz-bool-angle", "sx-bool-qubit", "cnot-bool-indices", "circuit-not-a-list",
         "calib-not-json", "stability-no-qubits", "calib-huge-t1", "calib-huge-t2",
         "calib-huge-frequency", "calib-huge-anharmonicity", "calib-huge-duration",
-        "rz-huge-angle"])
+        "rz-huge-angle", "object-kind", "list-kind"])
 def test_bad_input_file_exits_1_naming_it_and_writes_nothing(tmp_path, capsys, argv, content,
                                                              names):
     if content is not None:

@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import examples, partial_trace, random_density_matrix
+from conftest import examples, partial_trace, random_density_matrix, random_unitary
 
+from msbench.circuits import Gate
 from msbench.linalg import (
     I2,
     PAULI_X,
     PAULI_Z,
     check_density_matrix,
+    conjugate,
     dagger,
     kraus_sum,
     kron,
@@ -83,6 +85,24 @@ def test_grouped_sandwich_matches_the_per_matrix_product(seed, count, dim, stack
     out = sandwich(ops, rho)
     assert out.shape == (count,) + rho.shape
     assert out.tobytes() == np.array([k @ rho @ dagger(k) for k in ops]).tobytes()
+
+
+_NATIVE_GATES = [Gate.sx(0), Gate.sx(1), Gate.x(0), Gate.x(1), Gate.rz(0, np.pi / 2),
+                 Gate.rz(1, np.pi), Gate.rz(0, -0.7), Gate.cnot(0, 1), Gate.cnot(1, 0)]
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gate=st.sampled_from([None, *_NATIVE_GATES]),
+       stack=st.sampled_from([None, *range(1, 17)]), zeros=st.floats(0.0, 0.5))
+def test_conjugate_is_the_one_operator_sandwich_bit_for_bit(seed, gate, stack, zeros):
+    """``conjugate(u, rho)`` against ``sandwich(u[None], rho)[0]`` by ``tobytes``,
+    for a native gate or a random 4x4 unitary, on one matrix or a stack of 1-16."""
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, 4) if gate is None else gate.matrix()
+    rho = _matrices(rng, (4, 4) if stack is None else (stack, 4, 4), zeros)
+    out = conjugate(u, rho)
+    assert out.shape == rho.shape
+    assert out.tobytes() == sandwich(u[None], rho)[0].tobytes()
 
 
 def test_partial_trace_product_state(rng):

@@ -249,6 +249,34 @@ def test_expectation_rejects_observables_that_are_not_two_pauli_letters(observab
         expectation([0.25] * 4, observable)
 
 
+@settings(max_examples=examples(100), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 16), m=st.integers(1, 9),
+       layout=st.sampled_from(["vector", "matrix", "shared", "zipped"]),
+       shots=st.sampled_from([None, 7, 4000]))
+def test_batched_expectation_is_each_observables_call_bit_for_bit(seed, k, m, layout, shots):
+    """A list of observables gives each entry the bits of the one-observable
+    call on its block: one 4-vector or (m, 4) block read by every observable,
+    or a stack of blocks, shared by all observables or one per observable."""
+    rng = np.random.default_rng(seed)
+    observables = [a + b for a, b in rng.choice(list("IXYZ"), (k, 2))]
+    shape = {"vector": (4,), "matrix": (m, 4), "shared": (3, 1, m, 4),
+             "zipped": (3, k, m, 4)}[layout]
+    rows = int(np.prod(shape[:-1]))
+    if shots is None:
+        freqs = rng.dirichlet(np.ones(4), rows)
+    else:
+        freqs = rng.multinomial(shots, rng.dirichlet(np.ones(4)), rows) / shots
+    freqs = freqs.reshape(shape)
+    out = expectation(freqs, observables)
+    assert out.shape == {"vector": (k,), "matrix": (k, m)}.get(layout, (3, k, m))
+    for j, obs in enumerate(observables):
+        if layout in ("vector", "matrix"):
+            block, got = freqs, out[j]
+        else:
+            block, got = freqs[:, j if layout == "zipped" else 0], out[:, j]
+        assert got.tobytes() == expectation(block, obs).tobytes()
+
+
 def test_expectation_examples():
     all00 = [1.0, 0.0, 0.0, 0.0]
     assert expectation(all00, "ZZ") == 1.0

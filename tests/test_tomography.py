@@ -293,6 +293,14 @@ def _set_counts(counts):
     return edit
 
 
+def _set_exact(value, counted: bool = False):
+    def edit(d):
+        if counted:
+            _set_counts({"00": 10})(d)
+        d["records"]["0:0|XX"]["exact"] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_relabel, r"cell 0:0\|XX holds a ZZ record"),
     (_add_junk_cell, r"outside the 16x9 grid: junk\|ZZ"),
@@ -304,8 +312,13 @@ def _set_counts(counts):
     (_set_counts({"00": 5.5, "11": 4.5}), r"records\['0:0\|XX'\]: counts\['00'\] = 5.5 is not"),
     (_replace_record([]), r"^records\['0:0\|XX'\]: expected a JSON object, got list$"),
     (_drop_setting, r"^records\['0:0\|XX'\]: missing key 'setting'$"),
+    (_set_exact("no"), r"^records\['0:0\|XX'\]: exact must be true where given, got 'no'$"),
+    (_set_exact(0, counted=True), r"^records\['0:0\|XX'\]: exact must be true where given, got 0$"),
+    (_set_exact(False, counted=True),
+     r"^records\['0:0\|XX'\]: exact must be true where given, got False$"),
 ], ids=["mislabeled", "extra-cell", "nan", "sum", "length", "unknown-outcome", "fractional-count",
-        "record-not-an-object", "record-without-setting"])
+        "record-not-an-object", "record-without-setting", "exact-string", "exact-zero-on-counts",
+        "exact-false-on-counts"])
 def test_dataset_json_rejects_malformed_cells_naming_them(edit, message):
     d = _exact_dataset_json()
     edit(d)

@@ -82,7 +82,8 @@ def sandwich(ops, rho) -> np.ndarray:
 
     ``matmul_pairs`` makes every K rho, then one GEMM per operator takes all
     its products times K^dag: 1 + k BLAS calls, not 2 k per state, with the
-    bits of ``K @ rho @ dagger(K)``."""
+    bits of ``K @ rho @ dagger(K)``. ``conjugate`` repeats these operand
+    layouts for one operator, so a change to one must change both."""
     ops, rho = np.asarray(ops), np.asarray(rho)
     k, d, _ = ops.shape
     left = matmul_pairs(ops, rho.reshape(-1, d, d)).reshape(k, -1, d)

@@ -254,7 +254,6 @@ class NoiseModel:
 
 _IDENTITY_1Q = identity_channel(2)
 _EYE4 = np.eye(4)
-_IDENTITY_TOL = 1e-15 + 1e-5 * _EYE4  # atol + rtol |b| of np.allclose(a, b, atol=1e-15)
 
 
 def _lift(ch: QuantumChannel, qubit: int) -> QuantumChannel:
@@ -292,7 +291,7 @@ def build_noise_model(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) 
         )
 
     confusion = confusion_matrix(cal, qubits)
-    if (np.abs(confusion - _EYE4) <= _IDENTITY_TOL).all():  # np.allclose's test, atol=1e-15
+    if np.allclose(confusion, _EYE4, atol=1e-15):
         confusion = None
     return NoiseModel(cal, qubits, single, relaxation, confusion)
 

@@ -259,8 +259,7 @@ def outcome_distribution(rho, setting, confusion=None) -> np.ndarray:
     axis over the settings if a sequence was given, then the 4 outcomes.
     """
     settings = (setting,) if isinstance(setting, str) else tuple(setting)
-    r = (_SETTINGS_ROTATIONS if settings == SETTINGS
-         else _SETTINGS_ROTATIONS[[SETTINGS.index(validate_setting(s)) for s in settings]])
+    r = _SETTINGS_ROTATIONS[[SETTINGS.index(validate_setting(s)) for s in settings]]
     rho = check_density_matrix(rho)
     rotated = np.moveaxis(sandwich(r, rho), 0, -3)  # stack, setting, 4, 4
     probs = np.real(np.diagonal(rotated, axis1=-2, axis2=-1))

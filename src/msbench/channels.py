@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import _check_record, _is_number, _show
+from .circuits import _check_record, _is_number, _parse, _show
 from .linalg import (
     PAULIS_1Q,
     as_matrix,
@@ -131,6 +131,18 @@ def _choi_form(matrix, name: str) -> tuple[np.ndarray, int]:
     return m, math.isqrt(len(m))
 
 
+def _state_form(matrix, name: str) -> tuple[np.ndarray, int]:
+    """``_choi_form`` of a Choi or chi matrix whose entries' real and imaginary
+    parts lie within 2. What the later checks admit is within about 1e-6 of a
+    PSD matrix of unit trace, whose entries lie within 1, so this refuses none
+    of it; and it bounds their sums, so a huge finite entry fails here, not as
+    an overflow warning, a stored inf or NaN, or a ``LinAlgError``."""
+    m, dim = _choi_form(matrix, name)
+    if max(np.abs(m.real).max(), np.abs(m.imag).max()) > 2:
+        raise ValueError(f"{name} has an entry beyond 2; a channel's lie within 1")
+    return m, dim
+
+
 def _tp_residual(j: np.ndarray, dim: int) -> np.ndarray:
     """Coordinates Tr(B_k (Tr_out J - I/d)), J Hermitian; 2-norm |Tr_out J - I/d|_F."""
     coords = (_lifted_rows(dim) @ j.T.reshape(-1)).real
@@ -176,7 +188,7 @@ class QuantumChannel:
     def from_choi(matrix) -> "QuantumChannel":
         """Validate a Choi state: Hermitian, PSD within ``_CHOI_ATOL_PSD`` and
         trace-preserving within ``_CHOI_ATOL_TP`` (Frobenius)."""
-        j, dim = _choi_form(matrix, "Choi matrix")
+        j, dim = _state_form(matrix, "Choi matrix")
         if frobenius(j - dagger(j)) > 1e-8:
             raise ValueError("Choi matrix is not Hermitian")
         j = 0.5 * (j + dagger(j))
@@ -189,7 +201,7 @@ class QuantumChannel:
 
     @staticmethod
     def from_chi(matrix) -> "QuantumChannel":
-        c, dim = _choi_form(matrix, "chi matrix")
+        c, dim = _state_form(matrix, "chi matrix")
         if frobenius(c - dagger(c)) > 1e-8:
             raise ValueError("chi matrix is not Hermitian")
         if abs(np.trace(c).real - 1.0) > 1e-8:
@@ -220,7 +232,7 @@ class QuantumChannel:
     def from_json(text: str) -> "QuantumChannel":
         """Read what ``to_json`` writes, validated by the representation's
         constructor; a malformed file fails naming the field."""
-        d = json.loads(text)
+        d = _parse(text, "channel")
         kraus = isinstance(d, dict) and d.get("representation") == "kraus"
         key = "operators" if kraus else "entries"
         _check_record(d, ("representation", "dim", key), ("representation", "dim", key), "channel")

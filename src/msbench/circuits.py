@@ -133,6 +133,15 @@ def _check_record(record, required, known, where: str) -> None:
                          f"expected one of {', '.join(known)}")
 
 
+def _parse(text: str, where: str):
+    """``json.loads(text)``, for every file reader: a document nested past the
+    parser's recursion limit fails as ``ValueError("<where>: nested too deeply")``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{where}: nested too deeply") from None
+
+
 def _load(path, from_json):
     """``from_json`` of a file's text; a malformed file fails naming its path."""
     text = Path(path).read_text()
@@ -200,7 +209,7 @@ class Circuit:
     @staticmethod
     def from_json(text: str) -> "Circuit":
         """Read a JSON list of gate records; a bad record fails naming its index."""
-        records = json.loads(text)
+        records = _parse(text, "circuit")
         if not isinstance(records, list):
             raise ValueError(f"circuit: expected a JSON list of gates, "
                              f"got {type(records).__name__}")

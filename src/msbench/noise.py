@@ -21,7 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .channels import QuantumChannel, _nonzero, depolarizing_channel, identity_channel
-from .circuits import GATE_KINDS, Circuit, _check_record, _is_number, _load, _show
+from .circuits import GATE_KINDS, Circuit, _check_record, _is_number, _load, _parse, _show
 from .linalg import I2, kron
 from .tomography import exact_process_fidelity
 
@@ -148,7 +148,7 @@ class DeviceCalibration:
 
     @staticmethod
     def from_json(text: str) -> "DeviceCalibration":
-        return DeviceCalibration.from_dict(json.loads(text))
+        return DeviceCalibration.from_dict(_parse(text, "calibration"))
 
     @staticmethod
     def load(path) -> "DeviceCalibration":
@@ -225,6 +225,8 @@ class NoiseModel:
     confusion: np.ndarray | None
     cnot_channel: QuantumChannel | None = field(init=False)
     fingerprint: str = field(init=False)
+    # [] or [the QPT inputs], filled by ``tomography._prepared_states``.
+    _prepared: list = field(init=False, repr=False, default_factory=list)
 
     def __post_init__(self):
         if not isinstance(self.single_qubit, MappingProxyType):
@@ -240,11 +242,13 @@ class NoiseModel:
 
     def with_p_dep(self, p_dep: float) -> "NoiseModel":
         """The model of the calibration at ``p_dep``, equal to a fresh
-        ``build_noise_model`` of it; only the CNOT channel is built. The models
-        share ``cnot_relaxation``, so its Pauli products and their Choi plan
-        (``QuantumChannel.depolarized``) are built once for them all."""
-        return NoiseModel(self.calibration.with_p_dep(p_dep), self.qubits, self.single_qubit,
-                          self.cnot_relaxation, self.confusion)
+        ``build_noise_model`` of it; only the CNOT channel is built. It shares
+        ``cnot_relaxation``, whose Pauli products and Choi plan are built once
+        (``QuantumChannel.depolarized``), and the ``_prepared`` QPT inputs."""
+        sibling = NoiseModel(self.calibration.with_p_dep(p_dep), self.qubits, self.single_qubit,
+                             self.cnot_relaxation, self.confusion)
+        object.__setattr__(sibling, "_prepared", self._prepared)
+        return sibling
 
     def channel_for(self, gate) -> QuantumChannel | None:
         if gate.kind == "cnot":

@@ -11,23 +11,24 @@ table fixes the channel exactly; the product frame's closed-form dual
 (see ``linear_inversion``) gives the Choi estimate, which is then projected
 onto the CPTP set.
 
-Simulation: the 16 preparation prefixes run as a 4+4 tree, once per model's
-single-qubit channels (``_prepared_states``). Qubit 0's prefix for each of
-the 4 tokens runs on |00>, then each of qubit 1's 4 prefixes on that stack
-of 4 at once, and the ``sx`` that ``+`` and ``+i`` share runs once per qubit:
-8 gate applications in 8 ``apply_gates`` calls, not 40. A ``with_p_dep``
-sibling shares them. The 16 go through the process in one ``evolve`` call,
-with the arithmetic per state of evolving each full circuit on its own, so
-sampled counts are unchanged. One ``outcome_distribution`` call gives all 144 cells'
-distributions, and one ``sample_counts`` call draws each cell from its own
-seed (``_experiment_seeds``, one array hash). Either result, a (144, 4)
-array in ``_CELLS`` order, goes unchanged into the dataset, which checks it
-once, to the file writer, ``TomographyDataset.to_json``, and as frequencies
-to ``linear_inversion``, whose Pauli table reads them in two batched
-``expectation`` calls. The file reader parses each cell straight into a
-row and checks only its JSON structure and types: its keys, its setting,
-its shots, and numbers that an int64 count or a float64 probability holds.
-The dataset then checks every row's values once, for every cell alike.
+Simulation: the 16 preparation prefixes run as a 4+4 tree, once per noise
+model family (``_prepared_states``). Qubit 0's prefix for each of the 4
+tokens runs on |00>, then each of qubit 1's 4 prefixes on that stack of 4 at
+once, and the ``sx`` that ``+`` and ``+i`` share runs once per qubit: 8 gate
+applications in 8 ``apply_gates`` calls, not 40. The model keeps the stack,
+and its ``with_p_dep`` siblings share it. The 16 go through the process in
+one ``evolve`` call, with the arithmetic per state of evolving each full
+circuit on its own, so sampled counts are unchanged. One
+``outcome_distribution`` call gives all 144 cells' distributions, and one
+``sample_counts`` call draws each cell from its own seed
+(``_experiment_seeds``, one array hash). Either result, a (144, 4) array in
+``_CELLS`` order, goes unchanged into the dataset, which checks it once, to
+the file writer, ``TomographyDataset.to_json``, and as frequencies to
+``linear_inversion``, whose Pauli table reads them in two batched
+``expectation`` calls. The file reader parses each cell straight into a row
+and checks only its JSON structure and types: its keys, its setting, its
+shots, and numbers that an int64 count or a float64 probability holds. The
+dataset then checks every row's values once, for every cell alike.
 ``CountsRecord`` is just the row type of the lazy ``records`` view.
 """
 
@@ -43,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import QuantumChannel, pauli_basis, project_cptp
-from .circuits import Circuit, Gate, _check_record, _is_number
+from .circuits import Circuit, Gate, _check_record, _is_number, _parse
 from .linalg import dagger, kron
 from .simulator import (
     BITSTRINGS,
@@ -138,24 +139,18 @@ def _prepare(noise) -> np.ndarray:
 
 
 _IDEAL_PREPARED = _prepare(None)
-# id(single_qubit) -> (single_qubit, its prepared states), oldest first. An
-# entry holds its mapping, so that id is not reused while the entry lives.
-_PREPARED: dict = {}
-_PREPARED_CAP = 4
 
 
 def _prepared_states(noise) -> np.ndarray:
     """The 16 prepared states in ``PREP_LABELS`` order: ``_IDEAL_PREPARED``
-    without noise, else prepared once per model's single-qubit channels
-    (``with_p_dep`` siblings share them), for the last ``_PREPARED_CAP``."""
+    without noise, else prepared on first use into the model's ``_prepared``
+    holder, which ``with_p_dep`` hands on, so a model and its siblings prepare
+    once and the states go when the last of them does."""
     if noise is None:
         return _IDEAL_PREPARED
-    key = id(noise.single_qubit)
-    if key not in _PREPARED:
-        if len(_PREPARED) == _PREPARED_CAP:
-            del _PREPARED[next(iter(_PREPARED))]
-        _PREPARED[key] = (noise.single_qubit, _prepare(noise))
-    return _PREPARED[key][1]
+    if not noise._prepared:
+        noise._prepared.append(_prepare(noise))
+    return noise._prepared[0]
 
 
 def _experiment_seeds(master: int) -> np.ndarray:
@@ -249,7 +244,7 @@ class TomographyDataset:
         starts ``dataset:`` and names the field), and exactly the 144 grid
         cells, each a valid record of its setting and of the dataset's shot
         count (an error names the cell)."""
-        d = json.loads(text)
+        d = _parse(text, "dataset")
         _check_record(d, ("records", "noise_fingerprint"), _DATASET_KEYS, "dataset")
         records, shots, seed, circuit = (d["records"], d.get("shots"), d.get("seed"),
                                          d.get("circuit"))

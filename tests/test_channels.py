@@ -347,6 +347,24 @@ def test_channel_from_json_names_the_malformed_field(text, match):
         QuantumChannel.from_json(text)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("read", [
+    QuantumChannel.from_choi, QuantumChannel.from_chi,
+    lambda m: QuantumChannel.from_json(json.dumps(
+        {"representation": "choi", "dim": 2, "entries": [[x, 0.0] for x in m.reshape(-1)]})),
+], ids=["from_choi", "from_chi", "from_json"])
+@pytest.mark.parametrize("entries", [((0, 0), (3, 3)), ((0, 1), (1, 0))],
+                         ids=["diagonal", "off-diagonal"])
+def test_a_huge_finite_entry_is_refused_without_a_warning(read, entries):
+    """Sums of entries near the float64 maximum overflow: refused first, with a
+    ValueError, and nothing non-finite is checked or stored."""
+    m = np.zeros((4, 4))
+    for index in entries:
+        m[index] = 1e308
+    with pytest.raises(ValueError, match="matrix has an entry beyond 2"):
+        read(m)
+
+
 def test_compose_and_tensor(rng):
     a = random_cptp_kraus(rng, dim=2, n_kraus=2)
     b = random_cptp_kraus(rng, dim=2, n_kraus=2)

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -637,6 +639,44 @@ def test_a_models_inputs_are_prepared_once(monkeypatch):
         run_qpt(circuit, noise=model, shots=None)
         runs.append(len(calls))
     assert runs == [8, 8, 8, 16]  # 4 + 4 prefixes per tree
+
+
+def test_a_noise_model_family_owns_its_prepared_inputs(monkeypatch):
+    """Each build_noise_model family prepares its inputs once, however many
+    families alternate; a with_p_dep sibling that runs first prepares them for
+    its parent too; and they are freed with the last model of the family."""
+    import msbench.tomography
+
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return apply_gates(*args)
+
+    monkeypatch.setattr(msbench.tomography, "apply_gates", counting)
+    cal = DeviceCalibration.load(EXAMPLE_CALIBRATION)
+    circuit = synthesize_ms_circuit()
+    families = [build_noise_model(cal.with_p_dep(p)) for p in (0.0, 0.1, 0.2, 0.3, 0.4)]
+    for model in families * 2:  # round-robin, twice
+        run_qpt(circuit, noise=model, shots=None)
+    assert len(calls) == 5 * 8
+    parent = build_noise_model(cal)
+    for model in (parent.with_p_dep(0.3), parent):
+        run_qpt(circuit, noise=model, shots=None)
+    assert len(calls) == 6 * 8
+    states = weakref.ref(_prepared_states(parent))
+    del parent, model
+    gc.collect()
+    assert states() is None
+
+
+@pytest.mark.parametrize("read, where", [
+    (Circuit.from_json, "circuit"), (DeviceCalibration.from_json, "calibration"),
+    (TomographyDataset.from_json, "dataset"), (QuantumChannel.from_json, "channel"),
+], ids=["circuit", "calibration", "dataset", "channel"])
+def test_file_readers_refuse_a_deeply_nested_document(read, where):
+    with pytest.raises(ValueError, match=f"^{where}: nested too deeply$"):
+        read("[" * 100000 + "]" * 100000)
 
 
 @pytest.mark.parametrize("noise", [None, example_noise()], ids=["noiseless", "noisy"])

@@ -67,6 +67,7 @@ _CHOI_ATOL_TP = 1e-6
 # project_cptp's absolute bound on |Tr_out J - I/d|_F, and its step cap.
 _TP_GAP = 1e-12
 _NEWTON_STEP_CAP = 50
+_KRAUS_SHAPE = "Kraus operators must share a square 2x2 or 4x4 shape"
 # Dense products the sparse Choi sum's set-up costs, about 20 us (timeit,
 # 16 x 16 Choi states of 8 to 256 operators).
 _SPARSE_SETUP = 8192
@@ -165,12 +166,11 @@ class QuantumChannel:
         ops = operators if isinstance(operators, np.ndarray) else list(operators)
         if len(ops) == 0:
             raise ValueError("empty Kraus set")
-        shape_error = ValueError("Kraus operators must share a square 2x2 or 4x4 shape")
         try:
             stack = np.array(ops, dtype=complex)
         except ValueError:
             if len({np.shape(k) for k in ops}) > 1:  # operators of different shapes
-                raise shape_error from None
+                raise ValueError(_KRAUS_SHAPE) from None
             raise
         if stack.ndim != 3:
             raise ValueError(f"expected a 2-D matrix, got ndim={stack.ndim - 1}")
@@ -178,7 +178,7 @@ class QuantumChannel:
             raise ValueError("matrix has non-finite entries")
         _, dim, cols = stack.shape
         if dim not in (2, 4) or cols != dim:
-            raise shape_error
+            raise ValueError(_KRAUS_SHAPE)
         comp = np.einsum("kji,kjl->il", stack.conj(), stack)
         if frobenius(comp - np.eye(dim)) > 1e-8:
             raise ValueError("Kraus set is not trace-preserving (completeness fails)")
@@ -309,8 +309,12 @@ class QuantumChannel:
         return kraus_sum(self.kraus_operators(), check_density_matrix(rho, dim=self.dim))
 
     def tensor(self, other: "QuantumChannel") -> "QuantumChannel":
-        """Parallel composition: self on the first factor, other on the second."""
-        return QuantumChannel.from_kraus(kron_pairs(self._kraus, other._kraus))
+        """Parallel composition: self on the first factor, other on the second.
+        The Kraus products of two validated channels are stored as they are,
+        as in ``compose``; a product beyond 4x4 is refused."""
+        if self.dim * other.dim > 4:
+            raise ValueError(_KRAUS_SHAPE)
+        return QuantumChannel("kraus", kron_pairs(self._kraus, other._kraus), self.dim * other.dim)
 
     def compose(self, after: "QuantumChannel") -> "QuantumChannel":
         """Sequential composition: ``after`` is applied after self."""
@@ -418,13 +422,14 @@ def _choi_to_kraus(j, dim: int) -> np.ndarray:
 
 
 def depolarizing_channel(p: float, arity: int = 2) -> QuantumChannel:
-    """rho -> (1-p) rho + p I/d, as a Pauli Kraus set."""
+    """rho -> (1-p) rho + p I/d, as a Pauli Kraus set. Its arguments are
+    checked; the closed-form set, complete by construction, is stored as it is."""
     if not (isinstance(arity, numbers.Integral) and not isinstance(arity, bool)
             and arity in (1, 2)):
         raise ValueError(f"arity must be 1 or 2, got {_show(arity)}")
     paulis = pauli_basis(arity)
     amplitudes = _depolarizing_amplitudes(p, len(paulis))
-    return QuantumChannel.from_kraus(_nonzero([a * pm for a, pm in zip(amplitudes, paulis)]))
+    return QuantumChannel("kraus", _nonzero([a * m for a, m in zip(amplitudes, paulis)]), 2**arity)
 
 
 def _depolarizing_amplitudes(p: float, d2: int) -> list[float]:

@@ -111,10 +111,13 @@ def kraus_sum(ops, rho) -> np.ndarray:
 
 
 def check_density_matrix(rho, dim: int = 4) -> np.ndarray:
-    """Validate a density matrix, or each of a stack of them: Hermitian, unit
-    trace, PSD within -1e-8. Returns the complex array. A stack is checked
-    with one batched ``eigvalsh``; a defective state in it fails with the
-    message it fails with alone."""
+    """Validate a density matrix, or each of a stack of them: real and
+    imaginary parts within 2, Hermitian, unit trace, PSD within -1e-8.
+    Returns the complex array. A stack is checked with one batched
+    ``eigvalsh``; a defective state in it fails with the message it fails
+    with alone. The bound refuses no state the other checks admit, whose
+    entries lie within about 1, and keeps the Hermitian part's sums finite:
+    a huge finite entry fails here, not as an overflow and a ``LinAlgError``."""
     try:
         rho = np.asarray(rho, dtype=complex)
     except ValueError:  # states of different shapes: fail on the first bad one
@@ -123,8 +126,11 @@ def check_density_matrix(rho, dim: int = 4) -> np.ndarray:
         raise
     if rho.ndim not in (2, 3):
         raise ValueError(f"expected a 2-D matrix, got ndim={rho.ndim}")
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("matrix has non-finite entries")
+    peak = np.abs(np.ascontiguousarray(rho).view(float)).max(initial=0)
+    if not peak <= 2:  # NaN fails it too
+        if not np.isfinite(peak):
+            raise ValueError("matrix has non-finite entries")
+        raise ValueError("density matrix has an entry beyond 2; a state's lie within 1")
     if rho.shape[-2:] != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} density matrix, got {rho.shape[-2:]}")
     states = rho.reshape(-1, dim, dim)

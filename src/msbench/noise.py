@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import QuantumChannel, _nonzero, depolarizing_channel, identity_channel
 from .circuits import GATE_KINDS, Circuit, _check_record, _is_number, _load, _parse, _show
-from .linalg import I2, kron
+from .linalg import I2, PAULI_Z, kron
 from .tomography import exact_process_fidelity
 
 DEFAULT_DURATIONS_NS = {"rz": 0.0, "sx": 35.0, "cnot": 300.0}
@@ -162,7 +162,8 @@ class DeviceCalibration:
 def damping_channel(t1_us: float, t2_us: float, duration_ns: float) -> QuantumChannel:
     """Single-qubit relaxation over ``duration_ns``: amplitude damping with
     gamma = 1 - exp(-t/T1) composed with pure dephasing at rate
-    1/Tphi = 1/T2 - 1/(2*T1)."""
+    1/Tphi = 1/T2 - 1/(2*T1). Its arguments are checked; the closed-form
+    Kraus set, complete by construction, is stored as it is."""
     for name, value in (("t1_us", t1_us), ("t2_us", t2_us), ("duration_ns", duration_ns)):
         if not _is_number(value) or math.isnan(value):
             raise ValueError(f"{name} = {_show(value)} is not a number")
@@ -180,11 +181,8 @@ def damping_channel(t1_us: float, t2_us: float, duration_ns: float) -> QuantumCh
         np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex),
         np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex),
     ]
-    deph = [
-        math.sqrt(1 - p_z) * I2,
-        math.sqrt(p_z) * np.array([[1, 0], [0, -1]], dtype=complex),
-    ]
-    return QuantumChannel.from_kraus(_nonzero([d @ a for d in deph for a in amp]))
+    deph = [math.sqrt(1 - p_z) * I2, math.sqrt(p_z) * PAULI_Z]
+    return QuantumChannel("kraus", _nonzero([d @ a for d in deph for a in amp]), 2)
 
 
 def _check_pair(qubits) -> tuple[int, int]:

@@ -7,11 +7,14 @@ is the only stochastic element, drawn multinomially from a seeded generator.
 Batches: ``evolve``, ``outcome_distribution``, ``sample_counts`` and
 ``expectation`` take a leading stack axis; a single entry is the one-element
 case of the same code, and ``sample_counts`` returns counts in the shape of
-its input, (4,) for one 4-vector and (n, 4) for a stack. Input checks
-(``check_density_matrix``, ``distribution_defect``) run once over the stack,
-and a defective entry fails with the message it fails with alone. Each entry
-goes through exactly the floating-point operations it would go through
-alone: ``u @ rho @ u^dag`` for the whole stack in the two GEMMs of
+its input, (4,) for one 4-vector and (n, 4) for a stack. Inputs are checked
+once, where they enter: ``evolve`` checks its states
+(``check_density_matrix``) and ``sample_counts`` its distributions
+(``distribution_defect``), each in one pass over the stack, and a defective
+entry fails with the message it fails with alone. ``apply_gates`` and
+``outcome_distribution`` take states as ``evolve`` returns them, unchecked.
+Each entry goes through exactly the floating-point operations it would go
+through alone: ``u @ rho @ u^dag`` for the whole stack in the two GEMMs of
 ``linalg.conjugate``, each channel as K rho K^dag for all its operators and
 states in 1 + k GEMMs, and the setting rotations, read from a prebuilt
 stack for the 9 tomography ``SETTINGS``, the same way (``linalg.sandwich``:
@@ -257,10 +260,11 @@ def outcome_distribution(rho, setting, confusion=None) -> np.ndarray:
     ``rho`` is one density matrix or a stack of them; ``setting`` is one
     setting or a sequence of them. The result has the stack shape, then one
     axis over the settings if a sequence was given, then the 4 outcomes.
+    The states are taken as ``evolve`` returns them, with no validation.
     """
     settings = (setting,) if isinstance(setting, str) else tuple(setting)
     r = _SETTINGS_ROTATIONS[[SETTINGS.index(validate_setting(s)) for s in settings]]
-    rho = check_density_matrix(rho)
+    rho = np.asarray(rho, dtype=complex)
     rotated = np.moveaxis(sandwich(r, rho), 0, -3)  # stack, setting, 4, 4
     probs = np.real(np.diagonal(rotated, axis1=-2, axis2=-1))
     probs = np.clip(probs, 0.0, None)

@@ -464,6 +464,37 @@ _RELAXATION = st.builds(
     st.sampled_from([0.0, 35.0, 300.0, 1e6]) | st.floats(0.0, 1e6))
 
 
+_CPTP_FACTOR = st.builds(lambda seed, count, paulis:
+                         _kraus_set(np.random.default_rng(seed), count, 2, paulis),
+                         st.integers(0, 2**32 - 1), st.integers(1, 8), st.booleans())
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(t1=st.floats(1e-3, 1e6), t2_share=st.floats(1e-6, 1.0),  # T2 = 2 T1 at a share of 1
+       duration=st.sampled_from([0.0, 35.0, 300.0, 1e9]) | st.floats(0.0, 1e9),
+       p=st.sampled_from([0.0, 1e-30, 1.0]) | st.floats(0.0, 1.0), arity=st.sampled_from([1, 2]),
+       a=_CPTP_FACTOR | _RELAXATION, b=_CPTP_FACTOR | _RELAXATION)
+def test_closed_form_kraus_sets_pass_from_kraus_as_they_are(t1, t2_share, duration, p, arity,
+                                                            a, b):
+    """``damping_channel``, ``depolarizing_channel`` and ``tensor`` store their
+    operators without ``from_kraus``; it would accept them and store the same
+    bytes, so the check they skip is redundant."""
+    damping = damping_channel(t1, 2 * t1 * t2_share, duration)
+    depolarizing = depolarizing_channel(p, arity)
+    products = [np.kron(x, y) for x in a.kraus_operators() for y in b.kraus_operators()]
+    for channel, operators in ((damping, list(damping.data)),
+                               (depolarizing, list(depolarizing.data)), (a.tensor(b), products)):
+        checked = QuantumChannel.from_kraus(operators)
+        assert (checked.representation, checked.dim) == ("kraus", channel.dim)
+        assert checked.data.tobytes() == channel.data.tobytes()
+
+
+@pytest.mark.parametrize("a, b", [(4, 2), (2, 4), (4, 4)])
+def test_tensor_refuses_a_product_beyond_4x4(a, b):
+    with pytest.raises(ValueError, match="^Kraus operators must share a square 2x2 or 4x4 shape$"):
+        identity_channel(a).tensor(identity_channel(b))
+
+
 @example(channel=QuantumChannel.from_kraus([I2, [[0, 5e-324], [0, 0]]]), p=0.3)  # underflows
 @settings(max_examples=examples(60), deadline=None)
 @given(channel=st.builds(lambda seed, count, dim, paulis:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import examples, partial_trace, random_density_matrix, random_unitary
 
-from msbench.circuits import Gate
+from msbench.circuits import Circuit, Gate
 from msbench.linalg import (
     I2,
     PAULI_X,
@@ -17,6 +17,7 @@ from msbench.linalg import (
     kron,
     sandwich,
 )
+from msbench.simulator import evolve
 
 
 def test_kron_identities():
@@ -164,9 +165,16 @@ def _non_hermitian(rho):
     return rho
 
 
+def _huge_coherence(rho):
+    rho = rho.copy()
+    rho[0, 1], rho[1, 0] = 1e308, 1e308
+    return rho
+
+
 # Each defect, applied to one state of a stack of valid ones.
 DEFECTS = {
     "non-finite": _with_nan,
+    "huge entry": _huge_coherence,
     "wrong shape": lambda rho: rho[:3, :3],
     "not 2-D": lambda rho: np.diag(rho),
     "non-Hermitian": _non_hermitian,
@@ -185,6 +193,20 @@ def test_stacked_density_check_fails_like_the_defective_state(rng, defect, posit
     with pytest.raises(ValueError) as stacked:
         check_density_matrix(states)
     assert str(stacked.value) == str(single.value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("check", [check_density_matrix, lambda rho: evolve(Circuit(), rho)],
+                         ids=["direct", "evolve"])
+@pytest.mark.parametrize("coherence", [1e308, 1e308j, 2.5], ids=["real", "imaginary", "2.5"])
+def test_a_huge_finite_entry_is_refused_without_a_warning(check, coherence):
+    """A unit-trace Hermitian state with a coherence beyond 2 is refused with a
+    ValueError before its Hermitian part is formed: near the float64 maximum
+    that sum overflows, and ``eigvalsh`` of it raised ``LinAlgError``."""
+    rho = np.diag([1, 0, 0, 0]).astype(complex)
+    rho[0, 1], rho[1, 0] = coherence, np.conj(coherence)
+    with pytest.raises(ValueError, match="^density matrix has an entry beyond 2; a state's lie"):
+        check(rho)
 
 
 def test_stacked_density_check_of_a_uniform_wrong_shape():

@@ -618,6 +618,19 @@ def test_noise_model_builds_each_relaxation_channel_once(monkeypatch):
         assert model.single_qubit[("rz", pos)] is None
 
 
+@pytest.mark.parametrize("name", EXAMPLE_CALIBRATIONS)
+def test_a_noise_model_build_makes_no_from_kraus_pass(monkeypatch, name):
+    """The damping channels come from checked parameters, and their tensors are
+    products of validated channels: neither is re-validated, in a build or in
+    a ``with_p_dep`` sibling."""
+    calls = []
+    real = QuantumChannel.from_kraus
+    monkeypatch.setattr(QuantumChannel, "from_kraus",
+                        staticmethod(lambda ops: calls.append(len(ops)) or real(ops)))
+    build_noise_model(DeviceCalibration.load(DATA_DIR / name)).with_p_dep(0.0165)
+    assert calls == []
+
+
 def _model_bytes(model):
     channels = [model.single_qubit[key] for key in sorted(model.single_qubit)]
     return ([None if ch is None else ch.data.tobytes() for ch in channels + [model.cnot_channel]],

@@ -810,6 +810,19 @@ def test_sampled_run_qpt_validates_only_the_master_seed(monkeypatch):
     assert len(checked["msbench.simulator"]) == 144
 
 
+@pytest.mark.parametrize("shots", [None, 100], ids=["exact", "sampled"])
+def test_run_qpt_checks_its_states_once(monkeypatch, shots):
+    """``evolve`` checks the 16 prepared states; ``outcome_distribution`` takes
+    the evolved ones as ``evolve`` returns them."""
+    checked = []
+    real = simulator.check_density_matrix
+    monkeypatch.setattr(simulator, "check_density_matrix",
+                        lambda rho, *args: checked.append(np.shape(rho)) or real(rho, *args))
+    run_qpt(synthesize_ms_circuit(), build_noise_model(DeviceCalibration.load(EXAMPLE_CALIBRATION)),
+            shots=shots, seed=3)
+    assert checked == [(16, 4, 4)]
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, None, True, np.True_],
                          ids=["negative", "float", "none", "bool", "numpy-bool"])
 def test_run_qpt_rejects_seeds_that_are_not_non_negative_integers(seed):

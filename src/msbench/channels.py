@@ -17,13 +17,13 @@ Every representation applies to states through its Kraus operators
 
 Kraus sets are (count, d, d) stacks, and ``apply``, ``tensor``, ``compose``
 and the Choi state run on them as array operations that give each entry the
-operations, in term order, of a term-by-term loop; the Choi state of a sparse
-stack skips only terms that are +0, which leave the sum's bits alone. Their
-matrix products are grouped GEMMs (``linalg.matmul_pairs`` and
-``linalg.sandwich``): one call for all of ``compose``'s pairs, two for
-``project_cptp``'s 16 lifted basis matrices. Each entry is still the same
-dot product, so only the number of calls changes (measured for d >= 4; 2x2
-left products stay per matrix).
+operations, in term order, of a term-by-term loop; the one sparse Choi sum,
+of ``depolarized``'s cached products, skips only terms that are +0, which
+leave the sum's bits alone. Their matrix products are grouped GEMMs
+(``linalg.matmul_pairs`` and ``linalg.sandwich``): one call for all of
+``compose``'s pairs, two for ``project_cptp``'s 16 lifted basis matrices.
+Each entry is still the same dot product, so only the number of calls
+changes (measured for d >= 4; 2x2 left products stay per matrix).
 Sampled counts depend on the last ulp of the noise channels (see
 ``simulator``), so a closed form or a reassociated sum would move them.
 
@@ -68,9 +68,6 @@ _CHOI_ATOL_TP = 1e-6
 _TP_GAP = 1e-12
 _NEWTON_STEP_CAP = 50
 _KRAUS_SHAPE = "Kraus operators must share a square 2x2 or 4x4 shape"
-# Dense products the sparse Choi sum's set-up costs, about 20 us (timeit,
-# 16 x 16 Choi states of 8 to 256 operators).
-_SPARSE_SETUP = 8192
 
 
 class ProjectionError(RuntimeError):
@@ -157,7 +154,10 @@ class QuantumChannel:
 
     representation: str
     data: np.ndarray  # a (count, d, d) Kraus stack, or a Choi or chi matrix
-    dim: int
+
+    @property
+    def dim(self) -> int:  # a Kraus stack's last axis, or the root of a matrix's side
+        return self.data.shape[-1] if self.representation == "kraus" else math.isqrt(len(self.data))
 
     @staticmethod
     def from_kraus(operators) -> "QuantumChannel":
@@ -182,7 +182,7 @@ class QuantumChannel:
         comp = np.einsum("kji,kjl->il", stack.conj(), stack)
         if frobenius(comp - np.eye(dim)) > 1e-8:
             raise ValueError("Kraus set is not trace-preserving (completeness fails)")
-        return QuantumChannel("kraus", stack, dim)
+        return QuantumChannel("kraus", stack)
 
     @staticmethod
     def from_choi(matrix) -> "QuantumChannel":
@@ -197,7 +197,7 @@ class QuantumChannel:
         tp_gap = dim * frobenius(_tp_residual(j, dim))
         if tp_gap > _CHOI_ATOL_TP:
             raise ValueError(f"Choi matrix is not trace-preserving (residual {tp_gap:.3e})")
-        return QuantumChannel("choi", j, dim)
+        return QuantumChannel("choi", j)
 
     @staticmethod
     def from_chi(matrix) -> "QuantumChannel":
@@ -208,7 +208,7 @@ class QuantumChannel:
             raise ValueError("chi matrix trace != 1 under the normalized convention")
         b = _pauli_change_of_basis(dim)
         QuantumChannel.from_choi(b @ c @ dagger(b))  # CP/TP validation
-        return QuantumChannel("chi", c, dim)
+        return QuantumChannel("chi", c)
 
     def to_json(self) -> str:
         """JSON form, as ``json.dumps(..., indent=2)`` writes it: the representation
@@ -291,16 +291,16 @@ class QuantumChannel:
         if to == self.representation:
             return self
         if self.representation == "kraus":
-            ch = QuantumChannel("choi", self._choi, self.dim)
+            ch = QuantumChannel("choi", self._choi)
             return ch if to == "choi" else ch.convert("chi")
         if self.representation == "choi":
             if to == "kraus":
-                return QuantumChannel("kraus", _choi_to_kraus(self.data, self.dim), self.dim)
+                return QuantumChannel("kraus", _choi_to_kraus(self.data, self.dim))
             b = _pauli_change_of_basis(self.dim)
-            return QuantumChannel("chi", dagger(b) @ self.data @ b, self.dim)
+            return QuantumChannel("chi", dagger(b) @ self.data @ b)
         # chi -> choi (-> kraus)
         b = _pauli_change_of_basis(self.dim)
-        ch = QuantumChannel("choi", b @ self.data @ dagger(b), self.dim)
+        ch = QuantumChannel("choi", b @ self.data @ dagger(b))
         return ch if to == "choi" else ch.convert("kraus")
 
     def apply(self, rho) -> np.ndarray:
@@ -314,7 +314,7 @@ class QuantumChannel:
         as in ``compose``; a product beyond 4x4 is refused."""
         if self.dim * other.dim > 4:
             raise ValueError(_KRAUS_SHAPE)
-        return QuantumChannel("kraus", kron_pairs(self._kraus, other._kraus), self.dim * other.dim)
+        return QuantumChannel("kraus", kron_pairs(self._kraus, other._kraus))
 
     def compose(self, after: "QuantumChannel") -> "QuantumChannel":
         """Sequential composition: ``after`` is applied after self."""
@@ -322,7 +322,7 @@ class QuantumChannel:
             raise ValueError("cannot compose channels of different dimension")
         a, b = self._kraus, after._kraus
         ops = matmul_pairs(b, a).reshape(-1, self.dim, self.dim)  # b_i @ a_j, i-major
-        ch = QuantumChannel("kraus", ops, self.dim)  # products of two validated channels
+        ch = QuantumChannel("kraus", ops)  # products of two validated channels
         if len(ops) > self.dim**2:
             ch = ch.convert("choi").convert("kraus")  # compress to a minimal set
         return ch
@@ -343,10 +343,10 @@ class QuantumChannel:
         products, plan = self._pauli_products
         scaled = (products.view(float) * np.array(amplitudes)[:, None]).view(complex)
         j = _choi_sum(scaled.reshape(-1, d2), self.dim, plan)
-        return QuantumChannel("kraus", _choi_to_kraus(j, self.dim), self.dim)
+        return QuantumChannel("kraus", _choi_to_kraus(j, self.dim))
 
     @functools.cached_property
-    def _pauli_products(self) -> tuple[np.ndarray, tuple | None]:
+    def _pauli_products(self) -> tuple[np.ndarray, tuple]:
         """P_i K_j over the unscaled Pauli products P_i and the channel's
         operators K_j, i-major, one row of flattened products per P_i, and
         the ``_choi_plan`` of the flattened products."""
@@ -356,8 +356,28 @@ class QuantumChannel:
 
 
 def _kraus_to_choi(ops, dim: int) -> np.ndarray:
-    """sum_k v_k v_k^dag / d, v_k = flat(K_k), with the bits of the loop that
-    adds each ``v @ dagger(v)`` to a zero matrix in k order.
+    """sum_k v_k v_k^dag / d, v_k = flat(K_k), by one reduce over k, with the
+    bits of the loop that adds each ``v @ dagger(v)`` to a zero matrix in k
+    order, as no term is -0 (see ``_choi_sum``)."""
+    cols = np.reshape(ops, (len(ops), dim * dim, 1))  # row-major flatten matches output (x) input
+    return np.add.reduce(cols @ dagger(cols), axis=0) / dim
+
+
+def _choi_plan(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sparse sum's plan for a (count, d^2) stack of flattened operators:
+    the support, each operator's nonzero entries padded to m, and the Choi
+    entry of each term."""
+    n = flat.shape[1]
+    nonzero = flat != 0
+    width = max(2, nonzero.sum(axis=1).max())
+    entries = np.arange(n)  # zero entries sort after the nonzero ones
+    support = np.sort(np.where(nonzero, entries, entries + n), axis=1)[:, :width] % n
+    return support, (n * support[:, :, None] + support[:, None, :]).reshape(-1)
+
+
+def _choi_sum(flat: np.ndarray, dim: int, plan: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``_kraus_to_choi`` of the flattened operators, adding only the terms
+    on the ``_choi_plan`` of a stack that is nonzero wherever they are.
 
     Each term is made by numpy's 1-deep matmul loop, which writes the real and
     imaginary parts of a product as 0 + (...): a product with a zero factor is
@@ -365,46 +385,13 @@ def _kraus_to_choi(ops, dim: int) -> np.ndarray:
     term leaves its bits alone: J[a, b] needs only the terms where v_k[a] and
     v_k[b] are both nonzero, added in k order. This holds for finite
     operators, as inf * 0 is nan; every caller passes a validated stack.
-
-    A sparse stack is summed so. Each operator's nonzero entries, in order and
-    padded with its own zero entries (whose terms are +0) to the widest
-    operator's count m >= 2 (at m = 1 numpy would take its dot, not that
-    loop), make an m x m outer product, and ``np.bincount`` adds the k-major
-    terms to their entries from +0, in order. Forming and adding such a term
-    costs about four dense products, so where that saves no more than
-    ``_SPARSE_SETUP`` products, one reduce over k adds all d^4 terms of each
-    operator. ``_choi_plan`` makes that choice, and ``_choi_sum`` the sum.
-    """
-    flat = np.reshape(ops, (len(ops), dim * dim))  # row-major flatten matches output (x) input
-    return _choi_sum(flat, dim, _choi_plan(flat))
-
-
-def _choi_plan(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The sparse sum's plan for a (count, d^2) stack of flattened operators:
-    the support, each operator's nonzero entries padded to m, and the Choi
-    entry of each term; or None where one reduce costs less."""
-    count, n = flat.shape
-    if count * (n * n - 16) > _SPARSE_SETUP:  # else not even m = 2 would pay
-        nonzero = flat != 0
-        width = max(2, nonzero.sum(axis=1).max())
-        if count * (n * n - 4 * width * width) > _SPARSE_SETUP:
-            entries = np.arange(n)  # zero entries sort after the nonzero ones
-            support = np.sort(np.where(nonzero, entries, entries + n), axis=1)[:, :width] % n
-            return support, (n * support[:, :, None] + support[:, None, :]).reshape(-1)
-    return None
-
-
-def _choi_sum(flat: np.ndarray, dim: int, plan: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
-    """``_kraus_to_choi`` of the flattened operators, by the ``_choi_plan`` of
-    a stack that is nonzero wherever they are.
-
-    The plan's support may hold zeros of ``flat`` besides its padding, such
-    as entries that underflowed when the stack was scaled. Their terms are
-    +0 too, by the argument of ``_kraus_to_choi``, so the sum has the bits of
-    the plan of ``flat`` itself, and of the full sum."""
-    if plan is None:
-        cols = flat[:, :, None]
-        return np.add.reduce(cols @ dagger(cols), axis=0) / dim
+    Each operator's nonzero entries, in order and padded with its own zero
+    entries (whose terms are +0) to the widest operator's count m >= 2 (at
+    m = 1 numpy would take its dot, not that loop), make an m x m outer
+    product, and ``np.bincount`` adds the k-major terms to their entries from
+    +0, in order. The plan's support may hold zeros of ``flat`` besides its
+    padding, such as entries that underflowed when the stack was scaled;
+    their terms are +0 too, so the sum has the bits of the full sum."""
     support, bins = plan
     n = flat.shape[1]
     u = np.take_along_axis(flat, support, axis=1)[:, :, None]
@@ -429,7 +416,7 @@ def depolarizing_channel(p: float, arity: int = 2) -> QuantumChannel:
         raise ValueError(f"arity must be 1 or 2, got {_show(arity)}")
     paulis = pauli_basis(arity)
     amplitudes = _depolarizing_amplitudes(p, len(paulis))
-    return QuantumChannel("kraus", _nonzero([a * m for a, m in zip(amplitudes, paulis)]), 2**arity)
+    return QuantumChannel("kraus", _nonzero([a * m for a, m in zip(amplitudes, paulis)]))
 
 
 def _depolarizing_amplitudes(p: float, d2: int) -> list[float]:
@@ -491,7 +478,7 @@ def project_cptp(raw) -> QuantumChannel:
         residual = _tp_residual(j, dim)  # also that of j's Hermitian part
         tp_gap = frobenius(residual)
         if tp_gap <= _TP_GAP:
-            return QuantumChannel("choi", 0.5 * (j + dagger(j)), dim)
+            return QuantumChannel("choi", 0.5 * (j + dagger(j)))
         if step == _NEWTON_STEP_CAP:
             raise ProjectionError(step, tp_gap)
         # Jac_kl = Re Tr(T_k (omega o T_l)) with T_k = V^dag (I (x) B_k) V.

@@ -1,14 +1,16 @@
 """Device-calibration data model and the error channels derived from it.
 
 A calibration snapshot carries per-qubit T1/T2 and readout error plus gate
-durations; the noise model it builds attaches a thermal-relaxation channel
-after every gate on the acted qubits, a two-qubit depolarizing channel after
-each CNOT, and a classical confusion matrix at readout. Frequency and
-anharmonicity are carried as metadata only.
+durations. ``NoiseModel(calibration, qubits)`` derives every channel from it
+and the device qubit pair alone, so a model's fingerprint names all it holds:
+a thermal-relaxation channel after every gate on the acted qubits, a
+two-qubit depolarizing channel after each CNOT, and a classical confusion
+matrix at readout. Frequency and anharmonicity are carried as metadata only.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import json
@@ -182,7 +184,7 @@ def damping_channel(t1_us: float, t2_us: float, duration_ns: float) -> QuantumCh
         np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex),
     ]
     deph = [math.sqrt(1 - p_z) * I2, math.sqrt(p_z) * PAULI_Z]
-    return QuantumChannel("kraus", _nonzero([d @ a for d in deph for a in amp]), 2)
+    return QuantumChannel("kraus", _nonzero([d @ a for d in deph for a in amp]))
 
 
 def _check_pair(qubits) -> tuple[int, int]:
@@ -206,29 +208,54 @@ def confusion_matrix(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) -
 
 @dataclass(frozen=True, eq=False)
 class NoiseModel:
-    """Concrete error channels for each circuit layer, plus readout confusion.
+    """Concrete error channels for each circuit layer, plus readout confusion,
+    derived from a calibration snapshot and the two distinct device qubits
+    that register qubits 0 and 1 stand for, and from nothing else.
 
-    ``single_qubit`` is read-only and maps (kind, qubit) to a 2-qubit channel,
-    or None for the identity. ``cnot_channel`` is ``cnot_relaxation``, then the
-    depolarizing channel when the calibration's p_dep > 0, made by
-    ``cnot_relaxation.depolarized(p_dep)``. ``fingerprint`` covers the
-    calibration and the device qubit pair. ``with_p_dep`` gives the model at
-    another p_dep, sharing everything but the CNOT channel.
+    Each gate's noise follows its ideal unitary: relaxation on the acted
+    qubits for the gate's duration, and after a CNOT, when p_dep > 0, the
+    two-qubit depolarizing channel (``cnot_channel``, by
+    ``QuantumChannel.depolarized``). ``single_qubit`` is read-only and maps
+    (kind, qubit) to a 2-qubit channel, or None for the identity; ``x``
+    shares ``sx``'s at equal duration. ``confusion`` is None where it is the
+    identity. ``fingerprint`` covers the calibration and the qubit pair.
     """
 
     calibration: DeviceCalibration
-    qubits: tuple[int, int]
-    single_qubit: Mapping
-    cnot_relaxation: QuantumChannel | None
-    confusion: np.ndarray | None
+    qubits: tuple[int, int] = (0, 1)
+    single_qubit: Mapping = field(init=False)
+    cnot_relaxation: QuantumChannel | None = field(init=False)
+    confusion: np.ndarray | None = field(init=False)
     cnot_channel: QuantumChannel | None = field(init=False)
     fingerprint: str = field(init=False)
     # [] or [the QPT inputs], filled by ``tomography._prepared_states``.
     _prepared: list = field(init=False, repr=False, default_factory=list)
 
     def __post_init__(self):
-        if not isinstance(self.single_qubit, MappingProxyType):
-            object.__setattr__(self, "single_qubit", MappingProxyType(dict(self.single_qubit)))
+        cal, qubits = self.calibration, _check_pair(self.qubits)
+        single, lifted = {}, {}  # lifted: (position, duration) -> channel, so x shares sx's
+        for kind in ("rz", "sx", "x"):
+            dur = cal.durations_ns.get(kind, 0.0)
+            for pos, device_q in enumerate(qubits):
+                q = cal.qubit(device_q)
+                if dur > 0 and (pos, dur) not in lifted:
+                    lifted[(pos, dur)] = _lift(damping_channel(q.t1_us, q.t2_us, dur), pos)
+                single[(kind, pos)] = lifted.get((pos, dur))  # None where dur <= 0
+
+        dur_cnot = cal.durations_ns.get("cnot", 0.0)
+        q0, q1 = (cal.qubit(qubits[0]), cal.qubit(qubits[1]))
+        relaxation = (damping_channel(q0.t1_us, q0.t2_us, dur_cnot).tensor(
+            damping_channel(q1.t1_us, q1.t2_us, dur_cnot)) if dur_cnot > 0 else None)
+        confusion = confusion_matrix(cal, qubits)
+        if np.allclose(confusion, _EYE4, atol=1e-15):
+            confusion = None
+        for name, value in (("qubits", qubits), ("single_qubit", MappingProxyType(single)),
+                            ("cnot_relaxation", relaxation), ("confusion", confusion)):
+            object.__setattr__(self, name, value)
+        self._derive_cnot_and_fingerprint()
+
+    def _derive_cnot_and_fingerprint(self):
+        """Set the fields that the calibration's p_dep enters."""
         cnot_ch, p_dep = self.cnot_relaxation, self.calibration.p_dep
         if p_dep > 0:
             cnot_ch = depolarizing_channel(p_dep) if cnot_ch is None else cnot_ch.depolarized(p_dep)
@@ -240,12 +267,13 @@ class NoiseModel:
 
     def with_p_dep(self, p_dep: float) -> "NoiseModel":
         """The model of the calibration at ``p_dep``, equal to a fresh
-        ``build_noise_model`` of it; only the CNOT channel is built. It shares
+        ``NoiseModel`` of it: a shallow copy with a new calibration, CNOT
+        channel and fingerprint, and no other channel built. It shares
         ``cnot_relaxation``, whose Pauli products and Choi plan are built once
         (``QuantumChannel.depolarized``), and the ``_prepared`` QPT inputs."""
-        sibling = NoiseModel(self.calibration.with_p_dep(p_dep), self.qubits, self.single_qubit,
-                             self.cnot_relaxation, self.confusion)
-        object.__setattr__(sibling, "_prepared", self._prepared)
+        sibling = copy.copy(self)
+        object.__setattr__(sibling, "calibration", self.calibration.with_p_dep(p_dep))
+        sibling._derive_cnot_and_fingerprint()
         return sibling
 
     def channel_for(self, gate) -> QuantumChannel | None:
@@ -263,39 +291,9 @@ def _lift(ch: QuantumChannel, qubit: int) -> QuantumChannel:
 
 
 def build_noise_model(cal: DeviceCalibration, qubits: tuple[int, int] = (0, 1)) -> NoiseModel:
-    """Assemble per-gate channels from a calibration snapshot.
-
-    Gate noise is attached after the ideal unitary: relaxation on the acted
-    qubits for the gate's duration, plus a global depolarizing channel after
-    each CNOT when p_dep > 0 (``NoiseModel`` composes it). ``qubits`` names
-    the two distinct device qubits that register qubits 0 and 1 stand for.
-    """
-    qubits = _check_pair(qubits)
-    single: dict = {}
-    lifted: dict = {}  # (position, duration) -> channel; x defaults to sx's duration
-    for kind in ("rz", "sx", "x"):
-        dur = cal.durations_ns.get(kind, 0.0)
-        for pos, device_q in enumerate(qubits):
-            q = cal.qubit(device_q)
-            if dur <= 0:
-                single[(kind, pos)] = None
-                continue
-            if (pos, dur) not in lifted:
-                lifted[(pos, dur)] = _lift(damping_channel(q.t1_us, q.t2_us, dur), pos)
-            single[(kind, pos)] = lifted[(pos, dur)]
-
-    dur_cnot = cal.durations_ns.get("cnot", 0.0)
-    q0, q1 = (cal.qubit(qubits[0]), cal.qubit(qubits[1]))
-    relaxation: QuantumChannel | None = None
-    if dur_cnot > 0:
-        relaxation = damping_channel(q0.t1_us, q0.t2_us, dur_cnot).tensor(
-            damping_channel(q1.t1_us, q1.t2_us, dur_cnot)
-        )
-
-    confusion = confusion_matrix(cal, qubits)
-    if np.allclose(confusion, _EYE4, atol=1e-15):
-        confusion = None
-    return NoiseModel(cal, qubits, single, relaxation, confusion)
+    """``NoiseModel(cal, qubits)``: the model that the calibration snapshot
+    and the device qubit pair derive (see ``NoiseModel``)."""
+    return NoiseModel(cal, qubits)
 
 
 def fit_depolarizing(

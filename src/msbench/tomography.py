@@ -45,7 +45,7 @@ import numpy as np
 
 from .channels import QuantumChannel, pauli_basis, project_cptp
 from .circuits import Circuit, Gate, _check_record, _is_number, _parse
-from .linalg import dagger, kron
+from .linalg import dagger, kraus_sum, kron
 from .simulator import (
     BITSTRINGS,
     RNG_ALGORITHM,
@@ -331,8 +331,11 @@ def run_qpt(process, noise=None, shots: int | None = None, seed: int = DEFAULT_S
 
     if circuit_mode:
         states = evolve(process, _prepared_states(noise), noise)
-    else:
-        states = process.apply(_PREP_STATES)
+    elif process.dim != 4:
+        raise ValueError(f"process tomography takes a two-qubit channel, dim 4, "
+                         f"got dim {process.dim}")
+    else:  # the constant inputs, valid by construction, go unchecked
+        states = kraus_sum(process.kraus_operators(), _PREP_STATES)
     outcomes = outcome_distribution(states, SETTINGS, confusion).reshape(-1, 4)
     if shots is not None:
         outcomes = sample_counts(outcomes, shots, _experiment_seeds(seed))

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import re
@@ -567,13 +568,17 @@ def _each_choi_stack(test):
                      zero_entries=st.sampled_from([0.0, 0.5, 0.9, 0.97, 1.0]),
                      zero_operators=st.sampled_from([0.0, 0.1, 0.5])))
 def test_rowwise_kraus_to_choi_matches_the_outer_product_loop(ops):
-    """Dense stacks and sparse ones, whose sum skips the +0 terms, against the
-    loop that adds every term; among them the relaxation-then-depolarizing
-    stacks of both example calibrations, whose 256 operators at p > 0 hold
-    576 nonzero entries in 4096."""
+    """Dense stacks and sparse ones against the loop that adds every term, by
+    the dense reduce and by the sparse sum, which skips the +0 terms; among
+    them the relaxation-then-depolarizing stacks of both example
+    calibrations, whose 256 operators at p > 0 hold 576 nonzero entries in
+    4096."""
     dim = ops.shape[1]
-    assert channels._kraus_to_choi(ops, dim).tobytes() == _choi_loop(ops, dim).tobytes()
-    assert channels._kraus_to_choi(tuple(ops), dim).tobytes() == _choi_loop(ops, dim).tobytes()
+    loop = _choi_loop(ops, dim).tobytes()
+    assert channels._kraus_to_choi(ops, dim).tobytes() == loop
+    assert channels._kraus_to_choi(tuple(ops), dim).tobytes() == loop
+    flat = ops.reshape(len(ops), -1)
+    assert channels._choi_sum(flat, dim, channels._choi_plan(flat)).tobytes() == loop
 
 
 @settings(max_examples=40, deadline=None)
@@ -652,8 +657,34 @@ def test_channel_json_writes_any_finite_entries_as_json_does(seed, count, dim, r
     side = dim if representation == "kraus" else dim * dim
     data = _matrices(rng, count, side, side) * 10.0 ** rng.integers(-300, 300, (count, side, side))
     data[rng.random(data.shape) < 0.1] = complex(5e-324, -0.0)
-    ch = QuantumChannel(representation, data if representation == "kraus" else data[0], dim)
+    ch = QuantumChannel(representation, data if representation == "kraus" else data[0])
     assert ch.to_json() == _pairs_channel_json(ch)
+
+
+def test_a_channel_reads_its_dim_from_its_data():
+    """A Choi state of 16 x 16 is a two-qubit channel; no third argument can
+    say otherwise and split it into 2 x 2 Kraus operators."""
+    j = identity_channel(4).choi_matrix()
+    with pytest.raises(TypeError):
+        QuantumChannel("choi", j, 2)
+    assert list(inspect.signature(QuantumChannel).parameters) == ["representation", "data"]
+    assert QuantumChannel("choi", j).dim == 4
+
+
+@pytest.mark.parametrize("name", ["example_calibration", "example_calibration_b"])
+def test_every_channel_of_an_example_build_keeps_its_dim(name):
+    """The damping channels are 1-qubit and the model's channels 2-qubit, in
+    every representation and when made again from their data alone."""
+    cal = DeviceCalibration.load(DATA_DIR / f"{name}.json").with_p_dep(0.0165)
+    model = build_noise_model(cal)
+    built = [(ch, 4) for ch in (*model.single_qubit.values(), model.cnot_relaxation,
+                                model.cnot_channel) if ch is not None]
+    built += [(damping_channel(q.t1_us, q.t2_us, cal.durations_ns["cnot"]), 2) for q in cal.qubits]
+    assert len(built) == 8  # sx and x on each qubit, the CNOT relaxation and channel, 2 dampings
+    for ch, dim in built:
+        for rep in REPRESENTATIONS:
+            converted = ch.convert(rep)
+            assert converted.dim == QuantumChannel(rep, converted.data).dim == dim
 
 
 @pytest.mark.parametrize("dim", [2, 4])

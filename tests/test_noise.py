@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import inspect
 import math
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from msbench.circuits import (GATE_KINDS, Circuit, Gate, cx_circuit, ms_unitary,
 from msbench.noise import (
     DEFAULT_DURATIONS_NS,
     DeviceCalibration,
+    NoiseModel,
     QubitCalibration,
     UnachievableTargetError,
     build_noise_model,
@@ -396,8 +398,8 @@ def test_noise_fingerprint_covers_the_qubit_pair():
 def test_build_noise_model_refuses_all_but_two_distinct_integer_ids(qubits):
     """(0, 0) would put both register qubits on one device qubit, and (0, True)
     would build the (0, 1) model under another fingerprint. ``confusion_matrix``
-    takes the pair through the same check."""
-    for refuse in (build_noise_model, confusion_matrix):
+    takes the pair through the same check, and so does ``NoiseModel``."""
+    for refuse in (build_noise_model, confusion_matrix, NoiseModel):
         with pytest.raises(ValueError, match=r"^qubits must be two distinct integer qubit ids, got "):
             refuse(make_cal(), qubits)
 
@@ -633,8 +635,33 @@ def test_a_noise_model_build_makes_no_from_kraus_pass(monkeypatch, name):
 
 def _model_bytes(model):
     channels = [model.single_qubit[key] for key in sorted(model.single_qubit)]
-    return ([None if ch is None else ch.data.tobytes() for ch in channels + [model.cnot_channel]],
+    channels += [model.cnot_relaxation, model.cnot_channel]
+    return ([None if ch is None else ch.data.tobytes() for ch in channels],
             None if model.confusion is None else model.confusion.tobytes(), model.fingerprint)
+
+
+@pytest.mark.parametrize("p", [0, 0.0165, 1])
+@pytest.mark.parametrize("qubits", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("name", EXAMPLE_CALIBRATIONS)
+def test_a_noise_model_derives_from_its_calibration_and_pair_alone(name, qubits, p):
+    """The one construction path: ``build_noise_model`` and a ``with_p_dep``
+    sibling give the model ``NoiseModel(cal, qubits)`` derives, field by field."""
+    cal = DeviceCalibration.load(DATA_DIR / name).with_p_dep(p)
+    model = NoiseModel(cal, qubits)
+    assert model.qubits == qubits and model.calibration is cal
+    assert _model_bytes(model) == _model_bytes(build_noise_model(cal, qubits))
+    assert _model_bytes(model) == _model_bytes(NoiseModel(cal.with_p_dep(0), qubits).with_p_dep(p))
+
+
+def test_a_noise_model_takes_no_channels_beside_its_calibration():
+    """Channels passed beside the calibration would carry its fingerprint, as
+    an empty map and no relaxation would at p_dep 0.0165 with an exact MS
+    fidelity of 0.98453, not 0.92470."""
+    cal = DeviceCalibration.load(DATA_DIR / EXAMPLE_CALIBRATIONS[0])
+    with pytest.raises(TypeError):
+        NoiseModel(cal, (0, 1), {}, None, None)
+    assert list(inspect.signature(NoiseModel).parameters) == ["calibration", "qubits"]
+    assert NoiseModel(cal).qubits == (0, 1)
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from msbench import simulator, tomography
+from msbench import channels, simulator, tomography
 from msbench.channels import (
     QuantumChannel,
     channel_from_unitary,
@@ -752,9 +752,30 @@ def test_purity_gate_keeps_the_eigh_first_fidelity_bit_for_bit(seed, dim, second
     pair = [_choi_state(rng, n, vals), _choi_state(rng, n, partner_vals)]
     if swap:
         pair.reverse()
-    got = process_fidelity(*(QuantumChannel("choi", j, dim) for j in pair))
-    want = _process_fidelity_eigh_first(*(QuantumChannel("choi", j, dim) for j in pair))
+    got = process_fidelity(*(QuantumChannel("choi", j) for j in pair))
+    want = _process_fidelity_eigh_first(*(QuantumChannel("choi", j) for j in pair))
     assert got.hex() == want.hex()
+
+
+def test_qpt_of_a_channel_applies_it_to_the_unchecked_constant_inputs(monkeypatch):
+    """The 16 ideal inputs are valid by construction, so no call checks them
+    again; the outcomes are those of the checked ``apply``."""
+    channel = identity_channel(4)
+    want = simulator.outcome_distribution(channel.apply(tomography._PREP_STATES),
+                                          simulator.SETTINGS).reshape(-1, 4)
+    calls = []
+    real = channels.check_density_matrix
+    monkeypatch.setattr(channels, "check_density_matrix",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    ds = run_qpt(channel, shots=None)
+    assert calls == []
+    assert ds.outcomes.tobytes() == want.tobytes()
+
+
+def test_qpt_refuses_a_one_qubit_channel():
+    with pytest.raises(ValueError, match=r"^process tomography takes a two-qubit channel, "
+                                         r"dim 4, got dim 2$"):
+        run_qpt(identity_channel(2), shots=None)
 
 
 def test_sampled_qpt_fidelity_is_pinned():

@@ -155,6 +155,14 @@ class QuantumChannel:
     representation: str
     data: np.ndarray  # a (count, d, d) Kraus stack, or a Choi or chi matrix
 
+    def __post_init__(self):  # the tag and shape only; the from_* constructors check values
+        rep, shape = self.representation, np.shape(self.data)
+        if rep not in REPRESENTATIONS:
+            raise ValueError(f"representation: unknown {rep!r}, expected one of {REPRESENTATIONS}")
+        if not (shape[1:] in ((2, 2), (4, 4)) and shape[0] > 0 if rep == "kraus"
+                else shape in ((4, 4), (16, 16))):
+            raise ValueError(f"data: shape {shape} fits no {rep} channel")
+
     @property
     def dim(self) -> int:  # a Kraus stack's last axis, or the root of a matrix's side
         return self.data.shape[-1] if self.representation == "kraus" else math.isqrt(len(self.data))

@@ -233,6 +233,8 @@ class NoiseModel:
 
     def __post_init__(self):
         cal, qubits = self.calibration, _check_pair(self.qubits)
+        if not isinstance(cal, DeviceCalibration):
+            raise ValueError(f"calibration: expected a DeviceCalibration, got {type(cal).__name__}")
         single, lifted = {}, {}  # lifted: (position, duration) -> channel, so x shares sx's
         for kind in ("rz", "sx", "x"):
             dur = cal.durations_ns.get(kind, 0.0)

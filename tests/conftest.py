@@ -7,7 +7,9 @@ from msbench.channels import QuantumChannel
 from msbench.circuits import Circuit, Gate
 from msbench.linalg import as_matrix
 
-# `pytest --hypothesis-profile=ci` runs ten times the examples; the default run is unchanged.
+# `pytest --hypothesis-profile=ci`, as CI runs tier-1, runs every property at ten times its
+# default examples: a property sets its count by `examples(n)`, and one that sets none takes
+# hypothesis' default of 100, which this profile makes 1000. The default run is unchanged.
 settings.register_profile("ci", max_examples=1000)
 
 

@@ -146,7 +146,7 @@ def test_stacked_apply_equals_per_state_apply(rng, representation):
             assert np.array_equal(out, ch.apply(rho))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_kraus=st.integers(1, 5), dim=st.sampled_from([2, 4]))
 def test_representations_describe_one_cptp_map(seed, n_kraus, dim):
     rng = np.random.default_rng(seed)
@@ -280,7 +280,7 @@ def test_project_cptp_rejects_nonhermitian():
         project_cptp(raw)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4]),
        log_scale=st.floats(-2.0, 0.0))
 def test_project_cptp_is_the_exact_projection(seed, dim, log_scale):
@@ -442,7 +442,7 @@ _KRAUS_SETS = dict(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 16),
                    n_b=st.integers(1, 16), paulis=st.booleans())
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(**_KRAUS_SETS)
 def test_stacked_tensor_matches_the_pairwise_kron_loop(seed, n_a, n_b, paulis):
     rng = np.random.default_rng(seed)
@@ -453,7 +453,9 @@ def test_stacked_tensor_matches_the_pairwise_kron_loop(seed, n_a, n_b, paulis):
 @settings(max_examples=examples(40), deadline=None)
 @given(dim=st.sampled_from([2, 4]), **_KRAUS_SETS)
 def test_stacked_compose_matches_the_pairwise_product_loop(seed, n_a, n_b, paulis, dim):
-    """Covers the compression through the Choi state when n_a * n_b > d^2."""
+    """Covers the compression through the Choi state when n_a * n_b > d^2. The
+    one grouped GEMM of all pairs keeps each product's bits as far as the BLAS
+    build's kernels allow."""
     rng = np.random.default_rng(seed)
     a, b = (_kraus_set(rng, n, dim, paulis) for n in (n_a, n_b))
     assert _same_bytes(a.compose(b).data, _compose_loop(a, b))
@@ -507,7 +509,9 @@ def test_tensor_refuses_a_product_beyond_4x4(a, b):
 def test_depolarized_matches_compose_with_the_depolarizing_channel(channel, p):
     """Random Kraus sets and CNOT relaxations, zero and 10^6 ns durations
     among them, at p where ``_nonzero`` drops Pauli terms and where it keeps
-    all; the second call reuses the Pauli products and their plan."""
+    all; the second call reuses the Pauli products and their plan. The two are
+    equal because zgemm writes an entry of one nonzero term as that term's
+    product."""
     expected = channel.compose(depolarizing_channel(p, channel.dim.bit_length() - 1)).data
     for _ in range(2):
         assert _same_bytes(channel.depolarized(p).data, expected)
@@ -517,7 +521,8 @@ def test_depolarized_matches_compose_with_the_depolarizing_channel(channel, p):
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4]), fortran=st.booleans())
 def test_lifted_basis_in_an_eigenbasis_matches_the_stacked_product(seed, dim, fortran):
     """``project_cptp``'s two GEMMs against the per-matrix products, on a random
-    d^2 x d^2 unitary in either memory order, as ``eigh`` may return."""
+    d^2 x d^2 unitary in either memory order, as ``eigh`` may return; equal as
+    far as the BLAS build's kernels allow."""
     vecs = random_unitary(np.random.default_rng(seed), dim * dim)
     vecs = np.asfortranarray(vecs) if fortran else vecs
     expected = (dagger(vecs) @ channels._lifted_basis(dim) @ vecs).reshape(dim * dim, -1)
@@ -572,7 +577,9 @@ def test_rowwise_kraus_to_choi_matches_the_outer_product_loop(ops):
     the dense reduce and by the sparse sum, which skips the +0 terms; among
     them the relaxation-then-depolarizing stacks of both example
     calibrations, whose 256 operators at p > 0 hold 576 nonzero entries in
-    4096."""
+    4096. The sparse sum equals the loop because numpy's 1-deep matmul loop
+    writes each product as 0 + x*conj(y), and numpy 1.24 ships its own build of
+    that loop."""
     dim = ops.shape[1]
     loop = _choi_loop(ops, dim).tobytes()
     assert channels._kraus_to_choi(ops, dim).tobytes() == loop
@@ -581,7 +588,7 @@ def test_rowwise_kraus_to_choi_matches_the_outer_product_loop(ops):
     assert channels._choi_sum(flat, dim, channels._choi_plan(flat)).tobytes() == loop
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), shapes=st.lists(st.integers(1, 4), min_size=4, max_size=4))
 def test_broadcast_kron_matches_numpys(seed, shapes):
     rng = np.random.default_rng(seed)
@@ -632,7 +639,7 @@ def _pairs_channel_json(ch: QuantumChannel) -> str:
     return json.dumps(payload, indent=2)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 16), dim=st.sampled_from([2, 4]),
        paulis=st.booleans(), representation=st.sampled_from(REPRESENTATIONS))
 def test_channel_json_matches_the_pairs_writer_and_round_trips(seed, count, dim, paulis,
@@ -648,7 +655,7 @@ def test_channel_json_matches_the_pairs_writer_and_round_trips(seed, count, dim,
     assert again.data.tobytes() == ch.data.tobytes()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 4), dim=st.sampled_from([2, 4]),
        representation=st.sampled_from(REPRESENTATIONS))
 def test_channel_json_writes_any_finite_entries_as_json_does(seed, count, dim, representation):
@@ -669,6 +676,22 @@ def test_a_channel_reads_its_dim_from_its_data():
         QuantumChannel("choi", j, 2)
     assert list(inspect.signature(QuantumChannel).parameters) == ["representation", "data"]
     assert QuantumChannel("choi", j).dim == 4
+
+
+@pytest.mark.parametrize("representation, data, message", [
+    ("bogus", np.eye(16) / 16, "^representation: unknown 'bogus'"),
+    ("choi", np.eye(3) / 3, r"^data: shape \(3, 3\) fits no choi channel$"),
+    ("chi", np.eye(4)[None] / 4, r"^data: shape \(1, 4, 4\) fits no chi channel$"),
+    ("kraus", np.eye(4), r"^data: shape \(4, 4\) fits no kraus channel$"),
+    ("kraus", np.zeros((0, 2, 2)), r"^data: shape \(0, 2, 2\) fits no kraus channel$"),
+    ("kraus", np.ones((1, 3, 3)), r"^data: shape \(1, 3, 3\) fits no kraus channel$"),
+])
+def test_a_raw_channel_refuses_an_unknown_tag_or_a_shape_that_does_not_fit_it(
+        representation, data, message):
+    """The raw constructor checks the tag and the shape alone: a (count, d, d)
+    Kraus stack with d 2 or 4, or a 4x4 or 16x16 Choi or chi matrix."""
+    with pytest.raises(ValueError, match=message):
+        QuantumChannel(representation, data)
 
 
 @pytest.mark.parametrize("name", ["example_calibration", "example_calibration_b"])

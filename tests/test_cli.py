@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from msbench import cli
+from msbench.channels import QuantumChannel
 from msbench.circuits import synthesize_ms_circuit
 from msbench.cli import main
 from msbench.noise import DeviceCalibration, QubitCalibration, build_noise_model
-from msbench.tomography import exact_process_fidelity
+from msbench.tomography import TomographyDataset, exact_process_fidelity
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -354,6 +355,25 @@ def test_manifest_replay_reproduces_every_output(tmp_path, argv, suffixes):
         assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
 
 
+QPT_READERS = {".json": TomographyDataset.from_json, ".channel.json": QuantumChannel.from_json}
+
+
+@pytest.mark.parametrize("argv, readers", [
+    (["qpt", "--shots", "300", "--seed", "5"], QPT_READERS),
+    (["qpt", "--exact"], QPT_READERS),
+    (["fit-noise", "--target-fidelity", "0.9247", "--calib", EXAMPLE_CALIBRATIONS[0]],
+     {".json": DeviceCalibration.from_json}),
+], ids=["qpt-sampled", "qpt-exact", "fit-noise"])
+def test_written_files_re_serialize_to_their_own_bytes(tmp_path, argv, readers):
+    """Each dataset, channel file and fitted calibration a command writes reads
+    back, by its reader, to an object whose ``to_json()`` and a newline are the
+    file's text."""
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    for suffix, read in readers.items():
+        text = (tmp_path / f"out{suffix}").read_text()
+        assert read(text).to_json() + "\n" == text, suffix
+
+
 def test_manifest_contents(tmp_path):
     out = tmp_path / "qpt.json"
     assert main(["qpt", "--circuit", "ms", "--shots", "200", "--seed", "9",
@@ -463,13 +483,18 @@ HUGE = 10**400  # a JSON integer past float64's range
     (QPT_CIRCUIT, '[{"kind": "x", "qubit": 0}, {"kind": [], "qubit": 0}]',
      ["bad.json", "gates[1]: unknown gate kind []"]),
     (FIT_CALIB, "[" * 100000 + "]" * 100000, ["bad.json", "calibration: nested too deeply"]),
+    (FIT_CALIB, json.dumps({**json.loads(_calibration_with_qubit()), "durations_ns": None}),
+     ["bad.json", "durations_ns: expected a JSON object"]),
+    (FIT_CALIB, json.dumps({**json.loads(_calibration_with_qubit()), "durations_ns": []}),
+     ["bad.json", "durations_ns: expected a JSON object"]),
 ], ids=["noise-unknown-key", "missing-calib", "missing-circuit", "calib-missing-t1",
         "calib-string-t1", "calib-string-p-dep", "calib-missing-qubits", "calib-not-an-object",
         "rz-missing-angle", "sx-missing-qubit", "gate-not-an-object", "sx-unknown-key",
         "rz-bool-angle", "sx-bool-qubit", "cnot-bool-indices", "circuit-not-a-list",
         "calib-not-json", "stability-no-qubits", "calib-huge-t1", "calib-huge-t2",
         "calib-huge-frequency", "calib-huge-anharmonicity", "calib-huge-duration",
-        "rz-huge-angle", "object-kind", "list-kind", "calib-nested"])
+        "rz-huge-angle", "object-kind", "list-kind", "calib-nested", "calib-null-durations",
+        "calib-list-durations"])
 def test_bad_input_file_exits_1_naming_it_and_writes_nothing(tmp_path, capsys, argv, content,
                                                              names):
     if content is not None:

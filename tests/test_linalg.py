@@ -66,7 +66,9 @@ def _matrices(rng, shape, zeros: float) -> np.ndarray:
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 16), dim=st.sampled_from([2, 4]),
        stack=st.sampled_from([None, 1, 3, 16]), zeros=st.floats(0.0, 0.5))
 def test_stacked_kraus_sum_matches_the_term_by_term_loop(seed, count, dim, stack, zeros):
-    """Bit for bit, on one matrix or a stack, with a share of entries set to +0.0 or -0.0."""
+    """Bit for bit, on one matrix or a stack, with a share of entries set to +0.0 or -0.0.
+    The grouped GEMMs' bits are a property of the BLAS build, and numpy 1.24's
+    wheel ships another OpenBLAS."""
     rng = np.random.default_rng(seed)
     ops = _matrices(rng, (count, dim, dim), zeros)
     rho = _matrices(rng, (dim, dim) if stack is None else (stack, dim, dim), zeros)
@@ -79,7 +81,8 @@ def test_stacked_kraus_sum_matches_the_term_by_term_loop(seed, count, dim, stack
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 16), dim=st.sampled_from([2, 4, 16]),
        stack=st.sampled_from([None, 1, 3, 16, 144]), zeros=st.floats(0.0, 0.5))
 def test_grouped_sandwich_matches_the_per_matrix_product(seed, count, dim, stack, zeros):
-    """Grouped GEMMs give each K rho K^dag the bits of its own ``k @ rho @ dagger(k)``."""
+    """Grouped GEMMs give each K rho K^dag the bits of its own ``k @ rho @ dagger(k)``,
+    as far as the BLAS build's kernels allow."""
     rng = np.random.default_rng(seed)
     ops = _matrices(rng, (count, dim, dim), zeros)
     rho = _matrices(rng, (dim, dim) if stack is None else (stack, dim, dim), zeros)
@@ -97,7 +100,8 @@ _NATIVE_GATES = [Gate.sx(0), Gate.sx(1), Gate.x(0), Gate.x(1), Gate.rz(0, np.pi 
        stack=st.sampled_from([None, *range(1, 17)]), zeros=st.floats(0.0, 0.5))
 def test_conjugate_is_the_one_operator_sandwich_bit_for_bit(seed, gate, stack, zeros):
     """``conjugate(u, rho)`` against ``sandwich(u[None], rho)[0]`` by ``tobytes``,
-    for a native gate or a random 4x4 unitary, on one matrix or a stack of 1-16."""
+    for a native gate or a random 4x4 unitary, on one matrix or a stack of 1-16,
+    as far as the BLAS build's kernels allow."""
     rng = np.random.default_rng(seed)
     u = random_unitary(rng, 4) if gate is None else gate.matrix()
     rho = _matrices(rng, (4, 4) if stack is None else (stack, 4, 4), zeros)

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import inspect
+import json
 import math
 from pathlib import Path
 
@@ -367,7 +368,7 @@ def calibration_fields(draw):
     return qubits, durations, draw(probability)
 
 
-@settings(max_examples=50)
+@settings(max_examples=examples(50))
 @given(fields=calibration_fields())
 def test_calibration_json_roundtrip_property(fields):
     qubits, durations, p_dep = fields
@@ -567,7 +568,7 @@ def test_fit_depolarizing_two_cnot_circuit_lands_within_tol(monkeypatch):
             assert abs(achieved - target) <= tol
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=examples(10), deadline=None)
 @given(target=st.floats(0.1, 0.93), tol=st.sampled_from([1e-3, 1e-6]),
        cnots=st.integers(1, 2))
 def test_fit_then_evaluate_is_within_tol(target, tol, cnots):
@@ -664,7 +665,17 @@ def test_a_noise_model_takes_no_channels_beside_its_calibration():
     assert NoiseModel(cal).qubits == (0, 1)
 
 
-@settings(max_examples=30, deadline=None)
+@pytest.mark.parametrize("build", [NoiseModel, build_noise_model])
+@pytest.mark.parametrize("calibration", [
+    json.loads((DATA_DIR / EXAMPLE_CALIBRATIONS[0]).read_text()), None], ids=["parsed-dict", "none"])
+def test_a_noise_model_refuses_what_is_not_a_calibration(build, calibration):
+    """The parsed JSON of a calibration file is not a calibration: it once
+    failed with an AttributeError deep in the build."""
+    with pytest.raises(ValueError, match="^calibration: expected a DeviceCalibration, got "):
+        build(calibration)
+
+
+@settings(max_examples=examples(30), deadline=None)
 @given(cal=st.sampled_from([*(DeviceCalibration.load(DATA_DIR / name) for name in EXAMPLE_CALIBRATIONS),
                             make_cal(durations={"cnot": 0})]),  # a model without CNOT relaxation
        p=st.one_of(st.just(0), st.just(1), st.floats(0.0, 1.0)))

@@ -218,7 +218,7 @@ _INTEGER_LIKE = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(value=_INTEGER_LIKE)
 def test_seed_and_shots_accept_exactly_the_integers_in_their_range(value):
     """Python and numpy integers in range are taken, as a plain int; bools,
@@ -256,7 +256,8 @@ def test_expectation_rejects_observables_that_are_not_two_pauli_letters(observab
 def test_batched_expectation_is_each_observables_call_bit_for_bit(seed, k, m, layout, shots):
     """A list of observables gives each entry the bits of the one-observable
     call on its block: one 4-vector or (m, 4) block read by every observable,
-    or a stack of blocks, shared by all observables or one per observable."""
+    or a stack of blocks, shared by all observables or one per observable. The
+    dots and GEMVs keep those bits as far as the BLAS build's kernels allow."""
     rng = np.random.default_rng(seed)
     observables = [a + b for a, b in rng.choice(list("IXYZ"), (k, 2))]
     shape = {"vector": (4,), "matrix": (m, 4), "shared": (3, 1, m, 4),
@@ -442,6 +443,7 @@ def test_sample_counts_rejects_non_finite_rows_naming_the_first(dist, seed, row)
 @example(seeds=[0, 1, 2**32 - 1, 2**32, 2**63 + 17, 2**64 - 1, 2**128 - 1, 2**128 + 1,
                 2**200 + 3, 3**200])
 def test_seed_sequences_start_pcg64_where_numpy_does(seeds):
+    """PCG64 takes each stacked sequence as an ISeedSequence, as numpy's own."""
     numpys = [np.random.PCG64(seed).state for seed in seeds]
     assert [np.random.PCG64(seq).state for seq in seed_sequences(seeds)] == numpys
     # The seeds below 2**64 once more, as the uint64 array that takes no per-seed checks.
@@ -457,6 +459,8 @@ def test_seed_sequences_start_pcg64_where_numpy_does(seeds):
 @example(value=2**32)
 @example(value=2**64 - 1)
 def test_seed_sequence_equals_numpys(value):
+    """The stacked hash mixes uint32 and uint64 arrays, whose casting differs
+    between numpy 1.24 (value-based) and numpy 2 (NEP 50)."""
     # Two seeds, so that a row of the stacked words can be a strided view.
     values = [value, 2**64 - 1 - value]
     for v, sequence in zip(values, seed_sequences(np.array(values, dtype=np.uint64))):
@@ -485,7 +489,7 @@ def dyadic_distributions(draw):
     return np.diff([0, *cuts, 64]) / 64.0
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=examples(50), deadline=None)
 @given(rows=st.lists(st.tuples(dyadic_distributions(),
                                st.integers(0, 2**64 - 1) | st.integers(0, 2**160)),
                      min_size=1, max_size=8),

@@ -181,7 +181,7 @@ def datasets(draw):
                              None if circuit is None else circuit.to_json())
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(ds=datasets())
 def test_dataset_json_roundtrip_property(ds):
     text = ds.to_json()
@@ -231,7 +231,7 @@ def edge_datasets(draw):
                              None if circuit is None else circuit.to_json())
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(ds=edge_datasets())
 def test_dataset_json_matches_the_record_writer_and_round_trips(ds):
     text = ds.to_json()
@@ -575,7 +575,7 @@ def lstsq_choi(ds, design):
     return 0.5 * (j + j.conj().T)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_kraus=st.integers(1, 4))
 def test_dual_frame_matches_least_squares_on_random_channels(design_matrix, seed, n_kraus):
     ch = random_cptp_kraus(np.random.default_rng(seed), n_kraus=n_kraus)
@@ -592,6 +592,8 @@ def test_dual_frame_matches_least_squares_on_sampled_data(design_matrix):
 @pytest.mark.parametrize("calibration", ["example_calibration.json", "example_calibration_b.json"])
 @pytest.mark.parametrize("circuit", [synthesize_ms_circuit(), cx_circuit()], ids=["ms", "cx"])
 def test_prep_tree_equals_the_per_label_prefixes(circuit, calibration, p_dep):
+    """The shared-prefix tree against each label's own gates, as far as the
+    BLAS build's kernels allow."""
     noise = build_noise_model(DeviceCalibration.load(DATA_DIR / calibration).with_p_dep(p_dep))
     per_label = np.array([apply_gates(prep_circuit(label), basis_state("00"), noise)
                           for label in PREP_LABELS])
@@ -607,7 +609,8 @@ def test_prep_tree_equals_the_per_label_prefixes(circuit, calibration, p_dep):
 @settings(max_examples=examples(50), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), shots=st.sampled_from([None, 1, 7, 4000]))
 def test_pauli_table_is_each_observables_mean_bit_for_bit(seed, shots):
-    """The table's sum-and-divide is ``np.mean`` over the compatible settings."""
+    """The table's sum-and-divide is ``np.mean`` over the compatible settings,
+    from the batched expectation's dots, as far as the BLAS build's kernels allow."""
     rng = np.random.default_rng(seed)
     if shots is None:
         freqs = rng.dirichlet(np.ones(4), size=len(_CELLS))
@@ -744,7 +747,8 @@ def _choi_state(rng, n, vals):
        partner=st.sampled_from(["rank-one", "full-rank"]), swap=st.booleans())
 def test_purity_gate_keeps_the_eigh_first_fidelity_bit_for_bit(seed, dim, second, partner, swap):
     """Choi states whose second eigenvalue straddles the 1e-12 rank-one test,
-    against a pure or a full-rank partner, in both argument orders."""
+    against a pure or a full-rank partner, in both argument orders. Bit-equal
+    only as far as LAPACK's eigh allows."""
     rng, n = np.random.default_rng(seed), dim * dim
     vals = np.zeros(n)
     vals[:2] = 1.0 - second, second
@@ -804,6 +808,8 @@ def _numpy_cell_seeds(master):
 @example(master=2**320 + 7)
 @example(master=3**300)
 def test_experiment_seeds_follow_the_documented_rule(master):
+    """The 144 cell seeds of the stacked hash, whose uint32 and uint64 casting
+    differs between numpy 1.24 and numpy 2, against numpy's SeedSequence."""
     assert _experiment_seeds(master).tolist() == _numpy_cell_seeds(master)
 
 

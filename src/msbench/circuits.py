@@ -192,9 +192,11 @@ class Circuit:
         return u
 
     @functools.cached_property
-    def _channel(self):  # the channel of _unitary, built on first use; not a field
+    def _channel(self):  # the channel of _unitary, built on first use, read-only; not a field
         from .channels import channel_from_unitary  # channels imports this module
-        return channel_from_unitary(self._unitary)
+        channel = channel_from_unitary(self._unitary)
+        channel.data.flags.writeable = False
+        return channel
 
     def cnot_count(self) -> int:
         return sum(1 for g in self.gates if g.kind == "cnot")
@@ -250,11 +252,11 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 
 def phase_aligned_distance(u, v) -> float:
-    """min over phi of ||u - e^{i phi} v||_F (global-phase-blind distance)."""
+    """min over phi of ||u - e^{i phi} v||_F (global-phase-blind distance), formed
+    explicitly at e^{i phi} = tr(v^dag u) / |tr(v^dag u)|, or 1 where the trace is 0."""
     u, v = as_matrix(u), as_matrix(v)
-    overlap = abs(np.trace(dagger(v) @ u))
-    gap = frobenius(u) ** 2 + frobenius(v) ** 2 - 2 * overlap
-    return math.sqrt(max(0.0, gap))
+    overlap = np.trace(dagger(v) @ u)
+    return frobenius(u - (overlap / abs(overlap) if overlap else 1.0) * v)
 
 
 # Single-CNOT realization of the entangling target, with the CNOT dressed by
@@ -273,11 +275,15 @@ _MS_GATES = (
 )
 
 
+@functools.cache
 def synthesize_ms_circuit() -> Circuit:
-    """Native-basis circuit for the entangling target, using exactly one CNOT."""
+    """Native-basis circuit for the entangling target, using exactly one CNOT. It
+    and ``cx_circuit`` return one shared instance each, so that a builtin's
+    unitary and channel are built once per process."""
     return Circuit(_MS_GATES)
 
 
+@functools.cache
 def cx_circuit() -> Circuit:
     return Circuit((Gate.cnot(0, 1),))
 

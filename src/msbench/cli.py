@@ -147,6 +147,14 @@ def cmd_state(args, out: Path) -> _Handled:
                                                      _sibling(out, ".csv"): csv}
 
 
+@functools.cache
+def _target_channel(label: str):
+    """A builtin target's read-only channel, built and ``eigh``-ed once per process."""
+    channel = channel_from_unitary(BUILTIN_TARGETS[label]().matrix)
+    channel.data.flags.writeable = False
+    return channel
+
+
 def cmd_qpt(args, out: Path) -> _Handled:
     circuit, label = _load_circuit(args.circuit)
     noise, cal = _load_noise(args.noise)
@@ -155,11 +163,8 @@ def cmd_qpt(args, out: Path) -> _Handled:
     channel = reconstruct_channel(ds)
 
     target_label = args.target or (label if label in BUILTIN_TARGETS else "self")
-    if target_label in BUILTIN_TARGETS:
-        target_u = BUILTIN_TARGETS[target_label]().matrix
-    else:
-        target_u = circuit_unitary(circuit)
-    fidelity = process_fidelity(channel, channel_from_unitary(target_u))
+    target = circuit._channel if target_label == "self" else _target_channel(target_label)
+    fidelity = process_fidelity(channel, target)
 
     report = {
         "gate": label,

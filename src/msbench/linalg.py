@@ -12,7 +12,8 @@ Stacked products are grouped GEMMs (``matmul_pairs``, ``sandwich``,
 entry as one dot product over the inner dimension, so grouping changes the
 number of calls, not any entry's operands, order or bits: equal by
 ``tobytes`` for d = 4, 8 and 16, signed zeros included (OpenBLAS 0.3.31,
-Haswell kernels). The 2x2 left product is the exception (``matmul_pairs``).
+its SkylakeX kernels; ``OPENBLAS_CORETYPE`` selects another set, whose bits
+may differ). The 2x2 left product is the exception (``matmul_pairs``).
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def matmul_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     For d >= 4 it is one GEMM, a's rows stacked times b's matrices side by
     side, with the bits of the per-pair products. For d = 2 the grouped
     product changed the bits of 43,195 of 46,048 products, in 576 of 600
-    random pairs of stacks of 1-16 matrices (OpenBLAS 0.3.31, Haswell
+    random pairs of stacks of 1-16 matrices (OpenBLAS 0.3.31, SkylakeX
     kernels), so 2x2 pairs stay one matmul each."""
     (n, d, _), m = a.shape, len(b)
     if d == 2:

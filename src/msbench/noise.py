@@ -249,7 +249,7 @@ class NoiseModel:
         relaxation = (damping_channel(q0.t1_us, q0.t2_us, dur_cnot).tensor(
             damping_channel(q1.t1_us, q1.t2_us, dur_cnot)) if dur_cnot > 0 else None)
         confusion = confusion_matrix(cal, qubits)
-        if np.allclose(confusion, _EYE4, atol=1e-15):
+        if (np.abs(confusion - _EYE4) <= _EYE4_TOL).all():
             confusion = None
         for name, value in (("qubits", qubits), ("single_qubit", MappingProxyType(single)),
                             ("cnot_relaxation", relaxation), ("confusion", confusion)):
@@ -286,6 +286,7 @@ class NoiseModel:
 
 _IDENTITY_1Q = identity_channel(2)
 _EYE4 = np.eye(4)
+_EYE4_TOL = 1e-15 + 1e-5 * _EYE4  # np.allclose(c, _EYE4, atol=1e-15)'s bound, |c - I| <= it
 
 
 def _lift(ch: QuantumChannel, qubit: int) -> QuantumChannel:
@@ -316,8 +317,9 @@ def fit_depolarizing(
     products are scaled, summed into a Choi state and split into its Kraus
     set, and the products and the sum's plan are built once per fit. The
     target, the ideal channel that ``exact_process_fidelity`` caches on
-    ``circuit``, is built once per fit, so its Choi ``eigh`` is taken once,
-    not once per evaluation.
+    ``circuit``, is built once per circuit instance, so its Choi ``eigh`` is
+    taken once per fit, not once per evaluation, and once per process for a
+    builtin circuit, whose instance is shared.
 
     Regula falsi on [0, 1] with the Illinois step (Dowell & Jarratt, BIT 11,
     168, 1971): each secant through the bracket ends is evaluated, replaces the

@@ -215,9 +215,17 @@ _SETTINGS_ROTATIONS.flags.writeable = False
 
 
 def validate_setting(setting: str) -> str:
-    if len(setting) != 2 or any(b not in MEASUREMENT_BASES for b in setting):
+    if not isinstance(setting, str) or setting not in SETTINGS:
         raise ValueError(f"measurement setting must be two of X/Y/Z, got {setting!r}")
     return setting
+
+
+@functools.lru_cache(maxsize=32)  # a few tuples of settings in use
+def _rotations(settings: tuple[str, ...]) -> np.ndarray:
+    """The read-only stack of the validated settings' rotations, gathered once per tuple."""
+    rotations = _SETTINGS_ROTATIONS[[SETTINGS.index(s) for s in settings]]
+    rotations.flags.writeable = False
+    return rotations
 
 
 def basis_state(bitstring: str) -> np.ndarray:
@@ -262,8 +270,8 @@ def outcome_distribution(rho, setting, confusion=None) -> np.ndarray:
     axis over the settings if a sequence was given, then the 4 outcomes.
     The states are taken as ``evolve`` returns them, with no validation.
     """
-    settings = (setting,) if isinstance(setting, str) else tuple(setting)
-    r = _SETTINGS_ROTATIONS[[SETTINGS.index(validate_setting(s)) for s in settings]]
+    settings = (setting,) if isinstance(setting, str) else setting
+    r = _rotations(tuple(map(validate_setting, settings)))  # each validated before the lookup
     rho = np.asarray(rho, dtype=complex)
     rotated = np.moveaxis(sandwich(r, rho), 0, -3)  # stack, setting, 4, 4
     probs = np.real(np.diagonal(rotated, axis1=-2, axis2=-1))
@@ -346,12 +354,20 @@ def expectation(freqs, observable):
     m = 1, a GEMV otherwise), so each entry has that call's bits.
     """
     if isinstance(observable, (list, tuple)):
-        signs = np.array([_signs(obs) for obs in observable]).reshape(-1, 4, 1)
+        signs = _sign_columns(tuple(map(_observable, observable)))  # each validated first
         return (np.asarray(freqs, dtype=float) @ signs)[..., 0]
-    return np.asarray(freqs, dtype=float) @ _signs(observable)
+    return np.asarray(freqs, dtype=float) @ _OUTCOME_SIGNS[_observable(observable)]
 
 
-def _signs(observable) -> np.ndarray:
+def _observable(observable) -> str:
     if not isinstance(observable, str) or observable not in _OUTCOME_SIGNS:
         raise ValueError(f"observable must be two of I/X/Y/Z, got {observable!r}")
-    return _OUTCOME_SIGNS[observable]
+    return observable
+
+
+@functools.lru_cache(maxsize=32)  # a few tuples of observables in use
+def _sign_columns(observables: tuple[str, ...]) -> np.ndarray:
+    """The read-only (k, 4, 1) stack of the validated observables' signs, built once per tuple."""
+    signs = np.array([_OUTCOME_SIGNS[obs] for obs in observables]).reshape(-1, 4, 1)
+    signs.flags.writeable = False
+    return signs

@@ -120,18 +120,22 @@ def prep_circuit(label: str) -> Circuit:
                    + [gate(1) for gate in _PREPARATIONS[t1][1]])
 
 
+# Each qubit's constructor prefixes, a trie, parents first: (qubit, prefix) ->
+# the one-gate circuit of the prefix's last gate on that qubit.
+_PREP_STEPS = {(q, path[:i]): Circuit((path[i - 1](q),)) for q in (0, 1)
+               for _, path in _PREPARATIONS.values() for i in range(1, len(path) + 1)}
+
+
 def _prepare(noise) -> np.ndarray:
     """The read-only preparation tree (see the module docstring): every state
-    gets the gates of its ``prep_circuit``, in order. Each qubit's prefixes
-    form a trie, so a gate that tokens share runs once, on the stack so far."""
+    gets the gates of its ``prep_circuit``, in order. A gate that tokens share
+    runs once, on the stack so far."""
     states = basis_state("00")
     for q in (0, 1):
         done = {(): states}  # constructor prefix -> the stack after its gates
-        for _, path in _PREPARATIONS.values():
-            for i in range(1, len(path) + 1):
-                if path[:i] not in done:
-                    done[path[:i]] = apply_gates(Circuit((path[i - 1](q),)), done[path[:i - 1]],
-                                                 noise)
+        for (qubit, prefix), step in _PREP_STEPS.items():
+            if qubit == q:
+                done[prefix] = apply_gates(step, done[prefix[:-1]], noise)
         states = np.stack([done[path] for _, path in _PREPARATIONS.values()], axis=-3)
     states = states.reshape(-1, 4, 4)  # (t0, t1) -> label index
     states.flags.writeable = False
@@ -446,7 +450,7 @@ def exact_process_fidelity(circuit: Circuit, noise=None) -> float:
     ideal unitary; the deterministic evaluator behind noise fitting. The
     target channel is cached on the circuit instance, as its unitary is, so
     repeated evaluations of one circuit build it, and take its Choi ``eigh``,
-    once."""
+    once: once per process for a builtin circuit, whose instance is shared."""
     ds = run_qpt(circuit, noise=noise, shots=None)
     reconstructed = reconstruct_channel(ds)
     return process_fidelity(reconstructed, circuit._channel)

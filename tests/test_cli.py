@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from msbench import cli
-from msbench.channels import QuantumChannel
-from msbench.circuits import synthesize_ms_circuit
+from msbench.channels import QuantumChannel, channel_from_unitary
+from msbench.circuits import BUILTIN_TARGETS, Circuit, circuit_unitary, synthesize_ms_circuit
 from msbench.cli import main
 from msbench.noise import DeviceCalibration, QubitCalibration, build_noise_model
-from msbench.tomography import TomographyDataset, exact_process_fidelity
+from msbench.tomography import (TomographyDataset, exact_process_fidelity, process_fidelity,
+                                reconstruct_channel)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -159,9 +160,11 @@ def test_state_outputs_are_pinned(tmp_path, flags, digests):
 
 def test_decompose_and_stability_outputs_are_pinned(tmp_path):
     """Digests of the circuit and stability writers, as recorded before they
-    were derived from the readers' key lists."""
+    were derived from the readers' key lists. ms.json's was recorded again when
+    ``phase_aligned_distance`` began to form the difference explicitly: MS reads
+    2.9825041104932014e-16, not the cancelled 0.0."""
     digests = {
-        "ms.json": "a2178cf00db376b22d192a3d76b04e68a66efc40e90d840cd86e5f34ae64634f",
+        "ms.json": "4f0a3ef62ffa5a95e94fa39312aad374427d53464f8e1f2e090d03d7dd990639",
         "cx.json": "8b86ed656a27dc10c5f686c2dd0dfbac3bea7656fcc2351c8fe0a4ac00773d33",
         "stability.json": "5cb74a5339b71bcbea1d2ab002e67895de3d95b1ccfe3620109b81ea3c4ba5e6",
         "stability.csv": "7c62890619ef13a2eb9eb677a98180887f8baa55e6ae415c9a805232b8f50ee3",
@@ -181,9 +184,27 @@ def test_qpt_on_a_circuit_file_reports_against_itself(tmp_path):
     circuit.write_text(synthesize_ms_circuit().to_json())
     assert main(["qpt", "--circuit", str(circuit), "--exact",
                  "--out", str(tmp_path / "custom.json")]) == 0
-    assert json.loads((tmp_path / "custom.report.json").read_text()) == {
+    report = json.loads((tmp_path / "custom.report.json").read_text())
+    assert report == {
         "gate": "custom", "backend": "exact", "noise_fingerprint": "noiseless",
         "process_fidelity": pytest.approx(1.0, abs=1e-9)}
+    ds = TomographyDataset.from_json((tmp_path / "custom.json").read_text())
+    target = channel_from_unitary(circuit_unitary(Circuit.load(circuit)))
+    assert report["process_fidelity"] == process_fidelity(reconstruct_channel(ds), target)
+
+
+@pytest.mark.parametrize("label", ["ms", "cx"])
+def test_qpt_takes_a_builtin_target_from_one_read_only_channel(tmp_path, label):
+    target = cli._target_channel(label)
+    assert cli._target_channel(label) is target
+    assert not target.kraus_operators().flags.writeable
+    fresh = channel_from_unitary(BUILTIN_TARGETS[label]().matrix)
+    assert target.kraus_operators().tobytes() == fresh.kraus_operators().tobytes()
+    assert main(["qpt", "--circuit", "ms", "--exact", "--target", label,
+                 "--out", str(tmp_path / "qpt.json")]) == 0
+    ds = TomographyDataset.from_json((tmp_path / "qpt.json").read_text())
+    report = json.loads((tmp_path / "qpt.report.json").read_text())
+    assert report["process_fidelity"] == process_fidelity(reconstruct_channel(ds), fresh)
 
 
 def test_qpt_cx_against_ms_target(tmp_path):

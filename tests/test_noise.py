@@ -519,16 +519,23 @@ def test_fit_depolarizing_affine_fidelity_takes_three_evaluations(monkeypatch, n
 
 @pytest.mark.parametrize("make_circuit", [synthesize_ms_circuit, cx_circuit])
 def test_fit_depolarizing_takes_its_targets_choi_eigh_once(monkeypatch, make_circuit):
-    """Three evaluations share one target; each estimate's purity skips its eigh."""
+    """Three evaluations share one target; each estimate's purity skips its eigh.
+    A fresh instance of the circuit takes its target's eigh once; a second fit
+    on the shared builtin takes it no more."""
+    cal = DeviceCalibration.load(DATA_DIR / EXAMPLE_CALIBRATIONS[0])
+    fit_depolarizing(0.9247, make_circuit(), cal)
     eighs = []
     real = QuantumChannel.choi_eigh.func
     counting = functools.cached_property(lambda ch: eighs.append(ch) or real(ch))
     counting.__set_name__(QuantumChannel, "choi_eigh")
     monkeypatch.setattr(QuantumChannel, "choi_eigh", counting)
     calls = count_fidelity_evaluations(monkeypatch)
-    fit_depolarizing(0.9247, make_circuit(), DeviceCalibration.load(DATA_DIR / EXAMPLE_CALIBRATIONS[0]))
-    assert len(calls) == 3
-    assert len(eighs) == 1
+    for circuit, target_eighs in ((Circuit(make_circuit().gates), 1), (make_circuit(), 0)):
+        calls.clear()
+        eighs.clear()
+        fit_depolarizing(0.9247, circuit, cal)
+        assert len(calls) == 3
+        assert len(eighs) == target_eighs
 
 
 @pytest.mark.parametrize("path", ["p = 0", "secant", "p = 1"])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from msbench.simulator import (
     sample_counts,
     seed_sequences,
     validate_seed,
+    validate_setting,
     validate_shots,
 )
 from msbench.tomography import _CELLS, TomographyDataset, run_qpt
@@ -148,6 +150,21 @@ def test_stacked_states_match_single_state_calls(rng):
 def test_outcome_distribution_rejects_bad_setting():
     with pytest.raises(ValueError):
         outcome_distribution(basis_state("00"), "ZQ")
+
+
+@pytest.mark.parametrize("entry", [["Z", "Z"], {"a": 1}, 7], ids=["list", "dict", "int"])
+def test_a_setting_or_observable_that_is_not_a_string_fails_naming_it(entry):
+    """Refused before the per-tuple caches, which an unhashable entry would fail
+    with a ``TypeError``, and after a valid tuple has filled them."""
+    outcome_distribution(basis_state("00"), ["ZZ"])
+    expectation([0.25] * 4, ["ZZ"])
+    named = re.escape(f"got {entry!r}")
+    with pytest.raises(ValueError, match=f"^measurement setting must be two of X/Y/Z, {named}$"):
+        validate_setting(entry)
+    with pytest.raises(ValueError, match=f"^measurement setting must be two of X/Y/Z, {named}$"):
+        outcome_distribution(basis_state("00"), [entry])
+    with pytest.raises(ValueError, match=f"^observable must be two of I/X/Y/Z, {named}$"):
+        expectation([0.25] * 4, [entry])
 
 
 def test_sample_counts_point_mass():

@@ -19,11 +19,10 @@ Kraus sets are (count, d, d) stacks, and ``apply``, ``tensor``, ``compose``
 and the Choi state run on them as array operations that give each entry the
 operations, in term order, of a term-by-term loop; the one sparse Choi sum,
 of ``depolarized``'s cached products, skips only terms that are +0, which
-leave the sum's bits alone. Their matrix products are grouped GEMMs
-(``linalg.matmul_pairs`` and ``linalg.sandwich``): one call for all of
-``compose``'s pairs, two for ``project_cptp``'s 16 lifted basis matrices.
-Each entry is still the same dot product, so only the number of calls
-changes (measured for d >= 4; 2x2 left products stay per matrix).
+leave the sum's bits alone. Their matrix products go through
+``linalg.matmul_pairs``, one call for all of ``compose``'s pairs, and
+``project_cptp`` takes its lifted basis into each eigenbasis through
+``linalg.sandwich``; both keep the per-matrix products' bits.
 Sampled counts depend on the last ulp of the noise channels (see
 ``simulator``), so a closed form or a reassociated sum would move them.
 
@@ -57,6 +56,7 @@ from .linalg import (
     kraus_sum,
     kron_pairs,
     matmul_pairs,
+    sandwich,
 )
 
 REPRESENTATIONS = ("kraus", "choi", "chi")
@@ -111,14 +111,6 @@ def _lifted_basis(dim: int) -> np.ndarray:
 def _lifted_rows(dim: int) -> np.ndarray:
     """``_lifted_basis`` as a read-only (d^2, d^4) view, one flattened matrix per row."""
     return _lifted_basis(dim).reshape(dim * dim, -1)
-
-
-def _lifted_in_eigenbasis(vecs: np.ndarray, dim: int) -> np.ndarray:
-    """V^dag (I (x) B_k) V for each lifted basis matrix, one flattened per row:
-    two GEMMs over the stack, with the bits of ``dagger(vecs) @ lifted @ vecs``."""
-    n = dim * dim
-    left = matmul_pairs(dagger(vecs)[None], _lifted_basis(dim)).reshape(-1, n)
-    return (left @ vecs).reshape(n, -1)
 
 
 def _choi_form(matrix, name: str) -> tuple[np.ndarray, int]:
@@ -490,7 +482,7 @@ def project_cptp(raw) -> QuantumChannel:
         if step == _NEWTON_STEP_CAP:
             raise ProjectionError(step, tp_gap)
         # Jac_kl = Re Tr(T_k (omega o T_l)) with T_k = V^dag (I (x) B_k) V.
-        t = _lifted_in_eigenbasis(vecs, dim)
+        t = sandwich(dagger(vecs)[None], _lifted_basis(dim))[0].reshape(n, -1)
         gaps = vals[:, None] - vals
         omega = np.where(gaps == 0, vals[:, None] >= 0, 0.0)
         np.divide(clipped[:, None] - clipped, gaps, out=omega, where=gaps != 0)

@@ -26,6 +26,7 @@ exits 1, writing no output and no manifest.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import datetime
 import functools
 import json
@@ -33,12 +34,15 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .channels import channel_from_unitary
 from .circuits import (
     BUILTIN_CIRCUITS,
     BUILTIN_TARGETS,
     Circuit,
+    _load,
     circuit_unitary,
     phase_aligned_distance,
 )
@@ -73,6 +77,25 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+@functools.cache
+def _blas_kernel() -> str | None:
+    """The OpenBLAS kernel set that runs, such as SkylakeX, read once per process
+    through ctypes from numpy's bundled library, or None where none answers.
+    ``OPENBLAS_CORETYPE`` selects another set, whose bits may differ."""
+    for path in sorted(Path(np.__file__).parent.with_name("numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        # numpy 2 wheels bundle scipy-openblas; numpy 1.24's is libopenblas64_.
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
 def _write_manifest(out: Path, args: argparse.Namespace, cal_fingerprint: str,
                     outputs: list[Path]) -> None:
     manifest = {
@@ -82,6 +105,8 @@ def _write_manifest(out: Path, args: argparse.Namespace, cal_fingerprint: str,
         "rng": RNG_ALGORITHM,
         "calibration_fingerprint": cal_fingerprint,
         "version": __version__,
+        "numpy": np.__version__,
+        "blas_kernel": _blas_kernel(),
         "outputs": [str(p) for p in outputs],
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -94,10 +119,20 @@ def _load_circuit(name_or_path: str) -> tuple[Circuit, str]:
     return Circuit.load(name_or_path), "custom"
 
 
+def _load_calibration(path: str) -> DeviceCalibration:
+    """A calibration file for the qubit pair (0, 1) that ``state``, ``qpt`` and
+    ``fit-noise`` model; one that lacks either qubit fails naming its path."""
+    def parse(text: str) -> DeviceCalibration:
+        cal = DeviceCalibration.from_json(text)
+        cal.qubit(0), cal.qubit(1)
+        return cal
+    return _load(path, parse)
+
+
 def _load_noise(path: str | None):
     if path is None:
         return None, None
-    cal = DeviceCalibration.load(path)
+    cal = _load_calibration(path)
     return build_noise_model(cal), cal
 
 
@@ -183,7 +218,7 @@ def cmd_qpt(args, out: Path) -> _Handled:
 
 def cmd_fit_noise(args, out: Path) -> _Handled:
     circuit, label = _load_circuit(args.circuit)
-    cal = DeviceCalibration.load(args.calib)
+    cal = _load_calibration(args.calib)
     p_dep, achieved = fit_depolarizing(args.target_fidelity, circuit, cal)
     fitted = cal.with_p_dep(p_dep)
     print(f"fitted p_dep = {p_dep:.6f} for {label} "

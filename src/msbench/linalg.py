@@ -2,18 +2,11 @@
 
 Matrices are plain 2-D complex numpy arrays, row-major, at most 16x16;
 ``dagger``, ``kraus_sum`` and ``check_density_matrix`` also map over a
-leading stack axis. ``kraus_sum`` is the one place a channel acts on a
-state: ``sandwich`` makes every term, then one reduce adds the terms in the
-channel's order. Everything here is a pure function; inputs are never
-mutated.
-
-Stacked products are grouped GEMMs (``matmul_pairs``, ``sandwich``,
-``conjugate``), not one call per small matrix. A GEMM computes each output
-entry as one dot product over the inner dimension, so grouping changes the
-number of calls, not any entry's operands, order or bits: equal by
-``tobytes`` for d = 4, 8 and 16, signed zeros included (OpenBLAS 0.3.31,
-its SkylakeX kernels; ``OPENBLAS_CORETYPE`` selects another set, whose bits
-may differ). The 2x2 left product is the exception (``matmul_pairs``).
+leading stack axis. ``sandwich`` is the toolkit's one A X A^dag: a gate's
+unitary step, every channel term (``kraus_sum`` adds them in the channel's
+order), the measurement rotations and ``project_cptp``'s change of basis.
+Its grouped GEMMs keep the per-matrix products' bits, and its docstring
+says why. Everything here is a pure function; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -42,7 +35,7 @@ def as_matrix(m) -> np.ndarray:
 
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
-    return np.swapaxes(np.asarray(m).conj(), -1, -2)
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -82,24 +75,17 @@ def sandwich(ops, rho) -> np.ndarray:
     (one matrix or a stack), shaped (k, *rho.shape); no validation.
 
     ``matmul_pairs`` makes every K rho, then one GEMM per operator takes all
-    its products times K^dag: 1 + k BLAS calls, not 2 k per state, with the
-    bits of ``K @ rho @ dagger(K)``. ``conjugate`` repeats these operand
-    layouts for one operator, so a change to one must change both."""
+    its products times K^dag: 1 + k BLAS calls, not 2 k per state. A GEMM
+    computes each output entry as one dot product over the inner dimension,
+    so grouping changes the number of calls, not any entry's operands, order
+    or bits: each equals ``K @ rho @ dagger(K)`` by ``tobytes`` for d = 4, 8
+    and 16, signed zeros included (OpenBLAS 0.3.31, its SkylakeX kernels;
+    ``OPENBLAS_CORETYPE`` selects another set, whose bits may differ). The
+    2x2 left product is the exception (``matmul_pairs``)."""
     ops, rho = np.asarray(ops), np.asarray(rho)
     k, d, _ = ops.shape
     left = matmul_pairs(ops, rho.reshape(-1, d, d)).reshape(k, -1, d)
     return (left @ dagger(ops)).reshape((k,) + rho.shape)
-
-
-def conjugate(u, rho) -> np.ndarray:
-    """u rho u^dag for one d x d operator, d >= 4, and a matrix or a stack of
-    them, shaped like ``rho``; no validation. The two GEMMs of
-    ``sandwich(u[None], rho)[0]``, with its operand layouts and so its bits,
-    without the stack bookkeeping."""
-    d = len(u)
-    left = u @ rho.reshape(-1, d, d).swapaxes(0, 1).reshape(d, -1)
-    left = left.reshape(d, -1, d).swapaxes(0, 1).reshape(-1, d)
-    return (left @ dagger(u)).reshape(rho.shape)
 
 
 def kraus_sum(ops, rho) -> np.ndarray:
@@ -135,6 +121,8 @@ def check_density_matrix(rho, dim: int = 4) -> np.ndarray:
     if rho.shape[-2:] != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} density matrix, got {rho.shape[-2:]}")
     states = rho.reshape(-1, dim, dim)
+    if not len(states):
+        raise ValueError("empty stack of density matrices: need at least one state")
     if (np.linalg.norm(states - dagger(states), axis=(1, 2)) > _DENSITY_ATOL).any():
         raise ValueError("density matrix is not Hermitian")
     traces = np.trace(states, axis1=1, axis2=2)

@@ -14,12 +14,9 @@ once, where they enter: ``evolve`` checks its states
 entry fails with the message it fails with alone. ``apply_gates`` and
 ``outcome_distribution`` take states as ``evolve`` returns them, unchecked.
 Each entry goes through exactly the floating-point operations it would go
-through alone: ``u @ rho @ u^dag`` for the whole stack in the two GEMMs of
-``linalg.conjugate``, each channel as K rho K^dag for all its operators and
-states in 1 + k GEMMs, and the setting rotations, read from a prebuilt
-stack for the 9 tomography ``SETTINGS``, the same way (``linalg.sandwich``:
-grouping changes the number of BLAS calls, not any entry's dot product,
-measured bit for bit for d >= 4; a 2x2 left product stays per matrix), the
+through alone: each gate's unitary, each channel's operators and the
+setting rotations, read from a prebuilt stack for the 9 tomography
+``SETTINGS``, act on the whole stack through ``linalg.sandwich``, the
 channel's terms added in the order it lists them, per-state normalization,
 an ``einsum`` for the readout confusion, and a per-row clip,
 renormalization and draw from the row's own PCG64 stream. Sampled counts
@@ -57,7 +54,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .circuits import Circuit
-from .linalg import I2, check_density_matrix, conjugate, dagger, kraus_sum, kron, sandwich
+from .linalg import I2, check_density_matrix, dagger, kraus_sum, kron, sandwich
 
 RNG_ALGORITHM = "numpy-PCG64-multinomial"
 # How far a probability may fall below 0, and a distribution's sum stray from 1.
@@ -246,7 +243,7 @@ def apply_gates(circuit: Circuit, rho, noise=None) -> np.ndarray:
     same bits as evolving the whole circuit at once.
     """
     for gate in circuit.gates:
-        rho = conjugate(gate.matrix(), rho)
+        rho = sandwich(gate.matrix()[None], rho)[0]
         if noise is not None:
             channel = noise.channel_for(gate)
             if channel is not None:
@@ -270,8 +267,10 @@ def outcome_distribution(rho, setting, confusion=None) -> np.ndarray:
     axis over the settings if a sequence was given, then the 4 outcomes.
     The states are taken as ``evolve`` returns them, with no validation.
     """
-    settings = (setting,) if isinstance(setting, str) else setting
-    r = _rotations(tuple(map(validate_setting, settings)))  # each validated before the lookup
+    settings = tuple(map(validate_setting, (setting,) if isinstance(setting, str) else setting))
+    if not settings:  # refused before the lookup, as each setting is validated
+        raise ValueError("empty sequence of settings: need at least one")
+    r = _rotations(settings)
     rho = np.asarray(rho, dtype=complex)
     rotated = np.moveaxis(sandwich(r, rho), 0, -3)  # stack, setting, 4, 4
     probs = np.real(np.diagonal(rotated, axis1=-2, axis2=-1))

@@ -29,7 +29,6 @@ from conftest import (
     partial_trace,
     random_cptp_kraus,
     random_density_matrix,
-    random_unitary,
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -515,18 +514,6 @@ def test_depolarized_matches_compose_with_the_depolarizing_channel(channel, p):
     expected = channel.compose(depolarizing_channel(p, channel.dim.bit_length() - 1)).data
     for _ in range(2):
         assert _same_bytes(channel.depolarized(p).data, expected)
-
-
-@settings(max_examples=examples(100), deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4]), fortran=st.booleans())
-def test_lifted_basis_in_an_eigenbasis_matches_the_stacked_product(seed, dim, fortran):
-    """``project_cptp``'s two GEMMs against the per-matrix products, on a random
-    d^2 x d^2 unitary in either memory order, as ``eigh`` may return; equal as
-    far as the BLAS build's kernels allow."""
-    vecs = random_unitary(np.random.default_rng(seed), dim * dim)
-    vecs = np.asfortranarray(vecs) if fortran else vecs
-    expected = (dagger(vecs) @ channels._lifted_basis(dim) @ vecs).reshape(dim * dim, -1)
-    assert channels._lifted_in_eigenbasis(vecs, dim).tobytes() == expected.tobytes()
 
 
 def _sparse_stack(seed: int, count: int, dim: int, zero_entries: float,

@@ -1,6 +1,9 @@
 import argparse
 import hashlib
 import json
+import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -405,6 +408,23 @@ def test_manifest_contents(tmp_path):
     assert manifest["rng"] == "numpy-PCG64-multinomial"
     assert manifest["flags"]["shots"] == 200
     assert str(out) in manifest["outputs"]
+    assert manifest["numpy"] == np.__version__
+    assert manifest["blas_kernel"] == cli._blas_kernel()
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
+                    or cli._blas_kernel() is None,
+                    reason="needs numpy's bundled OpenBLAS on x86-64")
+def test_manifest_names_the_blas_kernel_that_runs(tmp_path):
+    """``OPENBLAS_CORETYPE`` picks the kernel set at load, so a fresh process reads it."""
+    out = tmp_path / "ms.json"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "msbench.cli", "decompose", "--target", "ms",
+                    "--out", str(out)], env=env, check=True, capture_output=True)
+    manifest = json.loads((tmp_path / "ms.json.manifest.json").read_text())
+    assert manifest["blas_kernel"] == "Nehalem"
 
 
 def test_decompose_manifest_records_every_flag(tmp_path):
@@ -489,6 +509,8 @@ HUGE = 10**400  # a JSON integer past float64's range
      "{", ["bad.json", "Expecting property name"]),
     (["stability", "--calib-a", "{dir}/bad.json", "--calib-b", "{dir}/bad.json"],
      json.dumps({"qubits": []}), ["bad.json", "qubits: a calibration needs at least one qubit"]),
+    (FIT_CALIB, _calibration_with_qubit(), ["bad.json", "no calibration for qubit 1"]),
+    (QPT_NOISE, _calibration_with_qubit(), ["bad.json", "no calibration for qubit 1"]),
     (FIT_CALIB, _calibration_with_qubit(t1_us=HUGE), ["bad.json", "qubit 0: t1_us = 1000"]),
     (FIT_CALIB, _calibration_with_qubit(t2_us=HUGE), ["bad.json", "qubit 0: t2_us = 1000"]),
     (FIT_CALIB, _calibration_with_qubit(frequency_ghz=HUGE),
@@ -512,7 +534,8 @@ HUGE = 10**400  # a JSON integer past float64's range
         "calib-string-t1", "calib-string-p-dep", "calib-missing-qubits", "calib-not-an-object",
         "rz-missing-angle", "sx-missing-qubit", "gate-not-an-object", "sx-unknown-key",
         "rz-bool-angle", "sx-bool-qubit", "cnot-bool-indices", "circuit-not-a-list",
-        "calib-not-json", "stability-no-qubits", "calib-huge-t1", "calib-huge-t2",
+        "calib-not-json", "stability-no-qubits", "fit-calib-no-qubit-1",
+        "qpt-noise-no-qubit-1", "calib-huge-t1", "calib-huge-t2",
         "calib-huge-frequency", "calib-huge-anharmonicity", "calib-huge-duration",
         "rz-huge-angle", "object-kind", "list-kind", "calib-nested", "calib-null-durations",
         "calib-list-durations"])

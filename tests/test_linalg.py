@@ -11,7 +11,6 @@ from msbench.linalg import (
     PAULI_X,
     PAULI_Z,
     check_density_matrix,
-    conjugate,
     dagger,
     kraus_sum,
     kron,
@@ -77,37 +76,39 @@ def test_stacked_kraus_sum_matches_the_term_by_term_loop(seed, count, dim, stack
     assert out.tobytes() == _term_by_term(ops, rho).tobytes()
 
 
-@settings(max_examples=examples(100), deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 16), dim=st.sampled_from([2, 4, 16]),
-       stack=st.sampled_from([None, 1, 3, 16, 144]), zeros=st.floats(0.0, 0.5))
-def test_grouped_sandwich_matches_the_per_matrix_product(seed, count, dim, stack, zeros):
-    """Grouped GEMMs give each K rho K^dag the bits of its own ``k @ rho @ dagger(k)``,
-    as far as the BLAS build's kernels allow."""
-    rng = np.random.default_rng(seed)
-    ops = _matrices(rng, (count, dim, dim), zeros)
-    rho = _matrices(rng, (dim, dim) if stack is None else (stack, dim, dim), zeros)
-    out = sandwich(ops, rho)
-    assert out.shape == (count,) + rho.shape
-    assert out.tobytes() == np.array([k @ rho @ dagger(k) for k in ops]).tobytes()
-
-
 _NATIVE_GATES = [Gate.sx(0), Gate.sx(1), Gate.x(0), Gate.x(1), Gate.rz(0, np.pi / 2),
                  Gate.rz(1, np.pi), Gate.rz(0, -0.7), Gate.cnot(0, 1), Gate.cnot(1, 0)]
 
+_SEEDS = st.integers(0, 2**32 - 1)
 
-@settings(max_examples=examples(200), deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), gate=st.sampled_from([None, *_NATIVE_GATES]),
-       stack=st.sampled_from([None, *range(1, 17)]), zeros=st.floats(0.0, 0.5))
-def test_conjugate_is_the_one_operator_sandwich_bit_for_bit(seed, gate, stack, zeros):
-    """``conjugate(u, rho)`` against ``sandwich(u[None], rho)[0]`` by ``tobytes``,
-    for a native gate or a random 4x4 unitary, on one matrix or a stack of 1-16,
-    as far as the BLAS build's kernels allow."""
-    rng = np.random.default_rng(seed)
-    u = random_unitary(rng, 4) if gate is None else gate.matrix()
-    rho = _matrices(rng, (4, 4) if stack is None else (stack, 4, 4), zeros)
-    out = conjugate(u, rho)
-    assert out.shape == rho.shape
-    assert out.tobytes() == sandwich(u[None], rho)[0].tobytes()
+# The operator stacks that reach ``sandwich``: random ones, with signed zeros;
+# one native gate's matrix, as ``apply_gates`` passes it; and the conjugate
+# transpose of a unitary in either memory order, as ``project_cptp`` passes
+# ``dagger`` of ``eigh``'s eigenvectors.
+_OPERATOR_STACKS = st.one_of(
+    st.builds(lambda seed, count, dim, zeros:
+              _matrices(np.random.default_rng(seed), (count, dim, dim), zeros),
+              _SEEDS, st.integers(1, 16), st.sampled_from([2, 4, 16]), st.floats(0.0, 0.5)),
+    st.sampled_from(_NATIVE_GATES).map(lambda gate: gate.matrix()[None]),
+    st.builds(lambda seed, dim, fortran:
+              dagger((np.asfortranarray if fortran else np.asarray)(
+                  random_unitary(np.random.default_rng(seed), dim)))[None],
+              _SEEDS, st.sampled_from([4, 16]), st.booleans()))
+
+
+@settings(max_examples=examples(400), deadline=None)
+@given(ops=_OPERATOR_STACKS, seed=_SEEDS,
+       stack=st.sampled_from([None, 1, 3, 16, 144]) | st.integers(1, 16),
+       zeros=st.floats(0.0, 0.5))
+def test_grouped_sandwich_matches_the_per_matrix_product(ops, seed, stack, zeros):
+    """Grouped GEMMs give each K rho K^dag the bits of its own ``k @ rho @ dagger(k)``,
+    on one matrix or a stack, as far as the BLAS build's kernels allow."""
+    dim = ops.shape[-1]
+    rho = _matrices(np.random.default_rng(seed), (dim, dim) if stack is None
+                    else (stack, dim, dim), zeros)
+    out = sandwich(ops, rho)
+    assert out.shape == (len(ops),) + rho.shape
+    assert out.tobytes() == np.array([k @ rho @ dagger(k) for k in ops]).tobytes()
 
 
 def test_partial_trace_product_state(rng):

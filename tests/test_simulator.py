@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from msbench.channels import identity_channel
 from msbench.circuits import Circuit, Gate, circuit_unitary, synthesize_ms_circuit
 from msbench.noise import DeviceCalibration, QubitCalibration, build_noise_model
 from msbench.simulator import (
@@ -442,6 +443,16 @@ def test_a_stack_given_one_scalar_seed_is_refused(seed):
 def test_sample_counts_rejects_an_empty_stack():
     with pytest.raises(ValueError, match="empty stack of distributions"):
         sample_counts(np.zeros((0, 4)), 10, [])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: evolve(Circuit(), np.zeros((0, 4, 4))), "empty stack of density matrices"),
+    (lambda: identity_channel().apply(np.zeros((0, 4, 4))), "empty stack of density matrices"),
+    (lambda: outcome_distribution(basis_state("00"), []), "empty sequence of settings"),
+], ids=["evolve", "channel-apply", "no-settings"])
+def test_an_empty_stack_or_settings_list_fails_naming_it(call, message):
+    with pytest.raises(ValueError, match=f"^{message}: need at least one"):
+        call()
 
 
 @pytest.mark.parametrize("dist, seed, row", [

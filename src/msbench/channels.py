@@ -22,7 +22,9 @@ of ``depolarized``'s cached products, skips only terms that are +0, which
 leave the sum's bits alone. Their matrix products go through
 ``linalg.matmul_pairs``, one call for all of ``compose``'s pairs, and
 ``project_cptp`` takes its lifted basis into each eigenbasis through
-``linalg.sandwich``; both keep the per-matrix products' bits.
+``linalg.sandwich``; both keep the per-matrix products' bits. The memory
+order of ``_lifted_rows`` is part of the projection's bits too: it picks the
+kernel of the GEMVs that give the TP residual.
 Sampled counts depend on the last ulp of the noise channels (see
 ``simulator``), so a closed form or a reassociated sum would move them.
 
@@ -101,16 +103,23 @@ def _pauli_change_of_basis(dim: int) -> np.ndarray:
 @functools.cache
 def _lifted_basis(dim: int) -> np.ndarray:
     """The read-only stack of I_out (x) B_k, over the orthonormal Hermitian basis
-    B_k = P_k/sqrt(d) of the input space that ``_pauli_change_of_basis`` holds."""
+    B_k = P_k/sqrt(d) of the input space that ``_pauli_change_of_basis`` holds.
+    Its memory runs row, k, column: the matrices side by side, as
+    ``matmul_pairs`` reads them, so ``sandwich`` takes them as a view."""
     lifted = np.kron(np.eye(dim), _pauli_change_of_basis(dim).T.reshape(-1, dim, dim))
-    lifted.flags.writeable = False
-    return lifted
+    side_by_side = np.ascontiguousarray(lifted.swapaxes(0, 1))
+    side_by_side.flags.writeable = False
+    return side_by_side.swapaxes(0, 1)
 
 
 @functools.cache
 def _lifted_rows(dim: int) -> np.ndarray:
-    """``_lifted_basis`` as a read-only (d^2, d^4) view, one flattened matrix per row."""
-    return _lifted_basis(dim).reshape(dim * dim, -1)
+    """``_lifted_basis`` as a read-only (d^2, d^4) Fortran-ordered array, one
+    flattened matrix per row. Its order picks ``_tp_residual``'s and the
+    shift's GEMV kernels, so it is part of the projection's bits."""
+    rows = np.asfortranarray(_lifted_basis(dim).reshape(dim * dim, -1))
+    rows.flags.writeable = False
+    return rows
 
 
 def _choi_form(matrix, name: str) -> tuple[np.ndarray, int]:
@@ -473,8 +482,8 @@ def project_cptp(raw) -> QuantumChannel:
     coords = np.zeros(n)  # of L, less the shift that gave X_tp
     for step in range(_NEWTON_STEP_CAP + 1):
         vals, vecs = np.linalg.eigh(x + np.dot(coords, rows).reshape(n, n))
-        clipped = np.maximum(vals, 0.0)
-        j = (vecs * clipped) @ dagger(vecs)
+        clipped, vecs_h = np.maximum(vals, 0.0), dagger(vecs)
+        j = (vecs * clipped) @ vecs_h
         residual = _tp_residual(j, dim)  # also that of j's Hermitian part
         tp_gap = frobenius(residual)
         if tp_gap <= _TP_GAP:
@@ -482,7 +491,7 @@ def project_cptp(raw) -> QuantumChannel:
         if step == _NEWTON_STEP_CAP:
             raise ProjectionError(step, tp_gap)
         # Jac_kl = Re Tr(T_k (omega o T_l)) with T_k = V^dag (I (x) B_k) V.
-        t = sandwich(dagger(vecs)[None], _lifted_basis(dim))[0].reshape(n, -1)
+        t = sandwich(vecs_h[None], _lifted_basis(dim))[0].reshape(n, -1)
         gaps = vals[:, None] - vals
         omega = np.where(gaps == 0, vals[:, None] >= 0, 0.0)
         np.divide(clipped[:, None] - clipped, gaps, out=omega, where=gaps != 0)

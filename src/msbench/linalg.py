@@ -39,7 +39,13 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+    """``float(np.linalg.norm(m))`` of a float or complex array, bit for bit,
+    by ``norm``'s own formula without its dispatch: the entries in memory
+    order, then sqrt(x . x), or sqrt(re . re + im . im)."""
+    x = np.asarray(m).ravel(order="K")
+    if x.dtype.kind == "c":
+        return float(np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)))
+    return float(np.sqrt(x.dot(x)))
 
 
 def kron(a, b) -> np.ndarray:

@@ -169,7 +169,7 @@ class _HashedSeed(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
             raise ValueError(f"a hashed seed holds generate_state(4, np.uint64) only, "
                              f"got ({n_words!r}, {dtype!r})")
         return self.words
@@ -190,7 +190,7 @@ def seed_sequences(seeds) -> list[ISeedSequence]:
         entropy[:2] = seeds >> _WORD_SHIFTS & np.uint64(_MASK32)
         words = np.ascontiguousarray(_generate_state(_entropy_pool(entropy), 4).T)
         words.flags.writeable = False
-        return [_HashedSeed(row) for row in words]
+        return list(map(_HashedSeed, words))
     return [np.random.SeedSequence(validate_seed(s)) for s in seeds]
 
 
@@ -321,9 +321,8 @@ def sample_counts(dist, shots: int, seed) -> np.ndarray:
         seed = [seed]
     elif np.ndim(seed) != 1 or len(seed) != len(rows):
         raise ValueError("a stack of distributions needs one seed per row")
-    counts = np.empty(rows.shape, dtype=np.int64)
-    for out, row, sequence in zip(counts, rows, seed_sequences(seed)):
-        out[:] = np.random.Generator(np.random.PCG64(sequence)).multinomial(shots, row)
+    counts = np.array([np.random.Generator(np.random.PCG64(sequence)).multinomial(shots, row)
+                       for row, sequence in zip(rows, seed_sequences(seed))], dtype=np.int64)
     return counts.reshape(dist.shape)
 
 
@@ -353,7 +352,10 @@ def expectation(freqs, observable):
     m = 1, a GEMV otherwise), so each entry has that call's bits.
     """
     if isinstance(observable, (list, tuple)):
-        signs = _sign_columns(tuple(map(_observable, observable)))  # each validated first
+        observables = tuple(map(_observable, observable))  # each validated first
+        if not observables:
+            raise ValueError("empty sequence of observables: need at least one")
+        signs = _sign_columns(observables)
         return (np.asarray(freqs, dtype=float) @ signs)[..., 0]
     return np.asarray(freqs, dtype=float) @ _OUTCOME_SIGNS[_observable(observable)]
 

@@ -220,6 +220,23 @@ def test_choi_validation():
         QuantumChannel.from_choi(j)
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_lifted_basis_and_rows_keep_their_stated_layouts(dim):
+    """Both equal the kron of I_out with B_k = P_k/sqrt(d), in stated memory
+    orders. ``_lifted_basis`` lies side by side, so ``matmul_pairs`` reads it
+    with no copy. ``_lifted_rows`` is Fortran-ordered, as ``np.kron``'s output
+    left it before the order was stated, and the order picks the GEMV
+    kernels of ``_tp_residual``: C-ordered rows moved 7 tier-1 pins, both
+    ``test_cli.py::test_qpt_outputs_are_pinned`` cases and 5 of the 8
+    ``test_fit_noise_outputs_are_pinned`` cases."""
+    expected = np.kron(np.eye(dim), pauli_basis(dim.bit_length() - 1) / np.sqrt(dim))
+    lifted, rows = channels._lifted_basis(dim), channels._lifted_rows(dim)
+    assert np.array_equal(lifted, expected)
+    assert np.array_equal(rows, expected.reshape(dim * dim, -1))
+    assert lifted.swapaxes(0, 1).flags.c_contiguous and not lifted.flags.writeable
+    assert rows.flags.f_contiguous and not rows.flags.writeable
+
+
 def test_project_cptp_fixed_point(rng):
     ch = random_cptp_kraus(rng, n_kraus=3)
     j = ch.choi_matrix()

@@ -449,7 +449,8 @@ def test_sample_counts_rejects_an_empty_stack():
     (lambda: evolve(Circuit(), np.zeros((0, 4, 4))), "empty stack of density matrices"),
     (lambda: identity_channel().apply(np.zeros((0, 4, 4))), "empty stack of density matrices"),
     (lambda: outcome_distribution(basis_state("00"), []), "empty sequence of settings"),
-], ids=["evolve", "channel-apply", "no-settings"])
+    (lambda: expectation([0.25] * 4, []), "empty sequence of observables"),
+], ids=["evolve", "channel-apply", "no-settings", "no-observables"])
 def test_an_empty_stack_or_settings_list_fails_naming_it(call, message):
     with pytest.raises(ValueError, match=f"^{message}: need at least one"):
         call()

@@ -12,14 +12,15 @@ Conventions, fixed across the toolkit:
   eigenvalues.
 * Kraus operators act as E(rho) = sum_k K rho K^dag with sum K^dag K = I.
 
-Every representation applies to states through its Kraus operators
-(``linalg.kraus_sum``); a Choi or chi channel is converted once, on first use.
+Every channel derives its other forms from its Choi state, built once, on
+first use, and kept read-only; it applies to states through its Kraus
+operators (``linalg.kraus_sum``), which a Choi or chi channel derives once.
 
 Kraus sets are (count, d, d) stacks, and ``apply``, ``tensor``, ``compose``
 and the Choi state run on them as array operations that give each entry the
-operations, in term order, of a term-by-term loop; the one sparse Choi sum,
-of ``depolarized``'s cached products, skips only terms that are +0, which
-leave the sum's bits alone. Their matrix products go through
+operations, in term order, of a term-by-term loop; every Kraus stack's Choi
+sum is the sparse one (``_choi_sum``), which skips only terms that are +0,
+which leave the sum's bits alone. Their matrix products go through
 ``linalg.matmul_pairs``, one call for all of ``compose``'s pairs, and
 ``project_cptp`` takes its lifted basis into each eigenbasis through
 ``linalg.sandwich``; both keep the per-matrix products' bits. The memory
@@ -215,9 +216,9 @@ class QuantumChannel:
             raise ValueError("chi matrix is not Hermitian")
         if abs(np.trace(c).real - 1.0) > 1e-8:
             raise ValueError("chi matrix trace != 1 under the normalized convention")
-        b = _pauli_change_of_basis(dim)
-        QuantumChannel.from_choi(b @ c @ dagger(b))  # CP/TP validation
-        return QuantumChannel("chi", c)
+        ch = QuantumChannel("chi", c)
+        QuantumChannel.from_choi(ch._choi)  # CP/TP validation, of the state kept for use
+        return ch
 
     def to_json(self) -> str:
         """JSON form, as ``json.dumps(..., indent=2)`` writes it: the representation
@@ -271,18 +272,29 @@ class QuantumChannel:
     def kraus_operators(self) -> np.ndarray:
         return self._kraus
 
-    @functools.cached_property
-    def _kraus(self) -> np.ndarray:  # one Choi eigh per channel, not per apply
-        return self.convert("kraus").data
-
     def choi_matrix(self) -> np.ndarray:
-        return self.convert("choi").data
+        return self._choi
+
+    def chi_matrix(self) -> np.ndarray:
+        b = _pauli_change_of_basis(self.dim)
+        return self.data if self.representation == "chi" else dagger(b) @ self._choi @ b
 
     @functools.cached_property
-    def _choi(self) -> np.ndarray:  # of a Kraus set: one sum per channel, read-only
-        j = _kraus_to_choi(self.data, self.dim)
+    def _choi(self) -> np.ndarray:  # the state every other form derives from; once, read-only
+        if self.representation == "kraus":
+            flat = self.data.reshape(len(self.data), -1)  # row-major flatten: output (x) input
+            j = _choi_sum(flat, self.dim, _choi_plan(flat))
+        elif self.representation == "chi":
+            b = _pauli_change_of_basis(self.dim)
+            j = b @ self.data @ dagger(b)
+        else:
+            j = self.data.view()  # read-only here; the stored matrix stays its owner's
         j.flags.writeable = False
         return j
+
+    @functools.cached_property
+    def _kraus(self) -> np.ndarray:  # one Choi eigh per channel, not per apply
+        return self.data if self.representation == "kraus" else _choi_to_kraus(self._choi, self.dim)
 
     @functools.cached_property
     def choi_eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -291,26 +303,11 @@ class QuantumChannel:
         vals.flags.writeable = vecs.flags.writeable = False
         return vals, vecs
 
-    def chi_matrix(self) -> np.ndarray:
-        return self.convert("chi").data
-
     def convert(self, to: str) -> "QuantumChannel":
-        if to not in REPRESENTATIONS:
+        forms = {"kraus": self.kraus_operators, "choi": self.choi_matrix, "chi": self.chi_matrix}
+        if to not in forms:
             raise ValueError(f"unknown representation {to!r}")
-        if to == self.representation:
-            return self
-        if self.representation == "kraus":
-            ch = QuantumChannel("choi", self._choi)
-            return ch if to == "choi" else ch.convert("chi")
-        if self.representation == "choi":
-            if to == "kraus":
-                return QuantumChannel("kraus", _choi_to_kraus(self.data, self.dim))
-            b = _pauli_change_of_basis(self.dim)
-            return QuantumChannel("chi", dagger(b) @ self.data @ b)
-        # chi -> choi (-> kraus)
-        b = _pauli_change_of_basis(self.dim)
-        ch = QuantumChannel("choi", b @ self.data @ dagger(b))
-        return ch if to == "choi" else ch.convert("kraus")
+        return self if to == self.representation else QuantumChannel(to, forms[to]())
 
     def apply(self, rho) -> np.ndarray:
         """Apply the channel to a density matrix, or to each of a stack of
@@ -332,8 +329,8 @@ class QuantumChannel:
         a, b = self._kraus, after._kraus
         ops = matmul_pairs(b, a).reshape(-1, self.dim, self.dim)  # b_i @ a_j, i-major
         ch = QuantumChannel("kraus", ops)  # products of two validated channels
-        if len(ops) > self.dim**2:
-            ch = ch.convert("choi").convert("kraus")  # compress to a minimal set
+        if len(ops) > self.dim**2:  # compress to a minimal set
+            ch = QuantumChannel("kraus", _choi_to_kraus(ch._choi, self.dim))
         return ch
 
     def depolarized(self, p: float) -> "QuantumChannel":
@@ -364,14 +361,6 @@ class QuantumChannel:
         return products, _choi_plan(products.reshape(-1, self.dim * self.dim))
 
 
-def _kraus_to_choi(ops, dim: int) -> np.ndarray:
-    """sum_k v_k v_k^dag / d, v_k = flat(K_k), by one reduce over k, with the
-    bits of the loop that adds each ``v @ dagger(v)`` to a zero matrix in k
-    order, as no term is -0 (see ``_choi_sum``)."""
-    cols = np.reshape(ops, (len(ops), dim * dim, 1))  # row-major flatten matches output (x) input
-    return np.add.reduce(cols @ dagger(cols), axis=0) / dim
-
-
 def _choi_plan(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sparse sum's plan for a (count, d^2) stack of flattened operators:
     the support, each operator's nonzero entries padded to m, and the Choi
@@ -385,15 +374,16 @@ def _choi_plan(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _choi_sum(flat: np.ndarray, dim: int, plan: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """``_kraus_to_choi`` of the flattened operators, adding only the terms
-    on the ``_choi_plan`` of a stack that is nonzero wherever they are.
+    """sum_k v_k v_k^dag / d over the flattened operators v_k, with the bits of
+    the loop that adds each ``v @ dagger(v)`` to a zero matrix in k order, from
+    only the terms on the ``_choi_plan`` of a stack nonzero wherever they are.
 
     Each term is made by numpy's 1-deep matmul loop, which writes the real and
     imaginary parts of a product as 0 + (...): a product with a zero factor is
     +0, and no product is -0. So no partial sum is -0 either, and adding a +0
     term leaves its bits alone: J[a, b] needs only the terms where v_k[a] and
     v_k[b] are both nonzero, added in k order. This holds for finite
-    operators, as inf * 0 is nan; every caller passes a validated stack.
+    operators, as inf * 0 is nan; every stack the package builds is finite.
     Each operator's nonzero entries, in order and padded with its own zero
     entries (whose terms are +0) to the widest operator's count m >= 2 (at
     m = 1 numpy would take its dot, not that loop), make an m x m outer

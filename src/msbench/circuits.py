@@ -47,16 +47,19 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        # Not bools: True == 1 would be stored, and written back as true.
-        if not all(q in (0, 1) and not isinstance(q, bool) for q in self.qubits()):
+        given = {key: getattr(self, key) for key in _GATE_KEYS[1:] if getattr(self, key) is not None}
+        _check_record(given, (), _GATE_FIELDS[self.kind], self.kind)  # no field it would drop
+        # Integers, not bools: True == 1 would be stored, and written back as true.
+        if not all(isinstance(q, numbers.Integral) and not isinstance(q, bool) and q in (0, 1)
+                   for q in self.qubits()):
             raise ValueError(f"{self.kind} qubit indices must be 0 or 1, got "
                              f"{', '.join(map(repr, self.qubits()))}")
         if self.kind == "cnot" and self.control == self.target:
             raise ValueError("cnot control and target must differ")
-        if self.kind == "rz":
-            if not _is_number(self.angle) or not math.isfinite(self.angle):
-                raise ValueError(f"rz angle must be a finite number, got {_show(self.angle)}")
-            object.__setattr__(self, "angle", float(self.angle))
+        if self.kind == "rz" and not (_is_number(self.angle) and math.isfinite(self.angle)):
+            raise ValueError(f"rz angle must be a finite number, got {_show(self.angle)}")
+        for key, value in given.items():  # as the Python int or float that JSON writes
+            object.__setattr__(self, key, float(value) if key == "angle" else int(value))
 
     @staticmethod
     def rz(qubit: int, angle: float) -> "Gate":
@@ -151,14 +154,10 @@ def _load(path, from_json):
         raise ValueError(f"{path}: {err}") from None
 
 
-def _single_qubit_matrix(kind: str, angle: float | None) -> np.ndarray:
+def _single_qubit_matrix(kind: str, angle: float | None) -> np.ndarray:  # of a validated Gate
     if kind == "rz":
         return np.array([[np.exp(-1j * angle / 2), 0], [0, np.exp(1j * angle / 2)]])
-    if kind == "sx":
-        return _SX
-    if kind == "x":
-        return PAULI_X
-    raise ValueError(f"unknown single-qubit kind {kind!r}")
+    return {"sx": _SX, "x": PAULI_X}[kind]
 
 
 def cnot_matrix(control: int = 0, target: int = 1) -> np.ndarray:

@@ -37,6 +37,10 @@ QUBIT_KEYS = ("id", "t1_us", "t2_us", "readout_error") + _OPTIONAL_QUBIT_KEYS
 _REQUIRED_QUBIT_KEYS = ("id", "t1_us", "t2_us")
 
 
+def _plain(value):  # a numpy scalar as the Python number that JSON writes; else as given
+    return value.item() if isinstance(value, np.generic) else value
+
+
 class UnachievableTargetError(ValueError):
     """The requested fidelity cannot be reached by tuning the depolarizing knob."""
 
@@ -53,6 +57,8 @@ class QubitCalibration:
     readout_error_10: float | None = None  # P(read 0 | prepared 1) override
 
     def __post_init__(self):
+        for name in ("qubit", *QUBIT_KEYS[1:]):
+            object.__setattr__(self, name, _plain(getattr(self, name)))
         if not isinstance(self.qubit, numbers.Integral) or isinstance(self.qubit, bool):
             raise ValueError(f"qubit id {self.qubit!r} is not an integer")
         for name in QUBIT_KEYS[1:]:
@@ -94,6 +100,7 @@ class DeviceCalibration:
     p_dep: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "p_dep", _plain(self.p_dep))
         if not _is_number(self.p_dep) or not 0.0 <= self.p_dep <= 1.0:
             raise ValueError(f"p_dep = {_show(self.p_dep)} is not a number in [0, 1]")
         object.__setattr__(self, "qubits", tuple(self.qubits))
@@ -107,6 +114,7 @@ class DeviceCalibration:
         durations = {**DEFAULT_DURATIONS_NS, **self.durations_ns}
         durations.setdefault("x", durations["sx"])  # X is a single pulse, like SX
         for key, value in durations.items():
+            durations[key] = value = _plain(value)
             if not _is_number(value) or not math.isfinite(value):
                 raise ValueError(f"durations_ns[{key!r}] = {_show(value)} is not a finite number")
             if value < 0:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -6,6 +8,9 @@ from hypothesis import strategies as st
 from msbench.channels import QuantumChannel
 from msbench.circuits import Circuit, Gate
 from msbench.linalg import as_matrix
+from msbench.noise import DeviceCalibration, QubitCalibration
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 # `pytest --hypothesis-profile=ci`, as CI runs tier-1, runs every property at ten times its
 # default examples: a property sets its count by `examples(n)`, and one that sets none takes
@@ -17,6 +22,13 @@ def examples(n: int) -> int:
     """A test's own example count, scaled by the loaded profile's over hypothesis'
     default of 100: n by default, 10 n under the "ci" profile."""
     return n * settings.default.max_examples // 100
+
+
+def dep_cal(p_dep) -> DeviceCalibration:
+    """Two qubits of T1 100 us and T2 80 us with no readout error, and every gate
+    of zero duration: the CNOT's depolarizing channel at p_dep is all the noise."""
+    qubits = (QubitCalibration(0, 100.0, 80.0, 0.0), QubitCalibration(1, 100.0, 80.0, 0.0))
+    return DeviceCalibration(qubits, {"rz": 0, "sx": 0, "cnot": 0, "x": 0}, p_dep)
 
 
 def count_numpy_random(monkeypatch, name: str) -> list:

@@ -6,7 +6,6 @@ Shared expensive artifacts (the fitted noise model) are built once per module.
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +23,8 @@ from msbench.tomography import (
     run_qpt,
 )
 
-from conftest import partial_trace, random_cptp_kraus, random_density_matrix
+from conftest import DATA_DIR, partial_trace, random_cptp_kraus, random_density_matrix
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 BASE_CALIBRATION = DATA_DIR / "example_calibration.json"
 
 MS_TARGET_FIDELITY = 0.9247

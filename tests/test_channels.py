@@ -2,7 +2,6 @@ import inspect
 import itertools
 import json
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,13 +24,12 @@ from msbench.noise import (DeviceCalibration, build_noise_model, damping_channel
                            depolarizing_channel)
 
 from conftest import (
+    DATA_DIR,
     examples,
     partial_trace,
     random_cptp_kraus,
     random_density_matrix,
 )
-
-DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 def maximally_entangled_choi():
@@ -578,16 +576,14 @@ def _each_choi_stack(test):
                      zero_operators=st.sampled_from([0.0, 0.1, 0.5])))
 def test_rowwise_kraus_to_choi_matches_the_outer_product_loop(ops):
     """Dense stacks and sparse ones against the loop that adds every term, by
-    the dense reduce and by the sparse sum, which skips the +0 terms; among
-    them the relaxation-then-depolarizing stacks of both example
-    calibrations, whose 256 operators at p > 0 hold 576 nonzero entries in
-    4096. The sparse sum equals the loop because numpy's 1-deep matmul loop
-    writes each product as 0 + x*conj(y), and numpy 1.24 ships its own build of
-    that loop."""
+    the sparse sum, which skips the +0 terms, as a Kraus channel's Choi state
+    takes it; among them the relaxation-then-depolarizing stacks of both
+    example calibrations, whose 256 operators at p > 0 hold 576 nonzero
+    entries in 4096. The sparse sum equals the loop because numpy's 1-deep
+    matmul loop writes each product as 0 + x*conj(y), and numpy 1.24 ships its
+    own build of that loop."""
     dim = ops.shape[1]
     loop = _choi_loop(ops, dim).tobytes()
-    assert channels._kraus_to_choi(ops, dim).tobytes() == loop
-    assert channels._kraus_to_choi(tuple(ops), dim).tobytes() == loop
     flat = ops.reshape(len(ops), -1)
     assert channels._choi_sum(flat, dim, channels._choi_plan(flat)).tobytes() == loop
 
@@ -720,4 +716,49 @@ def test_kraus_channel_builds_its_choi_state_once_read_only(rng, dim):
     j = ch.choi_matrix()
     assert ch.choi_matrix() is j
     assert not j.flags.writeable
-    assert j.tobytes() == channels._kraus_to_choi(ch.data, dim).tobytes()
+    assert j.tobytes() == _choi_loop(ch.data, dim).tobytes()
+
+
+@pytest.mark.parametrize("representation", ["choi", "chi"])
+@pytest.mark.parametrize("dim", [2, 4])
+def test_choi_and_chi_channels_keep_one_read_only_choi_state(rng, dim, representation):
+    """A chi channel changes basis once, and both hand out their state read-only,
+    so no caller can write into the state that the channel's other forms derive
+    from; a Choi channel's stored matrix stays writable by its owner."""
+    kraus = random_cptp_kraus(rng, dim=dim, n_kraus=3)
+    ch = (QuantumChannel.from_choi(kraus.choi_matrix()) if representation == "choi"
+          else QuantumChannel.from_chi(kraus.chi_matrix()))
+    j = ch.choi_matrix()
+    assert ch.choi_matrix() is j
+    assert not j.flags.writeable
+    if representation == "choi":
+        assert np.shares_memory(j, ch.data) and ch.data.flags.writeable
+    else:
+        assert ch.convert("choi").data is j
+
+
+def _parent_forms(ch: QuantumChannel) -> dict:
+    """Each form of a channel as the term-by-term formulas give it: the loop
+    for a Kraus set's Choi state, the change of basis between Choi and chi,
+    and ``_choi_to_kraus`` of the Choi state for the Kraus set."""
+    rep, data, b = ch.representation, ch.data, channels._pauli_change_of_basis(ch.dim)
+    j = _choi_loop(data, ch.dim) if rep == "kraus" else data if rep == "choi" else b @ data @ dagger(b)
+    return {"kraus": data if rep == "kraus" else channels._choi_to_kraus(j, ch.dim),
+            "choi": j, "chi": data if rep == "chi" else dagger(b) @ j @ b}
+
+
+@settings(max_examples=examples(40), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 16), dim=st.sampled_from([2, 4]),
+       paulis=st.booleans(), representation=st.sampled_from(REPRESENTATIONS))
+def test_every_conversion_has_the_bits_of_its_formula(seed, count, dim, paulis, representation):
+    """``convert`` wraps the form derived from the cached Choi state, with the
+    bits of the formula for each pair of representations; the Pauli mixtures
+    carry zeros of both signs."""
+    kraus = _kraus_set(np.random.default_rng(seed), count, dim, paulis)
+    ch = {"kraus": kraus, "choi": QuantumChannel.from_choi(_choi_loop(kraus.data, dim)),
+          "chi": QuantumChannel.from_chi(_parent_forms(kraus)["chi"])}[representation]
+    expected = _parent_forms(ch)
+    for to in REPRESENTATIONS:
+        converted = ch.convert(to)
+        assert converted.representation == to
+        assert converted.data.tobytes() == expected[to].tobytes()

@@ -142,6 +142,29 @@ def test_gate_validation():
     assert Gate.x(np.int64(1)).qubit == 1
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Gate("sx", qubit=0, angle=1.0), "^sx: unknown key 'angle'; expected one of qubit$"),
+    (lambda: Gate("rz", qubit=0, angle=1.0, target=1), "^rz: unknown key 'target'"),
+    (lambda: Gate("cnot", qubit=0, control=0, target=1), "^cnot: unknown key 'qubit'"),
+    (lambda: Gate.x(1.0), "^x qubit indices must be 0 or 1, got 1.0$"),
+    (lambda: Gate.cnot(np.float64(0.0), 1), "^cnot qubit indices must be 0 or 1, got "),
+], ids=["sx-angle", "rz-target", "cnot-qubit", "float-qubit", "numpy-float-control"])
+def test_a_gate_refuses_a_field_its_kind_does_not_write(make, message):
+    """A field that ``matrix`` would ignore and ``to_dict`` drop, or a qubit
+    index that is no integer, fails naming it, so that every gate equals the
+    gate its JSON reads back as."""
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_a_gate_stores_numpy_integer_indices_as_ints():
+    gates = (Gate.rz(np.int64(0), 1.0), Gate.sx(np.int8(1)), Gate.cnot(np.uint8(1), np.int32(0)))
+    assert all(type(q) is int for g in gates for q in g.qubits())
+    circuit = Circuit(gates)
+    assert Circuit.from_json(circuit.to_json()) == circuit
+    assert circuit.to_json() == Circuit((Gate.rz(0, 1.0), Gate.sx(1), Gate.cnot(1, 0))).to_json()
+
+
 @pytest.mark.parametrize("record, message", [
     ({"kind": "sx", "qubit": 0, "angle": 1.0}, "unknown key 'angle'; expected one of kind, qubit"),
     ({"kind": "cnot", "control": 0, "target": 1, "qubitt": 3}, "unknown key 'qubitt'"),
@@ -154,8 +177,9 @@ def test_gate_validation():
     ({"kind": "sx", "qubit": True}, "sx qubit indices must be 0 or 1, got True"),
     ({"kind": "cnot", "control": False, "target": True},
      "cnot qubit indices must be 0 or 1, got False, True"),
+    ({"kind": "sx", "qubit": 1.0}, "sx qubit indices must be 0 or 1, got 1.0"),
 ], ids=["sx-angle", "cnot-typo", "bool-angle", "unknown-kind", "object-kind", "list-kind",
-        "no-kind", "cnot-same-qubit", "bool-qubit", "bool-cnot-indices"])
+        "no-kind", "cnot-same-qubit", "bool-qubit", "bool-cnot-indices", "float-qubit"])
 def test_circuit_json_rejects_bad_gate_records_naming_them(record, message):
     with pytest.raises(ValueError, match=rf"^gates\[1\]: {message}"):
         Circuit.from_json(json.dumps([{"kind": "x", "qubit": 1}, record]))

@@ -18,7 +18,7 @@ from msbench.noise import DeviceCalibration, QubitCalibration, build_noise_model
 from msbench.tomography import (TomographyDataset, exact_process_fidelity, process_fidelity,
                                 reconstruct_channel)
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+from conftest import DATA_DIR
 
 
 def write_cal(path, t1=(120.0, 90.0), t2=(100.0, 70.0), readout=(0.0, 0.0),

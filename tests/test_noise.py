@@ -3,7 +3,6 @@ import hashlib
 import inspect
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from msbench.circuits import (GATE_KINDS, Circuit, Gate, cx_circuit, ms_unitary,
                               synthesize_ms_circuit)
 from msbench.noise import (
     DEFAULT_DURATIONS_NS,
+    QUBIT_KEYS,
     DeviceCalibration,
     NoiseModel,
     QubitCalibration,
@@ -28,9 +28,8 @@ from msbench.noise import (
 )
 from msbench.tomography import exact_process_fidelity, process_fidelity
 
-from conftest import examples, random_density_matrix
+from conftest import DATA_DIR, examples, random_density_matrix
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 EXAMPLE_CALIBRATIONS = ("example_calibration.json", "example_calibration_b.json")
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
 GROUND = np.diag([1.0, 0.0]).astype(complex)
@@ -222,6 +221,24 @@ def test_calibration_json_with_optional_qubit_keys_is_pinned():
         '      "readout_error": 0.0,\n      "t1_us": 90.0,\n      "t2_us": 70.0\n    }\n'
         '  ]\n}')
     assert cal.fingerprint() == "f7bd6c4fb4148ee5"
+
+
+@pytest.mark.parametrize("real, integer", [(np.float32, np.int64), (np.float64, np.int32)])
+def test_a_calibration_stores_numpy_scalars_as_python_numbers(real, integer):
+    """Every number field, qubit id, duration and p_dep may be a numpy scalar;
+    each is stored as its ``.item()``, so the calibration writes, fingerprints,
+    builds a model and reads back equal."""
+    q0 = QubitCalibration(integer(0), real(100.0), real(80.0), real(0.02),
+                          frequency_ghz=real(5.1), anharmonicity_ghz=real(-0.3),
+                          readout_error_01=real(0.01), readout_error_10=real(0.03))
+    cal = DeviceCalibration((q0, QubitCalibration(integer(1), 90.0, 70.0, 0.0)),
+                            {"cnot": real(250.0), "sx": integer(35)}, real(0.01))
+    fields = [*(getattr(q, f) for q in cal.qubits for f in ("qubit", *QUBIT_KEYS[1:])),
+              *cal.durations_ns.values(), cal.p_dep]
+    assert not any(isinstance(v, np.generic) for v in fields)
+    again = DeviceCalibration.from_json(cal.to_json())
+    assert again == cal and again.fingerprint() == cal.fingerprint()
+    assert NoiseModel(cal).fingerprint == NoiseModel(again).fingerprint
 
 
 def test_a_qubit_record_without_optional_keys_reads_their_defaults():

@@ -22,14 +22,9 @@ from msbench.simulator import (
 )
 from msbench.tomography import _CELLS, TomographyDataset, run_qpt
 
-from conftest import count_numpy_random, examples, random_density_matrix, random_unitary
+from conftest import count_numpy_random, dep_cal, examples, random_density_matrix, random_unitary
 
 BELL = np.array([1, 0, 0, 1j]) / np.sqrt(2)
-
-
-def dep_cal(p_dep):
-    qubits = (QubitCalibration(0, 100.0, 80.0, 0.0), QubitCalibration(1, 100.0, 80.0, 0.0))
-    return DeviceCalibration(qubits, {"rz": 0, "sx": 0, "cnot": 0, "x": 0}, p_dep)
 
 
 def test_evolve_noiseless_ms_prepares_bell():

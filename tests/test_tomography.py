@@ -3,7 +3,6 @@ import hashlib
 import itertools
 import json
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from msbench.circuits import (
     synthesize_ms_circuit,
 )
 from msbench.linalg import kron
-from msbench.noise import DeviceCalibration, QubitCalibration, build_noise_model
+from msbench.noise import DeviceCalibration, build_noise_model
 from msbench.tomography import (
     PAULI_LABELS,
     PREP_LABELS,
@@ -56,28 +55,22 @@ from msbench.simulator import (
 )
 
 from conftest import (
+    DATA_DIR,
     circuits,
     count_numpy_random,
     examples,
     partial_trace,
     random_cptp_kraus,
+    dep_cal,
     random_unitary,
 )
 
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 EXAMPLE_CALIBRATION = DATA_DIR / "example_calibration.json"
 
 
 def example_noise():
     return build_noise_model(DeviceCalibration.load(EXAMPLE_CALIBRATION).with_p_dep(0.0165))
-
-
-def dep_noise(p):
-    qubits = (QubitCalibration(0, 100.0, 80.0, 0.0), QubitCalibration(1, 100.0, 80.0, 0.0))
-    return build_noise_model(
-        DeviceCalibration(qubits, {"rz": 0, "sx": 0, "cnot": 0, "x": 0}, p)
-    )
 
 
 def test_design_has_144_experiments():
@@ -118,7 +111,7 @@ def test_exact_qpt_of_identity_circuit():
 
 
 def test_exact_qpt_with_depolarizing_closed_form():
-    ds = run_qpt(synthesize_ms_circuit(), noise=dep_noise(0.1), shots=None)
+    ds = run_qpt(synthesize_ms_circuit(), noise=build_noise_model(dep_cal(0.1)), shots=None)
     ch = reconstruct_channel(ds)
     f = process_fidelity(ch, channel_from_unitary(ms_unitary().matrix))
     assert f == pytest.approx(1 - 0.1 * 15 / 16, abs=1e-4)
@@ -516,7 +509,7 @@ def test_exact_process_fidelity_helper_noiseless():
 def test_run_qpt_rejects_noise_on_raw_channels(rng):
     ch = random_cptp_kraus(rng)
     with pytest.raises(ValueError):
-        run_qpt(ch, noise=dep_noise(0.1), shots=None)
+        run_qpt(ch, noise=build_noise_model(dep_cal(0.1)), shots=None)
 
 
 @pytest.mark.parametrize("circuit", [synthesize_ms_circuit(), cx_circuit()], ids=["ms", "cx"])

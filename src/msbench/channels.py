@@ -158,7 +158,13 @@ class QuantumChannel:
     data: np.ndarray  # a (count, d, d) Kraus stack, or a Choi or chi matrix
 
     def __post_init__(self):  # the tag and shape only; the from_* constructors check values
-        rep, shape = self.representation, np.shape(self.data)
+        try:  # a complex array is kept as it is, so no stored bit moves
+            data = np.asarray(self.data, dtype=complex)
+        except (TypeError, ValueError):
+            name = type(self.data).__name__
+            raise ValueError(f"data: {name} is not an array of numbers") from None
+        object.__setattr__(self, "data", data)
+        rep, shape = self.representation, data.shape
         if rep not in REPRESENTATIONS:
             raise ValueError(f"representation: unknown {rep!r}, expected one of {REPRESENTATIONS}")
         if not (shape[1:] in ((2, 2), (4, 4)) and shape[0] > 0 if rep == "kraus"

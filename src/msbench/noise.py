@@ -236,8 +236,10 @@ class NoiseModel:
     confusion: np.ndarray | None = field(init=False)
     cnot_channel: QuantumChannel | None = field(init=False)
     fingerprint: str = field(init=False)
-    # [] or [the QPT inputs], filled by ``tomography._prepared_states``.
-    _prepared: list = field(init=False, repr=False, default_factory=list)
+    # The family's QPT inputs under "inputs" and one circuit's head under "head",
+    # each filled on first use by ``tomography`` (``_holder``) and shared by
+    # every ``with_p_dep`` sibling: the p_dep-free work of a QPT.
+    _prepared: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         cal, qubits = self.calibration, _check_pair(self.qubits)
@@ -280,7 +282,9 @@ class NoiseModel:
         ``NoiseModel`` of it: a shallow copy with a new calibration, CNOT
         channel and fingerprint, and no other channel built. It shares
         ``cnot_relaxation``, whose Pauli products and Choi plan are built once
-        (``QuantumChannel.depolarized``), and the ``_prepared`` QPT inputs."""
+        (``QuantumChannel.depolarized``), and the ``_prepared`` holder: the QPT
+        inputs and the head of the last circuit run, the stack after its gates
+        before its first CNOT, which act alike at every p_dep."""
         sibling = copy.copy(self)
         object.__setattr__(sibling, "calibration", self.calibration.with_p_dep(p_dep))
         sibling._derive_cnot_and_fingerprint()

@@ -694,6 +694,20 @@ def test_a_raw_channel_refuses_an_unknown_tag_or_a_shape_that_does_not_fit_it(
         QuantumChannel(representation, data)
 
 
+def test_a_raw_channel_stores_nested_lists_as_a_complex_array():
+    """A nested list is stored as the complex array of its numbers; a complex
+    array is stored as itself."""
+    kraus = QuantumChannel("kraus", [[[1, 0], [0, 1]]])
+    assert kraus.dim == 2 and kraus.data.dtype == complex
+    assert np.array_equal(kraus.kraus_operators(), [np.eye(2)])
+    choi = QuantumChannel("choi", (np.eye(4) / 4).tolist())
+    assert choi.choi_matrix().tobytes() == (np.eye(4, dtype=complex) / 4).tobytes()
+    j = identity_channel(2).choi_matrix().copy()
+    assert QuantumChannel("choi", j).data is j
+    with pytest.raises(ValueError, match="^data: list is not an array of numbers$"):
+        QuantumChannel("kraus", [[[1, 0], [0]]])
+
+
 @pytest.mark.parametrize("name", ["example_calibration", "example_calibration_b"])
 def test_every_channel_of_an_example_build_keeps_its_dim(name):
     """The damping channels are 1-qubit and the model's channels 2-qubit, in

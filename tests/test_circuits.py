@@ -207,6 +207,21 @@ def test_circuit_unitary_is_built_once_read_only():
     assert circuit_unitary(fresh).tobytes() == u.tobytes()
 
 
+@pytest.mark.parametrize("gate", [Gate.rz(0, np.pi / 2), Gate.rz(1, -0.0), Gate.sx(0),
+                                  Gate.sx(1), Gate.x(0), Gate.x(1)], ids=repr)
+def test_a_gate_builds_its_factor_once_read_only_and_lifts_it_per_call(gate):
+    """The lift is ``np.kron`` of the 2x2 factor formula, bit for bit, and a
+    new array per call; the factor is the gate's own, read-only."""
+    if gate.kind == "rz":
+        u = np.array([[np.exp(-1j * gate.angle / 2), 0], [0, np.exp(1j * gate.angle / 2)]])
+    else:
+        u = {"sx": 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]), "x": PAULI_X}[gate.kind]
+    expected = np.kron(u, I2) if gate.qubit == 0 else np.kron(I2, u)
+    first = gate.matrix()
+    assert first.tobytes() == expected.tobytes() and gate.matrix() is not first
+    assert gate._factor is gate._factor and not gate._factor.flags.writeable
+
+
 @pytest.mark.parametrize("make_circuit", [synthesize_ms_circuit, cx_circuit])
 def test_builtin_circuit_is_one_shared_instance_with_a_read_only_channel(make_circuit):
     c = make_circuit()

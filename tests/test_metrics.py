@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 
 from msbench.metrics import (
@@ -54,6 +57,29 @@ def test_scaling_table_monotone():
     assert all(a > b for a, b in zip(values, values[1:]))
     with pytest.raises(ValueError):
         scaling_table(1.3, 5)
+
+
+@pytest.mark.parametrize("n_max", [2.5, True, 0, -1, None, "3"],
+                         ids=["float", "bool", "zero", "negative", "none", "str"])
+def test_scaling_table_refuses_a_depth_that_is_not_a_positive_integer(n_max):
+    with pytest.raises(ValueError, match="^n_max must be an integer of at least 1, got "):
+        scaling_table(0.1, n_max)
+
+
+@pytest.mark.parametrize("epsilon", ["0.1", None, True], ids=["str", "none", "bool"])
+def test_scaling_table_refuses_an_epsilon_that_is_not_a_number(epsilon):
+    with pytest.raises(ValueError, match=f"^epsilon = {epsilon!r} is not a number$"):
+        scaling_table(epsilon, 3)
+
+
+@pytest.mark.parametrize("epsilon", [np.float32(0.125), np.float64(0.1), 0.1])
+def test_scaling_table_writes_python_floats(epsilon):
+    """Each entry is ``(1 - float(epsilon)) ** n`` as a Python float, which
+    ``json`` writes; a numpy depth is read as its integer."""
+    table = scaling_table(epsilon, np.int64(3))
+    assert table == [(n, (1.0 - float(epsilon)) ** n) for n in (1, 2, 3)]
+    assert all(type(n) is int and type(v) is float for n, v in table)
+    assert json.loads(json.dumps(table)) == [list(row) for row in table]
 
 
 def test_stability_identical_snapshots():

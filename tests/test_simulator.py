@@ -10,6 +10,7 @@ from msbench.channels import identity_channel
 from msbench.circuits import Circuit, Gate, circuit_unitary, synthesize_ms_circuit
 from msbench.noise import DeviceCalibration, QubitCalibration, build_noise_model
 from msbench.simulator import (
+    apply_gates,
     basis_state,
     evolve,
     expectation,
@@ -20,9 +21,16 @@ from msbench.simulator import (
     validate_setting,
     validate_shots,
 )
-from msbench.tomography import _CELLS, TomographyDataset, run_qpt
+from msbench.tomography import _CELLS, TomographyDataset, _prepared_states, run_qpt
 
-from conftest import count_numpy_random, dep_cal, examples, random_density_matrix, random_unitary
+from conftest import (
+    DATA_DIR,
+    count_numpy_random,
+    dep_cal,
+    examples,
+    random_density_matrix,
+    random_unitary,
+)
 
 BELL = np.array([1, 0, 0, 1j]) / np.sqrt(2)
 
@@ -76,6 +84,33 @@ def test_evolve_preserves_density_matrix_invariants(rng):
     assert np.linalg.norm(rho - rho.conj().T) <= 1e-12
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.eigvalsh(rho).min() >= -1e-9
+
+
+# rz angles where signed zeros and exact quarter turns arise, and any others.
+_ANGLES = st.sampled_from([0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 3 * np.pi / 2,
+                           2 * np.pi]) | st.floats(-10.0, 10.0)
+_NATIVE_GATES = st.one_of(
+    st.builds(Gate.rz, st.integers(0, 1), _ANGLES),
+    st.builds(Gate.sx, st.integers(0, 1)),
+    st.builds(Gate.x, st.integers(0, 1)),
+    st.sampled_from([Gate.cnot(0, 1), Gate.cnot(1, 0)]),
+)
+_SPLIT_MODELS = [None] + [
+    build_noise_model(DeviceCalibration.load(DATA_DIR / f"{name}.json").with_p_dep(p_dep))
+    for name in ("example_calibration", "example_calibration_b") for p_dep in (0.0, 0.0165, 1.0)]
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(gates=st.lists(_NATIVE_GATES, max_size=12), noise=st.sampled_from(_SPLIT_MODELS))
+def test_a_prefix_by_apply_gates_then_the_rest_by_evolve_has_evolves_bits(gates, noise):
+    """``apply_gates``' split invariant, which a QPT's cached head relies on:
+    at every split index, the QPT inputs evolved in two parts have the bits of
+    the whole circuit's ``evolve``, as far as the BLAS build's kernels allow."""
+    inputs = _prepared_states(noise)
+    whole = evolve(Circuit(gates), inputs, noise).tobytes()
+    for cut in range(1, len(gates) + 1):
+        head = apply_gates(Circuit(gates[:cut]), inputs, noise)
+        assert evolve(Circuit(gates[cut:]), head, noise).tobytes() == whole, cut
 
 
 def test_outcome_distribution_zz_basis_states():

@@ -19,6 +19,7 @@ from msbench.channels import (
 )
 from msbench.circuits import (
     Circuit,
+    Gate,
     cx_circuit,
     cx_unitary,
     ms_unitary,
@@ -37,6 +38,7 @@ from msbench.tomography import (
     _experiment_seeds,
     _pauli_table,
     _prepared_states,
+    _split,
     exact_process_fidelity,
     linear_inversion,
     prep_circuit,
@@ -129,9 +131,9 @@ def test_sampled_qpt_seed_determinism():
     circuit = synthesize_ms_circuit()
     a = run_qpt(circuit, shots=500, seed=11)
     b = run_qpt(circuit, shots=500, seed=11)
-    assert a.records == b.records
+    assert np.array_equal(a.outcomes, b.outcomes)
     c = run_qpt(circuit, shots=500, seed=12)
-    assert any(a.records[k] != c.records[k] for k in a.records)
+    assert not np.array_equal(a.outcomes, c.outcomes)
 
 
 def test_sampled_qpt_single_seed_band():
@@ -154,7 +156,7 @@ def test_dataset_json_roundtrip_and_standalone_reconstruction():
     ds = run_qpt(synthesize_ms_circuit(), shots=800, seed=21)
     text = ds.to_json()
     again = TomographyDataset.from_json(text)
-    assert again.records == ds.records
+    assert again.shots == ds.shots and np.array_equal(again.outcomes, ds.outcomes)
     assert again.to_json() == text
     f1 = process_fidelity(reconstruct_channel(ds), channel_from_unitary(ms_unitary().matrix))
     f2 = process_fidelity(reconstruct_channel(again), channel_from_unitary(ms_unitary().matrix))
@@ -179,7 +181,7 @@ def datasets(draw):
 def test_dataset_json_roundtrip_property(ds):
     text = ds.to_json()
     again = TomographyDataset.from_json(text)
-    assert again.records == ds.records
+    assert again.shots == ds.shots and np.array_equal(again.outcomes, ds.outcomes)
     assert again.to_json() == text
 
 
@@ -516,17 +518,17 @@ def test_run_qpt_rejects_noise_on_raw_channels(rng):
 def test_batched_qpt_probabilities_equal_the_per_state_path(circuit):
     # Sampled counts sit on p = 0.5 ties, so a 1-ulp change can swap them.
     noise = example_noise()
-    ds = run_qpt(circuit, noise=noise, shots=None)
-    for label in PREP_LABELS:
+    grid = run_qpt(circuit, noise=noise, shots=None).outcomes.reshape(16, 9, 4).tolist()
+    for label, row in zip(PREP_LABELS, grid):
         rho = evolve(Circuit(prep_circuit(label).gates + circuit.gates), basis_state("00"), noise)
-        for setting in SETTINGS:
+        for setting, probs in zip(SETTINGS, row):
             expected = outcome_distribution(rho, setting, noise.confusion)
-            assert ds.records[(label, setting)].probs == tuple(expected), (label, setting)
+            assert probs == expected.tolist(), (label, setting)
 
 
 def test_sampled_qpt_counts_are_pinned():
     ds = run_qpt(synthesize_ms_circuit(), noise=example_noise(), shots=4000, seed=1)
-    grid = {f"{p}|{s}": [rec.counts[b] for b in BITSTRINGS] for (p, s), rec in ds.records.items()}
+    grid = {f"{p}|{s}": row for (p, s), row in zip(_CELLS, ds.outcomes.tolist())}
     text = json.dumps(grid, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "7465a389586044392a009ce98b8f1d3705ceb62b3a6c7b2ad39e8f6b157ea1ba")
@@ -536,7 +538,7 @@ def test_raw_channel_qpt_probabilities_are_pinned():
     """Recorded when each input went through ``apply`` on its own."""
     ch = random_cptp_kraus(np.random.default_rng(5), n_kraus=3)
     ds = run_qpt(ch, shots=None)
-    grid = {f"{p}|{s}": list(rec.probs) for (p, s), rec in ds.records.items()}
+    grid = {f"{p}|{s}": row for (p, s), row in zip(_CELLS, ds.outcomes.tolist())}
     text = json.dumps(grid, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "56a2a97420e8009135c86249e39607778dcba86fb1d0d8e12192c69eed68071a")
@@ -595,8 +597,8 @@ def test_prep_tree_equals_the_per_label_prefixes(circuit, calibration, p_dep):
     # What run_qpt records is the per-label path's exact probabilities.
     expected = outcome_distribution(evolve(circuit, per_label, noise), SETTINGS, noise.confusion)
     ds = run_qpt(circuit, noise=noise, shots=None)
-    for (p, label), (s, setting) in itertools.product(enumerate(PREP_LABELS), enumerate(SETTINGS)):
-        assert ds.records[(label, setting)].probs == tuple(expected[p, s]), (label, setting)
+    for cell, row, want in zip(_CELLS, ds.outcomes.tolist(), expected.reshape(-1, 4).tolist()):
+        assert row == want, cell
 
 
 @settings(max_examples=examples(50), deadline=None)
@@ -616,16 +618,21 @@ def test_pauli_table_is_each_observables_mean_bit_for_bit(seed, shots):
     assert _pauli_table(freqs).tobytes() == expected.tobytes()
 
 
+# The MS circuit's head: its gates before its CNOT.
+_MS_HEAD = Circuit(synthesize_ms_circuit().gates[:3])
+
+
 def test_a_models_inputs_are_prepared_once(monkeypatch):
-    """The preparation tree runs once per model's single-qubit channels, which
-    a with_p_dep sibling shares; a fresh build of the same file prepares anew."""
+    """The preparation tree and the circuit's head run once per model's
+    single-qubit channels, which a with_p_dep sibling shares; a fresh build of
+    the same file prepares anew."""
     import msbench.tomography
 
     calls = []
 
-    def counting(*args):
-        calls.append(None)
-        return apply_gates(*args)
+    def counting(circuit, *args):
+        calls.append(circuit)
+        return apply_gates(circuit, *args)
 
     monkeypatch.setattr(msbench.tomography, "apply_gates", counting)
     cal = DeviceCalibration.load(EXAMPLE_CALIBRATION)
@@ -634,20 +641,22 @@ def test_a_models_inputs_are_prepared_once(monkeypatch):
     for model in (noise, noise, noise.with_p_dep(0.3), build_noise_model(cal)):
         run_qpt(circuit, noise=model, shots=None)
         runs.append(len(calls))
-    assert runs == [8, 8, 8, 16]  # 4 + 4 prefixes per tree
+    assert runs == [9, 9, 9, 18]  # 4 + 4 prefixes per tree, then the head
+    assert calls.count(_MS_HEAD) == 2  # one head per family
 
 
 def test_a_noise_model_family_owns_its_prepared_inputs(monkeypatch):
-    """Each build_noise_model family prepares its inputs once, however many
-    families alternate; a with_p_dep sibling that runs first prepares them for
-    its parent too; and they are freed with the last model of the family."""
+    """Each build_noise_model family prepares its inputs and the circuit's
+    head once, however many families alternate; a with_p_dep sibling that
+    runs first prepares them for its parent too; and both are freed with the
+    last model of the family."""
     import msbench.tomography
 
     calls = []
 
-    def counting(*args):
-        calls.append(None)
-        return apply_gates(*args)
+    def counting(circuit, *args):
+        calls.append(circuit)
+        return apply_gates(circuit, *args)
 
     monkeypatch.setattr(msbench.tomography, "apply_gates", counting)
     cal = DeviceCalibration.load(EXAMPLE_CALIBRATION)
@@ -655,15 +664,43 @@ def test_a_noise_model_family_owns_its_prepared_inputs(monkeypatch):
     families = [build_noise_model(cal.with_p_dep(p)) for p in (0.0, 0.1, 0.2, 0.3, 0.4)]
     for model in families * 2:  # round-robin, twice
         run_qpt(circuit, noise=model, shots=None)
-    assert len(calls) == 5 * 8
+    assert len(calls) == 5 * 9 and calls.count(_MS_HEAD) == 5
     parent = build_noise_model(cal)
     for model in (parent.with_p_dep(0.3), parent):
         run_qpt(circuit, noise=model, shots=None)
-    assert len(calls) == 6 * 8
+    assert len(calls) == 6 * 9 and calls.count(_MS_HEAD) == 6
     states = weakref.ref(_prepared_states(parent))
+    head = weakref.ref(_split(circuit, parent)[0])
     del parent, model
     gc.collect()
-    assert states() is None
+    assert states() is None and head() is None
+
+
+@pytest.mark.parametrize("noise", [None, example_noise()], ids=["noiseless", "noisy"])
+def test_a_family_keeps_one_head_keyed_by_the_circuits_json(noise):
+    """The head is the read-only stack after the gates before the first CNOT;
+    a circuit whose JSON differs, as rz(-0.0)'s does from rz(0.0)'s, though
+    the gates compare equal, replaces it; one that opens with a CNOT keeps none."""
+    plus, minus = (Circuit((Gate.rz(0, zero), Gate.sx(1), Gate.cnot(0, 1), Gate.sx(0)))
+                   for zero in (0.0, -0.0))
+    assert plus == minus and plus.to_json() != minus.to_json()
+    inputs = _prepared_states(noise)
+    for circuit in (plus, minus, plus):
+        head, tail = _split(circuit, noise)
+        assert _split(circuit, noise)[0] is head and not head.flags.writeable
+        assert tail.gates == circuit.gates[2:]
+        assert head.tobytes() == apply_gates(Circuit(circuit.gates[:2]), inputs, noise).tobytes()
+        expected = outcome_distribution(evolve(circuit, inputs, noise), SETTINGS,
+                                        None if noise is None else noise.confusion)
+        assert run_qpt(circuit, noise, shots=None).outcomes.tobytes() == expected.tobytes()
+    kept = weakref.ref(head)
+    cx_head, cx_tail = _split(cx_circuit(), noise)
+    assert cx_head is inputs and cx_tail is cx_circuit()
+    assert _split(plus, noise)[0] is head  # cx kept no head
+    del head
+    _split(minus, noise)
+    gc.collect()
+    assert kept() is None  # one head per family
 
 
 @pytest.mark.parametrize("read, where", [

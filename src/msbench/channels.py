@@ -55,7 +55,6 @@ from .linalg import (
     as_matrix,
     check_density_matrix,
     dagger,
-    frobenius,
     kraus_sum,
     kron_pairs,
     matmul_pairs,
@@ -196,7 +195,7 @@ class QuantumChannel:
         if dim not in (2, 4) or cols != dim:
             raise ValueError(_KRAUS_SHAPE)
         comp = np.einsum("kji,kjl->il", stack.conj(), stack)
-        if frobenius(comp - np.eye(dim)) > 1e-8:
+        if np.linalg.norm(comp - np.eye(dim)) > 1e-8:
             raise ValueError("Kraus set is not trace-preserving (completeness fails)")
         return QuantumChannel("kraus", stack)
 
@@ -205,12 +204,12 @@ class QuantumChannel:
         """Validate a Choi state: Hermitian, PSD within ``_CHOI_ATOL_PSD`` and
         trace-preserving within ``_CHOI_ATOL_TP`` (Frobenius)."""
         j, dim = _state_form(matrix, "Choi matrix")
-        if frobenius(j - dagger(j)) > 1e-8:
+        if np.linalg.norm(j - dagger(j)) > 1e-8:
             raise ValueError("Choi matrix is not Hermitian")
         j = 0.5 * (j + dagger(j))
         if np.linalg.eigvalsh(j).min() < -_CHOI_ATOL_PSD:
             raise ValueError("Choi matrix is not positive semidefinite")
-        tp_gap = dim * frobenius(_tp_residual(j, dim))
+        tp_gap = dim * np.linalg.norm(_tp_residual(j, dim))
         if tp_gap > _CHOI_ATOL_TP:
             raise ValueError(f"Choi matrix is not trace-preserving (residual {tp_gap:.3e})")
         return QuantumChannel("choi", j)
@@ -218,7 +217,7 @@ class QuantumChannel:
     @staticmethod
     def from_chi(matrix) -> "QuantumChannel":
         c, dim = _state_form(matrix, "chi matrix")
-        if frobenius(c - dagger(c)) > 1e-8:
+        if np.linalg.norm(c - dagger(c)) > 1e-8:
             raise ValueError("chi matrix is not Hermitian")
         if abs(np.trace(c).real - 1.0) > 1e-8:
             raise ValueError("chi matrix trace != 1 under the normalized convention")
@@ -467,21 +466,21 @@ def project_cptp(raw) -> QuantumChannel:
     |Tr_out J - I/d|_F is at most ``_TP_GAP``.
     """
     x, dim = _choi_form(raw, "Choi-form matrix")
-    if frobenius(x - dagger(x)) > 1e-6:
+    if np.linalg.norm(x - dagger(x)) > 1e-6:
         raise ValueError("input is not Hermitian within 1e-6")
     x = 0.5 * (x + dagger(x))
 
     n = dim * dim
     rows, eye = _lifted_rows(dim), np.eye(n)
     x = x - np.dot(_tp_residual(x, dim), rows).reshape(n, n) / dim  # X_tp
-    scale = frobenius(x)
+    scale = np.linalg.norm(x)
     coords = np.zeros(n)  # of L, less the shift that gave X_tp
     for step in range(_NEWTON_STEP_CAP + 1):
         vals, vecs = np.linalg.eigh(x + np.dot(coords, rows).reshape(n, n))
         clipped, vecs_h = np.maximum(vals, 0.0), dagger(vecs)
         j = (vecs * clipped) @ vecs_h
         residual = _tp_residual(j, dim)  # also that of j's Hermitian part
-        tp_gap = frobenius(residual)
+        tp_gap = np.linalg.norm(residual)
         if tp_gap <= _TP_GAP:
             return QuantumChannel("choi", 0.5 * (j + dagger(j)))
         if step == _NEWTON_STEP_CAP:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import I2, PAULI_X, as_matrix, dagger, frobenius, kron
+from .linalg import I2, PAULI_X, as_matrix, dagger, kron
 
 SINGLE_QUBIT_KINDS = ("rz", "sx", "x")
 GATE_KINDS = SINGLE_QUBIT_KINDS + ("cnot",)
@@ -237,7 +237,7 @@ class TargetUnitary:
 
     def __post_init__(self):
         m = as_matrix(self.matrix)
-        if m.shape != (4, 4) or frobenius(dagger(m) @ m - np.eye(4)) > 1e-10:
+        if m.shape != (4, 4) or np.linalg.norm(dagger(m) @ m - np.eye(4)) > 1e-10:
             raise ValueError("target must be a 4x4 unitary within 1e-10")
         object.__setattr__(self, "matrix", m)
 
@@ -264,7 +264,7 @@ def phase_aligned_distance(u, v) -> float:
     explicitly at e^{i phi} = tr(v^dag u) / |tr(v^dag u)|, or 1 where the trace is 0."""
     u, v = as_matrix(u), as_matrix(v)
     overlap = np.trace(dagger(v) @ u)
-    return frobenius(u - (overlap / abs(overlap) if overlap else 1.0) * v)
+    return float(np.linalg.norm(u - (overlap / abs(overlap) if overlap else 1.0) * v))
 
 
 # Single-CNOT realization of the entangling target, with the CNOT dressed by

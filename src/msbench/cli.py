@@ -31,6 +31,7 @@ import datetime
 import functools
 import json
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -105,6 +106,7 @@ def _write_manifest(out: Path, args: argparse.Namespace, cal_fingerprint: str,
         "rng": RNG_ALGORITHM,
         "calibration_fingerprint": cal_fingerprint,
         "version": __version__,
+        "python": platform.python_version(),
         "numpy": np.__version__,
         "blas_kernel": _blas_kernel(),
         "outputs": [str(p) for p in outputs],

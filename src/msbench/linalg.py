@@ -38,23 +38,10 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().swapaxes(-1, -2)
 
 
-def frobenius(m: np.ndarray) -> float:
-    """``float(np.linalg.norm(m))`` of a float or complex array, bit for bit,
-    by ``norm``'s own formula without its dispatch: the entries in memory
-    order, then sqrt(x . x), or sqrt(re . re + im . im)."""
-    x = np.asarray(m).ravel(order="K")
-    if x.dtype.kind == "c":
-        return float(np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)))
-    return float(np.sqrt(x.dot(x)))
-
-
 def kron(a, b) -> np.ndarray:
-    """``np.kron`` of two matrices as complex arrays, bit for bit: one broadcast
-    product making its multiply per entry, as ``kron_pairs`` does for stacks;
-    no validation."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    (n, p), (m, r) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * m, p * r)
+    """``np.kron`` of two matrices as complex arrays, bit for bit: ``kron_pairs``
+    of the two one-matrix stacks; no validation."""
+    return kron_pairs(np.asarray(a, dtype=complex)[None], np.asarray(b, dtype=complex)[None])[0]
 
 
 def kron_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

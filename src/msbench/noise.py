@@ -65,10 +65,7 @@ class QubitCalibration:
             value = getattr(self, name)
             if not _is_number(value) and (value is not None or name not in _OPTIONAL_QUBIT_KEYS):
                 raise ValueError(f"qubit {self.qubit}: {name} = {_show(value)} is not a number")
-        for name in ("t1_us", "t2_us"):
-            if math.isnan(getattr(self, name)):
-                raise ValueError(f"qubit {self.qubit}: {name} = nan is not a number")
-        for name in ("frequency_ghz", "anharmonicity_ghz"):  # JSON has no NaN or Infinity
+        for name in ("t1_us", "t2_us", "frequency_ghz", "anharmonicity_ghz"):  # JSON has no NaN/inf
             v = getattr(self, name)
             if v is not None and not math.isfinite(v):
                 raise ValueError(f"qubit {self.qubit}: {name} = {v} is not finite")
@@ -225,15 +222,15 @@ class NoiseModel:
     two-qubit depolarizing channel (``cnot_channel``, by
     ``QuantumChannel.depolarized``). ``single_qubit`` is read-only and maps
     (kind, qubit) to a 2-qubit channel, or None for the identity; ``x``
-    shares ``sx``'s at equal duration. ``confusion`` is None where it is the
-    identity. ``fingerprint`` covers the calibration and the qubit pair.
+    shares ``sx``'s at equal duration. ``confusion`` is always the 4x4 matrix.
+    ``fingerprint`` covers the calibration and the qubit pair.
     """
 
     calibration: DeviceCalibration
     qubits: tuple[int, int] = (0, 1)
     single_qubit: Mapping = field(init=False)
     cnot_relaxation: QuantumChannel | None = field(init=False)
-    confusion: np.ndarray | None = field(init=False)
+    confusion: np.ndarray = field(init=False)
     cnot_channel: QuantumChannel | None = field(init=False)
     fingerprint: str = field(init=False)
     # The family's QPT inputs under "inputs" and one circuit's head under "head",
@@ -258,11 +255,9 @@ class NoiseModel:
         q0, q1 = (cal.qubit(qubits[0]), cal.qubit(qubits[1]))
         relaxation = (damping_channel(q0.t1_us, q0.t2_us, dur_cnot).tensor(
             damping_channel(q1.t1_us, q1.t2_us, dur_cnot)) if dur_cnot > 0 else None)
-        confusion = confusion_matrix(cal, qubits)
-        if (np.abs(confusion - _EYE4) <= _EYE4_TOL).all():
-            confusion = None
         for name, value in (("qubits", qubits), ("single_qubit", MappingProxyType(single)),
-                            ("cnot_relaxation", relaxation), ("confusion", confusion)):
+                            ("cnot_relaxation", relaxation),
+                            ("confusion", confusion_matrix(cal, qubits))):
             object.__setattr__(self, name, value)
         self._derive_cnot_and_fingerprint()
 
@@ -297,8 +292,6 @@ class NoiseModel:
 
 
 _IDENTITY_1Q = identity_channel(2)
-_EYE4 = np.eye(4)
-_EYE4_TOL = 1e-15 + 1e-5 * _EYE4  # np.allclose(c, _EYE4, atol=1e-15)'s bound, |c - I| <= it
 
 
 def _lift(ch: QuantumChannel, qubit: int) -> QuantumChannel:

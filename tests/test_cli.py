@@ -408,6 +408,7 @@ def test_manifest_contents(tmp_path):
     assert manifest["rng"] == "numpy-PCG64-multinomial"
     assert manifest["flags"]["shots"] == 200
     assert str(out) in manifest["outputs"]
+    assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
     assert manifest["blas_kernel"] == cli._blas_kernel()
 
@@ -552,3 +553,20 @@ def test_bad_input_file_exits_1_naming_it_and_writes_nothing(tmp_path, capsys, a
     for name in names:
         assert name in err
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit-noise", "--target-fidelity", "0.9", "--calib", "{bad}"],
+    ["stability", "--calib-a", "{bad}", "--calib-b", str(DATA_DIR / "example_calibration_b.json")],
+], ids=["fit-noise", "stability"])
+def test_an_infinite_t1_exits_1_naming_the_file_and_writes_nothing(tmp_path, capsys, argv):
+    """Unchecked, fit-noise wrote "t1_us": Infinity back and stability wrote NaN."""
+    text = (DATA_DIR / "example_calibration.json").read_text()
+    bad = tmp_path / "inf_t1.json"
+    bad.write_text(text.replace('"t1_us": 120.0', '"t1_us": 1e400', 1))
+    argv = [arg.format(bad=bad) for arg in argv]
+    assert main(argv + ["--out", str(tmp_path / "runs" / "x.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "inf_t1.json" in err and "qubit 0: t1_us = inf is not finite" in err
+    assert sorted(tmp_path.iterdir()) == [bad]

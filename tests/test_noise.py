@@ -257,7 +257,7 @@ def test_noise_model_zero_errors_is_identity(rng):
     for gate_key, ch in model.single_qubit.items():
         assert ch is None
     assert model.cnot_channel is None
-    assert model.confusion is None
+    assert np.array_equal(model.confusion, np.eye(4))
 
 
 def test_noise_model_channels_are_cptp():
@@ -346,6 +346,24 @@ def test_calibration_json_with_nan_t2_is_rejected():
     text = make_cal().to_json().replace('"t2_us": 80.0', '"t2_us": NaN', 1)
     with pytest.raises(ValueError, match="^qubit 0: t2_us = nan"):
         DeviceCalibration.from_json(text)
+
+
+@pytest.mark.parametrize("field", ["t1_us", "t2_us"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_qubit_calibration_rejects_infinite_coherence_time(field, value):
+    # Unchecked, an infinite T1 passed and was written back as Infinity, which
+    # a strict JSON reader refuses.
+    times = {"t1_us": 100.0, "t2_us": 80.0, field: value}
+    with pytest.raises(ValueError, match=rf"^qubit 0: {field} = {value} is not finite"):
+        QubitCalibration(0, times["t1_us"], times["t2_us"], 0.01)
+
+
+@pytest.mark.parametrize("field", ["t1_us", "t2_us"])
+def test_calibration_json_with_overflowing_coherence_time_is_rejected(field):
+    """Python's ``json`` reads 1e400 as inf."""
+    text = json.dumps({"qubits": [{"id": 0, "t1_us": 100.0, "t2_us": 80.0, field: "X"}]})
+    with pytest.raises(ValueError, match=f"^qubit 0: {field} = inf is not finite"):
+        DeviceCalibration.from_json(text.replace('"X"', "1e400"))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -662,7 +680,7 @@ def _model_bytes(model):
     channels = [model.single_qubit[key] for key in sorted(model.single_qubit)]
     channels += [model.cnot_relaxation, model.cnot_channel]
     return ([None if ch is None else ch.data.tobytes() for ch in channels],
-            None if model.confusion is None else model.confusion.tobytes(), model.fingerprint)
+            model.confusion.tobytes(), model.fingerprint)
 
 
 @pytest.mark.parametrize("p", [0, 0.0165, 1])

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import itertools
@@ -25,7 +26,7 @@ from msbench.circuits import (
     ms_unitary,
     synthesize_ms_circuit,
 )
-from msbench.linalg import kron
+from msbench.linalg import I2, PAULIS_1Q, kron
 from msbench.noise import DeviceCalibration, build_noise_model
 from msbench.tomography import (
     PAULI_LABELS,
@@ -63,6 +64,7 @@ from conftest import (
     examples,
     partial_trace,
     random_cptp_kraus,
+    random_density_matrix,
     dep_cal,
     random_unitary,
 )
@@ -599,6 +601,58 @@ def test_prep_tree_equals_the_per_label_prefixes(circuit, calibration, p_dep):
     ds = run_qpt(circuit, noise=noise, shots=None)
     for cell, row, want in zip(_CELLS, ds.outcomes.tolist(), expected.reshape(-1, 4).tolist()):
         assert row == want, cell
+
+
+# Each setting's 4 outcome projectors, (x)(I +- P)/2 in BITSTRINGS order: (9, 4, 4, 4).
+_PROJECTORS = np.array([[np.kron((I2 + (-1) ** int(x) * PAULIS_1Q[a]) / 2,
+                                 (I2 + (-1) ** int(y) * PAULIS_1Q[b]) / 2)
+                         for x, y in BITSTRINGS] for a, b in SETTINGS])
+_ORACLE_MODELS = [None] + [(name, p) for name in ("example_calibration.json",
+                                                  "example_calibration_b.json")
+                           for p in (0.0, 0.0165, 1.0)]
+
+
+@functools.cache
+def _oracle_model(key):
+    """One model per key, shared across examples, so its family's cached head
+    meets many circuits."""
+    if key is None:
+        return None
+    name, p_dep = key
+    return build_noise_model(DeviceCalibration.load(DATA_DIR / name).with_p_dep(p_dep))
+
+
+def _oracle_grid(circuit, noise) -> np.ndarray:
+    """The exact (144, 4) outcome grid, rebuilt without the preparation tree, the
+    circuit head, the settings' rotations or ``outcome_distribution``: each
+    label's own preparation, the circuit's action on the 16 matrix units
+    |i><j|, and each outcome's trace against its projector, then the confusion."""
+    inputs = np.array([evolve(prep_circuit(label), basis_state("00"), noise)
+                       for label in PREP_LABELS])
+    images = apply_gates(circuit, np.eye(16, dtype=complex).reshape(16, 4, 4), noise)
+    outputs = np.einsum("nu,ukl->nkl", inputs.reshape(16, 16), images)
+    grid = np.einsum("sokl,nlk->nso", _PROJECTORS, outputs).real.reshape(-1, 4)
+    return grid if noise is None else grid @ noise.confusion
+
+
+@settings(max_examples=examples(50), deadline=None)
+@given(circuit=circuits, model=st.sampled_from(_ORACLE_MODELS))
+def test_exact_qpt_matches_an_independent_oracle(circuit, model):
+    noise = _oracle_model(model)
+    outcomes = run_qpt(circuit, noise=noise, shots=None).outcomes
+    assert np.abs(outcomes - _oracle_grid(circuit, noise)).max() <= 1e-12
+
+
+@settings(max_examples=examples(50), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), stack=st.integers(1, 16))
+def test_an_identity_confusion_keeps_every_probability_bit(seed, stack):
+    """The clipped probabilities are +0 or positive, so each other term of the
+    confusion's ``einsum`` adds +0 and an exact identity returns them as they are."""
+    rng = np.random.default_rng(seed)
+    states = np.concatenate([_prepared_states(None), [basis_state(b) for b in BITSTRINGS],
+                             [random_density_matrix(rng) for _ in range(stack)]])
+    assert (outcome_distribution(states, SETTINGS, np.eye(4)).tobytes()
+            == outcome_distribution(states, SETTINGS).tobytes())
 
 
 @settings(max_examples=examples(50), deadline=None)

@@ -161,10 +161,11 @@ def _parse(text: str, where: str):
 
 
 def _load(path, from_json):
-    """``from_json`` of a file's text; a malformed file fails naming its path."""
-    text = Path(path).read_text()
+    """``from_json`` of a file's text, decoded as UTF-8 whatever the locale; a
+    malformed file, or one that is not UTF-8, fails naming its path."""
+    data = Path(path).read_bytes()
     try:
-        return from_json(text)
+        return from_json(data.decode("utf-8"))
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 

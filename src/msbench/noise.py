@@ -224,6 +224,11 @@ class NoiseModel:
     (kind, qubit) to a 2-qubit channel, or None for the identity; ``x``
     shares ``sx``'s at equal duration. ``confusion`` is always the 4x4 matrix.
     ``fingerprint`` covers the calibration and the qubit pair.
+
+    p_dep enters only ``cnot_channel`` and ``fingerprint``: a ``with_p_dep``
+    sibling holds every other channel, and the confusion, as the same object.
+    A QPT of several siblings in one pass (``tomography.run_qpt``) relies on
+    that: it runs each shared step once and only the CNOT channel per model.
     """
 
     calibration: DeviceCalibration
@@ -321,17 +326,22 @@ def fit_depolarizing(
     only the CNOT channel is built per evaluation: the relaxation's Pauli
     products are scaled, summed into a Choi state and split into its Kraus
     set, and the products and the sum's plan are built once per fit. The
-    target, the ideal channel that ``exact_process_fidelity`` caches on
-    ``circuit``, is built once per circuit instance, so its Choi ``eigh`` is
-    taken once per fit, not once per evaluation, and once per process for a
-    builtin circuit, whose instance is shared.
+    bracket's ends, F(0) and F(1), come from one ``exact_process_fidelity``
+    call on the two siblings, which runs each step before the first CNOT
+    channel once for both (``simulator.apply_gates``), so F(1) is computed
+    even where F(0) alone ends the fit. The target, the ideal channel that
+    ``exact_process_fidelity`` caches on ``circuit``, is built once per
+    circuit instance, so its Choi ``eigh`` is taken once per fit, not once
+    per evaluation, and once per process for a builtin circuit, whose
+    instance is shared.
 
     Regula falsi on [0, 1] with the Illinois step (Dowell & Jarratt, BIT 11,
     168, 1971): each secant through the bracket ends is evaluated, replaces the
     end on its side, and an end kept twice in a row has its residual halved so
     the bracket keeps shrinking. For the one-CNOT circuits F(p) is affine, so
-    the first secant lands on the target and a fit costs F(0), F(1) and one
-    verifying evaluation. Circuits with more CNOTs converge in a few more.
+    the first secant lands on the target and a fit costs the paired F(0) and
+    F(1) and one verifying evaluation. Circuits with more CNOTs converge in a
+    few more.
     """
     if not _is_number(target_fidelity):
         raise ValueError(f"target fidelity must be a number, got {_show(target_fidelity)}")
@@ -345,14 +355,13 @@ def fit_depolarizing(
     def fidelity_at(p: float) -> float:
         return exact_process_fidelity(circuit, base.with_p_dep(p))
 
-    f_zero = exact_process_fidelity(circuit, base)
+    f_zero, f_hi = exact_process_fidelity(circuit, (base, base.with_p_dep(1.0)))
     if f_zero < target_fidelity - tol:
         raise UnachievableTargetError(
             f"target fidelity {target_fidelity} above the p=0 fidelity {f_zero:.6f}"
         )
     if abs(f_zero - target_fidelity) <= tol:
         return 0.0, f_zero
-    f_hi = fidelity_at(1.0)
     if f_hi > target_fidelity + tol:
         raise UnachievableTargetError(
             f"target fidelity {target_fidelity} below the p=1 fidelity {f_hi:.6f}"

@@ -7,7 +7,10 @@ is the only stochastic element, drawn multinomially from a seeded generator.
 Batches: ``evolve``, ``outcome_distribution``, ``sample_counts`` and
 ``expectation`` take a leading stack axis; a single entry is the one-element
 case of the same code, and ``sample_counts`` returns counts in the shape of
-its input, (4,) for one 4-vector and (n, 4) for a stack. Inputs are checked
+its input, (4,) for one 4-vector and (n, 4) for a stack. ``apply_gates``
+and ``evolve`` also take a list or tuple of noise models, such as a model's
+``with_p_dep`` siblings, and then return a leading axis over the models,
+each slice with the bits of that model's own call. Inputs are checked
 once, where they enter: ``evolve`` checks its states
 (``check_density_matrix``) and ``sample_counts`` its distributions
 (``distribution_defect``), each in one pass over the stack, and a defective
@@ -235,25 +238,52 @@ def basis_state(bitstring: str) -> np.ndarray:
     return rho
 
 
+def _models(noise) -> tuple:
+    """``noise`` as a tuple of models: one model, or None, is the one-element
+    case of a list or tuple of them, which must not be empty."""
+    if not isinstance(noise, (list, tuple)):
+        return (noise,)
+    if not noise:
+        raise ValueError("empty sequence of noise models: need at least one")
+    return tuple(noise)
+
+
 def apply_gates(circuit: Circuit, rho, noise=None) -> np.ndarray:
     """Each gate's unitary, then its noise channel (if a model is given), on
     a density matrix or a stack of them; no validation, no re-symmetrizing.
 
+    ``noise`` is one model or a list or tuple of them. Each gate's unitary
+    acts once on the whole stack, and so does a channel that every model
+    holds as the same object. Where the models' channels differ, each acts
+    on its own copy of the states, which from then on carry a leading axis
+    over the models. Given a sequence, the result always has that axis, and
+    slice i has the bits that model i gives alone.
+
     Running a circuit's prefix here and the rest through ``evolve`` gives the
     same bits as evolving the whole circuit at once.
     """
+    models = _models(noise)
+    split = False  # whether rho carries the axis over the models
     for gate in circuit.gates:
         rho = sandwich(gate.matrix()[None], rho)[0]
-        if noise is not None:
-            channel = noise.channel_for(gate)
-            if channel is not None:
-                rho = kraus_sum(channel.kraus_operators(), rho)
+        channels = [None if m is None else m.channel_for(gate) for m in models]
+        if any(ch is not channels[0] for ch in channels):
+            rho = np.stack([part if ch is None else kraus_sum(ch.kraus_operators(), part)
+                            for ch, part in zip(channels, rho if split else [rho] * len(models))])
+            split = True
+        elif channels[0] is not None:
+            rho = kraus_sum(channels[0].kraus_operators(), rho)
+    if isinstance(noise, (list, tuple)) and not split:
+        rho = np.stack([rho] * len(models))
     return rho
 
 
 def evolve(circuit: Circuit, rho, noise=None) -> np.ndarray:
     """Run the circuit on a density matrix, or on each of a stack of them:
-    each gate's unitary, then its noise channel (if a model is given)."""
+    each gate's unitary, then its noise channel (if a model is given).
+    Given a list or tuple of models, the states come back with a leading
+    axis over them, each slice with the bits of that model's own ``evolve``
+    (``apply_gates``)."""
     rho = apply_gates(circuit, check_density_matrix(rho), noise)
     return 0.5 * (rho + dagger(rho))
 

@@ -26,15 +26,19 @@ call on the inputs, which ``check_density_matrix`` checks there, as
 arithmetic per state of evolving each full circuit on its own, so sampled
 counts are unchanged. One ``outcome_distribution`` call gives all 144
 cells' distributions, and one ``sample_counts`` call draws each cell from
-its own seed (``_experiment_seeds``, one array hash). Either result, a
-(144, 4) array in ``_CELLS`` order, goes unchanged into the dataset, which
-checks it once, to the file writer, ``TomographyDataset.to_json``, and as
-frequencies to ``linear_inversion``, whose Pauli table reads them in two
-batched ``expectation`` calls. The file reader parses each cell straight
-into a row and checks only its JSON structure and types: its keys, its
-setting, its shots, and numbers that an int64 count or a float64
-probability holds. The dataset then checks every row's values once, for
-every cell alike.
+its own seed (``_experiment_seeds``, one array hash). Several ``with_p_dep``
+siblings, which share the holder and so the head, go through these three
+calls together: each step that they share acts once, the CNOT channel of
+each acts on that model's own copy of the states (``apply_gates``), and
+each model's cells are drawn from the same 144 seeds. Either result, a
+(144, 4) array per model in ``_CELLS`` order, goes unchanged into the
+dataset, which checks it once, to the file writer,
+``TomographyDataset.to_json``, and as frequencies to ``linear_inversion``,
+whose Pauli table reads them in two batched ``expectation`` calls. The file
+reader parses each cell straight into a row and checks only its JSON
+structure and types: its keys, its setting, its shots, and numbers that an
+int64 count or a float64 probability holds. The dataset then checks every
+row's values once, for every cell alike.
 ``CountsRecord`` is just the row type of the lazy ``records`` view.
 """
 
@@ -56,6 +60,7 @@ from .simulator import (
     BITSTRINGS,
     RNG_ALGORITHM,
     SETTINGS,
+    _models,
     apply_gates,
     basis_state,
     distribution_defect,
@@ -352,22 +357,33 @@ class TomographyDataset:
 
 
 def run_qpt(process, noise=None, shots: int | None = None, seed: int = DEFAULT_SEED
-            ) -> TomographyDataset:
+            ) -> TomographyDataset | list[TomographyDataset]:
     """Run the full tomography grid against the simulator.
 
     ``process`` is a Circuit (evolved under the optional noise model) or a
     QuantumChannel applied directly to the ideal input states. ``shots=None``
     records exact outcome probabilities instead of sampled counts, else
     ``shots`` is a positive integer. ``seed`` is a non-negative integer.
+
+    ``noise`` may also be a list or tuple of ``with_p_dep`` siblings of one
+    build, which share its ``_prepared`` holder, for a circuit. They run in
+    one pass (``apply_gates``), and the result is a list of one dataset per
+    model, in order, each equal to that model's own run; sampled siblings
+    draw each model's cells from the same 144 seeds.
     """
     seed = validate_seed(seed)  # spawn_seeds needs a valid int
+    models = _models(noise)
     circuit_mode = isinstance(process, Circuit)
     if not circuit_mode and noise is not None:
         raise ValueError("noise models apply to circuits, not to raw channels")
-    confusion = noise.confusion if noise is not None else None
+    holder = _holder(models[0])
+    if any(_holder(m) is not holder for m in models[1:]):
+        raise ValueError("noise models run together must be with_p_dep siblings of one "
+                         "build, sharing its prepared inputs")
+    confusion = models[0].confusion if models[0] is not None else None  # siblings share it
 
     if circuit_mode:  # the tail on the head: evolve's bits (apply_gates' docstring)
-        head, tail = _split(process, noise)
+        head, tail = _split(process, models[0])
         states = evolve(tail, head, noise)
     elif process.dim != 4:
         raise ValueError(f"process tomography takes a two-qubit channel, dim 4, "
@@ -376,15 +392,17 @@ def run_qpt(process, noise=None, shots: int | None = None, seed: int = DEFAULT_S
         states = kraus_sum(process.kraus_operators(), _PREP_STATES)
     outcomes = outcome_distribution(states, SETTINGS, confusion).reshape(-1, 4)
     if shots is not None:
-        outcomes = sample_counts(outcomes, shots, _experiment_seeds(seed))
+        outcomes = sample_counts(outcomes, shots, np.tile(_experiment_seeds(seed), len(models)))
 
-    return TomographyDataset(
-        outcomes=outcomes,
+    circuit_json = process.to_json() if circuit_mode else None
+    datasets = [TomographyDataset(
+        outcomes=rows,
         shots=shots,
         seed=seed if shots is not None else None,
-        noise_fingerprint=noise.fingerprint if noise is not None else "noiseless",
-        circuit_json=process.to_json() if circuit_mode else None,
-    )
+        noise_fingerprint=model.fingerprint if model is not None else "noiseless",
+        circuit_json=circuit_json,
+    ) for model, rows in zip(models, outcomes.reshape(len(models), -1, 4))]
+    return datasets if isinstance(noise, (list, tuple)) else datasets[0]
 
 
 # The settings measuring each observable: every non-identity factor in its basis.
@@ -479,12 +497,15 @@ def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ dagger(vecs)
 
 
-def exact_process_fidelity(circuit: Circuit, noise=None) -> float:
+def exact_process_fidelity(circuit: Circuit, noise=None) -> float | list[float]:
     """Exact-probability tomographic fidelity of a circuit against its own
     ideal unitary; the deterministic evaluator behind noise fitting. The
     target channel is cached on the circuit instance, as its unitary is, so
     repeated evaluations of one circuit build it, and take its Choi ``eigh``,
-    once: once per process for a builtin circuit, whose instance is shared."""
-    ds = run_qpt(circuit, noise=noise, shots=None)
-    reconstructed = reconstruct_channel(ds)
-    return process_fidelity(reconstructed, circuit._channel)
+    once: once per process for a builtin circuit, whose instance is shared.
+    Given a list or tuple of ``with_p_dep`` siblings, their QPTs run in one
+    ``run_qpt`` pass and the result is the list of their fidelities, each
+    equal to that model's own evaluation."""
+    fidelities = [process_fidelity(reconstruct_channel(ds), circuit._channel)
+                  for ds in run_qpt(circuit, _models(noise), shots=None)]
+    return fidelities if isinstance(noise, (list, tuple)) else fidelities[0]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from msbench.circuits import (
     synthesize_ms_circuit,
 )
 from msbench.linalg import I2, PAULI_X, kron
+from msbench.noise import DeviceCalibration
 
 from conftest import circuits, random_unitary
 
@@ -185,6 +187,19 @@ def test_circuit_json_rejects_bad_gate_records_naming_them(record, message):
         Circuit.from_json(json.dumps([{"kind": "x", "qubit": 1}, record]))
     with pytest.raises(ValueError, match=rf"^gate: {message}"):
         Gate.from_dict(record, "gate")
+
+
+@pytest.mark.parametrize("load, text", [
+    (Circuit.load, '[{"kind": "x", "qubit": 0}] \u00e9'),
+    (DeviceCalibration.load, '{"qubits": [{"id": 0, "t1_us": 100.0, "t2_us": 80.0}]} \u00e9'),
+], ids=["circuit", "calibration"])
+def test_a_file_that_is_not_utf8_fails_naming_its_path(tmp_path, load, text):
+    """Read in the locale's encoding, a Latin-1 file failed without its path."""
+    path = tmp_path / "latin1.json"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode "
+                                         f"byte 0xe9 in position"):
+        load(path)
 
 
 def test_circuit_json_roundtrip():

@@ -229,11 +229,12 @@ def test_fit_noise_trivial_target(tmp_path):
 
 
 def count_calls(monkeypatch, fn):
-    """Count calls to ``fn`` through every msbench module that binds it."""
+    """Record the positional arguments of each call to ``fn`` through every
+    msbench module that binds it."""
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(None)
+        calls.append(args)
         return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -250,7 +251,9 @@ def test_fit_noise_reuses_the_fits_fidelity(tmp_path, monkeypatch, capsys):
     assert main(["fit-noise", "--target-fidelity", "0.9247", "--circuit", "ms",
                  "--calib", str(DATA_DIR / "example_calibration.json"),
                  "--out", str(tmp_path / "fitted.json")]) == 0
-    assert (len(evaluations), len(builds)) == (3, 1)
+    # F(0) and F(1) as one paired call, then the verifying evaluation.
+    assert (len(evaluations), len(builds)) == (2, 1)
+    assert [len(noise) if isinstance(noise, tuple) else 1 for _, noise in evaluations] == [2, 1]
     assert capsys.readouterr().out == (
         "fitted p_dep = 0.016500 for ms (target F = 0.9247, achieved F = 0.924700)\n")
 
@@ -479,6 +482,7 @@ QPT_NOISE = ["qpt", "--exact", "--noise", "{dir}/bad.json"]
 FIT_CALIB = ["fit-noise", "--target-fidelity", "0.9", "--calib", "{dir}/bad.json"]
 QPT_CIRCUIT = ["qpt", "--exact", "--circuit", "{dir}/bad.json"]
 HUGE = 10**400  # a JSON integer past float64's range
+NOT_UTF8 = ["bad.json: 'utf-8' codec can't decode byte 0xff in position 0"]
 
 
 @pytest.mark.parametrize("argv, content, names", [
@@ -531,6 +535,10 @@ HUGE = 10**400  # a JSON integer past float64's range
      ["bad.json", "durations_ns: expected a JSON object"]),
     (FIT_CALIB, json.dumps({**json.loads(_calibration_with_qubit()), "durations_ns": []}),
      ["bad.json", "durations_ns: expected a JSON object"]),
+    (FIT_CALIB, b"\xff" + _calibration_with_qubit().encode(), NOT_UTF8),
+    (QPT_CIRCUIT, b"\xff[]", NOT_UTF8),
+    (["stability", "--calib-a", "{dir}/bad.json",
+      "--calib-b", str(DATA_DIR / "example_calibration.json")], b"\xff{}", NOT_UTF8),
 ], ids=["noise-unknown-key", "missing-calib", "missing-circuit", "calib-missing-t1",
         "calib-string-t1", "calib-string-p-dep", "calib-missing-qubits", "calib-not-an-object",
         "rz-missing-angle", "sx-missing-qubit", "gate-not-an-object", "sx-unknown-key",
@@ -539,10 +547,12 @@ HUGE = 10**400  # a JSON integer past float64's range
         "qpt-noise-no-qubit-1", "calib-huge-t1", "calib-huge-t2",
         "calib-huge-frequency", "calib-huge-anharmonicity", "calib-huge-duration",
         "rz-huge-angle", "object-kind", "list-kind", "calib-nested", "calib-null-durations",
-        "calib-list-durations"])
+        "calib-list-durations", "calib-not-utf8", "circuit-not-utf8", "stability-not-utf8"])
 def test_bad_input_file_exits_1_naming_it_and_writes_nothing(tmp_path, capsys, argv, content,
                                                              names):
-    if content is not None:
+    if isinstance(content, bytes):
+        (tmp_path / "bad.json").write_bytes(content)
+    elif content is not None:
         (tmp_path / "bad.json").write_text(content)
     before = sorted(tmp_path.iterdir())
     out = tmp_path / "runs" / "x.json"

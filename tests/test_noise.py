@@ -521,13 +521,14 @@ def test_bool_qubit_id_rejected():
 
 
 def count_fidelity_evaluations(monkeypatch):
-    """Count exact_process_fidelity calls made through msbench.noise."""
+    """Record the number of models in each exact_process_fidelity call made
+    through msbench.noise: the fidelities that call evaluates."""
     calls = []
     original = msbench.noise.exact_process_fidelity
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
+    def counting(circuit, noise=None):
+        calls.append(len(noise) if isinstance(noise, (list, tuple)) else 1)
+        return original(circuit, noise)
 
     monkeypatch.setattr(msbench.noise, "exact_process_fidelity", counting)
     return calls
@@ -548,7 +549,7 @@ def test_fit_depolarizing_affine_fidelity_takes_three_evaluations(monkeypatch, n
         target = f_zero - frac * (f_zero - f_one)
         calls.clear()
         p, _ = fit_depolarizing(target, circuit, cal)
-        assert len(calls) == 3
+        assert calls == [2, 1]  # F(0) and F(1) in one call, then the verifying one
         assert abs(fidelity(p) - target) <= 1e-12
 
 
@@ -569,7 +570,7 @@ def test_fit_depolarizing_takes_its_targets_choi_eigh_once(monkeypatch, make_cir
         calls.clear()
         eighs.clear()
         fit_depolarizing(0.9247, circuit, cal)
-        assert len(calls) == 3
+        assert (sum(calls), len(calls)) == (3, 2)
         assert len(eighs) == target_eighs
 
 
@@ -604,8 +605,8 @@ def test_fit_depolarizing_two_cnot_circuit_lands_within_tol(monkeypatch):
             calls.clear()
             p, _ = fit_depolarizing(target, circuit, cal, tol=tol)
             # F is not affine here; the Illinois step keeps this to about 10
-            # (plain false position needs up to 31).
-            assert len(calls) <= 12
+            # fidelities (plain false position needs up to 31).
+            assert sum(calls) <= 12
             achieved = exact_process_fidelity(circuit, build_noise_model(cal.with_p_dep(p)))
             assert abs(achieved - target) <= tol
 

@@ -757,6 +757,59 @@ def test_a_family_keeps_one_head_keyed_by_the_circuits_json(noise):
     assert kept() is None  # one head per family
 
 
+@functools.cache
+def _sibling_base(name):
+    """One build per example calibration, at p_dep 0, shared across examples."""
+    return build_noise_model(DeviceCalibration.load(DATA_DIR / name))
+
+
+_TWO_CNOT_MS = Circuit(synthesize_ms_circuit().gates * 2)
+
+
+@settings(max_examples=examples(25), deadline=None)
+@given(circuit=circuits,
+       name=st.sampled_from(["example_calibration.json", "example_calibration_b.json"]),
+       p_deps=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       shots=st.one_of(st.none(), st.integers(1, 10**6)), seed=st.integers(0, 2**64))
+@example(circuit=_TWO_CNOT_MS, name="example_calibration.json", p_deps=[0.0, 1.0, 0.0165],
+         shots=None, seed=0)
+@example(circuit=_TWO_CNOT_MS, name="example_calibration_b.json", p_deps=[0.3, 0.0],
+         shots=4000, seed=2**64)
+def test_with_p_dep_siblings_in_one_pass_match_their_own_runs(circuit, name, p_deps, shots,
+                                                              seed):
+    """Siblings run together give each model's own dataset, evolved stack and
+    fidelity, bit for bit, as far as the BLAS build's kernels allow."""
+    base = _sibling_base(name)
+    models = [base.with_p_dep(p) for p in p_deps]
+    datasets = run_qpt(circuit, models, shots, seed)
+    assert len(datasets) == len(models)
+    for model, ds in zip(models, datasets):
+        assert ds.to_json() == run_qpt(circuit, model, shots, seed).to_json()
+    inputs = _prepared_states(base)
+    stack = evolve(circuit, inputs, models)
+    assert stack.shape == (len(models), *inputs.shape)
+    for model, part in zip(models, stack):
+        assert part.tobytes() == evolve(circuit, inputs, model).tobytes()
+    pair = (models[0], models[-1])
+    assert exact_process_fidelity(circuit, pair) == [exact_process_fidelity(circuit, m)
+                                                     for m in pair]
+
+
+def test_a_sibling_pass_refuses_no_models_separate_builds_and_a_raw_channel():
+    cal = DeviceCalibration.load(EXAMPLE_CALIBRATION)
+    noise, circuit = build_noise_model(cal), synthesize_ms_circuit()
+    empty = "^empty sequence of noise models: need at least one$"
+    for run in (lambda: run_qpt(circuit, []), lambda: exact_process_fidelity(circuit, ()),
+                lambda: evolve(circuit, basis_state("00"), [])):
+        with pytest.raises(ValueError, match=empty):
+            run()
+    with pytest.raises(ValueError, match="^noise models run together must be with_p_dep "
+                                         "siblings of one build, sharing its prepared inputs$"):
+        run_qpt(circuit, (noise, noise.with_p_dep(1.0), build_noise_model(cal)))
+    with pytest.raises(ValueError, match="^noise models apply to circuits, not to raw channels$"):
+        run_qpt(channel_from_unitary(ms_unitary().matrix), (noise, noise.with_p_dep(1.0)))
+
+
 @pytest.mark.parametrize("read, where", [
     (Circuit.from_json, "circuit"), (DeviceCalibration.from_json, "calibration"),
     (TomographyDataset.from_json, "dataset"), (QuantumChannel.from_json, "channel"),

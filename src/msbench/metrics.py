@@ -3,6 +3,7 @@ scaling, and calibration stability analytics."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -72,6 +73,9 @@ class StabilityReport:
 
 
 def _percent_variation(a: float, b: float) -> float:
+    # A common power of two keeps every ratio's bits and keeps a + b finite.
+    e = math.frexp(max(abs(a), abs(b)))[1]
+    a, b = math.ldexp(a, -e), math.ldexp(b, -e)
     mean = 0.5 * (a + b)
     if mean == 0.0:
         return 0.0
@@ -84,6 +88,8 @@ def _quality_scores(cal: DeviceCalibration) -> dict:
         vals = np.array([getattr(q, metric) for q in cal.qubits], dtype=float)
         if metric == "readout_error":
             vals = -vals
+        # Largest magnitude in [0.5, 1), exactly: no square in the std overflows.
+        vals = np.ldexp(vals, -math.frexp(np.abs(vals).max())[1])
         std = vals.std()
         cols[metric] = (vals - vals.mean()) / std if std > 0 else np.zeros_like(vals)
     scores = np.mean([cols[m] for m in STABILITY_METRICS], axis=0)

@@ -238,8 +238,8 @@ class NoiseModel:
     confusion: np.ndarray = field(init=False)
     cnot_channel: QuantumChannel | None = field(init=False)
     fingerprint: str = field(init=False)
-    # The family's QPT inputs under "inputs" and one circuit's head under "head",
-    # each filled on first use by ``tomography`` (``_holder``) and shared by
+    # One circuit's head under "head": the QPT inputs after its gates before its
+    # first CNOT, filled on first use by ``tomography._split`` and shared by
     # every ``with_p_dep`` sibling: the p_dep-free work of a QPT.
     _prepared: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -282,9 +282,9 @@ class NoiseModel:
         ``NoiseModel`` of it: a shallow copy with a new calibration, CNOT
         channel and fingerprint, and no other channel built. It shares
         ``cnot_relaxation``, whose Pauli products and Choi plan are built once
-        (``QuantumChannel.depolarized``), and the ``_prepared`` holder: the QPT
-        inputs and the head of the last circuit run, the stack after its gates
-        before its first CNOT, which act alike at every p_dep."""
+        (``QuantumChannel.depolarized``), and the ``_prepared`` holder: the head
+        of the last circuit run, the QPT inputs after its gates before its
+        first CNOT, which act alike at every p_dep."""
         sibling = copy.copy(self)
         object.__setattr__(sibling, "calibration", self.calibration.with_p_dep(p_dep))
         sibling._derive_cnot_and_fingerprint()

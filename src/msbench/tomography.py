@@ -11,18 +11,18 @@ table fixes the channel exactly; the product frame's closed-form dual
 (see ``linear_inversion``) gives the Choi estimate, which is then projected
 onto the CPTP set.
 
-Simulation: the 16 preparation prefixes run as a 4+4 tree, once per noise
-model family (``_prepared_states``). Qubit 0's prefix for each of the 4
-tokens runs on |00>, then each of qubit 1's 4 prefixes on that stack of 4 at
-once, and the ``sx`` that ``+`` and ``+i`` share runs once per qubit: 8 gate
-applications in 8 ``apply_gates`` calls, not 40. The model keeps the stack
-in its ``_prepared`` holder, which its ``with_p_dep`` siblings share; a
-module-level holder keeps the noiseless one. The holder also keeps one
-circuit's head (``_split``): the stack after the circuit's gates before its
-first ``cnot``, which act alike at every p_dep, built in one ``apply_gates``
-call on the inputs, which ``check_density_matrix`` checks there, as
-``evolve`` would. The 16 go through the rest of the process in one
-``evolve`` call, which by ``apply_gates``' split invariant has the
+Simulation: the 16 preparation prefixes run as a 4+4 tree (``_prepare``).
+Qubit 0's prefix for each of the 4 tokens runs on |00>, then each of qubit
+1's 4 prefixes on that stack of 4 at once, and the ``sx`` that ``+`` and
+``+i`` share runs once per qubit: 8 gate applications in 8 ``apply_gates``
+calls, not 40. A noise model family keeps one thing, one circuit's head
+(``_split``), in its ``_prepared`` holder, which its ``with_p_dep`` siblings
+share; a module-level holder keeps the noiseless one. The head is the stack
+after the circuit's gates before its first ``cnot``, which act alike at
+every p_dep, built on first use by one ``apply_gates`` call on the freshly
+prepared inputs; a circuit that opens with a ``cnot`` holds the inputs as
+its head. The 16 go through the rest of the process in one ``evolve`` call,
+which checks them, and by ``apply_gates``' split invariant has the
 arithmetic per state of evolving each full circuit on its own, so sampled
 counts are unchanged. One ``outcome_distribution`` call gives all 144
 cells' distributions, and one ``sample_counts`` call draws each cell from
@@ -55,7 +55,7 @@ import numpy as np
 
 from .channels import QuantumChannel, pauli_basis, project_cptp
 from .circuits import Circuit, Gate, _check_record, _is_number, _parse
-from .linalg import check_density_matrix, dagger, kraus_sum, kron
+from .linalg import dagger, kraus_sum, kron
 from .simulator import (
     BITSTRINGS,
     RNG_ALGORITHM,
@@ -154,42 +154,29 @@ def _prepare(noise) -> np.ndarray:
 
 
 # The noiseless family's holder, as a model's ``_prepared`` is a noisy family's.
-_IDEAL_HOLDER = {"inputs": _prepare(None)}
+_IDEAL_HOLDER: dict = {}
 
 
 def _holder(noise) -> dict:
-    """The family's holder of its inputs and one circuit's head:
-    ``_IDEAL_HOLDER`` without noise, else the model's ``_prepared``, which
-    ``with_p_dep`` hands on, so a model and its siblings fill it once and it
-    goes when the last of them does."""
+    """The family's holder of one circuit's head: ``_IDEAL_HOLDER`` without
+    noise, else the model's ``_prepared``, which ``with_p_dep`` hands on, so a
+    model and its siblings fill it once and it goes when the last of them does."""
     return _IDEAL_HOLDER if noise is None else noise._prepared
-
-
-def _prepared_states(noise) -> np.ndarray:
-    """The 16 prepared states in ``PREP_LABELS`` order, prepared on first use
-    into the family's holder."""
-    holder = _holder(noise)
-    if "inputs" not in holder:
-        holder["inputs"] = _prepare(noise)
-    return holder["inputs"]
 
 
 def _split(circuit: Circuit, noise) -> tuple[np.ndarray, Circuit]:
     """The circuit's head, the read-only stack after its gates before its
-    first ``cnot`` on the checked inputs, and the tail circuit that follows.
-    The family's holder keeps one circuit's, keyed by its ``to_json()`` text,
-    which tells ``rz(-0.0)`` from ``rz(0.0)`` where ``Gate`` equality does not;
-    another circuit replaces it. A circuit that opens with a ``cnot`` has the
-    inputs as its head and is not kept."""
+    first ``cnot`` on the prepared inputs (``_prepare``), and the tail circuit
+    that follows; a circuit that opens with a ``cnot`` has the inputs as its
+    head. The family's holder keeps one circuit's, keyed by its ``to_json()``
+    text, which tells ``rz(-0.0)`` from ``rz(0.0)`` where ``Gate`` equality
+    does not; another circuit replaces it."""
     holder, key = _holder(noise), circuit.to_json()
     entry = holder.get("head")  # read once: a thread never returns another's entry
     if entry is None or entry[0] != key:
         gates = circuit.gates
         cut = next((i for i, gate in enumerate(gates) if gate.kind == "cnot"), len(gates))
-        if cut == 0:
-            return _prepared_states(noise), circuit
-        head = apply_gates(Circuit(gates[:cut]), check_density_matrix(_prepared_states(noise)),
-                           noise)
+        head = apply_gates(Circuit(gates[:cut]), _prepare(noise), noise)
         head.flags.writeable = False
         entry = holder["head"] = (key, head, Circuit(gates[cut:]))
     return entry[1], entry[2]

@@ -29,6 +29,19 @@ def write_cal(path, t1=(120.0, 90.0), t2=(100.0, 70.0), readout=(0.0, 0.0),
     return cal
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def assert_strict_json(directory):
+    """Every .json file in ``directory``, manifests included, parses with no
+    NaN, Infinity or -Infinity, which ``json`` writes and strict JSON lacks."""
+    paths = sorted(directory.glob("*.json"))
+    assert paths
+    for path in paths:
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
 def test_decompose_ms(tmp_path, capsys):
     out = tmp_path / "ms.json"
     assert main(["decompose", "--target", "ms", "--out", str(out)]) == 0
@@ -306,6 +319,24 @@ def test_stability_identical_files(tmp_path, capsys):
     assert (tmp_path / "stab.csv").exists()
 
 
+def test_stability_near_the_float_maximum_writes_finite_json(tmp_path):
+    """T1 = 1.7e308 and 1.6e308 overflowed the percent variation's sum and the
+    quality scores' mean: stability wrote a 0% variation and NaN scores."""
+    text = (DATA_DIR / "example_calibration.json").read_text()
+    calibs = []
+    for name, t1 in (("a.json", ("1.7e308", "1.6e308")), ("b.json", ("1.6e308", "90.0"))):
+        calibs.append(tmp_path / name)
+        calibs[-1].write_text(text.replace('"t1_us": 120.0', f'"t1_us": {t1[0]}', 1)
+                              .replace('"t1_us": 90.0', f'"t1_us": {t1[1]}', 1))
+    out = tmp_path / "runs" / "stability.json"
+    assert main(["stability", "--calib-a", str(calibs[0]), "--calib-b", str(calibs[1]),
+                 "--out", str(out)]) == 0
+    assert_strict_json(out.parent)
+    report = json.loads(out.read_text())
+    assert report["variation_percent"]["t1_us"]["0"] == pytest.approx(100 * 0.1 / 1.65)
+    assert report["quality_scores_a"] == {"0": pytest.approx(1.0), "1": pytest.approx(-1.0)}
+
+
 def test_stability_mismatched_qubits_fails(tmp_path):
     cal_a = tmp_path / "a.json"
     write_cal(cal_a)
@@ -380,6 +411,7 @@ def test_manifest_replay_reproduces_every_output(tmp_path, argv, suffixes):
     assert main(replay) == 0
     for suffix in suffixes:
         assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+    assert_strict_json(tmp_path)
 
 
 QPT_READERS = {".json": TomographyDataset.from_json, ".channel.json": QuantumChannel.from_json}
@@ -399,6 +431,7 @@ def test_written_files_re_serialize_to_their_own_bytes(tmp_path, argv, readers):
     for suffix, read in readers.items():
         text = (tmp_path / f"out{suffix}").read_text()
         assert read(text).to_json() + "\n" == text, suffix
+    assert_strict_json(tmp_path)
 
 
 def test_manifest_contents(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,8 @@ from msbench.metrics import (
     success_probability,
 )
 from msbench.noise import DeviceCalibration, QubitCalibration
+
+from conftest import DATA_DIR
 
 
 def make_cal(values):
@@ -120,6 +123,23 @@ def test_stability_symmetric_in_arguments():
     rba = stability_analysis(b, a)
     assert rab.variation_percent == rba.variation_percent
     assert rab.quality_correlation == pytest.approx(rba.quality_correlation, abs=1e-12)
+
+
+def _times_scaled(cal, k):
+    """The calibration with every T1 and T2 times 2**k, an exact scaling."""
+    return dataclasses.replace(cal, qubits=tuple(
+        dataclasses.replace(q, t1_us=q.t1_us * 2.0**k, t2_us=q.t2_us * 2.0**k)
+        for q in cal.qubits))
+
+
+@pytest.mark.parametrize("k", [0, 600, 1000, -1000])
+def test_stability_is_blind_to_an_exact_scaling_of_the_times(k):
+    """Ratios of times keep their bits under a power-of-two scaling. Unscaled,
+    the z-scores' squares overflowed at 2**600 and underflowed at 2**-1000."""
+    a, b = (DeviceCalibration.load(DATA_DIR / name)
+            for name in ("example_calibration.json", "example_calibration_b.json"))
+    assert (stability_analysis(_times_scaled(a, k), _times_scaled(b, k)).to_dict()
+            == stability_analysis(a, b).to_dict())
 
 
 def test_stability_rejects_mismatched_qubits():

@@ -21,7 +21,7 @@ from msbench.simulator import (
     validate_setting,
     validate_shots,
 )
-from msbench.tomography import _CELLS, TomographyDataset, _prepared_states, run_qpt
+from msbench.tomography import _CELLS, TomographyDataset, _prepare, run_qpt
 
 from conftest import (
     DATA_DIR,
@@ -106,7 +106,7 @@ def test_a_prefix_by_apply_gates_then_the_rest_by_evolve_has_evolves_bits(gates,
     """``apply_gates``' split invariant, which a QPT's cached head relies on:
     at every split index, the QPT inputs evolved in two parts have the bits of
     the whole circuit's ``evolve``, as far as the BLAS build's kernels allow."""
-    inputs = _prepared_states(noise)
+    inputs = _prepare(noise)
     whole = evolve(Circuit(gates), inputs, noise).tobytes()
     for cut in range(1, len(gates) + 1):
         head = apply_gates(Circuit(gates[:cut]), inputs, noise)

@@ -38,7 +38,7 @@ from msbench.tomography import (
     _COMPATIBLE,
     _experiment_seeds,
     _pauli_table,
-    _prepared_states,
+    _prepare,
     _split,
     exact_process_fidelity,
     linear_inversion,
@@ -594,8 +594,10 @@ def test_prep_tree_equals_the_per_label_prefixes(circuit, calibration, p_dep):
     noise = build_noise_model(DeviceCalibration.load(DATA_DIR / calibration).with_p_dep(p_dep))
     per_label = np.array([apply_gates(prep_circuit(label), basis_state("00"), noise)
                           for label in PREP_LABELS])
-    tree = _prepared_states(noise)
+    tree = _prepare(noise)
     assert tree.shape == (16, 4, 4) and np.array_equal(tree, per_label)
+    with pytest.raises(ValueError):
+        tree[0, 0, 0] = 0.0
     # What run_qpt records is the per-label path's exact probabilities.
     expected = outcome_distribution(evolve(circuit, per_label, noise), SETTINGS, noise.confusion)
     ds = run_qpt(circuit, noise=noise, shots=None)
@@ -649,7 +651,7 @@ def test_an_identity_confusion_keeps_every_probability_bit(seed, stack):
     """The clipped probabilities are +0 or positive, so each other term of the
     confusion's ``einsum`` adds +0 and an exact identity returns them as they are."""
     rng = np.random.default_rng(seed)
-    states = np.concatenate([_prepared_states(None), [basis_state(b) for b in BITSTRINGS],
+    states = np.concatenate([_prepare(None), [basis_state(b) for b in BITSTRINGS],
                              [random_density_matrix(rng) for _ in range(stack)]])
     assert (outcome_distribution(states, SETTINGS, np.eye(4)).tobytes()
             == outcome_distribution(states, SETTINGS).tobytes())
@@ -702,8 +704,8 @@ def test_a_models_inputs_are_prepared_once(monkeypatch):
 def test_a_noise_model_family_owns_its_prepared_inputs(monkeypatch):
     """Each build_noise_model family prepares its inputs and the circuit's
     head once, however many families alternate; a with_p_dep sibling that
-    runs first prepares them for its parent too; and both are freed with the
-    last model of the family."""
+    runs first prepares them for its parent too; and the head that holds them
+    is freed with the last model of the family."""
     import msbench.tomography
 
     calls = []
@@ -723,22 +725,22 @@ def test_a_noise_model_family_owns_its_prepared_inputs(monkeypatch):
     for model in (parent.with_p_dep(0.3), parent):
         run_qpt(circuit, noise=model, shots=None)
     assert len(calls) == 6 * 9 and calls.count(_MS_HEAD) == 6
-    states = weakref.ref(_prepared_states(parent))
     head = weakref.ref(_split(circuit, parent)[0])
     del parent, model
     gc.collect()
-    assert states() is None and head() is None
+    assert head() is None
 
 
 @pytest.mark.parametrize("noise", [None, example_noise()], ids=["noiseless", "noisy"])
 def test_a_family_keeps_one_head_keyed_by_the_circuits_json(noise):
     """The head is the read-only stack after the gates before the first CNOT;
     a circuit whose JSON differs, as rz(-0.0)'s does from rz(0.0)'s, though
-    the gates compare equal, replaces it; one that opens with a CNOT keeps none."""
+    the gates compare equal, replaces it; one that opens with a CNOT holds the
+    prepared inputs as its head, and replaces it too."""
     plus, minus = (Circuit((Gate.rz(0, zero), Gate.sx(1), Gate.cnot(0, 1), Gate.sx(0)))
                    for zero in (0.0, -0.0))
     assert plus == minus and plus.to_json() != minus.to_json()
-    inputs = _prepared_states(noise)
+    inputs = _prepare(noise)
     for circuit in (plus, minus, plus):
         head, tail = _split(circuit, noise)
         assert _split(circuit, noise)[0] is head and not head.flags.writeable
@@ -749,12 +751,11 @@ def test_a_family_keeps_one_head_keyed_by_the_circuits_json(noise):
         assert run_qpt(circuit, noise, shots=None).outcomes.tobytes() == expected.tobytes()
     kept = weakref.ref(head)
     cx_head, cx_tail = _split(cx_circuit(), noise)
-    assert cx_head is inputs and cx_tail is cx_circuit()
-    assert _split(plus, noise)[0] is head  # cx kept no head
+    assert cx_head.tobytes() == inputs.tobytes() and cx_tail.gates == cx_circuit().gates
+    assert _split(cx_circuit(), noise)[0] is cx_head and not cx_head.flags.writeable
     del head
-    _split(minus, noise)
     gc.collect()
-    assert kept() is None  # one head per family
+    assert kept() is None  # one head per family: cx's replaced plus's
 
 
 @functools.cache
@@ -785,7 +786,7 @@ def test_with_p_dep_siblings_in_one_pass_match_their_own_runs(circuit, name, p_d
     assert len(datasets) == len(models)
     for model, ds in zip(models, datasets):
         assert ds.to_json() == run_qpt(circuit, model, shots, seed).to_json()
-    inputs = _prepared_states(base)
+    inputs = _prepare(base)
     stack = evolve(circuit, inputs, models)
     assert stack.shape == (len(models), *inputs.shape)
     for model, part in zip(models, stack):
@@ -817,14 +818,6 @@ def test_a_sibling_pass_refuses_no_models_separate_builds_and_a_raw_channel():
 def test_file_readers_refuse_a_deeply_nested_document(read, where):
     with pytest.raises(ValueError, match=f"^{where}: nested too deeply$"):
         read("[" * 100000 + "]" * 100000)
-
-
-@pytest.mark.parametrize("noise", [None, example_noise()], ids=["noiseless", "noisy"])
-def test_prepared_states_are_read_only(noise):
-    states = _prepared_states(noise)
-    assert states is _prepared_states(noise)
-    with pytest.raises(ValueError):
-        states[0, 0, 0] = 0.0
 
 
 def test_sampled_qpt_reconstruction_is_trace_preserving_to_1e_12():
@@ -948,6 +941,23 @@ def test_experiment_seeds_follow_the_documented_rule(master):
     """The 144 cell seeds of the stacked hash, whose uint32 and uint64 casting
     differs between numpy 1.24 and numpy 2, against numpy's SeedSequence."""
     assert _experiment_seeds(master).tolist() == _numpy_cell_seeds(master)
+
+
+@settings(max_examples=examples(25), deadline=None)
+@given(circuit=circuits, model=st.sampled_from(_ORACLE_MODELS), shots=st.integers(1, 10**6),
+       seed=st.integers(0, 2**64))
+def test_sampled_qpt_is_numpys_draw_of_each_exact_row_from_its_cell_seed(circuit, model, shots,
+                                                                          seed):
+    """End to end, with numpy's own classes only: each cell's counts are
+    ``Generator(PCG64(s)).multinomial`` of the exact run's row, clipped and
+    renormalized, where s is the cell's seed by the documented rule."""
+    noise = _oracle_model(model)
+    exact = run_qpt(circuit, noise, shots=None).outcomes
+    counts = run_qpt(circuit, noise, shots, seed).outcomes
+    for cell, row, got, s in zip(_CELLS, exact, counts, _numpy_cell_seeds(seed)):
+        p = np.clip(row, 0, None)
+        want = np.random.Generator(np.random.PCG64(s)).multinomial(shots, p / p.sum())
+        assert got.tolist() == want.tolist(), cell
 
 
 def test_sampled_run_qpt_builds_one_seed_sequence_for_the_master(monkeypatch):
